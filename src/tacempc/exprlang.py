@@ -12,14 +12,23 @@ Grammar (standard precedence, ``^`` binds tighter than unary minus)::
 exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``).  Identifiers are ``x1..xn`` and ``u1..um``.
 
-Evaluation works on scalars or numpy arrays (componentwise broadcast);
-``eval_grad`` propagates forward-mode dual numbers and is exact for the
-polynomial/rational expressions the grammar admits.
+Each expression is compiled once, on first use, into two straight-line
+Python functions: ``value_function`` works on scalars or numpy arrays
+(componentwise broadcast) and ``gradient_function`` propagates
+forward-mode dual numbers, exact for the polynomial/rational expressions
+the grammar admits.  The generated code performs the operations of a
+recursive tree walk one for one, in the same order and without constant
+folding, so results are bit-identical to interpreting the tree.  ``eval``
+and ``eval_grad`` are thin wrappers over the compiled functions, cached
+per node.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -207,6 +216,8 @@ _PREC_ATOM = 5
 
 
 def _prec(e: Expr) -> int:
+    if isinstance(e, Num) and math.copysign(1.0, e.value) < 0:
+        return _PREC_NEG  # printed with a leading minus, like a negation
     if isinstance(e, BinOp):
         return _PREC[e.op]
     if isinstance(e, Neg):
@@ -245,30 +256,14 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-def eval(e: Expr, x, u):  # noqa: A001 - name fixed by the public API
-    """Evaluate at state x and input u (scalars or broadcastable arrays)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x[e.index] if e.kind == "x" else u[e.index]
-    if isinstance(e, Neg):
-        return -eval(e.arg, x, u)
-    if isinstance(e, Pow):
-        return eval(e.base, x, u) ** e.exponent
-    if isinstance(e, BinOp):
-        a = eval(e.left, x, u)
-        b = eval(e.right, x, u)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        _check_nonzero(b)
-        return a / b
-    raise TypeError(f"not an Expr: {e!r}")
+# Compilation
+#
+# An expression is translated once into straight-line Python source that
+# performs exactly the floating-point operations of a recursive walk of the
+# tree, in the same order: every interior node becomes one temporary,
+# variables are read as x[i] / u[i] where they occur, float constants are
+# bound by name (never printed into the source) and nothing is folded or
+# simplified.  Results are therefore bit-identical to tree interpretation.
 
 
 def _check_nonzero(b):
@@ -280,47 +275,153 @@ def _check_nonzero(b):
         raise EvalError("division by zero")
 
 
+def _division_by_zero():
+    raise EvalError("division by zero")
+
+
+class _Codegen:
+    """Accumulates the lines and the name bindings of one generated function."""
+
+    def __init__(self):
+        self.lines = []
+        self.names = {
+            "_check_nonzero": _check_nonzero,
+            "_division_by_zero": _division_by_zero,
+            "_zero": 0.0,
+            "_one": 1.0,
+        }
+        self.temps = 0
+
+    def const(self, value):
+        name = f"c{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def emit(self, rhs):
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def build(self, result):
+        body = "".join(f"    {line}\n" for line in self.lines)
+        source = f"def compiled(x, u):\n{body}    return {result}\n"
+        namespace = dict(self.names)
+        exec(compile(source, "<exprlang>", "exec"), namespace)  # noqa: S102
+        return namespace["compiled"]
+
+
+def _var(e: Var) -> str:
+    return f"{'x' if e.kind == 'x' else 'u'}[{operator.index(e.index)}]"
+
+
+def _value_code(e: Expr, gen: _Codegen) -> str:
+    """Emit the value computation of e; returns the name or leaf holding it."""
+    if isinstance(e, Num):
+        return gen.const(e.value)
+    if isinstance(e, Var):
+        return _var(e)
+    if isinstance(e, Neg):
+        return gen.emit(f"-{_value_code(e.arg, gen)}")
+    if isinstance(e, Pow):
+        return gen.emit(f"{_value_code(e.base, gen)} ** {operator.index(e.exponent)}")
+    if isinstance(e, BinOp) and e.op in _PREC:
+        a = _value_code(e.left, gen)
+        b = _value_code(e.right, gen)
+        if e.op == "/":
+            gen.lines.append(f"_check_nonzero({b})")
+        return gen.emit(f"{a} {e.op} {b}")
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
+    """Emit forward-mode dual arithmetic for e; returns (value, gradient names)."""
+    if isinstance(e, Num):
+        return gen.const(e.value), ["_zero"] * dim
+    if isinstance(e, Var):
+        slot = e.index if e.kind == "x" else n + e.index
+        grad = ["_zero"] * dim
+        grad[slot] = "_one"
+        return gen.emit(f"float({_var(e)})"), grad
+    if isinstance(e, Neg):
+        v, g = _dual_code(e.arg, gen, n, dim)
+        return gen.emit(f"-{v}"), [gen.emit(f"-{gi}") for gi in g]
+    if isinstance(e, Pow):
+        v, g = _dual_code(e.base, gen, n, dim)  # emitted even for k = 0: it may raise
+        k = operator.index(e.exponent)
+        if k == 0:
+            return "_one", ["_zero"] * dim
+        scale = gen.emit(f"{k} * {v} ** {k - 1}")
+        return gen.emit(f"{v} ** {k}"), [gen.emit(f"{scale} * {gi}") for gi in g]
+    if isinstance(e, BinOp) and e.op in _PREC:
+        va, ga = _dual_code(e.left, gen, n, dim)
+        vb, gb = _dual_code(e.right, gen, n, dim)
+        if e.op in ("+", "-"):
+            value = gen.emit(f"{va} {e.op} {vb}")
+            return value, [gen.emit(f"{a} {e.op} {b}") for a, b in zip(ga, gb)]
+        if e.op == "*":
+            value = gen.emit(f"{va} * {vb}")
+            return value, [gen.emit(f"{vb} * {a} + {va} * {b}") for a, b in zip(ga, gb)]
+        gen.lines.append(f"if {vb} == 0: _division_by_zero()")
+        inv = gen.emit(f"_one / {vb}")
+        value = gen.emit(f"{va} * {inv}")
+        return value, [
+            gen.emit(f"({a} - {va} * {inv} * {b}) * {inv}") for a, b in zip(ga, gb)
+        ]
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+_COMPILED = {}  # id(node) -> {key: function}; an entry dies with its node
+
+
+def _cached(e: Expr, key, build):
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an Expr: {e!r}")
+    entry = _COMPILED.get(id(e))
+    if entry is None:
+        entry = _COMPILED[id(e)] = {}
+        weakref.finalize(e, _COMPILED.pop, id(e), None)
+    fn = entry.get(key)
+    if fn is None:
+        fn = entry[key] = build()
+    return fn
+
+
+def value_function(e: Expr):
+    """Compiled ``(x, u) -> value`` of e; broadcasts like numpy operators."""
+
+    def build():
+        gen = _Codegen()
+        return gen.build(_value_code(e, gen))
+
+    return _cached(e, "value", build)
+
+
+def gradient_function(e: Expr, n: int, m: int):
+    """Compiled ``(x, u) -> (value, gradient tuple)`` at a single point.
+
+    The gradient is taken w.r.t. (x1..xn, u1..um), so it has n + m
+    entries; forward-mode duals, exact for the polynomial/rational
+    expressions the grammar admits.
+    """
+
+    def build():
+        gen = _Codegen()
+        value, grad = _dual_code(e, gen, n, n + m)
+        return gen.build(f"{value}, ({''.join(g + ', ' for g in grad)})")
+
+    return _cached(e, (n, m), build)
+
+
+def eval(e: Expr, x, u):  # noqa: A001 - name fixed by the public API
+    """Evaluate at state x and input u (scalars or broadcastable arrays)."""
+    return value_function(e)(x, u)
+
+
 def eval_grad(e: Expr, x, u):
     """Value and gradient w.r.t. (x1..xn, u1..um) at a single point.
 
-    The gradient dimension is len(x) + len(u); forward-mode duals, exact
-    for the polynomial/rational expressions the grammar admits.
+    The gradient dimension is len(x) + len(u).
     """
-    n = len(x)
-    dim = n + len(u)
-    value, grad = _eval_dual(e, x, u, n, dim)
+    value, grad = gradient_function(e, len(x), len(u))(x, u)
     return value, list(grad)
-
-
-def _eval_dual(e, x, u, n, dim):
-    if isinstance(e, Num):
-        return e.value, (0.0,) * dim
-    if isinstance(e, Var):
-        slot = e.index if e.kind == "x" else n + e.index
-        grad = [0.0] * dim
-        grad[slot] = 1.0
-        value = x[e.index] if e.kind == "x" else u[e.index]
-        return float(value), tuple(grad)
-    if isinstance(e, Neg):
-        v, g = _eval_dual(e.arg, x, u, n, dim)
-        return -v, tuple(-gi for gi in g)
-    if isinstance(e, Pow):
-        v, g = _eval_dual(e.base, x, u, n, dim)
-        if e.exponent == 0:
-            return 1.0, (0.0,) * dim
-        scale = e.exponent * v ** (e.exponent - 1)
-        return v**e.exponent, tuple(scale * gi for gi in g)
-    if isinstance(e, BinOp):
-        va, ga = _eval_dual(e.left, x, u, n, dim)
-        vb, gb = _eval_dual(e.right, x, u, n, dim)
-        if e.op == "+":
-            return va + vb, tuple(a + b for a, b in zip(ga, gb))
-        if e.op == "-":
-            return va - vb, tuple(a - b for a, b in zip(ga, gb))
-        if e.op == "*":
-            return va * vb, tuple(vb * a + va * b for a, b in zip(ga, gb))
-        if vb == 0:
-            raise EvalError("division by zero")
-        inv = 1.0 / vb
-        return va * inv, tuple((a - va * inv * b) * inv for a, b in zip(ga, gb))
-    raise TypeError(f"not an Expr: {e!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,6 +58,16 @@ class HistoryState:
     def column(self, j: int) -> np.ndarray:
         """1-based column access matching the H_1..H_{T-1} convention."""
         return self.columns[:, j - 1]
+
+    @cached_property
+    def tail_sums(self) -> np.ndarray:
+        """Row j-1 sums columns H_j..H_{T-1}: the history part of the
+        window anchored at j; shape (T-1, p), computed once."""
+        sums = np.empty((self.T - 1, self.p))
+        for j in range(1, self.T):
+            sums[j - 1] = np.sum(self.columns[:, j - 1 :], axis=1)
+        sums.setflags(write=False)
+        return sums
 
 
 def steady_history(h_s, T: int, h_low=None, h_high=None) -> HistoryState:
@@ -152,4 +163,4 @@ def eq6_rhs(H: HistoryState, N: int) -> np.ndarray:
     assert 0 <= k <= H.T - 1
     if k == 0:
         return np.zeros(H.p)
-    return -np.sum(H.columns[:, H.T - 1 - k :], axis=1)
+    return -H.tail_sums[H.T - 1 - k]

@@ -36,12 +36,12 @@ def _fd_jacobian(fn, x, u, out_dim):
     return jac
 
 
-def _component_eval(exprs, x, u, out=None):
-    """Stack componentwise expression values; broadcasts over a batch axis."""
+def _component_eval(fns, x, u):
+    """Stack compiled componentwise values; broadcasts over a batch axis."""
     batch = np.shape(x[0]) if len(x) else np.shape(u[0])
-    result = np.empty((len(exprs),) + batch) if out is None else out
-    for i, e in enumerate(exprs):
-        result[i] = exprlang.eval(e, x, u)
+    result = np.empty((len(fns),) + batch)
+    for i, fn in enumerate(fns):
+        result[i] = fn(x, u)
     return result
 
 
@@ -127,32 +127,42 @@ class SystemModel:
         z_lower,
         z_upper,
     ) -> "SystemModel":
-        """Build a model from expression strings over x1..xn, u1..um."""
+        """Build a model from expression strings over x1..xn, u1..um.
+
+        Every expression is compiled here, once, into its value and
+        value-plus-gradient functions (see ``exprlang``).
+        """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
         f_exprs = [exprlang.parse(s, n, m) for s in f_sources]
         ell_expr = exprlang.parse(ell_source, n, m)
         h_exprs = [exprlang.parse(s, n, m) for s in h_sources]
         p = len(h_exprs)
+        f_values = [exprlang.value_function(e) for e in f_exprs]
+        f_grads = [exprlang.gradient_function(e, n, m) for e in f_exprs]
+        ell_value = exprlang.value_function(ell_expr)
+        ell_dual = exprlang.gradient_function(ell_expr, n, m)
+        h_values = [exprlang.value_function(e) for e in h_exprs]
+        h_grads = [exprlang.gradient_function(e, n, m) for e in h_exprs]
 
         def f(x, u):
-            return _component_eval(f_exprs, x, u)
+            return _component_eval(f_values, x, u)
 
         def ell(x, u):
-            value = exprlang.eval(ell_expr, x, u)
+            value = ell_value(x, u)
             return value if np.ndim(value) else float(value)
 
         def h(x, u):
-            return _component_eval(h_exprs, x, u)
+            return _component_eval(h_values, x, u)
 
         def f_jac(x, u):
-            return np.array([exprlang.eval_grad(e, x, u)[1] for e in f_exprs])
+            return np.array([grad(x, u)[1] for grad in f_grads])
 
         def ell_grad(x, u):
-            return np.array(exprlang.eval_grad(ell_expr, x, u)[1])
+            return np.array(ell_dual(x, u)[1])
 
         def h_jac(x, u):
-            return np.array([exprlang.eval_grad(e, x, u)[1] for e in h_exprs])
+            return np.array([grad(x, u)[1] for grad in h_grads])
 
         return cls(
             n=n,
@@ -210,13 +220,15 @@ class DissipativityCertificate:
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
         lam_expr = exprlang.parse(lam_source, n, 0)
+        lam_value = exprlang.value_function(lam_expr)
+        lam_dual = exprlang.gradient_function(lam_expr, n, 0)
 
         def lam(x):
-            value = exprlang.eval(lam_expr, x, ())
+            value = lam_value(x, ())
             return value if np.ndim(value) else float(value)
 
         def lam_grad(x):
-            return np.array(exprlang.eval_grad(lam_expr, x, ())[1])
+            return np.array(lam_dual(x, ())[1])
 
         return cls(
             lam=lam,

@@ -118,9 +118,9 @@ class _Forward:
             self.Sx = self.Dh = self.Dell = None
         for k in range(N):
             xk, uk = self.x[k], u[k]
-            self.h[k] = np.atleast_1d(model.h(xk, uk))
+            self.h[k] = model.h(xk, uk)
             self.ell[k] = model.ell(xk, uk)
-            self.x[k + 1] = np.atleast_1d(model.f(xk, uk))
+            self.x[k + 1] = model.f(xk, uk)
             if not with_jac:
                 continue
             S = self.Sx[k]
@@ -158,41 +158,47 @@ def _objective(spec: OcpSpec, fwd: _Forward):
     return J, DJ
 
 
+def _windows(cum, T, head=None, out=None):
+    """Window rows from the cumulative outputs cum (N, p[, nu]).
+
+    Rows 0..T-2 are the partial windows anchored at j = 1..T-1 (plus the
+    history tail sums ``head`` when given), rows T-1..N-1 the full windows
+    starting at i = 0..N-T; the first full window keeps its ``- 0.0``.
+    """
+    N = cum.shape[0]
+    out = np.empty_like(cum) if out is None else out
+    if head is None:
+        out[: T - 1] = cum[: T - 1]
+    else:
+        np.add(head, cum[: T - 1], out=out[: T - 1])
+    np.subtract(cum[T - 1], 0.0, out=out[T - 1])
+    np.subtract(cum[T:], cum[: N - T], out=out[T:])
+    return out
+
+
 def _solver_constraints(spec: OcpSpec, fwd: _Forward, with_jac: bool):
     """Inequality residuals g(u) <= 0 the solver penalizes, with Jacobian.
 
     Families: shot-state box for x_1..x_{N-1} (x0 is fixed, inputs live in
-    their box by projection), history-anchored partial windows, and full
-    windows inside the horizon.
+    their box by projection; lower then upper rows per step),
+    history-anchored partial windows, and full windows inside the horizon.
     """
     model, N, T = spec.model, spec.N, spec.T
-    nu = N * model.m
-    values = []
-    jacs = [] if with_jac else None
-    for k in range(1, N):
-        values.append(model.x_lower - fwd.x[k])
-        values.append(fwd.x[k] - model.x_upper)
-        if with_jac:
-            jacs.append(-fwd.Sx[k])
-            jacs.append(fwd.Sx[k])
-    H0 = spec.H0.columns
-    cum_h = np.cumsum(fwd.h, axis=0)
-    if with_jac:
-        cum_Dh = np.cumsum(fwd.Dh, axis=0)
-    for j in range(1, T):  # partial windows anchored in the history
-        values.append(np.sum(H0[:, j - 1 :], axis=1) + cum_h[j - 1])
-        if with_jac:
-            jacs.append(cum_Dh[j - 1])
-    for i in range(0, N - T + 1):  # full windows inside the horizon
-        prev = cum_h[i - 1] if i > 0 else 0.0
-        values.append(cum_h[i + T - 1] - prev)
-        if with_jac:
-            prev_D = cum_Dh[i - 1] if i > 0 else 0.0
-            jacs.append(cum_Dh[i + T - 1] - prev_D)
-    g = np.concatenate(values) if values else np.zeros(0)
+    n, p = model.n, model.p
+    n_box = 2 * n * (N - 1)
+    g = np.empty(n_box + N * p)
+    box = g[:n_box].reshape(N - 1, 2, n)
+    np.subtract(model.x_lower, fwd.x[1:N], out=box[:, 0])
+    np.subtract(fwd.x[1:N], model.x_upper, out=box[:, 1])
+    _windows(np.cumsum(fwd.h, axis=0), T, spec.H0.tail_sums, g[n_box:].reshape(N, p))
     if not with_jac:
         return g, None
-    Dg = np.concatenate(jacs) if jacs else np.zeros((0, nu))
+    nu = N * model.m
+    Dg = np.empty((g.size, nu))
+    box = Dg[:n_box].reshape(N - 1, 2, n, nu)
+    np.negative(fwd.Sx[1:N], out=box[:, 0])
+    box[:, 1] = fwd.Sx[1:N]
+    _windows(np.cumsum(fwd.Dh, axis=0), T, out=Dg[n_box:].reshape(N, p, nu))
     return g, Dg
 
 
@@ -209,21 +215,8 @@ def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
     z = np.hstack([fwd.x[: spec.N], u])  # (N, n + m)
     lower = (model.z_lower - z).ravel()
     upper = (z - model.z_upper).ravel()
-    windows, _ = _window_residuals(spec, fwd)
-    return np.concatenate([lower, upper, windows])
-
-
-def _window_residuals(spec, fwd):
-    T, N = spec.T, spec.N
-    H0 = spec.H0.columns
-    cum_h = np.cumsum(fwd.h, axis=0)
-    values = []
-    for j in range(1, T):
-        values.append(np.sum(H0[:, j - 1 :], axis=1) + cum_h[j - 1])
-    for i in range(0, N - T + 1):
-        prev = cum_h[i - 1] if i > 0 else 0.0
-        values.append(cum_h[i + T - 1] - prev)
-    return (np.concatenate(values) if values else np.zeros(0)), cum_h
+    windows = _windows(np.cumsum(fwd.h, axis=0), spec.T, spec.H0.tail_sums)
+    return np.concatenate([lower, upper, windows.ravel()])
 
 
 def open_loop_cost(spec: OcpSpec, u) -> float:
@@ -295,7 +288,6 @@ def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
     total_iters = 0
     accepted = []  # non-increasing violations of accepted iterates
     best = None  # (viol, u_flat, fwd, J, stat)
-    prev_viol = np.inf
 
     def al_fun(uf, mult_, mu_):
         fwd = _Forward(spec, uf.reshape(N, m))
@@ -350,7 +342,6 @@ def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
             # feasible but not yet stationary: a large penalty limits the
             # attainable gradient accuracy, so back it off for a polish pass
             mu = max(mu / opts.penalty_growth, opts.penalty_init)
-        prev_viol = viol if viol > 0 else prev_viol
 
     viol, uf, fwd, J, stat = best
     return _RunResult(

@@ -2,10 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tacempc.config import load_config
 from tacempc.history import HistoryState
 from tacempc.validation import reference_trace
+
+# Property tests draw the same examples on every run (no example database,
+# no per-example deadline): results depend on the code, not on the clock.
+settings.register_profile("tacempc", derandomize=True, deadline=None, database=None)
+settings.load_profile("tacempc")
 
 
 @pytest.fixture(scope="session")

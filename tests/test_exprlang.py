@@ -1,5 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse, to_source
@@ -116,3 +121,232 @@ def test_zero_exponent_kills_gradient():
     value, grad = exprlang.eval_grad(e, [5.0], [0.0])
     assert value == 1.0
     assert grad == pytest.approx([0.0, 0.0])
+
+
+def test_to_source_parenthesizes_negative_constants():
+    # a negative constant prints with a leading minus, so as a power base
+    # it needs parentheses: (-1.5)^2 is 2.25, -1.5^2 would be -2.25
+    e = exprlang.Pow(exprlang.Num(-1.5), 2)
+    assert to_source(e) == "(-1.5)^2"
+    assert exprlang.eval(parse(to_source(e), 1, 1), [0.0], [0.0]) == 2.25
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against the former recursive interpreter
+#
+# _oracle_eval and _oracle_dual are the tree-walking evaluators the compiler
+# replaced, kept verbatim: the compiled functions must reproduce them bit for
+# bit, including which inputs raise EvalError.
+
+
+def _oracle_check_nonzero(b):
+    try:
+        zero = bool((b == 0).any())  # array operand
+    except AttributeError:
+        zero = b == 0
+    if zero:
+        raise EvalError("division by zero")
+
+
+def _oracle_eval(e, x, u):
+    if isinstance(e, exprlang.Num):
+        return e.value
+    if isinstance(e, exprlang.Var):
+        return x[e.index] if e.kind == "x" else u[e.index]
+    if isinstance(e, exprlang.Neg):
+        return -_oracle_eval(e.arg, x, u)
+    if isinstance(e, exprlang.Pow):
+        return _oracle_eval(e.base, x, u) ** e.exponent
+    if isinstance(e, exprlang.BinOp):
+        a = _oracle_eval(e.left, x, u)
+        b = _oracle_eval(e.right, x, u)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        _oracle_check_nonzero(b)
+        return a / b
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _oracle_dual(e, x, u, n, dim):
+    if isinstance(e, exprlang.Num):
+        return e.value, (0.0,) * dim
+    if isinstance(e, exprlang.Var):
+        slot = e.index if e.kind == "x" else n + e.index
+        grad = [0.0] * dim
+        grad[slot] = 1.0
+        value = x[e.index] if e.kind == "x" else u[e.index]
+        return float(value), tuple(grad)
+    if isinstance(e, exprlang.Neg):
+        v, g = _oracle_dual(e.arg, x, u, n, dim)
+        return -v, tuple(-gi for gi in g)
+    if isinstance(e, exprlang.Pow):
+        v, g = _oracle_dual(e.base, x, u, n, dim)
+        if e.exponent == 0:
+            return 1.0, (0.0,) * dim
+        scale = e.exponent * v ** (e.exponent - 1)
+        return v**e.exponent, tuple(scale * gi for gi in g)
+    if isinstance(e, exprlang.BinOp):
+        va, ga = _oracle_dual(e.left, x, u, n, dim)
+        vb, gb = _oracle_dual(e.right, x, u, n, dim)
+        if e.op == "+":
+            return va + vb, tuple(a + b for a, b in zip(ga, gb))
+        if e.op == "-":
+            return va - vb, tuple(a - b for a, b in zip(ga, gb))
+        if e.op == "*":
+            return va * vb, tuple(vb * a + va * b for a, b in zip(ga, gb))
+        if vb == 0:
+            raise EvalError("division by zero")
+        inv = 1.0 / vb
+        return va * inv, tuple((a - va * inv * b) * inv for a, b in zip(ga, gb))
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _outcome(fn, *args):
+    """('ok', result) or ('raised', exception type); numpy warnings muted."""
+    with np.errstate(all="ignore"):
+        try:
+            return "ok", fn(*args)
+        except ArithmeticError as exc:
+            return "raised", type(exc)
+
+
+def _bits_equal(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return a[keep].tobytes() == b[keep].tobytes()
+
+
+def _numbers(result):
+    """A value, or a (value, gradient) pair, as one flat float array."""
+    if isinstance(result, tuple):
+        value, grad = result
+        return np.array([value, *grad], dtype=float)
+    return np.array([result], dtype=float)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0])
+# quotients like 7/3 are not dyadic, so every operation rounds
+_ROUNDED = st.builds(lambda a, b: a / b, st.integers(-999, 999), st.integers(1, 97))
+_VALUES = st.one_of(_SPECIAL, _ROUNDED, st.floats(-10.0, 10.0))
+
+
+@functools.lru_cache(maxsize=None)  # building a recursive strategy is slow
+def _exprs(n, m, constants=_VALUES):
+    leaves = st.one_of(
+        constants.map(exprlang.Num),
+        st.integers(0, n - 1).map(lambda i: exprlang.Var("x", i)),
+        st.integers(0, m - 1).map(lambda i: exprlang.Var("u", i)),
+    )
+
+    def extend(sub):
+        binop = st.builds(exprlang.BinOp, st.sampled_from("+-*/"), sub, sub)
+        return st.one_of(
+            sub.map(exprlang.Neg),
+            st.builds(exprlang.Pow, sub, st.integers(0, 3)),
+            binop,
+            binop,
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@st.composite
+def _cases(draw, constants=_VALUES, quotient=False):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    e = draw(_exprs(n, m, constants))
+    if quotient:  # exercise the quotient rule with nontrivial gradients
+        e = exprlang.BinOp("/", e, draw(_exprs(n, m, constants)))
+    point = st.one_of(_ROUNDED, _VALUES)  # zeros rarer, so fewer quotients raise
+    x = draw(st.lists(point, min_size=n, max_size=n))
+    u = draw(st.lists(point, min_size=m, max_size=m))
+    return e, np.array(x), np.array(u)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_cases(), _cases(quotient=True)))
+def test_compiled_value_matches_interpreter(case):
+    e, x, u = case
+    for args in ((x, u), (list(x), list(u))):  # numpy and Python scalars
+        want = _outcome(_oracle_eval, e, *args)
+        got = _outcome(exprlang.eval, e, *args)
+        assert got[0] == want[0]
+        if want[0] == "raised":
+            assert got[1] is want[1]
+        else:
+            assert type(got[1]) is type(want[1])
+            assert _bits_equal(got[1], want[1])
+
+
+@settings(max_examples=400)
+@given(st.one_of(_cases(), _cases(quotient=True)))
+def test_compiled_gradient_matches_interpreter(case):
+    e, x, u = case
+    want = _outcome(_oracle_dual, e, x, u, len(x), len(x) + len(u))
+    got = _outcome(exprlang.eval_grad, e, x, u)
+    assert got[0] == want[0]
+    if want[0] == "raised":
+        assert got[1] is want[1]
+        return
+    (value, grad), (want_value, want_grad) = got[1], want[1]
+    assert isinstance(grad, list)
+    assert _bits_equal(value, want_value)
+    assert _bits_equal(grad, want_grad)
+
+
+@given(_cases(), st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=4))
+def test_batch_evaluation_matches_pointwise(case, extra):
+    e, x, u = case
+    n, m = len(x), len(u)
+    columns = [np.concatenate([x, u])] + [
+        np.resize(np.array(col), n + m) for col in extra
+    ]
+    z = np.column_stack(columns)  # (n + m, batch)
+    batch = _outcome(exprlang.eval, e, z[:n], z[n:])
+    points = [_outcome(exprlang.eval, e, col[:n], col[n:]) for col in z.T]
+    if any(p == ("raised", EvalError) for p in points):
+        assert batch == ("raised", EvalError)
+        return
+    assert batch[0] == "ok"
+    expected = np.array([p[1] for p in points])
+    assert _bits_equal(np.broadcast_to(batch[1], expected.shape), expected)
+
+
+@given(_cases(constants=st.one_of(_SPECIAL, st.floats(-1e6, 1e6))))
+def test_reparsed_source_compiles_to_same_results(case):
+    # the grammar has no negative literals: a negative constant reparses as
+    # a negation, whose zero gradient is -0.0, so zeros compare by value
+    e, x, u = case
+    e2 = parse(to_source(e), len(x), len(u))
+    for fn in (exprlang.eval, exprlang.eval_grad):
+        want, got = _outcome(fn, e, x, u), _outcome(fn, e2, x, u)
+        assert got[0] == want[0]
+        if want[0] == "raised":
+            assert got[1] is want[1]
+        else:
+            assert np.array_equal(_numbers(got[1]), _numbers(want[1]), equal_nan=True)
+
+
+def test_compiled_functions_are_cached_per_node():
+    e = parse("x1 * u1 + 2", 1, 1)
+    assert exprlang.value_function(e) is exprlang.value_function(e)
+    assert exprlang.gradient_function(e, 1, 1) is exprlang.gradient_function(e, 1, 1)
+    # the cache is per node, not per equal tree: Num(0.0) == Num(-0.0)
+    positive, negative = exprlang.Num(0.0), exprlang.Num(-0.0)
+    assert positive == negative
+    assert math.copysign(1.0, exprlang.eval(positive, [], [])) == 1.0
+    assert math.copysign(1.0, exprlang.eval(negative, [], [])) == -1.0
+
+
+def test_generated_source_binds_constants_by_name():
+    gen = exprlang._Codegen()
+    exprlang._dual_code(parse("1.5 * x1 / (u1 - 0.25)^2", 1, 1), gen, 1, 2)
+    source = "\n".join(gen.lines)
+    assert "1.5" not in source and "0.25" not in source
+    assert {gen.names[k] for k in gen.names if k.startswith("c")} == {1.5, 0.25}

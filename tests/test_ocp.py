@@ -1,12 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tacempc.errors import ConfigError, InfeasibleError
 from tacempc.history import HistoryState, constant_history, eq6_rhs
+from tacempc.model import DissipativityCertificate, SteadyState, SystemModel
 from tacempc.ocp import (
     ORIGINAL,
     ROTATED,
     OcpSpec,
+    _Forward,
+    _solver_constraints,
     constraint_residuals,
     open_loop_cost,
     rotated_identity_check,
@@ -135,3 +143,113 @@ def test_infeasible_history_raises(builtin):
     with pytest.raises(InfeasibleError) as err:
         solve(spec)
     assert err.value.best_residual > 1.0
+
+
+# ---------------------------------------------------------------------------
+# Whole-array constraint assembly against the former per-row loops
+
+
+def _loop_constraints(spec, fwd):
+    """The former loop assembly of (g, Dg), kept as the oracle."""
+    model, N, T = spec.model, spec.N, spec.T
+    values, jacs = [], []
+    for k in range(1, N):
+        values.append(model.x_lower - fwd.x[k])
+        values.append(fwd.x[k] - model.x_upper)
+        jacs.append(-fwd.Sx[k])
+        jacs.append(fwd.Sx[k])
+    H0 = spec.H0.columns
+    cum_h = np.cumsum(fwd.h, axis=0)
+    cum_Dh = np.cumsum(fwd.Dh, axis=0)
+    for j in range(1, T):
+        values.append(np.sum(H0[:, j - 1 :], axis=1) + cum_h[j - 1])
+        jacs.append(cum_Dh[j - 1])
+    for i in range(0, N - T + 1):
+        prev = cum_h[i - 1] if i > 0 else 0.0
+        values.append(cum_h[i + T - 1] - prev)
+        prev_D = cum_Dh[i - 1] if i > 0 else 0.0
+        jacs.append(cum_Dh[i + T - 1] - prev_D)
+    return np.concatenate(values), np.concatenate(jacs)
+
+
+def _loop_window_residuals(spec, h):
+    """The former window block of constraint_residuals, kept as the oracle."""
+    T, N = spec.T, spec.N
+    H0 = spec.H0.columns
+    cum_h = np.cumsum(h, axis=0)
+    values = []
+    for j in range(1, T):
+        values.append(np.sum(H0[:, j - 1 :], axis=1) + cum_h[j - 1])
+    for i in range(0, N - T + 1):
+        prev = cum_h[i - 1] if i > 0 else 0.0
+        values.append(cum_h[i + T - 1] - prev)
+    return np.concatenate(values)
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _assembly_cases(draw):
+    T = draw(st.integers(1, 4))
+    N = draw(st.integers(T, 7))
+    n, m, p = (draw(st.sampled_from([1, 2])) for _ in range(3))
+    nu = N * m
+
+    def arr(*shape):
+        return draw(hnp.arrays(float, shape, elements=_FLOATS))
+
+    model = SimpleNamespace(n=n, m=m, p=p, x_lower=arr(n), x_upper=arr(n))
+    spec = SimpleNamespace(model=model, N=N, T=T, H0=HistoryState(arr(p, T - 1), T=T))
+    fwd = SimpleNamespace(x=arr(N + 1, n), h=arr(N, p), Sx=arr(N + 1, n, nu),
+                          Dh=arr(N, p, nu))
+    return spec, fwd
+
+
+@given(_assembly_cases())
+def test_constraint_assembly_matches_loops(case):
+    spec, fwd = case
+    want_g, want_Dg = _loop_constraints(spec, fwd)
+    with np.errstate(invalid="ignore", over="ignore"):
+        g, Dg = _solver_constraints(spec, fwd, with_jac=True)
+        g_only, none = _solver_constraints(spec, fwd, with_jac=False)
+    assert _same_bits(g, want_g)
+    assert _same_bits(Dg, want_Dg)
+    assert _same_bits(g_only, want_g) and none is None
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda T: st.tuples(st.just(T), st.integers(T, 8))),
+    st.sampled_from([1, 2]),
+    st.data(),
+)
+def test_constraint_residual_windows_match_loops(TN, p, data):
+    T, N = TN
+    model = SystemModel.from_expressions(
+        1, 1, ["0.5 * x1 + u1"], "x1^2 + u1^2",
+        ["x1 - 2 * u1", "u1 * x1 - 1"][:p], [-10.0, -10.0], [10.0, 10.0],
+    )
+    ss = SteadyState(np.zeros(1), np.zeros(1), 0.0, np.zeros(p))
+    cert = DissipativityCertificate.from_expression(1, "x1", [0.0] * p, 1.0, 2.0, 1.0)
+    box = st.floats(-1.0, 1.0)
+    columns = data.draw(hnp.arrays(float, (p, T - 1), elements=box))
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
+                   x0=np.array([data.draw(box)]), H0=HistoryState(columns, T=T))
+    u = data.draw(hnp.arrays(float, (N, 1), elements=box))
+    res = constraint_residuals(spec, u)
+    windows = res[2 * N * (model.n + model.m) :]
+    h = _Forward(spec, u, with_jac=False).h
+    assert windows.tobytes() == _loop_window_residuals(spec, h).tobytes()
