@@ -11,13 +11,11 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleError,
-    SolverError,
     TacempcError,
 )
 from .exprlang import EvalError, ExprSyntaxError
 from .history import (
     HistoryState,
-    constant_history,
     deviation_norm_replacement,
     iss_function,
     norm_replacement,
@@ -50,10 +48,8 @@ __all__ = [
     "EvalError",
     "ExprSyntaxError",
     "InfeasibleError",
-    "SolverError",
     "TacempcError",
     "HistoryState",
-    "constant_history",
     "deviation_norm_replacement",
     "iss_function",
     "norm_replacement",

@@ -5,6 +5,10 @@ extended state (x, H): once with the plain economic objective, whose
 first input is applied to the plant, and once with the rotated
 objective, which feeds the Lyapunov diagnostics.  Warm starts are the
 previous optimal sequence shifted by one with u_s appended.
+
+Both solves of a step, and the pair at the terminal state, are built
+by ``_solve_pair``; the closed-loop window sums reuse the window
+operator of ``history``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .history import HistoryState, deviation_norm_replacement, shift_update
+from .history import HistoryState, deviation_norm_replacement, shift_update, window_rows
 from .model import DissipativityCertificate, SteadyState, SystemModel
 from .model import eval_rotated_stage_cost
 from .ocp import ORIGINAL, ROTATED, OcpSolution, OcpSpec, SolverOptions, solve
@@ -29,6 +33,17 @@ class StepDiagnostics:
     rotated: OcpSolution
     ell: float
     h: np.ndarray
+
+
+def _solve_pair(model, cert, ss, N, x, H, options, ws_orig, ws_rot):
+    """Solve the original and the rotated problem at (x, H), in that order."""
+    common = dict(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H)
+    if options is not None:
+        common["options"] = options
+    return (
+        solve(OcpSpec(objective=ORIGINAL, warm_start=ws_orig, **common)),
+        solve(OcpSpec(objective=ROTATED, warm_start=ws_rot, **common)),
+    )
 
 
 def step(
@@ -48,11 +63,9 @@ def step(
     """
     x, H = state
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    common = dict(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H)
-    if options is not None:
-        common["options"] = options
-    sol_orig = solve(OcpSpec(objective=ORIGINAL, warm_start=warm_start_original, **common))
-    sol_rot = solve(OcpSpec(objective=ROTATED, warm_start=warm_start_rotated, **common))
+    sol_orig, sol_rot = _solve_pair(
+        model, cert, ss, N, x, H, options, warm_start_original, warm_start_rotated
+    )
     u_applied = sol_orig.u[0].copy()
     x_next = np.atleast_1d(np.asarray(model.f(x, u_applied), dtype=float))
     h_now = np.atleast_1d(np.asarray(model.h(x, u_applied), dtype=float))
@@ -154,17 +167,13 @@ def simulate(
         # value functions at the terminal extended state, for the
         # performance residual r(K)
         try:
-            common = dict(
-                model=model, cert=cert, ss=ss, N=N, T=H.T, x0=xs[-1], H0=H
+            sol_orig, sol_rot = _solve_pair(
+                model, cert, ss, N, xs[-1], H, options, ws_orig, ws_rot
             )
-            if options is not None:
-                common["options"] = options
-            Js.append(solve(OcpSpec(objective=ORIGINAL, warm_start=ws_orig, **common)).J)
-            Jts.append(solve(OcpSpec(objective=ROTATED, warm_start=ws_rot, **common)).J)
+            Js.append(sol_orig.J)
+            Jts.append(sol_rot.J)
         except InfeasibleError as exc:
             failure = f"terminal evaluation: {exc}"
-            Js = Js[: len(us)]
-            Jts = Jts[: len(us)]
 
     done = len(us)
     m, p = model.m, model.p
@@ -196,15 +205,8 @@ def window_sums(trace: ClosedLoopTrace) -> np.ndarray:
     H0, so row i is the sum over steps i - (T-1) .. i with negative
     indices read from the history.  Shape (K, p).
     """
-    H0 = trace.histories[0].columns  # (p, T - 1)
-    extended = np.vstack([H0.T, trace.h]) if H0.size else trace.h
-    T = trace.T
-    out = np.empty((trace.K, trace.model.p))
-    for k in range(trace.K):
-        # step k sits at extended row k + (T - 1); its window covers the
-        # T rows ending there
-        out[k] = np.sum(extended[k : k + T, :], axis=0)
-    return out
+    cum = np.cumsum(trace.h, axis=0)
+    return window_rows(cum, trace.T, trace.histories[0].tail_sums)
 
 
 def performance_residual(trace: ClosedLoopTrace, N: Optional[int] = None) -> np.ndarray:

@@ -12,13 +12,13 @@ that point).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .history import HistoryState, constant_history, steady_history
+from .history import HistoryState, steady_history
 from .model import (
     DissipativityCertificate,
     SteadyState,
@@ -141,7 +141,7 @@ def parse_history(spec, model, ss, T: int) -> HistoryState:
             x_hat = np.array(parts[: model.n])
             u_hat = np.array(parts[model.n :])
             h_val = np.atleast_1d(np.asarray(model.h(x_hat, u_hat), dtype=float))
-            return constant_history(h_val, T)
+            return steady_history(h_val, T)
         # explicit columns: semicolons separate columns, commas entries
         columns = [
             [float(v) for v in col.split(",")] for col in text.split(";") if col.strip()
@@ -197,16 +197,11 @@ def load_config(
 
     exp = dict(raw.get("experiment", {}))
     solver = dict(raw.get("solver", {}))
+    known = {f.name for f in fields(SolverOptions)}
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key in ("feas_tol", "stat_tol", "penalty_init", "penalty_growth",
-                   "penalty_max", "max_outer", "max_inner", "seed"):
-            solver[key] = value
-        else:
-            exp[key] = value
+        if value is not None:
+            (solver if key in known else exp)[key] = value
 
-    known = {f.name for f in SolverOptions.__dataclass_fields__.values()}
     bad = set(solver) - known
     if bad:
         raise ConfigError(f"unknown solver options: {sorted(bad)}")

@@ -6,7 +6,9 @@ on that count implied by the dissipation margin.  Lyapunov diagnostics
 combine the rotated value function with the weighted history deviation
 into the per-step function What and its T-step forward sum W, which is
 practically decreasing along the closed loop even when the rotated
-value function alone is not.
+value function alone is not; ``decrease_check`` is the one test of that
+property, for W and for any other series.  Grids over the state box come
+from ``model._grid_points``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .closedloop import ClosedLoopTrace
 from .errors import DomainError
 from .history import HistoryState, iss_function, matrix_one_norm, window_deficit
-from .model import DissipativityCertificate, SteadyState, output_extremes
+from .model import DissipativityCertificate, SteadyState, _grid_points, output_extremes
 from .ocp import OcpSolution
 
 
@@ -46,12 +48,7 @@ class TurnpikeReport:
 
 
 def _storage_sup(cert: DissipativityCertificate, model, grid_density=101) -> float:
-    axes = [
-        np.linspace(model.z_lower[j], model.z_upper[j], grid_density)
-        for j in range(model.n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh])
+    pts = _grid_points(model.x_lower, model.x_upper, grid_density)
     return float(np.max(np.abs(np.asarray(cert.lam(pts)))))
 
 
@@ -143,22 +140,14 @@ def lyapunov_trace(
     return LyapunovTrace(c=c, V=V, What=What, W=W)
 
 
-def w_decrease_check(lt: LyapunovTrace, tol: float = 1e-3):
-    """Largest one-step increase of W and whether it stays within tol."""
-    series = np.asarray(lt.W, dtype=float)
-    if series.size == 0:
-        raise DomainError("empty Lyapunov series")
-    if series.size == 1:
-        return 0.0, True
-    max_increase = float(np.max(np.diff(series)))
-    return max_increase, max_increase <= tol
-
-
-def series_decrease_check(series, tol: float = 1e-3):
-    """Same check on an arbitrary series (e.g. the rotated value
-    function, which fails it on the closed loop)."""
+def decrease_check(series, tol: float = 1e-3):
+    """Largest one-step increase of a series and whether it stays within
+    tol: the practical-decrease test for W (which passes it on the closed
+    loop) and for the rotated value function (which does not)."""
     series = np.asarray(series, dtype=float)
-    if series.size < 2:
+    if series.size == 0:
+        raise DomainError("empty series")
+    if series.size == 1:
         return 0.0, True
     max_increase = float(np.max(np.diff(series)))
     return max_increase, max_increase <= tol

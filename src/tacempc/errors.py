@@ -22,7 +22,3 @@ class InfeasibleError(TacempcError, RuntimeError):
     def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
-
-
-class SolverError(TacempcError, RuntimeError):
-    """The numerical solver failed in an unrecoverable way."""

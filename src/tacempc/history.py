@@ -5,6 +5,11 @@ is extended by the matrix H of the last T-1 auxiliary outputs (oldest
 column first).  This module implements the shift update, the sign-aware
 norm-replacement, the ISS-style weighted deviation sum, and the bound the
 stored history imposes on the next N predicted outputs.
+
+It also holds the one implementation of the transient-average windows
+(``window_rows``), shared by the solver's constraint assembly
+(``ocp``) and the closed-loop record (``closedloop.window_sums``), and
+of the steady history H^s (``steady_history``).
 """
 
 from __future__ import annotations
@@ -37,8 +42,6 @@ class HistoryState:
         cols = np.atleast_2d(np.asarray(self.columns, dtype=float))
         if self.T < 1:
             raise DomainError("period T must be >= 1")
-        if self.T == 1:
-            cols = cols.reshape(cols.shape[0] if cols.size else 1, 0)
         if cols.shape[1] != self.T - 1:
             raise DomainError(
                 f"history must have T-1 = {self.T - 1} columns, got {cols.shape[1]}"
@@ -71,7 +74,8 @@ class HistoryState:
 
 
 def steady_history(h_s, T: int, h_low=None, h_high=None) -> HistoryState:
-    """History filled with the steady-state output h_s."""
+    """History with every column equal to h_s: the steady history H^s when
+    h_s is the steady-state output, a constant history otherwise."""
     h_s = np.atleast_1d(np.asarray(h_s, dtype=float))
     return HistoryState(
         columns=np.tile(h_s.reshape(-1, 1), (1, T - 1)),
@@ -79,11 +83,6 @@ def steady_history(h_s, T: int, h_low=None, h_high=None) -> HistoryState:
         h_low=h_low,
         h_high=h_high,
     )
-
-
-def constant_history(h_value, T: int, h_low=None, h_high=None) -> HistoryState:
-    """History filled with a single output value."""
-    return steady_history(h_value, T, h_low=h_low, h_high=h_high)
 
 
 def shift_update(H: HistoryState, h_new) -> HistoryState:
@@ -144,6 +143,27 @@ def iss_function(H: HistoryState, h_s, kappa: float) -> float:
     dev = np.sum(np.abs(H.columns - h_s.reshape(-1, 1)), axis=0)  # column 1-norms
     weights = np.arange(1, H.T)
     return float(np.sum(weights * dev**kappa))
+
+
+def window_rows(cum, T: int, head=None, out=None) -> np.ndarray:
+    """Length-T window sums from the cumulative outputs cum (N, p[, nu]).
+
+    Rows 0..T-2 are the partial windows anchored at j = 1..T-1 (plus the
+    history tail sums ``head`` when given), rows T-1..N-1 the full windows
+    starting at i = 0..N-T; the first full window keeps its ``- 0.0``.
+    Any N >= 0 is accepted: for N < T only partial windows exist.
+    """
+    N = cum.shape[0]
+    P = min(T - 1, N)
+    out = np.empty_like(cum) if out is None else out
+    if head is None:
+        out[:P] = cum[:P]
+    else:
+        np.add(head[:P], cum[:P], out=out[:P])
+    if N >= T:
+        np.subtract(cum[T - 1], 0.0, out=out[T - 1])
+        np.subtract(cum[T:], cum[: N - T], out=out[T:])
+    return out
 
 
 def window_deficit(N: int, T: int) -> int:

@@ -208,14 +208,7 @@ class DissipativityCertificate:
     def grad_lam(self, x):
         if self.lam_grad is not None:
             return np.asarray(self.lam_grad(x), dtype=float)
-        n = len(x)
-        grad = np.empty(n)
-        for j in range(n):
-            xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-            xp[j] += _FD_STEP
-            xm[j] -= _FD_STEP
-            grad[j] = (self.lam(xp) - self.lam(xm)) / (2 * _FD_STEP)
-        return grad
+        return _fd_jacobian(lambda xs, _: [self.lam(xs)], x, np.zeros(0), 1)[0]
 
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
@@ -248,10 +241,6 @@ class SteadyState:
     u_s: np.ndarray
     ell_s: float
     h_s: np.ndarray
-
-    def steady_history(self, T: int) -> np.ndarray:
-        """Columns of the steady history matrix, shape (p, T-1)."""
-        return np.tile(self.h_s.reshape(-1, 1), (1, T - 1))
 
 
 def validate_certificate(cert: DissipativityCertificate, ss: SteadyState, tol=1e-8):

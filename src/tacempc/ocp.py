@@ -10,15 +10,20 @@ quasi-Newton inner loop (L-BFGS-B on the input box).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, InfeasibleError
-from .history import HistoryState
-from .model import DissipativityCertificate, SteadyState, SystemModel
+from .history import HistoryState, window_rows
+from .model import (
+    DissipativityCertificate,
+    SteadyState,
+    SystemModel,
+    eval_rotated_stage_cost,
+)
 
 ORIGINAL = "original"
 ROTATED = "rotated"
@@ -158,24 +163,6 @@ def _objective(spec: OcpSpec, fwd: _Forward):
     return J, DJ
 
 
-def _windows(cum, T, head=None, out=None):
-    """Window rows from the cumulative outputs cum (N, p[, nu]).
-
-    Rows 0..T-2 are the partial windows anchored at j = 1..T-1 (plus the
-    history tail sums ``head`` when given), rows T-1..N-1 the full windows
-    starting at i = 0..N-T; the first full window keeps its ``- 0.0``.
-    """
-    N = cum.shape[0]
-    out = np.empty_like(cum) if out is None else out
-    if head is None:
-        out[: T - 1] = cum[: T - 1]
-    else:
-        np.add(head, cum[: T - 1], out=out[: T - 1])
-    np.subtract(cum[T - 1], 0.0, out=out[T - 1])
-    np.subtract(cum[T:], cum[: N - T], out=out[T:])
-    return out
-
-
 def _solver_constraints(spec: OcpSpec, fwd: _Forward, with_jac: bool):
     """Inequality residuals g(u) <= 0 the solver penalizes, with Jacobian.
 
@@ -190,7 +177,8 @@ def _solver_constraints(spec: OcpSpec, fwd: _Forward, with_jac: bool):
     box = g[:n_box].reshape(N - 1, 2, n)
     np.subtract(model.x_lower, fwd.x[1:N], out=box[:, 0])
     np.subtract(fwd.x[1:N], model.x_upper, out=box[:, 1])
-    _windows(np.cumsum(fwd.h, axis=0), T, spec.H0.tail_sums, g[n_box:].reshape(N, p))
+    cum_h = np.cumsum(fwd.h, axis=0)
+    window_rows(cum_h, T, spec.H0.tail_sums, out=g[n_box:].reshape(N, p))
     if not with_jac:
         return g, None
     nu = N * model.m
@@ -198,7 +186,7 @@ def _solver_constraints(spec: OcpSpec, fwd: _Forward, with_jac: bool):
     box = Dg[:n_box].reshape(N - 1, 2, n, nu)
     np.negative(fwd.Sx[1:N], out=box[:, 0])
     box[:, 1] = fwd.Sx[1:N]
-    _windows(np.cumsum(fwd.Dh, axis=0), T, out=Dg[n_box:].reshape(N, p, nu))
+    window_rows(np.cumsum(fwd.Dh, axis=0), T, out=Dg[n_box:].reshape(N, p, nu))
     return g, Dg
 
 
@@ -215,7 +203,7 @@ def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
     z = np.hstack([fwd.x[: spec.N], u])  # (N, n + m)
     lower = (model.z_lower - z).ravel()
     upper = (z - model.z_upper).ravel()
-    windows = _windows(np.cumsum(fwd.h, axis=0), spec.T, spec.H0.tail_sums)
+    windows = window_rows(np.cumsum(fwd.h, axis=0), spec.T, spec.H0.tail_sums)
     return np.concatenate([lower, upper, windows.ravel()])
 
 
@@ -227,31 +215,20 @@ def open_loop_cost(spec: OcpSpec, u) -> float:
 
 
 def rotated_identity_check(spec: OcpSpec, u) -> float:
-    """|rotated cost - telescoped decomposition| from raw sums.
+    """|rotated objective - sum of rotated stage costs| of an input sequence.
 
-    The rotated cost summed stage by stage must agree with
-    J_N - N*ell_s + lam(x0) - lam(x_N) + sum lambda_bar.h.
+    The solver's rotated objective telescopes the storage terms into
+    J_N - N*ell_s + lam(x0) - lam(x_N) + sum lambda_bar.h; summing
+    ``eval_rotated_stage_cost`` along the same rollout must agree with it.
     """
-    model, cert, ss = spec.model, spec.cert, spec.ss
-    u = np.asarray(u, dtype=float).reshape(spec.N, model.m)
+    u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
     fwd = _Forward(spec, u, with_jac=False)
-    stagewise = 0.0
-    for k in range(spec.N):
-        stagewise += (
-            fwd.ell[k]
-            - ss.ell_s
-            + float(cert.lam(fwd.x[k]))
-            - float(cert.lam(fwd.x[k + 1]))
-            + float(cert.lambda_bar @ fwd.h[k])
-        )
-    decomposition = (
-        float(np.sum(fwd.ell))
-        - spec.N * ss.ell_s
-        + float(cert.lam(fwd.x[0]))
-        - float(cert.lam(fwd.x[-1]))
-        + float(cert.lambda_bar @ np.sum(fwd.h, axis=0))
+    telescoped = _objective(replace(spec, objective=ROTATED), fwd)[0]
+    stagewise = sum(
+        eval_rotated_stage_cost(spec.model, spec.cert, spec.ss, fwd.x[k], u[k])
+        for k in range(spec.N)
     )
-    return abs(stagewise - decomposition)
+    return abs(stagewise - telescoped)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +257,8 @@ def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
     ub = np.tile(model.u_upper, N)
     u_flat = np.clip(u0.ravel(), lb, ub)
 
-    n_con = _solver_constraints(
-        spec, _Forward(spec, u_flat.reshape(N, m), with_jac=False), with_jac=False
-    )[0].size
-    mult = np.zeros(n_con)
+    # state-box rows for x_1..x_{N-1}, then one window row per step
+    mult = np.zeros(2 * model.n * (N - 1) + model.p * N)
     mu = opts.penalty_init
     total_iters = 0
     accepted = []  # non-increasing violations of accepted iterates

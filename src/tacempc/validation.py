@@ -19,17 +19,16 @@ import numpy as np
 from . import exprlang
 from .closedloop import ClosedLoopTrace, simulate, window_sums
 from .config import load_config
-from .diagnostics import lyapunov_trace, series_decrease_check, turnpike_report, w_decrease_check
+from .diagnostics import decrease_check, lyapunov_trace, turnpike_report
 from .history import (
     HistoryState,
-    constant_history,
     iss_function,
     matrix_one_norm,
     norm_replacement,
     shift_update,
     steady_history,
 )
-from .model import check_dissipativity_grid, solve_steady_state
+from .model import _fd_jacobian, check_dissipativity_grid, solve_steady_state
 from .ocp import ORIGINAL, OcpSpec, rotated_identity_check, solve
 
 FIG_W0 = 0.866310666607585
@@ -85,20 +84,9 @@ def check_steady_state() -> CheckResult:
     return _timed("1", "steady state (2, 1) with cost 2", run)
 
 
-def check_dissipativity(a_override: Optional[float] = None) -> CheckResult:
+def check_dissipativity() -> CheckResult:
     def run():
         model, cert, ss = _context()
-        if a_override is not None:
-            from .model import DissipativityCertificate
-
-            cert = DissipativityCertificate(
-                lam=cert.lam,
-                lambda_bar=cert.lambda_bar,
-                a=a_override,
-                omega=cert.omega,
-                L_h=cert.L_h,
-                lam_grad=cert.lam_grad,
-            )
         residual = check_dissipativity_grid(model, cert, ss, grid_density=101)
         return residual >= -1e-9, f"min grid residual {residual:.3e}"
 
@@ -173,7 +161,7 @@ def check_norm_replacement() -> CheckResult:
 def _sweep_solutions(model, cert, ss):
     sols = []
     for T in (2, 3, 6):
-        H0 = constant_history(model.h(np.array([1.0]), np.array([1.0])), T)
+        H0 = steady_history(model.h(np.array([1.0]), np.array([1.0])), T)
         for N in (6, 10, 12):
             spec = OcpSpec(
                 model=model, cert=cert, ss=ss, N=N, T=T,
@@ -231,7 +219,7 @@ def check_lemma1(solutions=None) -> CheckResult:
 def check_turnpike_growth() -> CheckResult:
     def run():
         model, cert, ss = _context()
-        H0 = constant_history(model.h(np.array([1.0]), np.array([1.0])), 3)
+        H0 = steady_history(model.h(np.array([1.0]), np.array([1.0])), 3)
         Q = {}
         for N in (10, 12):
             spec = OcpSpec(
@@ -247,7 +235,7 @@ def check_turnpike_growth() -> CheckResult:
 def check_consecutive_turnpike() -> CheckResult:
     def run():
         model, cert, ss = _context()
-        H0 = constant_history(model.h(np.array([1.0]), np.array([1.0])), 3)
+        H0 = steady_history(model.h(np.array([1.0]), np.array([1.0])), 3)
         spec = OcpSpec(
             model=model, cert=cert, ss=ss, N=30, T=3,
             x0=np.array([1.0]), H0=H0, objective=ORIGINAL,
@@ -309,14 +297,14 @@ def check_closed_loop(trace: Optional[ClosedLoopTrace] = None) -> List[CheckResu
             elapsed,
         )
     )
-    max_inc, ok = w_decrease_check(lt, tol=1e-3)
+    max_inc, ok = decrease_check(lt.W, tol=1e-3)
     results.append(
         CheckResult(
             "10c", "Lyapunov function practically decreasing",
             ok, f"max W increase {max_inc:.2e} (tol 1e-3)", elapsed,
         )
     )
-    max_inc_j, mono = series_decrease_check(tr.Jtildestar[: tr.K], tol=1e-3)
+    max_inc_j, mono = decrease_check(tr.Jtildestar[: tr.K], tol=1e-3)
     results.append(
         CheckResult(
             "10d", "rotated value function not monotone",
@@ -365,7 +353,6 @@ def _random_expr(rng, n, m, depth):
 def check_gradients() -> CheckResult:
     def run():
         rng = np.random.default_rng(17)
-        step = 1e-6
         worst = 0.0
         for _ in range(100):
             n = int(rng.integers(1, 4))
@@ -374,16 +361,7 @@ def check_gradients() -> CheckResult:
             x = rng.uniform(-2, 2, size=n)
             u = rng.uniform(-2, 2, size=m)
             _, grad = exprlang.eval_grad(expr, x, u)
-            z = np.concatenate([x, u])
-            fd = np.empty(n + m)
-            for j in range(n + m):
-                zp, zm = z.copy(), z.copy()
-                zp[j] += step
-                zm[j] -= step
-                fd[j] = (
-                    exprlang.eval(expr, zp[:n], zp[n:])
-                    - exprlang.eval(expr, zm[:n], zm[n:])
-                ) / (2 * step)
+            fd = _fd_jacobian(lambda xs, us: [exprlang.eval(expr, xs, us)], x, u, 1)[0]
             scale = 1.0 + np.max(np.abs(fd))
             worst = max(worst, float(np.max(np.abs(np.array(grad) - fd))) / scale)
         return worst <= 1e-5, f"max relative gradient mismatch {worst:.2e}"

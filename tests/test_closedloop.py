@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tacempc.closedloop import performance_residual, simulate, step, window_sums
 from tacempc.errors import DomainError
-from tacempc.history import HistoryState, deviation_norm_replacement
+from tacempc.history import HistoryState, deviation_norm_replacement, steady_history
 
 
 def test_reference_trace_completes(closed_loop_trace):
@@ -27,6 +32,37 @@ def test_window_sums_nonpositive(closed_loop_trace):
     sums = window_sums(closed_loop_trace)
     assert sums.shape == (30, 1)
     assert np.max(sums) <= 1e-6
+
+
+def _loop_window_sums(trace):
+    """Reference: each window summed over the history-extended outputs."""
+    H0 = trace.histories[0].columns  # (p, T - 1)
+    extended = np.vstack([H0.T, trace.h]) if H0.size else trace.h
+    T = trace.T
+    out = np.empty((trace.K, trace.model.p))
+    for k in range(trace.K):
+        # step k sits at extended row k + (T - 1); its window covers the
+        # T rows ending there
+        out[k] = np.sum(extended[k : k + T, :], axis=0)
+    return out
+
+
+@st.composite
+def _window_traces(draw):
+    T = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(0, 2 * T + 2))  # K < T - 1 and K = 0: halted runs
+    values = st.floats(-10.0, 10.0)
+    h = draw(hnp.arrays(float, (K, p), elements=values))
+    H0 = HistoryState(draw(hnp.arrays(float, (p, T - 1), elements=values)), T=T)
+    return SimpleNamespace(T=T, K=K, h=h, histories=(H0,), model=SimpleNamespace(p=p))
+
+
+@given(_window_traces())
+def test_window_sums_match_loop(trace):
+    sums = window_sums(trace)
+    assert sums.shape == (trace.K, trace.model.p)
+    np.testing.assert_allclose(sums, _loop_window_sums(trace), rtol=0, atol=1e-12)
 
 
 def test_window_sums_match_histories(closed_loop_trace):
@@ -95,7 +131,7 @@ def test_step_matches_simulate(builtin, fig_history):
 
 def test_steady_state_is_invariant(builtin):
     model, cert, ss = builtin
-    H = HistoryState(ss.steady_history(6), T=6)
+    H = steady_history(ss.h_s, 6)
     trace = simulate(model, cert, ss, 12, ss.x_s, H, 5)
     assert trace.completed
     # the cost landscape is flat at the optimum, so the stationarity

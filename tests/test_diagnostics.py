@@ -3,14 +3,13 @@ import pytest
 
 from tacempc.closedloop import simulate
 from tacempc.diagnostics import (
+    decrease_check,
     lyapunov_trace,
     remark2_bound,
-    series_decrease_check,
     turnpike_report,
-    w_decrease_check,
 )
 from tacempc.errors import DomainError
-from tacempc.history import HistoryState, constant_history, positive_part_measure
+from tacempc.history import HistoryState, positive_part_measure, steady_history
 from tacempc.ocp import ORIGINAL, OcpSolution, OcpSpec, solve
 
 
@@ -18,7 +17,7 @@ def _solve_original(builtin, N, T, x0=1.0):
     model, cert, ss = builtin
     h0 = np.atleast_1d(model.h(np.atleast_1d(x0), np.array([1.0])))
     spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
-                   x0=np.atleast_1d(float(x0)), H0=constant_history(h0, T),
+                   x0=np.atleast_1d(float(x0)), H0=steady_history(h0, T),
                    objective=ORIGINAL)
     return solve(spec)
 
@@ -70,7 +69,7 @@ def test_turnpike_all_steady_trajectory(builtin):
     # (the true optimum leaves the turnpike near the end, so solve()
     # would not produce this)
     model, cert, ss = builtin
-    H = HistoryState(ss.steady_history(3), T=3)
+    H = steady_history(ss.h_s, 3)
     spec = OcpSpec(model=model, cert=cert, ss=ss, N=6, T=3,
                    x0=ss.x_s, H0=H, objective=ORIGINAL)
     steady = OcpSolution(
@@ -111,21 +110,29 @@ def test_lyapunov_constant_and_decrease(closed_loop_trace):
     assert lt.c == pytest.approx(1.0 / 240.0, rel=1e-12)
     assert len(lt.What) == 30
     assert len(lt.W) == 25  # defined for k = 0 .. K - T
-    max_inc, ok = w_decrease_check(lt, tol=1e-3)
+    max_inc, ok = decrease_check(lt.W, tol=1e-3)
     assert ok
     assert max_inc <= 1e-3
 
 
+def test_decrease_check_edge_cases():
+    with pytest.raises(DomainError):
+        decrease_check([])
+    assert decrease_check([5.0]) == (0.0, True)
+    assert decrease_check([3.0, 1.0, 1.0005], tol=1e-3) == (pytest.approx(5e-4), True)
+    assert decrease_check([1.0, 2.0], tol=1e-3) == (1.0, False)
+
+
 def test_rotated_value_is_not_decreasing(closed_loop_trace):
     trace = closed_loop_trace
-    max_inc, ok = series_decrease_check(trace.Jtildestar[: trace.K], tol=1e-3)
+    max_inc, ok = decrease_check(trace.Jtildestar[: trace.K], tol=1e-3)
     assert not ok
     assert max_inc > 1e-3
 
 
 def test_lyapunov_zero_on_steady_run(builtin):
     model, cert, ss = builtin
-    H = HistoryState(ss.steady_history(6), T=6)
+    H = steady_history(ss.h_s, 6)
     trace = simulate(model, cert, ss, 12, ss.x_s, H, 8)
     lt = lyapunov_trace(trace, cert, ss)
     # per-step solves track the steady state to solver tolerance only,
@@ -146,7 +153,7 @@ def test_remark2_bound_examples(builtin):
     H = HistoryState(np.array([[-2.0, -2.0, -2.0, -2.0, -1.0]]), T=6)
     # (T-1)^2 * ||lambda_bar|| * max column deviation = 25 * 1 * 2
     assert remark2_bound(H, cert.lambda_bar, ss.h_s) == pytest.approx(50.0)
-    Hs = HistoryState(ss.steady_history(6), T=6)
+    Hs = steady_history(ss.h_s, 6)
     assert remark2_bound(Hs, cert.lambda_bar, ss.h_s) == pytest.approx(0.0)
     with pytest.raises(DomainError):
         remark2_bound(HistoryState(np.zeros((1, 0)), T=1), cert.lambda_bar)

@@ -4,7 +4,6 @@ import pytest
 from tacempc.errors import DomainError
 from tacempc.history import (
     HistoryState,
-    constant_history,
     deviation_norm_replacement,
     eq6_rhs,
     iss_function,
@@ -32,10 +31,13 @@ def test_history_immutable():
 
 
 def test_history_t1_is_empty():
-    H = steady_history([0.0], 1)
-    assert H.columns.shape == (1, 0)
-    assert shift_update(H, [3.0]) is H
-    assert norm_replacement(H) == 0.0
+    for h_s in ([0.0], [1.0, -2.0]):
+        H = steady_history(h_s, 1)
+        assert H.p == len(h_s)
+        assert H.columns.shape == (len(h_s), 0)
+        assert eq6_rhs(H, 3).shape == (len(h_s),)
+        assert shift_update(H, [3.0] * len(h_s)) is H
+        assert norm_replacement(H) == 0.0
 
 
 def test_shift_update_drops_oldest():
@@ -165,6 +167,6 @@ def test_eq6_window_partition_property():
         assert np.all(np.sum(h, axis=0) <= eq6_rhs(H, N) + 1e-12)
 
 
-def test_constant_history_fill():
-    H = constant_history([-2.0], 3)
+def test_steady_history_fill():
+    H = steady_history([-2.0], 3)
     np.testing.assert_array_equal(H.columns, [[-2.0, -2.0]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
+from tacempc.history import steady_history
 from tacempc.model import (
     DissipativityCertificate,
     SteadyState,
@@ -151,8 +152,8 @@ def test_steady_history_shape():
     ss = SteadyState(
         x_s=np.array([2.0]), u_s=np.array([1.0]), ell_s=2.0, h_s=np.array([0.0])
     )
-    assert ss.steady_history(6).shape == (1, 5)
-    assert ss.steady_history(1).shape == (1, 0)
+    assert steady_history(ss.h_s, 6).columns.shape == (1, 5)
+    assert steady_history(ss.h_s, 1).columns.shape == (1, 0)
 
 
 def test_finite_difference_jacobians(builtin):
@@ -161,3 +162,8 @@ def test_finite_difference_jacobians(builtin):
     np.testing.assert_allclose(model.jac_f(x, u), [[0.4, 1.7]], atol=1e-6)
     np.testing.assert_allclose(model.grad_ell(x, u), [2 * (1.7 - 3.0), 0.8], atol=1e-6)
     np.testing.assert_allclose(model.jac_h(x, u), [[2.0, 1.0]], atol=1e-6)
+    cert = DissipativityCertificate(
+        lam=lambda z: 1.5 * (z[0] - 2.0) + z[0] * z[1],
+        lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0,
+    )
+    np.testing.assert_allclose(cert.grad_lam([1.0, 3.0]), [4.5, 1.0], atol=1e-6)

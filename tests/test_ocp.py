@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tacempc.errors import ConfigError, InfeasibleError
-from tacempc.history import HistoryState, constant_history, eq6_rhs
+from tacempc.history import HistoryState, eq6_rhs, steady_history
 from tacempc.model import DissipativityCertificate, SteadyState, SystemModel
 from tacempc.ocp import (
     ORIGINAL,
@@ -26,14 +26,14 @@ def _spec(builtin, N, T, x0, H0=None, **kw):
     model, cert, ss = builtin
     if H0 is None:
         h0 = np.atleast_1d(model.h(np.atleast_1d(x0), np.array([1.0])))
-        H0 = constant_history(h0, T)
+        H0 = steady_history(h0, T)
     return OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
                    x0=np.atleast_1d(float(x0)), H0=H0, **kw)
 
 
 def test_spec_validation(builtin):
     model, cert, ss = builtin
-    H = constant_history([-2.0], 3)
+    H = steady_history([-2.0], 3)
     with pytest.raises(ConfigError):
         _spec(builtin, N=2, T=3, x0=1.0, H0=H)  # N < T
     with pytest.raises(ConfigError):
@@ -79,7 +79,7 @@ def test_benchmark_objectives(builtin, fig_history):
 
 def test_rotated_objective_nonnegative_and_zero_at_steady(builtin):
     model, cert, ss = builtin
-    H = HistoryState(ss.steady_history(6), T=6)
+    H = steady_history(ss.h_s, 6)
     sol = solve(OcpSpec(model=model, cert=cert, ss=ss, N=12, T=6,
                         x0=ss.x_s, H0=H, objective=ROTATED))
     assert sol.J == pytest.approx(0.0, abs=1e-8)
@@ -91,7 +91,7 @@ def test_rotated_objective_nonnegative_and_zero_at_steady(builtin):
 
 def test_rotated_identity_on_random_inputs(builtin):
     spec = _spec(builtin, N=8, T=2, x0=2.0,
-                 H0=constant_history([0.0], 2))
+                 H0=steady_history([0.0], 2))
     rng = np.random.default_rng(11)
     for _ in range(20):
         u = rng.uniform(0.9, 1.0, (8, 1))
