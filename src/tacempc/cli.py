@@ -151,7 +151,7 @@ def cmd_steady_state(args) -> int:
 
 def _experiment_overrides(args) -> dict:
     over = {}
-    for key in ("N", "T", "K", "x0", "history", "eps", "seed"):
+    for key in ("N", "T", "K", "x0", "history", "eps"):
         if hasattr(args, key) and getattr(args, key) is not None:
             over[key] = getattr(args, key)
     return over
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help='initial history: "steady", "constant:x,u" or explicit columns',
             )
             p.add_argument("--eps", type=float, help="proximity radius")
-            p.add_argument("--seed", type=int, help="solver restart seed")
 
     p_ss = sub.add_parser("steady-state", help="compute the optimal steady state")
     common(p_ss, experiment=False)

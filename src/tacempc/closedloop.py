@@ -209,16 +209,13 @@ def window_sums(trace: ClosedLoopTrace) -> np.ndarray:
     return window_rows(cum, trace.T, trace.histories[0].tail_sums)
 
 
-def performance_residual(trace: ClosedLoopTrace, N: Optional[int] = None) -> np.ndarray:
+def performance_residual(trace: ClosedLoopTrace) -> np.ndarray:
     """Residual r(K) = Jcl_K - [J*(chi(0)) - J*(chi(K))] - K * ell_s.
 
     Returns the series for K = 1 .. number of steps the value function
     was evaluated at; r(K)/K estimates the horizon-dependent per-step
-    suboptimality.  N is accepted for interface symmetry and must match
-    the trace horizon when given.
+    suboptimality.
     """
-    if N is not None and N != trace.N:
-        raise DomainError(f"trace was produced with N = {trace.N}, not {N}")
     n_vals = len(trace.Jstar)  # K + 1 on success
     ks = np.arange(1, n_vals)
     return trace.Jcl[ks - 1] - (trace.Jstar[0] - trace.Jstar[ks]) - ks * trace.ss.ell_s

@@ -3,8 +3,8 @@
 A configuration is a JSON object with up to three keys.  "model" either
 names a builtin ("mueller-koehler") or spells out dimensions, expression
 strings and certificate constants; "experiment" holds horizon, period,
-step count, initial state and history; "solver" overrides tolerances,
-iteration caps and the restart seed.  Histories accept explicit columns
+step count, initial state and history; "solver" overrides the
+feasibility and stationarity tolerances.  Histories accept explicit columns
 or the shorthands "steady" and "constant:x,u" (filled with the output at
 that point).
 """

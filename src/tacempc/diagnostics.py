@@ -47,8 +47,8 @@ class TurnpikeReport:
         return self.lemma1_rhs <= 0 or self.lemma1_lhs >= self.lemma1_rhs
 
 
-def _storage_sup(cert: DissipativityCertificate, model, grid_density=101) -> float:
-    pts = _grid_points(model.x_lower, model.x_upper, grid_density)
+def _storage_sup(cert: DissipativityCertificate, model) -> float:
+    pts = _grid_points(model.x_lower, model.x_upper, 101)
     return float(np.max(np.abs(np.asarray(cert.lam(pts)))))
 
 

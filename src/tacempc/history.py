@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -28,15 +27,11 @@ from .errors import DomainError
 class HistoryState:
     """Immutable p x (T-1) history matrix, oldest column first.
 
-    For T = 1 the column matrix is empty (shape (p, 0)).  Optional bounds
-    describe the feasible output range; when present, entries are
-    validated on construction and on shift updates.
+    For T = 1 the column matrix is empty (shape (p, 0)).
     """
 
     columns: np.ndarray  # (p, T - 1)
     T: int
-    h_low: Optional[np.ndarray] = None
-    h_high: Optional[np.ndarray] = None
 
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.columns, dtype=float))
@@ -48,11 +43,6 @@ class HistoryState:
             )
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
-        if self.h_low is not None and self.h_high is not None and cols.size:
-            low = np.asarray(self.h_low, dtype=float).reshape(-1, 1)
-            high = np.asarray(self.h_high, dtype=float).reshape(-1, 1)
-            if np.any(cols < low - 1e-9) or np.any(cols > high + 1e-9):
-                raise DomainError("history entries outside the feasible output range")
 
     @property
     def p(self) -> int:
@@ -73,16 +63,11 @@ class HistoryState:
         return sums
 
 
-def steady_history(h_s, T: int, h_low=None, h_high=None) -> HistoryState:
+def steady_history(h_s, T: int) -> HistoryState:
     """History with every column equal to h_s: the steady history H^s when
     h_s is the steady-state output, a constant history otherwise."""
     h_s = np.atleast_1d(np.asarray(h_s, dtype=float))
-    return HistoryState(
-        columns=np.tile(h_s.reshape(-1, 1), (1, T - 1)),
-        T=T,
-        h_low=h_low,
-        h_high=h_high,
-    )
+    return HistoryState(columns=np.tile(h_s.reshape(-1, 1), (1, T - 1)), T=T)
 
 
 def shift_update(H: HistoryState, h_new) -> HistoryState:
@@ -90,13 +75,8 @@ def shift_update(H: HistoryState, h_new) -> HistoryState:
     if H.T == 1:
         return H
     h_new = np.atleast_1d(np.asarray(h_new, dtype=float))
-    if H.h_low is not None and H.h_high is not None:
-        if np.any(h_new < np.asarray(H.h_low) - 1e-9) or np.any(
-            h_new > np.asarray(H.h_high) + 1e-9
-        ):
-            raise DomainError(f"new output {h_new} outside the feasible range")
     columns = np.column_stack([H.columns[:, 1:], h_new])
-    return HistoryState(columns=columns, T=H.T, h_low=H.h_low, h_high=H.h_high)
+    return HistoryState(columns=columns, T=H.T)
 
 
 def positive_part_measure(columns: np.ndarray) -> float:

@@ -19,6 +19,9 @@ from . import exprlang
 from .errors import ConfigError, DomainError, InfeasibleError
 
 _FD_STEP = 1e-7
+_STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
+_STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
+_EXTREMES_GRID = 101  # points per axis of the output_extremes grid
 
 
 def _fd_jacobian(fn, x, u, out_dim):
@@ -281,12 +284,7 @@ def _grid_points(lower, upper, density):
     return np.stack([g.ravel() for g in mesh])  # (dim, density**dim)
 
 
-def solve_steady_state(
-    model: SystemModel,
-    grid_density: int = 201,
-    feas_tol: float = 1e-8,
-    n_candidates: int = 10,
-) -> SteadyState:
+def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadyState:
     """Global steady-state search: dense grid over Z plus local refinement.
 
     Deterministic: grid candidates are ranked by cost with ties broken by
@@ -295,7 +293,7 @@ def solve_steady_state(
     pts = _grid_points(model.z_lower, model.z_upper, grid_density)
     x_pts, u_pts = pts[: model.n], pts[model.n :]
     spacing = np.max((model.z_upper - model.z_lower) / max(grid_density - 1, 1))
-    grid_tol = max(spacing, feas_tol)
+    grid_tol = max(spacing, _STEADY_FEAS_TOL)
 
     f_vals = np.asarray(model.f(x_pts, u_pts))
     h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
@@ -308,7 +306,7 @@ def solve_steady_state(
 
     candidates = np.flatnonzero(mask)
     order = np.argsort(ell_vals[candidates], kind="stable")
-    candidates = candidates[order][:n_candidates]
+    candidates = candidates[order][:_STEADY_CANDIDATES]
 
     bounds = list(zip(model.z_lower, model.z_upper))
     n = model.n
@@ -338,11 +336,11 @@ def solve_steady_state(
         )
         for z in (res.x, z0):  # fall back to the raw grid point
             x, u = z[:n], z[n:]
-            if not model.in_box(x, u, tol=feas_tol):
+            if not model.in_box(x, u, tol=_STEADY_FEAS_TOL):
                 continue
-            if np.max(np.abs(eq_con(z))) > feas_tol:
+            if np.max(np.abs(eq_con(z))) > _STEADY_FEAS_TOL:
                 continue
-            if np.max(np.atleast_1d(model.h(x, u))) > feas_tol:
+            if np.max(np.atleast_1d(model.h(x, u))) > _STEADY_FEAS_TOL:
                 continue
             cost = objective(z)
             if best is None or cost < best[0] - 1e-12:
@@ -406,13 +404,13 @@ def _refine_extremum(fun_jac, z0, lower, upper):
     return res.x
 
 
-def output_extremes(model: SystemModel, cert: DissipativityCertificate, grid_density=101):
+def output_extremes(model: SystemModel, cert: DissipativityCertificate):
     """Extremes of lambda_bar.h and componentwise h over Z.
 
     Grid search followed by local refinement; exact for outputs affine in
     (x, u) since the grid contains the box vertices.
     """
-    pts = _grid_points(model.z_lower, model.z_upper, grid_density)
+    pts = _grid_points(model.z_lower, model.z_upper, _EXTREMES_GRID)
     x_pts, u_pts = pts[: model.n], pts[model.n :]
     h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
     theta_vals = cert.lambda_bar @ h_vals

@@ -31,9 +31,10 @@ ROTATED = "rotated"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Augmented Lagrangian tuning knobs.
+    """Acceptance tolerances of the augmented-Lagrangian solve.
 
-    stat_tol bounds the scale-relative KKT residual
+    feas_tol bounds the largest solver constraint residual.  stat_tol
+    bounds the scale-relative KKT residual
     ||u - P(u - grad L)||_inf / (1 + |J| + ||grad J||_inf) with P the
     input-box projection and L the Lagrangian at the updated multiplier
     estimate.
@@ -41,12 +42,6 @@ class SolverOptions:
 
     feas_tol: float = 1e-8
     stat_tol: float = 1e-6
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e8
-    max_outer: int = 20
-    max_inner: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ class OcpSolution:
     stationarity: float
     iterations: int
     converged: bool
-    violation_history: tuple = ()  # accepted outer-iterate violations
 
 
 class _Forward:
@@ -234,35 +228,35 @@ def rotated_identity_check(spec: OcpSpec, u) -> float:
 # ---------------------------------------------------------------------------
 # Augmented Lagrangian solver
 
-
-class _RunResult:
-    __slots__ = ("u", "fwd", "J", "viol", "stat", "iters", "converged", "accepted")
-
-    def __init__(self, u, fwd, J, viol, stat, iters, converged, accepted):
-        self.u = u
-        self.fwd = fwd
-        self.J = J
-        self.viol = viol
-        self.stat = stat
-        self.iters = iters
-        self.converged = converged
-        self.accepted = accepted
+_PENALTY_INIT = 10.0
+_PENALTY_GROWTH = 10.0
+_PENALTY_MAX = 1e8
+_MAX_OUTER = 20  # multiplier updates
+_MAX_INNER = 500  # L-BFGS-B iterations per multiplier update
 
 
-def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
+def solve(spec: OcpSpec) -> OcpSolution:
+    """Solve the horizon problem by one augmented-Lagrangian run.
+
+    The run starts from ``spec.warm_start``, or else from the steady-state
+    input held constant, so it is deterministic given the spec.  It
+    returns the converged iterate, or else the least-violating accepted
+    iterate with ``converged=False``; InfeasibleError is raised when that
+    iterate violates ``feas_tol``.
+    """
     opts = spec.options
     model = spec.model
     N, m = spec.N, model.m
     lb = np.tile(model.u_lower, N)
     ub = np.tile(model.u_upper, N)
+    u0 = spec.warm_start if spec.warm_start is not None else np.tile(spec.ss.u_s, (N, 1))
     u_flat = np.clip(u0.ravel(), lb, ub)
 
     # state-box rows for x_1..x_{N-1}, then one window row per step
     mult = np.zeros(2 * model.n * (N - 1) + model.p * N)
-    mu = opts.penalty_init
+    mu = _PENALTY_INIT
     total_iters = 0
-    accepted = []  # non-increasing violations of accepted iterates
-    best = None  # (viol, u_flat, fwd, J, stat)
+    best = None  # (viol, u_flat, fwd, J, stat) of the least-violating iterate
 
     def al_fun(uf, mult_, mu_):
         fwd = _Forward(spec, uf.reshape(N, m))
@@ -276,7 +270,8 @@ def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
             value, grad = J, DJ
         return value, grad
 
-    for _ in range(opts.max_outer):
+    converged = False
+    for _ in range(_MAX_OUTER):
         res = optimize.minimize(
             al_fun,
             u_flat,
@@ -285,7 +280,7 @@ def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
             method="L-BFGS-B",
             bounds=list(zip(lb, ub)),
             options={
-                "maxiter": opts.max_inner,
+                "maxiter": _MAX_INNER,
                 "ftol": 1e-15,
                 "gtol": 1e-10,
                 "maxcor": 30,
@@ -304,74 +299,34 @@ def _al_run(spec: OcpSpec, u0: np.ndarray) -> _RunResult:
         stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
 
         if best is None or viol <= best[0] + 1e-15:
-            accepted.append(viol)
-            best = (viol, u_flat.copy(), fwd, J, stat)
+            best = (viol, u_flat, fwd, J, stat)
         if viol <= opts.feas_tol and stat <= opts.stat_tol:
-            return _RunResult(
-                u_flat.reshape(N, m), fwd, J, viol, stat, total_iters, True, accepted
-            )
+            # the current iterate, which may violate slightly less than best
+            converged = True
+            break
         if viol > opts.feas_tol:
-            if mu < opts.penalty_max:
-                mu *= opts.penalty_growth
+            if mu < _PENALTY_MAX:
+                mu *= _PENALTY_GROWTH
         else:
             # feasible but not yet stationary: a large penalty limits the
             # attainable gradient accuracy, so back it off for a polish pass
-            mu = max(mu / opts.penalty_growth, opts.penalty_init)
+            mu = max(mu / _PENALTY_GROWTH, _PENALTY_INIT)
 
-    viol, uf, fwd, J, stat = best
-    return _RunResult(
-        uf.reshape(N, m), fwd, J, viol, stat, total_iters, False, accepted
-    )
-
-
-def solve(spec: OcpSpec) -> OcpSolution:
-    """Solve the horizon problem; deterministic given the warm start.
-
-    The default warm start holds the input at the steady-state value.  If
-    that run stalls, two restarts are tried (input-box midpoint, one
-    randomized with a fixed seed); the best feasible objective wins, ties
-    by restart order.
-    """
-    model, opts = spec.model, spec.options
-    N, m = spec.N, model.m
-    starts = []
-    if spec.warm_start is not None:
-        starts.append(np.asarray(spec.warm_start, dtype=float))
-    starts.append(np.tile(spec.ss.u_s, (N, 1)))
-    mid = 0.5 * (model.u_lower + model.u_upper)
-    starts.append(np.tile(mid, (N, 1)))
-    rng = np.random.default_rng(opts.seed)
-    starts.append(
-        model.u_lower + (model.u_upper - model.u_lower) * rng.random((N, m))
-    )
-
-    runs = []
-    for k, u0 in enumerate(starts):
-        run = _al_run(spec, u0)
-        runs.append(run)
-        if run.converged:
-            break
-        if k == 0 and spec.warm_start is not None and run.viol <= opts.feas_tol:
-            break  # feasible warm-started iterate on iteration-limit exit
-
-    feasible = [r for r in runs if r.viol <= opts.feas_tol]
-    if feasible:
-        chosen = min(feasible, key=lambda r: r.J)  # ties keep earlier run
-    else:
-        best_viol = min(r.viol for r in runs)
+    if not converged:
+        viol, u_flat, fwd, J, stat = best
+    if viol > opts.feas_tol:
         raise InfeasibleError(
-            f"no feasible point found after restarts (best residual {best_viol:g})",
-            best_residual=best_viol,
+            f"no feasible point found (best residual {viol:g})",
+            best_residual=viol,
         )
     return OcpSolution(
         spec=spec,
-        u=chosen.u,
-        x_pred=chosen.fwd.x,
-        h_pred=chosen.fwd.h,
-        J=chosen.J,
-        max_violation=chosen.viol,
-        stationarity=chosen.stat,
-        iterations=sum(r.iters for r in runs),
-        converged=chosen.converged,
-        violation_history=tuple(chosen.accepted),
+        u=u_flat.reshape(N, m),
+        x_pred=fwd.x,
+        h_pred=fwd.h,
+        J=J,
+        max_violation=viol,
+        stationarity=stat,
+        iterations=total_iters,
+        converged=converged,
     )

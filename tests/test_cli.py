@@ -47,20 +47,20 @@ def test_config_file_sections(tmp_path):
         "model": "mueller-koehler",
         "experiment": {"N": 10, "T": 3, "K": 4, "x0": [1.0],
                        "history": "constant:1,1"},
-        "solver": {"feas_tol": 1e-7, "seed": 3},
+        "solver": {"feas_tol": 1e-7, "stat_tol": 1e-5},
     }))
     cfg = load_config(str(path))
     assert (cfg.N, cfg.T, cfg.K) == (10, 3, 4)
     assert cfg.options.feas_tol == 1e-7
-    assert cfg.options.seed == 3
+    assert cfg.options.stat_tol == 1e-5
     np.testing.assert_array_equal(cfg.initial_state(), [1.0])
 
 
 def test_config_overrides_route_to_sections(tmp_path):
     cfg = load_config(model_name="mueller-koehler",
-                      overrides={"N": "10", "T": 3, "seed": 7, "K": None})
+                      overrides={"N": "10", "T": 3, "stat_tol": 1e-7, "K": None})
     assert cfg.N == 10 and cfg.T == 3 and cfg.K == 30
-    assert cfg.options.seed == 7
+    assert cfg.options.stat_tol == 1e-7
 
 
 def test_config_errors(tmp_path):
@@ -75,6 +75,16 @@ def test_config_errors(tmp_path):
     cfg_file = tmp_path / "solver.json"
     cfg_file.write_text(json.dumps({"solver": {"bogus_option": 1}}))
     with pytest.raises(ConfigError):
+        load_config(str(cfg_file))
+
+
+@pytest.mark.parametrize("key", [
+    "seed", "penalty_init", "penalty_growth", "penalty_max", "max_outer", "max_inner",
+])
+def test_removed_solver_keys_rejected(tmp_path, key):
+    cfg_file = tmp_path / "solver.json"
+    cfg_file.write_text(json.dumps({"solver": {key: 1}}))
+    with pytest.raises(ConfigError, match=key):
         load_config(str(cfg_file))
 
 

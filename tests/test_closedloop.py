@@ -145,8 +145,6 @@ def test_steady_state_is_invariant(builtin):
 def test_performance_residual_shape(closed_loop_trace):
     resid = performance_residual(closed_loop_trace)
     assert len(resid) == 30
-    with pytest.raises(DomainError):
-        performance_residual(closed_loop_trace, N=7)
 
 
 def test_infeasible_start_returns_partial_trace(builtin):

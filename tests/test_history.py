@@ -47,15 +47,6 @@ def test_shift_update_drops_oldest():
     assert H2.T == 4
 
 
-def test_shift_update_range_check():
-    H = HistoryState(
-        np.array([[0.0, 0.0]]), T=3, h_low=np.array([-1.0]), h_high=np.array([1.0])
-    )
-    shift_update(H, [0.5])
-    with pytest.raises(DomainError):
-        shift_update(H, [2.0])
-
-
 def test_one_based_column_accessor():
     H = HistoryState(np.array([[1.0, 2.0], [3.0, 4.0]]), T=3)
     np.testing.assert_array_equal(H.column(1), [1.0, 3.0])

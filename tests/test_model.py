@@ -162,6 +162,22 @@ def test_finite_difference_jacobians(builtin):
     np.testing.assert_allclose(model.jac_f(x, u), [[0.4, 1.7]], atol=1e-6)
     np.testing.assert_allclose(model.grad_ell(x, u), [2 * (1.7 - 3.0), 0.8], atol=1e-6)
     np.testing.assert_allclose(model.jac_h(x, u), [[2.0, 1.0]], atol=1e-6)
+    # without Jacobian callables the model falls back to central differences
+    fd_model = SystemModel(
+        n=2, m=1, p=2,
+        f=lambda x, u: np.array([x[0] * u[0], x[1] + x[0] ** 2]),
+        ell=lambda x, u: (x[0] - 3.0) ** 2 + x[1] * u[0],
+        h=lambda x, u: np.array([2 * x[0] + u[0] - 5.0, x[0] * x[1]]),
+        z_lower=[-10.0, -10.0, -10.0], z_upper=[10.0, 10.0, 10.0],
+    )
+    x, u = np.array([1.7, -0.3]), np.array([0.4])
+    np.testing.assert_allclose(
+        fd_model.jac_f(x, u), [[0.4, 0.0, 1.7], [3.4, 1.0, 0.0]], atol=1e-6
+    )
+    np.testing.assert_allclose(fd_model.grad_ell(x, u), [-2.6, 0.4, -0.3], atol=1e-6)
+    np.testing.assert_allclose(
+        fd_model.jac_h(x, u), [[2.0, 0.0, 1.0], [-0.3, 1.7, 0.0]], atol=1e-6
+    )
     cert = DissipativityCertificate(
         lam=lambda z: 1.5 * (z[0] - 2.0) + z[0] * z[1],
         lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0,
