@@ -141,7 +141,7 @@ def write_trace_svg(trace: ClosedLoopTrace, lt, path: str):
 
 def cmd_steady_state(args) -> int:
     cfg = load_config(args.config, args.model)
-    ss = solve_steady_state(cfg.model)
+    ss = cfg.ss if cfg.ss_solved else solve_steady_state(cfg.model)
     print("x_s =", " ".join(_fmt(v) for v in ss.x_s))
     print("u_s =", " ".join(_fmt(v) for v in ss.u_s))
     print("ell_s =", _fmt(ss.ell_s))

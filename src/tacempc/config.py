@@ -60,6 +60,7 @@ class RunConfig:
     history_spec: str | list = "steady"
     options: SolverOptions = field(default_factory=SolverOptions)
     epsilon: float = 0.1
+    ss_solved: bool = False  # ss came from solve_steady_state, not the config
 
     def history(self) -> HistoryState:
         return parse_history(self.history_spec, self.model, self.ss, self.T)
@@ -233,6 +234,7 @@ def load_config(
         history_spec=exp.get("history", "steady"),
         options=options,
         epsilon=epsilon,
+        ss_solved=data.get("steady_state") is None,
     )
     config.history()  # validate early
     return config

@@ -20,7 +20,13 @@ import numpy as np
 
 from .closedloop import ClosedLoopTrace
 from .errors import DomainError
-from .history import HistoryState, iss_function, matrix_one_norm, window_deficit
+from .history import (
+    HistoryState,
+    iss_function,
+    matrix_one_norm,
+    window_deficit,
+    window_rows,
+)
 from .model import DissipativityCertificate, SteadyState, _grid_points, output_extremes
 from .ocp import OcpSolution
 
@@ -136,7 +142,7 @@ def lyapunov_trace(
         [iss_function(trace.histories[k], ss.h_s, cert.omega) for k in range(n_vals)]
     )
     What = trace.Jtildestar[:n_vals] + c * V
-    W = np.array([np.sum(What[k : k + T]) for k in range(n_vals - T + 1)])
+    W = window_rows(np.cumsum(What)[:, None], T)[T - 1 :, 0]  # the full windows
     return LyapunovTrace(c=c, V=V, What=What, W=W)
 
 

@@ -13,14 +13,16 @@ exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``).  Identifiers are ``x1..xn`` and ``u1..um``.
 
 Each expression is compiled once, on first use, into two straight-line
-Python functions: ``value_function`` works on scalars or numpy arrays
-(componentwise broadcast) and ``gradient_function`` propagates
-forward-mode dual numbers, exact for the polynomial/rational expressions
-the grammar admits.  The generated code performs the operations of a
-recursive tree walk one for one, in the same order and without constant
-folding, so results are bit-identical to interpreting the tree.  ``eval``
-and ``eval_grad`` are thin wrappers over the compiled functions, cached
-per node.
+Python functions: ``value_function`` computes the value and
+``gradient_function`` propagates forward-mode dual numbers, exact for the
+polynomial/rational expressions the grammar admits.  Both work on scalars
+or on numpy arrays (componentwise broadcast over a batch axis).  The
+generated code performs the operations of a recursive tree walk one for
+one, in the same order and without constant folding, so results are
+bit-identical to interpreting the tree at a point; integer powers of
+arrays call libm ``pow`` like scalar ``**`` does, so a batch evaluation
+equals the pointwise ones bit for bit.  ``eval`` and ``eval_grad`` are
+thin wrappers over the compiled functions, cached per node.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import re
 import weakref
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import TacempcError
 
@@ -275,8 +279,20 @@ def _check_nonzero(b):
         raise EvalError("division by zero")
 
 
-def _division_by_zero():
-    raise EvalError("division by zero")
+def _pow(a, k):
+    """a ** k; arrays go through libm pow, which scalar ``**`` also calls.
+
+    numpy's array ``**`` computes a**2 as a*a and other powers in its own
+    loops; either can differ from libm pow by an ulp.
+    """
+    if isinstance(a, np.ndarray):
+        return np.float_power(a, k)
+    return a**k
+
+
+def _dual_var(v):
+    """A variable read by the dual code: Python float at a point, else as is."""
+    return v if isinstance(v, np.ndarray) else float(v)
 
 
 class _Codegen:
@@ -286,7 +302,8 @@ class _Codegen:
         self.lines = []
         self.names = {
             "_check_nonzero": _check_nonzero,
-            "_division_by_zero": _division_by_zero,
+            "_pow": _pow,
+            "_dual_var": _dual_var,
             "_zero": 0.0,
             "_one": 1.0,
         }
@@ -324,7 +341,7 @@ def _value_code(e: Expr, gen: _Codegen) -> str:
     if isinstance(e, Neg):
         return gen.emit(f"-{_value_code(e.arg, gen)}")
     if isinstance(e, Pow):
-        return gen.emit(f"{_value_code(e.base, gen)} ** {operator.index(e.exponent)}")
+        return gen.emit(f"_pow({_value_code(e.base, gen)}, {operator.index(e.exponent)})")
     if isinstance(e, BinOp) and e.op in _PREC:
         a = _value_code(e.left, gen)
         b = _value_code(e.right, gen)
@@ -342,7 +359,7 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
         slot = e.index if e.kind == "x" else n + e.index
         grad = ["_zero"] * dim
         grad[slot] = "_one"
-        return gen.emit(f"float({_var(e)})"), grad
+        return gen.emit(f"_dual_var({_var(e)})"), grad
     if isinstance(e, Neg):
         v, g = _dual_code(e.arg, gen, n, dim)
         return gen.emit(f"-{v}"), [gen.emit(f"-{gi}") for gi in g]
@@ -351,8 +368,8 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
         k = operator.index(e.exponent)
         if k == 0:
             return "_one", ["_zero"] * dim
-        scale = gen.emit(f"{k} * {v} ** {k - 1}")
-        return gen.emit(f"{v} ** {k}"), [gen.emit(f"{scale} * {gi}") for gi in g]
+        scale = gen.emit(f"{k} * _pow({v}, {k - 1})")
+        return gen.emit(f"_pow({v}, {k})"), [gen.emit(f"{scale} * {gi}") for gi in g]
     if isinstance(e, BinOp) and e.op in _PREC:
         va, ga = _dual_code(e.left, gen, n, dim)
         vb, gb = _dual_code(e.right, gen, n, dim)
@@ -362,7 +379,7 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
         if e.op == "*":
             value = gen.emit(f"{va} * {vb}")
             return value, [gen.emit(f"{vb} * {a} + {va} * {b}") for a, b in zip(ga, gb)]
-        gen.lines.append(f"if {vb} == 0: _division_by_zero()")
+        gen.lines.append(f"_check_nonzero({vb})")
         inv = gen.emit(f"_one / {vb}")
         value = gen.emit(f"{va} * {inv}")
         return value, [
@@ -398,11 +415,13 @@ def value_function(e: Expr):
 
 
 def gradient_function(e: Expr, n: int, m: int):
-    """Compiled ``(x, u) -> (value, gradient tuple)`` at a single point.
+    """Compiled ``(x, u) -> (value, gradient tuple)``; broadcasts like
+    ``value_function``.
 
     The gradient is taken w.r.t. (x1..xn, u1..um), so it has n + m
     entries; forward-mode duals, exact for the polynomial/rational
-    expressions the grammar admits.
+    expressions the grammar admits.  Over a batch, entries that do not
+    depend on the point (constants, zeros) stay scalars.
     """
 
     def build():
@@ -419,7 +438,7 @@ def eval(e: Expr, x, u):  # noqa: A001 - name fixed by the public API
 
 
 def eval_grad(e: Expr, x, u):
-    """Value and gradient w.r.t. (x1..xn, u1..um) at a single point.
+    """Value and gradient w.r.t. (x1..xn, u1..um), at a point or a batch.
 
     The gradient dimension is len(x) + len(u).
     """

@@ -25,26 +25,46 @@ _EXTREMES_GRID = 101  # points per axis of the output_extremes grid
 
 
 def _fd_jacobian(fn, x, u, out_dim):
-    """Central-difference Jacobian of fn(x, u) w.r.t. (x, u)."""
+    """Central-difference Jacobian of fn(x, u) w.r.t. (x, u).
+
+    The step is _FD_STEP * max(1, |z_j|), so it is not lost to rounding
+    at large coordinates.  x (n[, K]) and u (m[, K]) may carry a trailing
+    batch axis, which fn must broadcast over; the result is
+    (out_dim, n + m[, K]).
+    """
     z = np.concatenate([x, u])
     n = len(x)
-    jac = np.empty((out_dim, len(z)))
+    jac = np.empty((out_dim,) + z.shape)
     for j in range(len(z)):
+        step = _FD_STEP * np.maximum(1.0, np.abs(z[j]))
         zp, zm = z.copy(), z.copy()
-        zp[j] += _FD_STEP
-        zm[j] -= _FD_STEP
-        fp = np.atleast_1d(np.asarray(fn(zp[:n], zp[n:]), dtype=float))
-        fm = np.atleast_1d(np.asarray(fn(zm[:n], zm[n:]), dtype=float))
-        jac[:, j] = (fp - fm) / (2 * _FD_STEP)
+        zp[j] += step
+        zm[j] -= step
+        fp = np.asarray(fn(zp[:n], zp[n:]), dtype=float)
+        fm = np.asarray(fn(zm[:n], zm[n:]), dtype=float)
+        jac[:, j] = (fp - fm) / (2 * step)
     return jac
+
+
+def _batch_shape(x, u):
+    return np.shape(x[0]) if len(x) else np.shape(u[0])
 
 
 def _component_eval(fns, x, u):
     """Stack compiled componentwise values; broadcasts over a batch axis."""
-    batch = np.shape(x[0]) if len(x) else np.shape(u[0])
-    result = np.empty((len(fns),) + batch)
+    result = np.empty((len(fns),) + _batch_shape(x, u))
     for i, fn in enumerate(fns):
         result[i] = fn(x, u)
+    return result
+
+
+def _component_grad(duals, x, u, dim):
+    """Stack compiled gradients into (rows, dim[, K]); broadcasts like
+    ``_component_eval`` (entries constant over the batch are scalars)."""
+    result = np.empty((len(duals), dim) + _batch_shape(x, u))
+    for i, dual in enumerate(duals):
+        for j, entry in enumerate(dual(x, u)[1]):
+            result[i, j] = entry
     return result
 
 
@@ -52,10 +72,12 @@ def _component_eval(fns, x, u):
 class SystemModel:
     """Dynamics, stage cost, auxiliary output and box constraints.
 
-    The callables must accept 1-D state/input vectors; f, ell, h should
-    also broadcast over a trailing batch axis (shape (n, K) -> (n, K))
-    which the grid routines rely on.  Jacobian callables are optional;
-    central finite differences are used when absent.
+    Every callable takes a 1-D state x (n,) and input u (m,), and must
+    also broadcast over a trailing batch axis: with x (n, K) and u (m, K),
+    f returns (n, K), ell (K,), h (p, K), f_jac (n, n+m, K), ell_grad
+    (n+m, K) and h_jac (p, n+m, K).  The grid routines and the rollout
+    call them once per batch.  Jacobian callables are optional; central
+    finite differences of f, ell and h, also batched, are used when absent.
     """
 
     n: int
@@ -66,9 +88,9 @@ class SystemModel:
     h: Callable
     z_lower: np.ndarray  # (n + m,)
     z_upper: np.ndarray
-    f_jac: Optional[Callable] = None  # (x, u) -> (n, n+m)
-    ell_grad: Optional[Callable] = None  # (x, u) -> (n+m,)
-    h_jac: Optional[Callable] = None  # (x, u) -> (p, n+m)
+    f_jac: Optional[Callable] = None  # (x, u) -> (n, n+m[, K])
+    ell_grad: Optional[Callable] = None  # (x, u) -> (n+m[, K])
+    h_jac: Optional[Callable] = None  # (x, u) -> (p, n+m[, K])
 
     def __post_init__(self):
         if min(self.n, self.m, self.p) < 1:
@@ -133,7 +155,8 @@ class SystemModel:
         """Build a model from expression strings over x1..xn, u1..um.
 
         Every expression is compiled here, once, into its value and
-        value-plus-gradient functions (see ``exprlang``).
+        value-plus-gradient functions (see ``exprlang``); the callables
+        broadcast over a batch axis bit for bit like pointwise calls.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
@@ -159,13 +182,13 @@ class SystemModel:
             return _component_eval(h_values, x, u)
 
         def f_jac(x, u):
-            return np.array([grad(x, u)[1] for grad in f_grads])
+            return _component_grad(f_grads, x, u, n + m)
 
         def ell_grad(x, u):
-            return np.array(ell_dual(x, u)[1])
+            return _component_grad([ell_dual], x, u, n + m)[0]
 
         def h_jac(x, u):
-            return np.array([grad(x, u)[1] for grad in h_grads])
+            return _component_grad(h_grads, x, u, n + m)
 
         return cls(
             n=n,
@@ -224,7 +247,7 @@ class DissipativityCertificate:
             return value if np.ndim(value) else float(value)
 
         def lam_grad(x):
-            return np.array(lam_dual(x, ())[1])
+            return _component_grad([lam_dual], x, (), n)[0]
 
         return cls(
             lam=lam,

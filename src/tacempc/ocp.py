@@ -96,7 +96,11 @@ class OcpSolution:
 
 
 class _Forward:
-    """Single-shooting rollout with input-to-state sensitivities."""
+    """Single-shooting rollout with input-to-state sensitivities.
+
+    Only the state recursion steps through f; ell, h and the Jacobians
+    are evaluated once over the whole (n, N) trajectory.
+    """
 
     __slots__ = ("u", "x", "h", "ell", "Sx", "Dh", "Dell")
 
@@ -106,33 +110,33 @@ class _Forward:
         nu = N * m
         self.u = u
         self.x = np.empty((N + 1, n))
-        self.h = np.empty((N, p))
-        self.ell = np.empty(N)
         self.x[0] = spec.x0
-        if with_jac:
-            self.Sx = np.zeros((N + 1, n, nu))  # d x_k / d u
-            self.Dh = np.empty((N, p, nu))
-            self.Dell = np.empty((N, nu))
-        else:
-            self.Sx = self.Dh = self.Dell = None
         for k in range(N):
-            xk, uk = self.x[k], u[k]
-            self.h[k] = model.h(xk, uk)
-            self.ell[k] = model.ell(xk, uk)
-            self.x[k + 1] = model.f(xk, uk)
-            if not with_jac:
-                continue
-            S = self.Sx[k]
-            cols = slice(k * m, (k + 1) * m)
-            fj = model.jac_f(xk, uk)
-            lg = model.grad_ell(xk, uk)
-            hj = model.jac_h(xk, uk)
-            self.Dell[k] = lg[:n] @ S
-            self.Dell[k, cols] += lg[n:]
-            self.Dh[k] = hj[:, :n] @ S
-            self.Dh[k][:, cols] += hj[:, n:]
-            self.Sx[k + 1] = fj[:, :n] @ S
-            self.Sx[k + 1][:, cols] += fj[:, n:]
+            self.x[k + 1] = model.f(self.x[k], u[k])
+        xs, us = self.x[:N].T, u.T  # (n, N), (m, N)
+        self.h = np.empty((N, p))
+        self.h[:] = np.atleast_2d(model.h(xs, us)).T
+        self.ell = np.empty(N)
+        self.ell[:] = model.ell(xs, us)
+        if not with_jac:
+            self.Sx = self.Dh = self.Dell = None
+            return
+        # step-major (N, rows, n + m) copies: each step's block has the layout of
+        # a pointwise Jacobian, so the products below round as they did per step
+        fj = model.jac_f(xs, us).transpose(2, 0, 1).copy()
+        lg = model.grad_ell(xs, us).T.copy()
+        hj = model.jac_h(xs, us).transpose(2, 0, 1).copy()
+        self.Sx = np.zeros((N + 1, n, nu))  # d x_k / d u
+        for k in range(N):
+            np.matmul(fj[k, :, :n], self.Sx[k], out=self.Sx[k + 1])
+            self.Sx[k + 1, :, k * m : (k + 1) * m] += fj[k, :, n:]
+        S, steps = self.Sx[:N], np.arange(N)
+        self.Dell = np.empty((N, nu))
+        np.matmul(lg[:, None, :n], S, out=self.Dell[:, None])
+        self.Dell.reshape(N, N, m)[steps, steps] += lg[:, n:]
+        self.Dh = np.empty((N, p, nu))
+        np.matmul(hj[:, :, :n], S, out=self.Dh)
+        self.Dh.reshape(N, p, N, m)[steps, :, steps] += hj[:, :, n:]
 
 
 def _objective(spec: OcpSpec, fwd: _Forward):

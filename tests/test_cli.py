@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from tacempc import cli, model
 from tacempc.cli import csv_header, main
 from tacempc.config import load_config, parse_history
 from tacempc.errors import ConfigError
@@ -113,6 +114,26 @@ def test_steady_state_without_output_constraint(tmp_path, capsys):
     assert rc == 0
     assert "x_s = 3" in out
     assert "ell_s = 1" in out
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_steady_state_command_solves_once(tmp_path, capsys, monkeypatch, pinned):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    solve = model.solve_steady_state
+    monkeypatch.setattr(model, "solve_steady_state", counting)
+    monkeypatch.setattr(cli, "solve_steady_state", counting)
+    path = tmp_path / "model.json"
+    section = {"builtin": "mueller-koehler"} if pinned else {
+        "builtin": "mueller-koehler", "steady_state": None}
+    path.write_text(json.dumps({"model": section}))
+    assert main(["steady-state", "--config", str(path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "x_s = 2\nu_s = 1\nell_s = 2\nh_s = 0\n"
 
 
 def test_steady_state_bad_config_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tacempc import exprlang
@@ -300,14 +300,28 @@ def test_compiled_gradient_matches_interpreter(case):
     assert _bits_equal(grad, want_grad)
 
 
-@given(_cases(), st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=4))
+_EXTRA_COLUMNS = st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=4)
+# numpy's array ** rounds x^3 here one ulp away from libm pow at the point
+_CUBE_EXAMPLE = example(
+    case=(parse("x1^3", 1, 1), np.array([0.1899176304301875]), np.array([0.0])),
+    extra=[(0.0, 0.0, 0.0)],
+)
+
+
+def _batch(x, u, extra):
+    """(n + m, batch) columns: the drawn point, then the extra ones."""
+    columns = [np.concatenate([x, u])] + [
+        np.resize(np.array(col), len(x) + len(u)) for col in extra
+    ]
+    return np.column_stack(columns)
+
+
+@_CUBE_EXAMPLE
+@given(_cases(), _EXTRA_COLUMNS)
 def test_batch_evaluation_matches_pointwise(case, extra):
     e, x, u = case
-    n, m = len(x), len(u)
-    columns = [np.concatenate([x, u])] + [
-        np.resize(np.array(col), n + m) for col in extra
-    ]
-    z = np.column_stack(columns)  # (n + m, batch)
+    n = len(x)
+    z = _batch(x, u, extra)
     batch = _outcome(exprlang.eval, e, z[:n], z[n:])
     points = [_outcome(exprlang.eval, e, col[:n], col[n:]) for col in z.T]
     if any(p == ("raised", EvalError) for p in points):
@@ -316,6 +330,26 @@ def test_batch_evaluation_matches_pointwise(case, extra):
     assert batch[0] == "ok"
     expected = np.array([p[1] for p in points])
     assert _bits_equal(np.broadcast_to(batch[1], expected.shape), expected)
+
+
+@_CUBE_EXAMPLE
+@given(_cases(), _EXTRA_COLUMNS)
+def test_batch_gradient_matches_pointwise(case, extra):
+    e, x, u = case
+    n = len(x)
+    z = _batch(x, u, extra)
+    batch = _outcome(exprlang.eval_grad, e, z[:n], z[n:])
+    points = [_outcome(exprlang.eval_grad, e, col[:n], col[n:]) for col in z.T]
+    if any(p == ("raised", OverflowError) for p in points):
+        return  # a Python float overflows by raising, an array to inf
+    if any(p == ("raised", EvalError) for p in points):
+        assert batch == ("raised", EvalError)
+        return
+    assert batch[0] == "ok"
+    expected = np.array([_numbers(p[1]) for p in points])  # (batch, 1 + n + m)
+    value, grad = batch[1]
+    got = np.column_stack([np.broadcast_to(v, len(points)) for v in (value, *grad)])
+    assert _bits_equal(got, expected)
 
 
 @given(_cases(constants=st.one_of(_SPECIAL, st.floats(-1e6, 1e6))))

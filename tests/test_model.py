@@ -7,6 +7,7 @@ from tacempc.model import (
     DissipativityCertificate,
     SteadyState,
     SystemModel,
+    _fd_jacobian,
     check_dissipativity_grid,
     eval_rotated_stage_cost,
     output_extremes,
@@ -183,3 +184,42 @@ def test_finite_difference_jacobians(builtin):
         lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0,
     )
     np.testing.assert_allclose(cert.grad_lam([1.0, 3.0]), [4.5, 1.0], atol=1e-6)
+
+
+def test_batched_jacobians_match_pointwise():
+    # n = m = p = 2 with powers, products and a quotient; the last column
+    # sits far outside the box, where a fixed difference step would vanish
+    model = SystemModel.from_expressions(
+        2, 2, ["x1 * u1 + 0.1 * x2^3", "x2 / (1 + u2^2) - x1^2"],
+        "(x1 - 3)^2 + u1^2 + x2 * u2", ["2*x1 + u1 - 5", "x1^3 * u2 - x2"],
+        [-10.0] * 4, [10.0] * 4,
+    )
+    rng = np.random.default_rng(7)
+    z = np.column_stack([rng.uniform(-10.0, 10.0, (4, 5)), [3e12, -2.0, 0.5, 1e9]])
+    x, u = z[:2], z[2:]
+    batched = {
+        "jac_f": model.jac_f(x, u),
+        "grad_ell": model.grad_ell(x, u),
+        "jac_h": model.jac_h(x, u),
+        "fd_f": _fd_jacobian(model.f, x, u, 2),
+        "fd_ell": _fd_jacobian(lambda a, b: [model.ell(a, b)], x, u, 1),
+        "fd_h": _fd_jacobian(model.h, x, u, 2),
+    }
+    assert batched["jac_f"].shape == (2, 4, 6) and batched["grad_ell"].shape == (4, 6)
+    for k in range(z.shape[1]):
+        xk, uk = x[:, k], u[:, k]
+        pointwise = {
+            "jac_f": model.jac_f(xk, uk),
+            "grad_ell": model.grad_ell(xk, uk),
+            "jac_h": model.jac_h(xk, uk),
+            "fd_f": _fd_jacobian(model.f, xk, uk, 2),
+            "fd_ell": _fd_jacobian(lambda a, b: [model.ell(a, b)], xk, uk, 1),
+            "fd_h": _fd_jacobian(model.h, xk, uk, 2),
+        }
+        for name, want in pointwise.items():
+            got = batched[name][..., k]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        fd, exact = pointwise["fd_f"], pointwise["jac_f"]
+        if k == z.shape[1] - 1:  # a fixed 1e-7 step would round away next to 3e12
+            fd, exact = fd[:, 0], exact[:, 0]
+        np.testing.assert_allclose(fd, exact, rtol=1e-6, atol=1e-6)

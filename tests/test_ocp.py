@@ -1,8 +1,9 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -254,3 +255,101 @@ def test_constraint_residual_windows_match_loops(TN, p, data):
     windows = res[2 * N * (model.n + model.m) :]
     h = _Forward(spec, u, with_jac=False).h
     assert windows.tobytes() == _loop_window_residuals(spec, h).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Batched rollout against the former per-step loop
+
+
+def _loop_forward(spec, u, with_jac):
+    """The former per-step rollout, kept as the oracle: (x, h, ell, Sx, Dh, Dell)."""
+    model = spec.model
+    n, m, p, N = model.n, model.m, model.p, spec.N
+    nu = N * m
+    x = np.empty((N + 1, n))
+    h = np.empty((N, p))
+    ell = np.empty(N)
+    x[0] = spec.x0
+    Sx = np.zeros((N + 1, n, nu))
+    Dh = np.empty((N, p, nu))
+    Dell = np.empty((N, nu))
+    for k in range(N):
+        xk, uk = x[k], u[k]
+        h[k] = model.h(xk, uk)
+        ell[k] = model.ell(xk, uk)
+        x[k + 1] = model.f(xk, uk)
+        if not with_jac:
+            continue
+        S = Sx[k]
+        cols = slice(k * m, (k + 1) * m)
+        fj = model.jac_f(xk, uk)
+        lg = model.grad_ell(xk, uk)
+        hj = model.jac_h(xk, uk)
+        Dell[k] = lg[:n] @ S
+        Dell[k, cols] += lg[n:]
+        Dh[k] = hj[:, :n] @ S
+        Dh[k][:, cols] += hj[:, n:]
+        Sx[k + 1] = fj[:, :n] @ S
+        Sx[k + 1][:, cols] += fj[:, n:]
+    return x, h, ell, Sx, Dh, Dell
+
+
+_DYNAMICS = ("0.5 * x{a} * u{b} + 0.1 * x{c}^2", "x{a} / (1.5 + u{b}^2) - 0.2 * x{c}^3",
+             "0.9 * x{c} - 0.3 * u{b} * u{b}")
+_OUTPUTS = ("2 * x{a} + u{b} - 5", "x{a} * u{b}^2 - x{c}", "x{c}^3 / (1 + x{a}^2)")
+
+
+@st.composite
+def _rollout_cases(draw):
+    n, m, p = (draw(st.sampled_from([1, 2])) for _ in range(3))
+    T = draw(st.integers(1, 4))
+    N = draw(st.integers(T, 2 * T + 2))
+
+    def source(templates):
+        return draw(st.sampled_from(templates)).format(
+            a=draw(st.integers(1, n)), b=draw(st.integers(1, m)), c=draw(st.integers(1, n))
+        )
+
+    model = SystemModel.from_expressions(
+        n, m, [source(_DYNAMICS) for _ in range(n)],
+        f"(x1 - 3)^2 + u{m}^2 + 0.5 * x{n} * u1",
+        [source(_OUTPUTS) for _ in range(p)], [-10.0] * (n + m), [10.0] * (n + m),
+    )
+    if draw(st.booleans()):  # central differences instead of compiled Jacobians
+        model = dataclasses.replace(model, f_jac=None, ell_grad=None, h_jac=None)
+    ss = SteadyState(np.zeros(n), np.zeros(m), 0.0, np.zeros(p))
+    cert = DissipativityCertificate.from_expression(n, "x1", [0.0] * p, 1.0, 2.0, 1.0)
+    box = st.floats(-1.2, 1.2)
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
+                   x0=draw(hnp.arrays(float, n, elements=box)),
+                   H0=steady_history(np.zeros(p), T))
+    return spec, draw(hnp.arrays(float, (N, m), elements=box)), draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(_rollout_cases())
+def test_batched_rollout_matches_step_loop(case):
+    spec, u, with_jac = case
+    fwd = _Forward(spec, u, with_jac=with_jac)
+    want = _loop_forward(spec, u, with_jac)
+    names = ("x", "h", "ell", "Sx", "Dh", "Dell") if with_jac else ("x", "h", "ell")
+    for name, expected in zip(names, want):
+        got = getattr(fwd, name)
+        assert got.shape == expected.shape
+        if spec.model.n == 1:  # one product per entry: nothing to reassociate
+            assert _same_bits(got, expected), name
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0, err_msg=name)
+    if not with_jac:
+        assert fwd.Sx is None and fwd.Dh is None and fwd.Dell is None
+
+
+def test_finite_difference_model_solves_like_exact(builtin, fig_history):
+    # the same problem without Jacobian callables runs on central differences
+    model, cert, ss = builtin
+    fd_model = dataclasses.replace(model, f_jac=None, ell_grad=None, h_jac=None)
+    exact = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history))
+    fd = solve(_spec((fd_model, cert, ss), N=12, T=6, x0=2.0, H0=fig_history))
+    assert fd.converged and fd.max_violation <= fd.spec.options.feas_tol
+    assert fd.J == pytest.approx(exact.J, rel=1e-8)
+    np.testing.assert_allclose(fd.u, exact.u, atol=1e-4)
