@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from .closedloop import ClosedLoopTrace, simulate
-from .config import load_config
+from .config import as_number, load_config
 from .diagnostics import lyapunov_trace, turnpike_report
 from .errors import ConfigError, InfeasibleError, TacempcError
 from .model import solve_steady_state
@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_turnpike(args) -> int:
-    horizons = [int(v) for v in str(args.N or "10,12").split(",")]
+    horizons = [as_number(v, int, "turnpike N") for v in str(args.N or "10,12").split(",")]
     cfg = load_config(args.config, args.model, {
         k: v for k, v in _experiment_overrides(args).items() if k != "N"
     } | {"N": max(horizons)})

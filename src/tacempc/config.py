@@ -69,6 +69,29 @@ class RunConfig:
         return self.ss.x_s.copy() if self.x0 is None else self.x0
 
 
+def as_number(value, kind, name: str):
+    """kind(value) for kind int or float; ConfigError naming the field if
+    malformed, including a fractional value for an integer field."""
+    try:
+        number = kind(value)
+        if isinstance(value, float) and number != value:
+            raise ValueError(value)
+        return number
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
+
+
+def _as_floats(values, name: str) -> np.ndarray:
+    """Float array of values (a string splits at commas); ConfigError if malformed."""
+    if isinstance(values, str):
+        values = values.split(",")
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numbers, got {values!r}") from None
+
+
 def builtin_model_data(name: str) -> dict:
     if name != "mueller-koehler":
         raise ConfigError(
@@ -79,8 +102,8 @@ def builtin_model_data(name: str) -> dict:
 
 def _build_model(data: dict):
     try:
-        n = int(data["n"])
-        m = int(data["m"])
+        n = as_number(data["n"], int, "model n")
+        m = as_number(data["m"], int, "model m")
         f_sources = list(data["f"])
         ell_source = data["ell"]
         h_sources = list(data["h"])
@@ -134,7 +157,7 @@ def parse_history(spec, model, ss, T: int) -> HistoryState:
         if text == "steady":
             return steady_history(ss.h_s, T)
         if text.startswith("constant:"):
-            parts = [float(v) for v in text[len("constant:") :].split(",")]
+            parts = _as_floats(text[len("constant:") :], "constant history")
             if len(parts) != model.n + model.m:
                 raise ConfigError(
                     f"constant history needs {model.n + model.m} numbers (x then u)"
@@ -144,11 +167,8 @@ def parse_history(spec, model, ss, T: int) -> HistoryState:
             h_val = np.atleast_1d(np.asarray(model.h(x_hat, u_hat), dtype=float))
             return steady_history(h_val, T)
         # explicit columns: semicolons separate columns, commas entries
-        columns = [
-            [float(v) for v in col.split(",")] for col in text.split(";") if col.strip()
-        ]
-        spec = columns
-    cols = np.asarray(spec, dtype=float)
+        spec = [col.split(",") for col in text.split(";") if col.strip()]
+    cols = _as_floats(spec, "history columns")
     if cols.ndim == 1:
         cols = cols.reshape(1, -1) if model.p == 1 else cols.reshape(-1, 1)
     if cols.shape[0] == T - 1 and cols.shape[1] == model.p and cols.shape[0] != cols.shape[1]:
@@ -206,23 +226,22 @@ def load_config(
     bad = set(solver) - known
     if bad:
         raise ConfigError(f"unknown solver options: {sorted(bad)}")
-    options = SolverOptions(**solver)
+    tols = {k: as_number(v, float, f"solver {k}") for k, v in solver.items()}
+    options = SolverOptions(**tols)
 
-    N = int(exp.get("N", 12))
-    T = int(exp.get("T", 6))
-    K = int(exp.get("K", 30))
+    N = as_number(exp.get("N", 12), int, "experiment N")
+    T = as_number(exp.get("T", 6), int, "experiment T")
+    K = as_number(exp.get("K", 30), int, "experiment K")
     if T < 1 or N < T:
         raise ConfigError(f"need N >= T >= 1, got N={N}, T={T}")
     if K < 1:
         raise ConfigError(f"K must be >= 1, got K={K}")
     x0 = exp.get("x0")
     if x0 is not None:
-        if isinstance(x0, str):
-            x0 = [float(v) for v in x0.split(",")]
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        x0 = np.atleast_1d(_as_floats(x0, "experiment x0"))
         if x0.shape != (model.n,):
             raise ConfigError(f"x0 must have {model.n} entries")
-    epsilon = float(exp.get("eps", exp.get("epsilon", 0.1)))
+    epsilon = as_number(exp.get("eps", exp.get("epsilon", 0.1)), float, "experiment eps")
     config = RunConfig(
         model=model,
         cert=cert,

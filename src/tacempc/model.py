@@ -46,13 +46,9 @@ def _fd_jacobian(fn, x, u, out_dim):
     return jac
 
 
-def _batch_shape(x, u):
-    return np.shape(x[0]) if len(x) else np.shape(u[0])
-
-
 def _component_eval(fns, x, u):
     """Stack compiled componentwise values; broadcasts over a batch axis."""
-    result = np.empty((len(fns),) + _batch_shape(x, u))
+    result = np.empty((len(fns),) + np.shape(x)[1:])
     for i, fn in enumerate(fns):
         result[i] = fn(x, u)
     return result
@@ -61,7 +57,7 @@ def _component_eval(fns, x, u):
 def _component_grad(duals, x, u, dim):
     """Stack compiled gradients into (rows, dim[, K]); broadcasts like
     ``_component_eval`` (entries constant over the batch are scalars)."""
-    result = np.empty((len(duals), dim) + _batch_shape(x, u))
+    result = np.empty((len(duals), dim) + np.shape(x)[1:])
     for i, dual in enumerate(duals):
         for j, entry in enumerate(dual(x, u)[1]):
             result[i, j] = entry

@@ -96,10 +96,14 @@ class OcpSolution:
 
 
 class _Forward:
-    """Single-shooting rollout with input-to-state sensitivities.
+    """Single-shooting rollout with input-to-stage-argument sensitivities.
 
     Only the state recursion steps through f; ell, h and the Jacobians
-    are evaluated once over the whole (n, N) trajectory.
+    are evaluated once over the whole (n, N) trajectory.  Dz (N + 1, n + m,
+    N * m) holds d z_k / d u for z_k = (x_k, u_k): selector rows for u_k and
+    one product f_z(z_k) @ Dz[k] per step for x_{k+1}; Sx is Dz[:, :n].
+    The selector adds only exact zeros, but a non-finite Jacobian entry
+    (|x| > 1e308) spreads to the other columns as NaN (inf * 0).
     """
 
     __slots__ = ("u", "x", "h", "ell", "Sx", "Dh", "Dell")
@@ -110,9 +114,9 @@ class _Forward:
         nu = N * m
         self.u = u
         self.x = np.empty((N + 1, n))
-        self.x[0] = spec.x0
+        x = self.x[0] = spec.x0
         for k in range(N):
-            self.x[k + 1] = model.f(self.x[k], u[k])
+            x = self.x[k + 1] = model.f(x, u[k])
         xs, us = self.x[:N].T, u.T  # (n, N), (m, N)
         self.h = np.empty((N, p))
         self.h[:] = np.atleast_2d(model.h(xs, us)).T
@@ -121,22 +125,17 @@ class _Forward:
         if not with_jac:
             self.Sx = self.Dh = self.Dell = None
             return
-        # step-major (N, rows, n + m) copies: each step's block has the layout of
-        # a pointwise Jacobian, so the products below round as they did per step
-        fj = model.jac_f(xs, us).transpose(2, 0, 1).copy()
-        lg = model.grad_ell(xs, us).T.copy()
-        hj = model.jac_h(xs, us).transpose(2, 0, 1).copy()
-        self.Sx = np.zeros((N + 1, n, nu))  # d x_k / d u
+        # step-major (N, rows, n + m) copies, laid out like pointwise Jacobians
+        fz = model.jac_f(xs, us).transpose(2, 0, 1).copy()
+        lz = model.grad_ell(xs, us).T.copy()
+        hz = model.jac_h(xs, us).transpose(2, 0, 1).copy()
+        Dz = np.zeros((N + 1, n + m, nu))
+        Dz[:N, n:] = np.eye(nu).reshape(N, m, nu)
         for k in range(N):
-            np.matmul(fj[k, :, :n], self.Sx[k], out=self.Sx[k + 1])
-            self.Sx[k + 1, :, k * m : (k + 1) * m] += fj[k, :, n:]
-        S, steps = self.Sx[:N], np.arange(N)
-        self.Dell = np.empty((N, nu))
-        np.matmul(lg[:, None, :n], S, out=self.Dell[:, None])
-        self.Dell.reshape(N, N, m)[steps, steps] += lg[:, n:]
-        self.Dh = np.empty((N, p, nu))
-        np.matmul(hj[:, :, :n], S, out=self.Dh)
-        self.Dh.reshape(N, p, N, m)[steps, :, steps] += hj[:, :, n:]
+            np.matmul(fz[k], Dz[k], out=Dz[k + 1, :n])
+        self.Sx = Dz[:, :n]
+        self.Dell = (lz[:, None] @ Dz[:N])[:, 0]
+        self.Dh = hz @ Dz[:N]
 
 
 def _objective(spec: OcpSpec, fwd: _Forward):
@@ -246,7 +245,9 @@ def solve(spec: OcpSpec) -> OcpSolution:
     input held constant, so it is deterministic given the spec.  It
     returns the converged iterate, or else the least-violating accepted
     iterate with ``converged=False``; InfeasibleError is raised when that
-    iterate violates ``feas_tol``.
+    iterate violates ``feas_tol``.  An iterate whose objective, violation
+    or stationarity is not finite is never accepted, and InfeasibleError
+    is raised when no iterate is left.
     """
     opts = spec.options
     model = spec.model
@@ -260,7 +261,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
     mult = np.zeros(2 * model.n * (N - 1) + model.p * N)
     mu = _PENALTY_INIT
     total_iters = 0
-    best = None  # (viol, u_flat, fwd, J, stat) of the least-violating iterate
+    best = None  # (viol, u_flat, fwd, J, stat) of the least-violating finite iterate
 
     def al_fun(uf, mult_, mu_):
         fwd = _Forward(spec, uf.reshape(N, m))
@@ -302,9 +303,10 @@ def solve(spec: OcpSpec) -> OcpSolution:
         proj_res = np.max(np.abs(u_flat - np.clip(u_flat - grad_lag, lb, ub)))
         stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
 
-        if best is None or viol <= best[0] + 1e-15:
+        finite = np.isfinite(J) and np.isfinite(viol) and np.isfinite(stat)
+        if finite and (best is None or viol <= best[0] + 1e-15):
             best = (viol, u_flat, fwd, J, stat)
-        if viol <= opts.feas_tol and stat <= opts.stat_tol:
+        if finite and viol <= opts.feas_tol and stat <= opts.stat_tol:
             # the current iterate, which may violate slightly less than best
             converged = True
             break
@@ -317,6 +319,10 @@ def solve(spec: OcpSpec) -> OcpSolution:
             mu = max(mu / _PENALTY_GROWTH, _PENALTY_INIT)
 
     if not converged:
+        if best is None:
+            raise InfeasibleError(
+                "no iterate with a finite objective, violation and stationarity"
+            )
         viol, u_flat, fwd, J, stat = best
     if viol > opts.feas_tol:
         raise InfeasibleError(

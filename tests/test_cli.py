@@ -77,6 +77,24 @@ def test_config_errors(tmp_path):
     cfg_file.write_text(json.dumps({"solver": {"bogus_option": 1}}))
     with pytest.raises(ConfigError):
         load_config(str(cfg_file))
+    with pytest.raises(ConfigError, match="experiment N must be an integer, got 12.5"):
+        load_config(model_name="mueller-koehler", overrides={"N": 12.5})
+    cfg_file.write_text(json.dumps({"solver": {"feas_tol": "tight"}}))
+    with pytest.raises(ConfigError, match="solver feas_tol must be a number"):
+        load_config(str(cfg_file))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--N", "abc"], "experiment N must be an integer, got 'abc'"),
+    (["simulate", "--history=constant:a,1"], "constant history must be numbers"),
+    (["simulate", "--history=-2,-2,-2,-2;a"], "history columns must be numbers"),
+    (["simulate", "--x0", "two"], "experiment x0 must be numbers"),
+    (["turnpike", "--N", "10,abc"], "turnpike N must be an integer, got 'abc'"),
+])
+def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, argv, message):
+    out = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
+    assert main(argv + ["--model", "mueller-koehler"] + out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("key", [

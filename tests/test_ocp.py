@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,7 @@ from tacempc.ocp import (
     ROTATED,
     OcpSpec,
     _Forward,
+    _objective,
     _solver_constraints,
     constraint_residuals,
     open_loop_cost,
@@ -145,6 +146,22 @@ def test_infeasible_history_raises(builtin):
     with pytest.raises(InfeasibleError) as err:
         solve(spec)
     assert err.value.best_residual > 1.0
+
+
+@pytest.mark.parametrize("name, factor", [
+    ("h", np.nan),  # violation NaN: NaN > feas_tol is False
+    ("ell", np.nan),  # J NaN
+    ("ell", np.inf),  # J inf, so the scale-relative stationarity reads 0
+    ("ell_grad", np.nan),  # J and violation finite, stationarity NaN
+])
+def test_non_finite_solve_raises(builtin, name, factor):
+    # no iterate with a non-finite value may come back as a solution
+    model, cert, ss = builtin
+    H0 = steady_history(np.atleast_1d(model.h(np.ones(1), np.ones(1))), 3)
+    callback = getattr(model, name)
+    broken = dataclasses.replace(model, **{name: lambda x, u: callback(x, u) * factor})
+    with pytest.raises(InfeasibleError, match="finite"):
+        solve(_spec((broken, cert, ss), N=6, T=3, x0=1.0, H0=H0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +335,8 @@ def _rollout_cases(draw):
     if draw(st.booleans()):  # central differences instead of compiled Jacobians
         model = dataclasses.replace(model, f_jac=None, ell_grad=None, h_jac=None)
     ss = SteadyState(np.zeros(n), np.zeros(m), 0.0, np.zeros(p))
-    cert = DissipativityCertificate.from_expression(n, "x1", [0.0] * p, 1.0, 2.0, 1.0)
+    cert = DissipativityCertificate.from_expression(
+        n, f"x1^2 - 0.5 * x{n}", [0.5, 1.5][:p], 1.0, 2.0, 1.0)
     box = st.floats(-1.2, 1.2)
     spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
                    x0=draw(hnp.arrays(float, n, elements=box)),
@@ -326,22 +344,54 @@ def _rollout_cases(draw):
     return spec, draw(hnp.arrays(float, (N, m), elements=box)), draw(st.booleans())
 
 
+def _corner_case():
+    """The builtin model at the input-box corner L-BFGS-B tries first from
+    u_s: x0 = 2 and u = 10 for N = 12 steps, so x_N = 2e12."""
+    model = SystemModel.from_expressions(
+        1, 1, ["x1 * u1"], "(x1 - 3)^2 + u1^2", ["2*x1 + u1 - 5"], [-10.0, -10.0],
+        [10.0, 10.0],
+    )
+    ss = SteadyState(np.array([2.0]), np.array([1.0]), 2.0, np.zeros(1))
+    cert = DissipativityCertificate.from_expression(1, "1.5 * (x1 - 2)", [1.0], 0.25, 2.0, 3.0)
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=12, T=6, x0=np.array([2.0]),
+                   H0=HistoryState(np.array([[-2.0, -2.0, -2.0, -2.0, -1.0]]), T=6))
+    return spec, np.full((12, 1), 10.0), True
+
+
+def _assert_matches(got, expected, n, name):
+    if n == 1:  # one nonzero product per entry: nothing to reassociate
+        assert _same_bits(np.asarray(got), np.asarray(expected)), name
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0, err_msg=name)
+
+
 @settings(max_examples=200)
 @given(_rollout_cases())
+@example(_corner_case())
 def test_batched_rollout_matches_step_loop(case):
     spec, u, with_jac = case
+    n = spec.model.n
     fwd = _Forward(spec, u, with_jac=with_jac)
     want = _loop_forward(spec, u, with_jac)
     names = ("x", "h", "ell", "Sx", "Dh", "Dell") if with_jac else ("x", "h", "ell")
     for name, expected in zip(names, want):
         got = getattr(fwd, name)
         assert got.shape == expected.shape
-        if spec.model.n == 1:  # one product per entry: nothing to reassociate
-            assert _same_bits(got, expected), name
-        else:
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0, err_msg=name)
+        _assert_matches(got, expected, n, name)
     if not with_jac:
         assert fwd.Sx is None and fwd.Dh is None and fwd.Dell is None
+        return
+    # what the solver reads: both objectives and the constraint rows, fed
+    # once from the rollout (Sx is a strided view) and once from the oracle
+    oracle = SimpleNamespace(**dict(zip(names, want)))
+    for objective in (ORIGINAL, ROTATED):
+        costed = dataclasses.replace(spec, objective=objective)
+        for name, got, expected in zip(("J", "DJ"), _objective(costed, fwd),
+                                       _objective(costed, oracle)):
+            _assert_matches(got, expected, n, f"{objective} {name}")
+    for name, got, expected in zip(("g", "Dg"), _solver_constraints(spec, fwd, True),
+                                   _solver_constraints(spec, oracle, True)):
+        _assert_matches(got, expected, n, name)
 
 
 def test_finite_difference_model_solves_like_exact(builtin, fig_history):
