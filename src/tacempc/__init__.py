@@ -28,7 +28,7 @@ from .model import (
     SystemModel,
     check_dissipativity_grid,
     eval_rotated_stage_cost,
-    output_extremes,
+    min_weighted_output,
     solve_steady_state,
     validate_certificate,
 )
@@ -60,7 +60,7 @@ __all__ = [
     "SystemModel",
     "check_dissipativity_grid",
     "eval_rotated_stage_cost",
-    "output_extremes",
+    "min_weighted_output",
     "solve_steady_state",
     "validate_certificate",
     "ORIGINAL",

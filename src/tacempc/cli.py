@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from .closedloop import ClosedLoopTrace, simulate
-from .config import as_number, load_config
+from .config import EXPERIMENT_KEYS, as_number, load_config
 from .diagnostics import lyapunov_trace, turnpike_report
 from .errors import ConfigError, InfeasibleError, TacempcError
 from .model import solve_steady_state
@@ -151,7 +151,7 @@ def cmd_steady_state(args) -> int:
 
 def _experiment_overrides(args) -> dict:
     over = {}
-    for key in ("N", "T", "K", "x0", "history", "eps"):
+    for key in EXPERIMENT_KEYS:
         if hasattr(args, key) and getattr(args, key) is not None:
             over[key] = getattr(args, key)
     return over

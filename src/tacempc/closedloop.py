@@ -8,7 +8,9 @@ previous optimal sequence shifted by one with u_s appended.
 
 Both solves of a step, and the pair at the terminal state, are built
 by ``_solve_pair``; the closed-loop window sums reuse the window
-operator of ``history``.
+operator of ``history``.  The trace holds the applied states and inputs,
+from which ``model.eval_rotated_stage_cost`` gives the rotated stage
+costs in one batched call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .history import HistoryState, deviation_norm_replacement, shift_update, window_rows
 from .model import DissipativityCertificate, SteadyState, SystemModel
-from .model import eval_rotated_stage_cost
 from .ocp import ORIGINAL, ROTATED, OcpSolution, OcpSpec, SolverOptions, solve
 
 
@@ -104,7 +105,6 @@ class ClosedLoopTrace:
     Jtildestar: np.ndarray  # same length as Jstar
     Hnorm: np.ndarray  # (K,), norm-replacement of H(k) - H^s
     Jcl: np.ndarray  # (K,), running sum of ell
-    Jtildecl: np.ndarray  # (K,), running sum of rotated stage costs
     histories: Tuple[HistoryState, ...]  # length K + 1
     failure: Optional[str] = None  # set when the loop halted early
 
@@ -135,7 +135,6 @@ def simulate(
     H = H0
     xs, us, hs, ells, Js, Jts, Hnorms = [x.copy()], [], [], [], [], [], []
     histories = [H]
-    rotated_running = []
     ws_orig = ws_rot = None
     failure = None
     for k in range(K):
@@ -155,9 +154,6 @@ def simulate(
         Js.append(diag.original.J)
         Jts.append(diag.rotated.J)
         Hnorms.append(deviation_norm_replacement(histories[-1], ss.h_s))
-        rotated_running.append(
-            eval_rotated_stage_cost(model, cert, ss, xs[-1], u_applied)
-        )
         xs.append(x.copy())
         histories.append(H)
         ws_orig = np.vstack([diag.original.u[1:], ss.u_s.reshape(1, -1)])
@@ -192,7 +188,6 @@ def simulate(
         Jtildestar=np.array(Jts),
         Hnorm=np.array(Hnorms),
         Jcl=np.cumsum(ells) if ells else np.zeros(0),
-        Jtildecl=np.cumsum(rotated_running) if rotated_running else np.zeros(0),
         histories=tuple(histories),
         failure=failure,
     )

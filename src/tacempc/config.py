@@ -6,7 +6,8 @@ strings and certificate constants; "experiment" holds horizon, period,
 step count, initial state and history; "solver" overrides the
 feasibility and stationarity tolerances.  Histories accept explicit columns
 or the shorthands "steady" and "constant:x,u" (filled with the output at
-that point).
+that point).  Unknown sections and keys are rejected with a ConfigError
+that names them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ _MUELLER_KOEHLER = {
     "L_h": 3.0,
     "steady_state": {"x": [2.0], "u": [1.0]},
 }
+MODEL_KEYS = ("builtin", *_MUELLER_KOEHLER)
+EXPERIMENT_KEYS = ("N", "T", "K", "x0", "history", "eps")
 
 
 @dataclass
@@ -74,12 +77,24 @@ def as_number(value, kind, name: str):
     malformed, including a fractional value for an integer field."""
     try:
         number = kind(value)
-        if isinstance(value, float) and number != value:
+        if kind is int and isinstance(value, float) and number != value:
             raise ValueError(value)
         return number
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
+
+
+def _reject_unknown(keys, known, what: str):
+    bad = sorted(set(keys) - set(known))
+    if bad:
+        raise ConfigError(f"unknown {what}: {bad}")
+
+
+def _as_section(section, name: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a JSON object, got {section!r}")
+    return section
 
 
 def _as_floats(values, name: str) -> np.ndarray:
@@ -201,12 +216,24 @@ def load_config(
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("top-level configuration must be a JSON object")
+        _reject_unknown(raw, ("model", "experiment", "solver"), "configuration sections")
 
-    model_section = raw.get("model", {})
+    exp = dict(_as_section(raw.get("experiment", {}), "experiment"))
+    solver = dict(_as_section(raw.get("solver", {}), "solver"))
+    known = {f.name for f in fields(SolverOptions)}
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            (solver if key in known else exp)[key] = value
+
+    _reject_unknown(solver, known, "solver options")
+    _reject_unknown(exp, EXPERIMENT_KEYS, "experiment keys")
+    tols = {k: as_number(v, float, f"solver {k}") for k, v in solver.items()}
+    options = SolverOptions(**tols)
+
+    model_section = raw.get("model", {}) if model_name is None else model_name
     if isinstance(model_section, str):
         model_section = {"builtin": model_section}
-    if model_name is not None:
-        model_section = {"builtin": model_name}
+    _reject_unknown(_as_section(model_section, "model"), MODEL_KEYS, "model keys")
     if "builtin" in model_section or not model_section:
         data = builtin_model_data(model_section.get("builtin", "mueller-koehler"))
         data.update({k: v for k, v in model_section.items() if k != "builtin"})
@@ -215,19 +242,6 @@ def load_config(
     model, cert = _build_model(data)
     ss = _resolve_steady_state(model, data)
     validate_certificate(cert, ss)
-
-    exp = dict(raw.get("experiment", {}))
-    solver = dict(raw.get("solver", {}))
-    known = {f.name for f in fields(SolverOptions)}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            (solver if key in known else exp)[key] = value
-
-    bad = set(solver) - known
-    if bad:
-        raise ConfigError(f"unknown solver options: {sorted(bad)}")
-    tols = {k: as_number(v, float, f"solver {k}") for k, v in solver.items()}
-    options = SolverOptions(**tols)
 
     N = as_number(exp.get("N", 12), int, "experiment N")
     T = as_number(exp.get("T", 6), int, "experiment T")
@@ -241,7 +255,7 @@ def load_config(
         x0 = np.atleast_1d(_as_floats(x0, "experiment x0"))
         if x0.shape != (model.n,):
             raise ConfigError(f"x0 must have {model.n} entries")
-    epsilon = as_number(exp.get("eps", exp.get("epsilon", 0.1)), float, "experiment eps")
+    epsilon = as_number(exp.get("eps", 0.1), float, "experiment eps")
     config = RunConfig(
         model=model,
         cert=cert,

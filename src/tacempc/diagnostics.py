@@ -8,7 +8,7 @@ into the per-step function What and its T-step forward sum W, which is
 practically decreasing along the closed loop even when the rotated
 value function alone is not; ``decrease_check`` is the one test of that
 property, for W and for any other series.  Grids over the state box come
-from ``model._grid_points``.
+from ``model._grid_points``, and theta_low from ``model.min_weighted_output``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .history import (
     window_deficit,
     window_rows,
 )
-from .model import DissipativityCertificate, SteadyState, _grid_points, output_extremes
+from .model import DissipativityCertificate, SteadyState, _grid_points, min_weighted_output
 from .ocp import OcpSolution
 
 
@@ -39,7 +39,6 @@ class TurnpikeReport:
     proximity_set: Tuple[int, ...]  # sorted k with (x(k), u(k)) near (x_s, u_s)
     Q: int
     consecutive_set: Tuple[int, ...]  # k_x ending T consecutive proximate instants
-    lemma1_lhs: int  # = Q
     lemma1_rhs: float  # N - C' / rho(epsilon)
     C: float  # 2 * sup |lam| over the state box
     C_prime: float  # delta + C - k_{T,N} * theta_low
@@ -50,7 +49,7 @@ class TurnpikeReport:
     def lemma1_holds(self) -> bool:
         """True when the bound is informative (rhs > 0) and satisfied,
         and vacuously when it is uninformative."""
-        return self.lemma1_rhs <= 0 or self.lemma1_lhs >= self.lemma1_rhs
+        return self.lemma1_rhs <= 0 or self.Q >= self.lemma1_rhs
 
 
 def _storage_sup(cert: DissipativityCertificate, model) -> float:
@@ -90,7 +89,7 @@ def turnpike_report(
     J_N = float(np.sum(model.ell(solution.x_pred[:N].T, solution.u.T)))
     delta = J_N - N * ss.ell_s
     C = 2.0 * _storage_sup(cert, model)
-    theta_low = output_extremes(model, cert)[0]
+    theta_low = min_weighted_output(model, cert)
     C_prime = delta + C - window_deficit(N, T) * theta_low
     rhs = N - C_prime / float(cert.rho(epsilon))
     return TurnpikeReport(
@@ -98,7 +97,6 @@ def turnpike_report(
         proximity_set=proximity_set,
         Q=len(proximity_set),
         consecutive_set=tuple(consecutive),
-        lemma1_lhs=len(proximity_set),
         lemma1_rhs=rhs,
         C=C,
         C_prime=C_prime,

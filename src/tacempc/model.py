@@ -4,7 +4,10 @@ The controlled plant is a discrete-time system x+ = f(x, u) with stage
 cost ell, auxiliary output h (constrained in sliding-window averages) and
 a compact box constraint set Z for (x, u).  A user-supplied dissipativity
 certificate (storage function, multiplier, polynomial margin) is checked
-on a grid, never synthesized.
+on a grid, never synthesized.  The rotated stage cost has one evaluation,
+``eval_rotated_stage_cost``, pointwise or over a batch of columns; the grid
+check and the rotated-cost identity both use it.  Grids over Z hold at most
+``_GRID_MAX_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .errors import ConfigError, DomainError, InfeasibleError
 _FD_STEP = 1e-7
 _STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
-_EXTREMES_GRID = 101  # points per axis of the output_extremes grid
+_EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
+_GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
 
 
 def _fd_jacobian(fn, x, u, out_dim):
@@ -117,7 +121,8 @@ class SystemModel:
         return self.z_upper[self.n :]
 
     def in_box(self, x, u, tol=1e-9):
-        z = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)])
+        """Whether (x, u), or every column of a batch, lies in the box."""
+        z = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]).T
         return bool(
             np.all(z >= self.z_lower - tol) and np.all(z <= self.z_upper + tol)
         )
@@ -280,27 +285,44 @@ def validate_certificate(cert: DissipativityCertificate, ss: SteadyState, tol=1e
         )
 
 
-def eval_rotated_stage_cost(model, cert, ss, x, u) -> float:
-    """Stage cost shifted by steady-state cost, storage telescoping and
-    the multiplier-weighted output; nonnegative under a valid certificate."""
+def eval_rotated_stage_cost(model, cert, ss, x, u):
+    """Rotated stage cost ell - ell_s + lam(x) - lam(f(x, u)) + lambda_bar.h.
+
+    Nonnegative under a valid certificate.  x (n[, K]) and u (m[, K]) may
+    carry a trailing batch axis: a point gives a float, a batch one value
+    per column (K,), bit for bit like pointwise calls.  Raises DomainError
+    when any column lies outside the box by more than 1e-9.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not model.in_box(x, u):
         raise DomainError(f"point (x, u) = ({x}, {u}) outside the constraint box")
-    x_next = np.asarray(model.f(x, u), dtype=float)
-    return float(
+    h = np.atleast_1d(np.asarray(model.h(x, u), dtype=float))
+    value = (
         model.ell(x, u)
         - ss.ell_s
         + cert.lam(x)
-        - cert.lam(x_next)
-        + cert.lambda_bar @ np.atleast_1d(model.h(x, u))
+        - cert.lam(np.asarray(model.f(x, u), dtype=float))
+        # elementwise, not lambda_bar @ h: a BLAS matrix-vector product
+        # rounds differently from the per-point dot product
+        + np.sum(cert.lambda_bar * h.T, axis=-1)
     )
+    return value if np.ndim(value) else float(value)
+
+
+def _grid_density(density, dim):
+    """Largest per-axis count <= density whose dim-cube fits _GRID_MAX_POINTS."""
+    k = min(density, int(_GRID_MAX_POINTS ** (1.0 / dim)) + 1)
+    while k**dim > _GRID_MAX_POINTS:
+        k -= 1
+    return k
 
 
 def _grid_points(lower, upper, density):
-    axes = [np.linspace(lo, hi, density) for lo, hi in zip(lower, upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh])  # (dim, density**dim)
+    """(dim, k**dim) grid over the box, k = _grid_density(density, dim)."""
+    k = _grid_density(density, len(lower))
+    axes = [np.linspace(lo, hi, k) for lo, hi in zip(lower, upper)]
+    return np.array(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
 
 
 def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadyState:
@@ -309,9 +331,10 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
     Deterministic: grid candidates are ranked by cost with ties broken by
     lexicographic flat grid index, each refined with SLSQP.
     """
-    pts = _grid_points(model.z_lower, model.z_upper, grid_density)
+    density = _grid_density(grid_density, model.n + model.m)
+    pts = _grid_points(model.z_lower, model.z_upper, density)
     x_pts, u_pts = pts[: model.n], pts[model.n :]
-    spacing = np.max((model.z_upper - model.z_lower) / max(grid_density - 1, 1))
+    spacing = np.max((model.z_upper - model.z_lower) / max(density - 1, 1))
     grid_tol = max(spacing, _STEADY_FEAS_TOL)
 
     f_vals = np.asarray(model.f(x_pts, u_pts))
@@ -388,76 +411,41 @@ def check_dissipativity_grid(
 ) -> float:
     """Worst-case dissipation residual on a grid over Z.
 
-    Returns min over the grid of
-        ell - ell_s + lambda_bar.h - a*||(x - x_s, u - u_s)||^omega
-        - lam(f(x, u)) + lam(x);
-    the certificate is accepted iff the result is >= -1e-9.
+    Returns min over the grid of the rotated stage cost minus the margin
+    rho(||(x - x_s, u - u_s)||); the certificate is accepted iff the result
+    is >= -1e-9.
     """
     if grid_density < 2:
         raise ConfigError("grid_density must be at least 2")
     pts = _grid_points(model.z_lower, model.z_upper, grid_density)
-    x_pts, u_pts = pts[: model.n], pts[model.n :]
-    dev = pts - np.concatenate([ss.x_s, ss.u_s])[:, None]
-    r = np.linalg.norm(dev, axis=0)
-    h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
-    residual = (
-        np.asarray(model.ell(x_pts, u_pts))
-        - ss.ell_s
-        + cert.lambda_bar @ h_vals
-        - cert.rho(r)
-        - np.asarray(cert.lam(np.asarray(model.f(x_pts, u_pts))))
-        + np.asarray(cert.lam(x_pts))
-    )
-    return float(np.min(residual))
+    r = np.linalg.norm(pts - np.concatenate([ss.x_s, ss.u_s])[:, None], axis=0)
+    rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
+    return float(np.min(rotated - cert.rho(r)))
 
 
-def _refine_extremum(fun_jac, z0, lower, upper):
+def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> float:
+    """theta_low = min over Z of lambda_bar.h.
+
+    Grid search followed by one L-BFGS-B refinement from the best grid
+    point; exact for outputs affine in (x, u) since the grid contains the
+    box vertices.
+    """
+    n = model.n
+    pts = _grid_points(model.z_lower, model.z_upper, _EXTREMES_GRID)
+    values = cert.lambda_bar @ np.atleast_2d(np.asarray(model.h(pts[:n], pts[n:])))
+
+    def weighted(z):
+        return float(cert.lambda_bar @ np.atleast_1d(model.h(z[:n], z[n:])))
+
+    def fun(z):
+        return weighted(z), cert.lambda_bar @ model.jac_h(z[:n], z[n:])
+
     res = optimize.minimize(
-        fun_jac,
-        z0,
+        fun,
+        pts[:, int(np.argmin(values))],
         jac=True,
         method="L-BFGS-B",
-        bounds=list(zip(lower, upper)),
+        bounds=list(zip(model.z_lower, model.z_upper)),
         options={"maxiter": 200},
     )
-    return res.x
-
-
-def output_extremes(model: SystemModel, cert: DissipativityCertificate):
-    """Extremes of lambda_bar.h and componentwise h over Z.
-
-    Grid search followed by local refinement; exact for outputs affine in
-    (x, u) since the grid contains the box vertices.
-    """
-    pts = _grid_points(model.z_lower, model.z_upper, _EXTREMES_GRID)
-    x_pts, u_pts = pts[: model.n], pts[model.n :]
-    h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
-    theta_vals = cert.lambda_bar @ h_vals
-    n = model.n
-
-    def scalar_fun(weights, sign):
-        def fun(z):
-            value = sign * float(weights @ np.atleast_1d(model.h(z[:n], z[n:])))
-            grad = sign * (weights @ model.jac_h(z[:n], z[n:]))
-            return value, grad
-
-        return fun
-
-    def refine(values, weights, sign):
-        # sign=+1 refines the minimum of weights.h, sign=-1 the maximum
-        z0 = pts[:, int(np.argmin(sign * values))]
-        z = _refine_extremum(scalar_fun(weights, sign), z0, model.z_lower, model.z_upper)
-        candidate = float(weights @ np.atleast_1d(model.h(z[:n], z[n:])))
-        grid_best = float(np.min(sign * values)) * sign
-        return min(candidate, grid_best) if sign > 0 else max(candidate, grid_best)
-
-    theta_low = refine(theta_vals, cert.lambda_bar, +1)
-    theta_high = refine(theta_vals, cert.lambda_bar, -1)
-    h_low = np.empty(model.p)
-    h_high = np.empty(model.p)
-    for i in range(model.p):
-        unit = np.zeros(model.p)
-        unit[i] = 1.0
-        h_low[i] = refine(h_vals[i], unit, +1)
-        h_high[i] = refine(h_vals[i], unit, -1)
-    return theta_low, theta_high, h_low, h_high
+    return min(weighted(res.x), float(np.min(values)))

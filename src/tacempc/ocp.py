@@ -5,7 +5,9 @@ are recovered by forward simulation.  The admissible set combines three
 constraint families (pointwise box, partial windows anchored in the
 stored history, full windows inside the horizon).  The solver is an
 augmented Lagrangian over the inequality residuals with a projected
-quasi-Newton inner loop (L-BFGS-B on the input box).
+quasi-Newton inner loop (L-BFGS-B on the input box).  One rollout with
+sensitivities (``_Forward``) serves the solver and the evaluation helpers
+``constraint_residuals``, ``open_loop_cost`` and ``rotated_identity_check``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ ROTATED = "rotated"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Acceptance tolerances of the augmented-Lagrangian solve.
+    """Acceptance tolerances of the augmented-Lagrangian solve, each in (0, inf).
 
     feas_tol bounds the largest solver constraint residual.  stat_tol
     bounds the scale-relative KKT residual
@@ -42,6 +44,12 @@ class SolverOptions:
 
     feas_tol: float = 1e-8
     stat_tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("feas_tol", "stat_tol"):
+            tol = getattr(self, name)
+            if not 0 < tol < np.inf:  # also rejects NaN
+                raise ConfigError(f"solver {name} must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +78,10 @@ class OcpSpec:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.shape != (self.model.n,):
             raise ConfigError("x0 has wrong dimension")
-        if np.any(x0 < self.model.x_lower - 1e-9) or np.any(
-            x0 > self.model.x_upper + 1e-9
-        ):
+        # solves stop within feas_tol of the state box, so a predicted state
+        # passed on as the next x0 may lie outside it by as much
+        tol = self.options.feas_tol
+        if np.any(x0 < self.model.x_lower - tol) or np.any(x0 > self.model.x_upper + tol):
             raise ConfigError("initial state outside the state box")
         if self.H0.T != self.T:
             raise ConfigError("history period does not match T")
@@ -108,7 +117,7 @@ class _Forward:
 
     __slots__ = ("u", "x", "h", "ell", "Sx", "Dh", "Dell")
 
-    def __init__(self, spec: OcpSpec, u: np.ndarray, with_jac: bool = True):
+    def __init__(self, spec: OcpSpec, u: np.ndarray):
         model = spec.model
         n, m, p, N = model.n, model.m, model.p, spec.N
         nu = N * m
@@ -122,9 +131,6 @@ class _Forward:
         self.h[:] = np.atleast_2d(model.h(xs, us)).T
         self.ell = np.empty(N)
         self.ell[:] = model.ell(xs, us)
-        if not with_jac:
-            self.Sx = self.Dh = self.Dell = None
-            return
         # step-major (N, rows, n + m) copies, laid out like pointwise Jacobians
         fz = model.jac_f(xs, us).transpose(2, 0, 1).copy()
         lz = model.grad_ell(xs, us).T.copy()
@@ -139,9 +145,9 @@ class _Forward:
 
 
 def _objective(spec: OcpSpec, fwd: _Forward):
-    """Objective value (and gradient when sensitivities are present)."""
+    """Objective value and gradient."""
     J = float(np.sum(fwd.ell))
-    DJ = None if fwd.Dell is None else np.sum(fwd.Dell, axis=0)
+    DJ = np.sum(fwd.Dell, axis=0)
     if spec.objective == ROTATED:
         cert, ss = spec.cert, spec.ss
         J = (
@@ -151,16 +157,15 @@ def _objective(spec: OcpSpec, fwd: _Forward):
             - float(cert.lam(fwd.x[-1]))
             + float(cert.lambda_bar @ np.sum(fwd.h, axis=0))
         )
-        if DJ is not None:
-            DJ = (
-                DJ
-                - cert.grad_lam(fwd.x[-1]) @ fwd.Sx[-1]
-                + np.einsum("i,kij->j", cert.lambda_bar, fwd.Dh)
-            )
+        DJ = (
+            DJ
+            - cert.grad_lam(fwd.x[-1]) @ fwd.Sx[-1]
+            + np.einsum("i,kij->j", cert.lambda_bar, fwd.Dh)
+        )
     return J, DJ
 
 
-def _solver_constraints(spec: OcpSpec, fwd: _Forward, with_jac: bool):
+def _solver_constraints(spec: OcpSpec, fwd: _Forward):
     """Inequality residuals g(u) <= 0 the solver penalizes, with Jacobian.
 
     Families: shot-state box for x_1..x_{N-1} (x0 is fixed, inputs live in
@@ -176,8 +181,6 @@ def _solver_constraints(spec: OcpSpec, fwd: _Forward, with_jac: bool):
     np.subtract(fwd.x[1:N], model.x_upper, out=box[:, 1])
     cum_h = np.cumsum(fwd.h, axis=0)
     window_rows(cum_h, T, spec.H0.tail_sums, out=g[n_box:].reshape(N, p))
-    if not with_jac:
-        return g, None
     nu = N * model.m
     Dg = np.empty((g.size, nu))
     box = Dg[:n_box].reshape(N - 1, 2, n, nu)
@@ -195,7 +198,7 @@ def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
     full windows by start index i ascending.
     """
     u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    fwd = _Forward(spec, u, with_jac=False)
+    fwd = _Forward(spec, u)
     model = spec.model
     z = np.hstack([fwd.x[: spec.N], u])  # (N, n + m)
     lower = (model.z_lower - z).ravel()
@@ -207,8 +210,7 @@ def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
 def open_loop_cost(spec: OcpSpec, u) -> float:
     """Objective value of an input sequence under the configured cost."""
     u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    fwd = _Forward(spec, u, with_jac=False)
-    return _objective(spec, fwd)[0]
+    return _objective(spec, _Forward(spec, u))[0]
 
 
 def rotated_identity_check(spec: OcpSpec, u) -> float:
@@ -219,13 +221,12 @@ def rotated_identity_check(spec: OcpSpec, u) -> float:
     ``eval_rotated_stage_cost`` along the same rollout must agree with it.
     """
     u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    fwd = _Forward(spec, u, with_jac=False)
+    fwd = _Forward(spec, u)
     telescoped = _objective(replace(spec, objective=ROTATED), fwd)[0]
-    stagewise = sum(
-        eval_rotated_stage_cost(spec.model, spec.cert, spec.ss, fwd.x[k], u[k])
-        for k in range(spec.N)
+    stagewise = eval_rotated_stage_cost(
+        spec.model, spec.cert, spec.ss, fwd.x[: spec.N].T, u.T
     )
-    return abs(stagewise - telescoped)
+    return abs(float(np.sum(stagewise)) - telescoped)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +267,10 @@ def solve(spec: OcpSpec) -> OcpSolution:
     def al_fun(uf, mult_, mu_):
         fwd = _Forward(spec, uf.reshape(N, m))
         J, DJ = _objective(spec, fwd)
-        g, Dg = _solver_constraints(spec, fwd, with_jac=True)
-        if g.size:
-            active = np.maximum(0.0, mult_ + mu_ * g)
-            value = J + float(active @ active - mult_ @ mult_) / (2.0 * mu_)
-            grad = DJ + active @ Dg
-        else:
-            value, grad = J, DJ
-        return value, grad
+        g, Dg = _solver_constraints(spec, fwd)
+        active = np.maximum(0.0, mult_ + mu_ * g)
+        value = J + float(active @ active - mult_ @ mult_) / (2.0 * mu_)
+        return value, DJ + active @ Dg
 
     converged = False
     for _ in range(_MAX_OUTER):
@@ -295,11 +292,10 @@ def solve(spec: OcpSpec) -> OcpSolution:
         u_flat = np.clip(res.x, lb, ub)
         fwd = _Forward(spec, u_flat.reshape(N, m))
         J, DJ = _objective(spec, fwd)
-        g, Dg = _solver_constraints(spec, fwd, with_jac=True)
-        viol = max(float(np.max(g, initial=0.0)), 0.0)
-        if g.size:
-            mult = np.maximum(0.0, mult + mu * g)
-        grad_lag = DJ + (mult @ Dg if g.size else 0.0)
+        g, Dg = _solver_constraints(spec, fwd)
+        viol = max(float(np.max(g)), 0.0)
+        mult = np.maximum(0.0, mult + mu * g)
+        grad_lag = DJ + mult @ Dg
         proj_res = np.max(np.abs(u_flat - np.clip(u_flat - grad_lag, lb, ub)))
         stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
 

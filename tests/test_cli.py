@@ -79,6 +79,8 @@ def test_config_errors(tmp_path):
         load_config(str(cfg_file))
     with pytest.raises(ConfigError, match="experiment N must be an integer, got 12.5"):
         load_config(model_name="mueller-koehler", overrides={"N": 12.5})
+    with pytest.raises(ConfigError, match="experiment N must be an integer, got inf"):
+        load_config(model_name="mueller-koehler", overrides={"N": float("inf")})
     cfg_file.write_text(json.dumps({"solver": {"feas_tol": "tight"}}))
     with pytest.raises(ConfigError, match="solver feas_tol must be a number"):
         load_config(str(cfg_file))
@@ -105,6 +107,43 @@ def test_removed_solver_keys_rejected(tmp_path, key):
     cfg_file.write_text(json.dumps({"solver": {key: 1}}))
     with pytest.raises(ConfigError, match=key):
         load_config(str(cfg_file))
+
+
+@pytest.mark.parametrize("value", ["nan", -1, 0, "inf"])
+def test_solver_tolerances_must_be_positive_and_finite(tmp_path, value):
+    cfg_file = tmp_path / "solver.json"
+    cfg_file.write_text(json.dumps({"solver": {"feas_tol": value}}))
+    with pytest.raises(ConfigError, match="solver feas_tol must be positive and finite"):
+        load_config(str(cfg_file))
+    with pytest.raises(ConfigError, match="solver stat_tol must be positive and finite"):
+        load_config(model_name="mueller-koehler", overrides={"stat_tol": float(value)})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"model": {"builtin": "mueller-koehler", "lamda": "x1"}},
+     "unknown model keys: ['lamda']"),
+    ({"experiment": {"horizon": 20}}, "unknown experiment keys: ['horizon']"),
+    ({"experiment": {"epsilon": 0.2}}, "unknown experiment keys: ['epsilon']"),
+    ({"solvr": {"feas_tol": 1e-6}}, "unknown configuration sections: ['solvr']"),
+    ({"model": 5}, "model section must be a JSON object, got 5"),
+    ({"experiment": [1, 2]}, "experiment section must be a JSON object, got [1, 2]"),
+    ({"solver": "tight"}, "solver section must be a JSON object, got 'tight'"),
+    ({"model": {"n": 1, "m": 1, "f": ["u1"], "ell": "u1^2", "h": ["x1"],
+                "z_lower": [-1, -1], "z_upper": [1, 1], "lam": "0", "lambda_bar": [0],
+                "a": 1, "omega": 2, "L_h": 1, "x_s": [0]}},
+     "unknown model keys: ['x_s']"),
+])
+def test_unknown_or_malformed_config_rejected(tmp_path, raw, message):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(cfg_file))
+    assert str(info.value) == message
+
+
+def test_unknown_override_rejected():
+    with pytest.raises(ConfigError, match="unknown experiment keys: \\['horizon'\\]"):
+        load_config(model_name="mueller-koehler", overrides={"horizon": 20})
 
 
 # ---------------------------------------------------------------------------

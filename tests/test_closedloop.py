@@ -9,6 +9,13 @@ from hypothesis.extra import numpy as hnp
 from tacempc.closedloop import performance_residual, simulate, step, window_sums
 from tacempc.errors import DomainError
 from tacempc.history import HistoryState, deviation_norm_replacement, steady_history
+from tacempc.model import (
+    DissipativityCertificate,
+    SystemModel,
+    eval_rotated_stage_cost,
+    solve_steady_state,
+)
+from tacempc.ocp import SolverOptions
 
 
 def test_reference_trace_completes(closed_loop_trace):
@@ -86,7 +93,8 @@ def test_rotated_closed_loop_identity(closed_loop_trace):
     trace = closed_loop_trace
     cert, ss = trace.cert, trace.ss
     K = trace.K
-    lhs = trace.Jtildecl[-1]
+    stages = eval_rotated_stage_cost(trace.model, cert, ss, trace.x[:K].T, trace.u.T)
+    lhs = float(np.sum(stages))
     rhs = (
         trace.Jcl[-1]
         - K * ss.ell_s
@@ -161,3 +169,19 @@ def test_simulate_rejects_bad_k(builtin, fig_history):
     model, cert, ss = builtin
     with pytest.raises(DomainError):
         simulate(model, cert, ss, 12, [2.0], fig_history, 0)
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.5, -0.5, 0.9])
+def test_active_state_bound_closed_loop_completes(x0):
+    # x+ = u with x in [-1, 1]: the steady state (1, 1) sits on the state
+    # bound, and the solves stop within feas_tol outside it (x = 1 + 8.75e-9),
+    # so the next step starts there
+    model = SystemModel.from_expressions(
+        1, 1, ["u1"], "(x1 - 3)^2 + u1^2", ["x1 - 5"], [-1.0, -10.0], [1.0, 10.0]
+    )
+    ss = solve_steady_state(model)
+    cert = DissipativityCertificate.from_expression(1, "0", [0.0], 1.0, 2.0, 1.0)
+    trace = simulate(model, cert, ss, 6, [x0], steady_history(ss.h_s, 2), 4)
+    assert trace.completed and trace.K == 4
+    feas_tol = SolverOptions().feas_tol
+    assert np.all(np.abs(trace.x[1:, 0] - 1.0) <= feas_tol)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tacempc import model as model_mod
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.history import steady_history
 from tacempc.model import (
@@ -8,12 +12,15 @@ from tacempc.model import (
     SteadyState,
     SystemModel,
     _fd_jacobian,
+    _grid_density,
+    _grid_points,
     check_dissipativity_grid,
     eval_rotated_stage_cost,
-    output_extremes,
+    min_weighted_output,
     solve_steady_state,
     validate_certificate,
 )
+from tacempc.ocp import ROTATED, OcpSpec, _Forward, _objective, rotated_identity_check
 
 
 def test_builtin_steady_state(builtin):
@@ -132,14 +139,122 @@ def test_rotated_stage_cost_nonnegative_on_grid(builtin):
             assert eval_rotated_stage_cost(model, cert, ss, [x], [u]) >= -1e-9
 
 
-def test_output_extremes_affine(builtin):
+# ---------------------------------------------------------------------------
+# the batched rotated stage cost
+
+# dynamics that map the box [-1, 1]^(n+m) into the state box [-1, 1]^n
+_IN_BOX_DYNAMICS = ("0.5 * x{a} * u{b}", "0.9 * x{a} - 0.1 * u{b}", "x{a} / (1.5 + u{b}^2)")
+_OUTPUTS = ("2 * x{a} + u{b} - 5", "x{a} * u{b}^2 - 1", "x{a}^3 / (1 + u{b}^2)")
+
+
+@st.composite
+def _rotated_setups(draw):
+    """Compiled model on the box [-1, 1]^(n+m), certificate and steady state."""
+    n, m, p = (draw(st.sampled_from([1, 2])) for _ in range(3))
+
+    def source(templates):
+        return draw(st.sampled_from(templates)).format(
+            a=draw(st.integers(1, n)), b=draw(st.integers(1, m)))
+
+    model = SystemModel.from_expressions(
+        n, m, [source(_IN_BOX_DYNAMICS) for _ in range(n)],
+        f"(x1 - 0.5)^2 + u{m}^2 + 0.5 * x{n} * u1", [source(_OUTPUTS) for _ in range(p)],
+        [-1.0] * (n + m), [1.0] * (n + m),
+    )
+    lambda_bar = draw(hnp.arrays(float, p, elements=st.floats(0.0, 2.0)))
+    cert = DissipativityCertificate.from_expression(
+        n, f"x1^2 - 0.5 * x{n}", lambda_bar, 1.0, 2.0, 1.0)
+    ss = SteadyState(np.zeros(n), np.zeros(m), draw(st.floats(-2.0, 2.0)), np.zeros(p))
+    return model, cert, ss
+
+
+def _in_box(draw, *shape):
+    return draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+
+
+@given(_rotated_setups(), st.data())
+def test_rotated_stage_cost_batch_matches_pointwise(setup, data):
+    model, cert, ss = setup
+    n = model.n
+    z = _in_box(data.draw, n + model.m, data.draw(st.integers(1, 6)))
+    batched = eval_rotated_stage_cost(model, cert, ss, z[:n], z[n:])
+    assert batched.shape == (z.shape[1],)
+    pointwise = [eval_rotated_stage_cost(model, cert, ss, z[:n, k], z[n:, k])
+                 for k in range(z.shape[1])]
+    assert all(type(value) is float for value in pointwise)
+    assert batched.tobytes() == np.array(pointwise).tobytes()
+
+
+@given(_rotated_setups(), st.data())
+def test_rotated_stage_cost_rejects_any_column_outside_box(setup, data):
+    model, cert, ss = setup
+    n, dim = model.n, model.n + model.m
+    z = _in_box(data.draw, dim, data.draw(st.integers(1, 6)))
+    i, k = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, z.shape[1] - 1))
+    side = data.draw(st.sampled_from([-1.0, 1.0]))
+    z[i, k] = side * (1.0 + 5e-10)  # within the 1e-9 tolerance
+    eval_rotated_stage_cost(model, cert, ss, z[:n], z[n:])
+    z[i, k] = side * (1.0 + data.draw(st.floats(2e-9, 10.0)))
+    with pytest.raises(DomainError):
+        eval_rotated_stage_cost(model, cert, ss, z[:n], z[n:])
+    with pytest.raises(DomainError):
+        eval_rotated_stage_cost(model, cert, ss, z[:n, k], z[n:, k])
+
+
+@given(_rotated_setups(), st.data())
+def test_rotated_stage_cost_sums_to_telescoped_objective(setup, data):
+    model, cert, ss = setup
+    T = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(T, 8))
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
+                   x0=_in_box(data.draw, model.n),
+                   H0=steady_history(np.zeros(model.p), T), objective=ROTATED)
+    u = _in_box(data.draw, N, model.m)
+    fwd = _Forward(spec, u)
+    stagewise = float(np.sum(eval_rotated_stage_cost(model, cert, ss, fwd.x[:N].T, u.T)))
+    telescoped = _objective(spec, fwd)[0]
+    assert stagewise == pytest.approx(telescoped, rel=0, abs=1e-10)
+    assert rotated_identity_check(spec, u) == abs(stagewise - telescoped)
+
+
+def test_grid_density_cap():
+    # 10^7 points: n + m <= 3 keeps 201 per axis, n + m = 4 gets 56
+    assert _grid_density(201, 3) == 201 and 201**3 <= model_mod._GRID_MAX_POINTS
+    assert _grid_density(101, 4) == _grid_density(201, 4) == 56
+    assert 56**4 <= model_mod._GRID_MAX_POINTS < 57**4
+    assert _grid_density(21, 4) == 21
+    assert _grid_density(201, 7) == 10  # 10^7 exactly
+
+
+def test_grid_points_respect_cap(monkeypatch, builtin):
+    monkeypatch.setattr(model_mod, "_GRID_MAX_POINTS", 1000)
+    lower, upper = -np.ones(4), np.ones(4)
+    pts = _grid_points(lower, upper, 101)
+    assert pts.shape == (4, 5**4)  # 6^4 = 1296 > 1000
+    assert {tuple(c) for c in pts.T} >= {(-1.0,) * 4, (1.0,) * 4}
+    assert _grid_points(lower[:3], upper[:3], 101).shape == (3, 10**3)
+    assert _grid_points(lower[:2], upper[:2], 21).shape == (2, 21**2)
+    # a capped search (6 points per axis, spacing 4) takes its candidate
+    # tolerance from the coarser grid: no grid point is within 2 of a steady state
+    model, _, _ = builtin
+    monkeypatch.setattr(model_mod, "_GRID_MAX_POINTS", 6**2)
+    ss = solve_steady_state(model)
+    np.testing.assert_allclose(np.r_[ss.x_s, ss.u_s], [2.0, 1.0], atol=1e-6)
+
+
+def test_min_weighted_output_affine(builtin):
     model, cert, _ = builtin
-    theta_low, theta_high, h_low, h_high = output_extremes(model, cert)
-    # h = 2x + u - 5 on [-10, 10]^2
-    assert theta_low == pytest.approx(-35.0, abs=1e-6)
-    assert theta_high == pytest.approx(25.0, abs=1e-6)
-    assert h_low[0] == pytest.approx(-35.0, abs=1e-6)
-    assert h_high[0] == pytest.approx(25.0, abs=1e-6)
+    # h = 2x + u - 5 on [-10, 10]^2, lambda_bar = 1
+    assert min_weighted_output(model, cert) == pytest.approx(-35.0, abs=1e-6)
+
+
+def test_min_weighted_output_refines_off_grid():
+    # the minimizer x = 0.123 lies between the grid's x points (step 0.2)
+    model = SystemModel.from_expressions(
+        1, 1, ["x1"], "x1^2", ["(x1 - 0.123)^2 + u1 - 5"], [-10.0, -10.0], [10.0, 10.0]
+    )
+    cert = DissipativityCertificate.from_expression(1, "x1", [2.0], 1.0, 2.0, 1.0)
+    assert min_weighted_output(model, cert) == pytest.approx(-30.0, abs=1e-9)
 
 
 def test_certificate_parameter_validation():

@@ -14,6 +14,7 @@ from tacempc.ocp import (
     ORIGINAL,
     ROTATED,
     OcpSpec,
+    SolverOptions,
     _Forward,
     _objective,
     _solver_constraints,
@@ -47,6 +48,14 @@ def test_spec_validation(builtin):
         _spec(builtin, N=6, T=2, x0=1.0, H0=H)  # history period mismatch
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=3, x0=1.0, H0=H, objective="economic")
+
+
+@pytest.mark.parametrize("name", ["feas_tol", "stat_tol"])
+@pytest.mark.parametrize("value", [float("nan"), -1.0, 0.0, float("inf")])
+def test_solver_tolerances_positive_finite(name, value):
+    with pytest.raises(ConfigError, match=f"solver {name} must be positive and finite"):
+        SolverOptions(**{name: value})
+    assert getattr(SolverOptions(**{name: 1e-3}), name) == 1e-3
 
 
 def test_constraint_residual_layout(builtin):
@@ -243,11 +252,9 @@ def test_constraint_assembly_matches_loops(case):
     spec, fwd = case
     want_g, want_Dg = _loop_constraints(spec, fwd)
     with np.errstate(invalid="ignore", over="ignore"):
-        g, Dg = _solver_constraints(spec, fwd, with_jac=True)
-        g_only, none = _solver_constraints(spec, fwd, with_jac=False)
+        g, Dg = _solver_constraints(spec, fwd)
     assert _same_bits(g, want_g)
     assert _same_bits(Dg, want_Dg)
-    assert _same_bits(g_only, want_g) and none is None
 
 
 @given(
@@ -270,7 +277,7 @@ def test_constraint_residual_windows_match_loops(TN, p, data):
     u = data.draw(hnp.arrays(float, (N, 1), elements=box))
     res = constraint_residuals(spec, u)
     windows = res[2 * N * (model.n + model.m) :]
-    h = _Forward(spec, u, with_jac=False).h
+    h = _Forward(spec, u).h
     assert windows.tobytes() == _loop_window_residuals(spec, h).tobytes()
 
 
@@ -278,7 +285,7 @@ def test_constraint_residual_windows_match_loops(TN, p, data):
 # Batched rollout against the former per-step loop
 
 
-def _loop_forward(spec, u, with_jac):
+def _loop_forward(spec, u):
     """The former per-step rollout, kept as the oracle: (x, h, ell, Sx, Dh, Dell)."""
     model = spec.model
     n, m, p, N = model.n, model.m, model.p, spec.N
@@ -295,8 +302,6 @@ def _loop_forward(spec, u, with_jac):
         h[k] = model.h(xk, uk)
         ell[k] = model.ell(xk, uk)
         x[k + 1] = model.f(xk, uk)
-        if not with_jac:
-            continue
         S = Sx[k]
         cols = slice(k * m, (k + 1) * m)
         fj = model.jac_f(xk, uk)
@@ -341,7 +346,7 @@ def _rollout_cases(draw):
     spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T,
                    x0=draw(hnp.arrays(float, n, elements=box)),
                    H0=steady_history(np.zeros(p), T))
-    return spec, draw(hnp.arrays(float, (N, m), elements=box)), draw(st.booleans())
+    return spec, draw(hnp.arrays(float, (N, m), elements=box))
 
 
 def _corner_case():
@@ -355,7 +360,7 @@ def _corner_case():
     cert = DissipativityCertificate.from_expression(1, "1.5 * (x1 - 2)", [1.0], 0.25, 2.0, 3.0)
     spec = OcpSpec(model=model, cert=cert, ss=ss, N=12, T=6, x0=np.array([2.0]),
                    H0=HistoryState(np.array([[-2.0, -2.0, -2.0, -2.0, -1.0]]), T=6))
-    return spec, np.full((12, 1), 10.0), True
+    return spec, np.full((12, 1), 10.0)
 
 
 def _assert_matches(got, expected, n, name):
@@ -369,18 +374,15 @@ def _assert_matches(got, expected, n, name):
 @given(_rollout_cases())
 @example(_corner_case())
 def test_batched_rollout_matches_step_loop(case):
-    spec, u, with_jac = case
+    spec, u = case
     n = spec.model.n
-    fwd = _Forward(spec, u, with_jac=with_jac)
-    want = _loop_forward(spec, u, with_jac)
-    names = ("x", "h", "ell", "Sx", "Dh", "Dell") if with_jac else ("x", "h", "ell")
+    fwd = _Forward(spec, u)
+    want = _loop_forward(spec, u)
+    names = ("x", "h", "ell", "Sx", "Dh", "Dell")
     for name, expected in zip(names, want):
         got = getattr(fwd, name)
         assert got.shape == expected.shape
         _assert_matches(got, expected, n, name)
-    if not with_jac:
-        assert fwd.Sx is None and fwd.Dh is None and fwd.Dell is None
-        return
     # what the solver reads: both objectives and the constraint rows, fed
     # once from the rollout (Sx is a strided view) and once from the oracle
     oracle = SimpleNamespace(**dict(zip(names, want)))
@@ -389,8 +391,8 @@ def test_batched_rollout_matches_step_loop(case):
         for name, got, expected in zip(("J", "DJ"), _objective(costed, fwd),
                                        _objective(costed, oracle)):
             _assert_matches(got, expected, n, f"{objective} {name}")
-    for name, got, expected in zip(("g", "Dg"), _solver_constraints(spec, fwd, True),
-                                   _solver_constraints(spec, oracle, True)):
+    for name, got, expected in zip(("g", "Dg"), _solver_constraints(spec, fwd),
+                                   _solver_constraints(spec, oracle)):
         _assert_matches(got, expected, n, name)
 
 
