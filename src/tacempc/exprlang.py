@@ -23,6 +23,10 @@ bit-identical to interpreting the tree at a point; integer powers of
 arrays call libm ``pow`` like scalar ``**`` does, so a batch evaluation
 equals the pointwise ones bit for bit.  ``eval`` and ``eval_grad`` are
 thin wrappers over the compiled functions, cached per node.
+
+``kernel`` compiles a sequence of expressions into one function that
+runs their per-expression code in turn and stores the values, or the
+gradients, in one array; a model callback is one such kernel.
 """
 
 from __future__ import annotations
@@ -290,6 +294,14 @@ def _pow(a, k):
     return a**k
 
 
+def _batch_shape(x):
+    """The trailing batch shape of an argument: () at a point."""
+    try:
+        return x.shape[1:]
+    except AttributeError:  # a list or tuple
+        return np.shape(x)[1:]
+
+
 def _dual_var(v):
     """A variable read by the dual code: Python float at a point, else as is."""
     return v if isinstance(v, np.ndarray) else float(v)
@@ -304,6 +316,8 @@ class _Codegen:
             "_check_nonzero": _check_nonzero,
             "_pow": _pow,
             "_dual_var": _dual_var,
+            "_empty": np.empty,
+            "_batch_shape": _batch_shape,
             "_zero": 0.0,
             "_one": 1.0,
         }
@@ -430,6 +444,58 @@ def gradient_function(e: Expr, n: int, m: int):
         return gen.build(f"{value}, ({''.join(g + ', ' for g in grad)})")
 
     return _cached(e, (n, m), build)
+
+
+_TEMP = re.compile(r"\bt\d+\b")
+
+
+def _live_lines(lines, results):
+    """The lines that the names in ``results``, or a division check, read.
+
+    Walks backwards: an assignment is kept when a later kept line or a
+    result reads its target; every ``_check_nonzero`` line is kept, so the
+    same inputs raise EvalError.
+    """
+    live = set(results)
+    kept = []
+    for line in reversed(lines):
+        target, assign, rhs = line.partition(" = ")
+        if assign and target not in live:
+            continue
+        live.update(_TEMP.findall(rhs if assign else line))
+        kept.append(line)
+    return kept[::-1]
+
+
+def kernel(exprs, n: int, m: int, gradient: bool = False):
+    """One compiled ``(x, u) -> ndarray`` for a sequence of expressions.
+
+    The body is the code of ``value_function`` (or ``gradient_function``)
+    for each expression in turn, so every stored number is bit for bit
+    what the per-expression function returns.  The result is one
+    ``np.empty`` array of shape (len(exprs)[, K]) for values and
+    (len(exprs), n + m[, K]) for gradients; a single expression, not in a
+    sequence, drops the leading row axis.  Gradient kernels keep only the
+    lines a gradient entry or a division check reads: values no entry
+    needs are not computed, so a dead power that would overflow a Python
+    float does not raise OverflowError here.
+    """
+    single = isinstance(exprs, Expr)
+    rows = [exprs] if single else list(exprs)
+    gen = _Codegen()
+    if gradient:
+        grads = [_dual_code(e, gen, n, n + m)[1] for e in rows]
+        gen.lines = _live_lines(gen.lines, [g for grad in grads for g in grad])
+        shape = (len(rows), n + m)
+        stores = [((i, j), g) for i, grad in enumerate(grads) for j, g in enumerate(grad)]
+    else:
+        shape = (len(rows),)
+        stores = [((i,), _value_code(e, gen)) for i, e in enumerate(rows)]
+    if single:
+        shape, stores = shape[1:], [(index[1:], name) for index, name in stores]
+    gen.lines.append(f"out = _empty({shape} + _batch_shape(x))")
+    gen.lines += [f"out[{index}] = {name}" for index, name in stores]
+    return gen.build("out")
 
 
 def eval(e: Expr, x, u):  # noqa: A001 - name fixed by the public API

@@ -7,7 +7,8 @@ certificate (storage function, multiplier, polynomial margin) is checked
 on a grid, never synthesized.  The rotated stage cost has one evaluation,
 ``eval_rotated_stage_cost``, pointwise or over a batch of columns; the grid
 check and the rotated-cost identity both use it.  Grids over Z hold at most
-``_GRID_MAX_POINTS`` points.
+``_GRID_MAX_POINTS`` points; the grid check evaluates them in blocks of
+``_GRID_BLOCK`` columns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
+_GRID_BLOCK = 2**16  # grid columns the dissipativity check evaluates at once
 
 
 def _fd_jacobian(fn, x, u, out_dim):
@@ -48,24 +50,6 @@ def _fd_jacobian(fn, x, u, out_dim):
         fm = np.asarray(fn(zm[:n], zm[n:]), dtype=float)
         jac[:, j] = (fp - fm) / (2 * step)
     return jac
-
-
-def _component_eval(fns, x, u):
-    """Stack compiled componentwise values; broadcasts over a batch axis."""
-    result = np.empty((len(fns),) + np.shape(x)[1:])
-    for i, fn in enumerate(fns):
-        result[i] = fn(x, u)
-    return result
-
-
-def _component_grad(duals, x, u, dim):
-    """Stack compiled gradients into (rows, dim[, K]); broadcasts like
-    ``_component_eval`` (entries constant over the batch are scalars)."""
-    result = np.empty((len(duals), dim) + np.shape(x)[1:])
-    for i, dual in enumerate(duals):
-        for j, entry in enumerate(dual(x, u)[1]):
-            result[i, j] = entry
-    return result
 
 
 @dataclass(frozen=True)
@@ -155,54 +139,34 @@ class SystemModel:
     ) -> "SystemModel":
         """Build a model from expression strings over x1..xn, u1..um.
 
-        Every expression is compiled here, once, into its value and
-        value-plus-gradient functions (see ``exprlang``); the callables
-        broadcast over a batch axis bit for bit like pointwise calls.
+        Every callback is compiled here, once, into one kernel (see
+        ``exprlang.kernel``; ell is its expression's value function); the
+        callables broadcast over a batch axis bit for bit like pointwise
+        calls.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
         f_exprs = [exprlang.parse(s, n, m) for s in f_sources]
         ell_expr = exprlang.parse(ell_source, n, m)
         h_exprs = [exprlang.parse(s, n, m) for s in h_sources]
-        p = len(h_exprs)
-        f_values = [exprlang.value_function(e) for e in f_exprs]
-        f_grads = [exprlang.gradient_function(e, n, m) for e in f_exprs]
         ell_value = exprlang.value_function(ell_expr)
-        ell_dual = exprlang.gradient_function(ell_expr, n, m)
-        h_values = [exprlang.value_function(e) for e in h_exprs]
-        h_grads = [exprlang.gradient_function(e, n, m) for e in h_exprs]
-
-        def f(x, u):
-            return _component_eval(f_values, x, u)
 
         def ell(x, u):
             value = ell_value(x, u)
             return value if np.ndim(value) else float(value)
 
-        def h(x, u):
-            return _component_eval(h_values, x, u)
-
-        def f_jac(x, u):
-            return _component_grad(f_grads, x, u, n + m)
-
-        def ell_grad(x, u):
-            return _component_grad([ell_dual], x, u, n + m)[0]
-
-        def h_jac(x, u):
-            return _component_grad(h_grads, x, u, n + m)
-
         return cls(
             n=n,
             m=m,
-            p=p,
-            f=f,
+            p=len(h_exprs),
+            f=exprlang.kernel(f_exprs, n, m),
             ell=ell,
-            h=h,
+            h=exprlang.kernel(h_exprs, n, m),
             z_lower=np.asarray(z_lower, dtype=float),
             z_upper=np.asarray(z_upper, dtype=float),
-            f_jac=f_jac,
-            ell_grad=ell_grad,
-            h_jac=h_jac,
+            f_jac=exprlang.kernel(f_exprs, n, m, gradient=True),
+            ell_grad=exprlang.kernel(ell_expr, n, m, gradient=True),
+            h_jac=exprlang.kernel(h_exprs, n, m, gradient=True),
         )
 
 
@@ -241,14 +205,14 @@ class DissipativityCertificate:
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
         lam_expr = exprlang.parse(lam_source, n, 0)
         lam_value = exprlang.value_function(lam_expr)
-        lam_dual = exprlang.gradient_function(lam_expr, n, 0)
+        lam_kernel = exprlang.kernel(lam_expr, n, 0, gradient=True)
 
         def lam(x):
             value = lam_value(x, ())
             return value if np.ndim(value) else float(value)
 
         def lam_grad(x):
-            return _component_grad([lam_dual], x, (), n)[0]
+            return lam_kernel(x, ())
 
         return cls(
             lam=lam,
@@ -285,17 +249,17 @@ def validate_certificate(cert: DissipativityCertificate, ss: SteadyState, tol=1e
         )
 
 
-def eval_rotated_stage_cost(model, cert, ss, x, u):
+def eval_rotated_stage_cost(model, cert, ss, x, u, tol=1e-9):
     """Rotated stage cost ell - ell_s + lam(x) - lam(f(x, u)) + lambda_bar.h.
 
     Nonnegative under a valid certificate.  x (n[, K]) and u (m[, K]) may
     carry a trailing batch axis: a point gives a float, a batch one value
     per column (K,), bit for bit like pointwise calls.  Raises DomainError
-    when any column lies outside the box by more than 1e-9.
+    when any column lies outside the box by more than ``tol``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not model.in_box(x, u):
+    if not model.in_box(x, u, tol):
         raise DomainError(f"point (x, u) = ({x}, {u}) outside the constraint box")
     h = np.atleast_1d(np.asarray(model.h(x, u), dtype=float))
     value = (
@@ -318,10 +282,15 @@ def _grid_density(density, dim):
     return k
 
 
+def _grid_axes(lower, upper, density):
+    """Per-axis coordinates of the grid: k = _grid_density(density, dim) each."""
+    k = _grid_density(density, len(lower))
+    return [np.linspace(lo, hi, k) for lo, hi in zip(lower, upper)]
+
+
 def _grid_points(lower, upper, density):
     """(dim, k**dim) grid over the box, k = _grid_density(density, dim)."""
-    k = _grid_density(density, len(lower))
-    axes = [np.linspace(lo, hi, k) for lo, hi in zip(lower, upper)]
+    axes = _grid_axes(lower, upper, density)
     return np.array(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
 
 
@@ -417,10 +386,19 @@ def check_dissipativity_grid(
     """
     if grid_density < 2:
         raise ConfigError("grid_density must be at least 2")
-    pts = _grid_points(model.z_lower, model.z_upper, grid_density)
-    r = np.linalg.norm(pts - np.concatenate([ss.x_s, ss.u_s])[:, None], axis=0)
-    rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
-    return float(np.min(rotated - cert.rho(r)))
+    axes = _grid_axes(model.z_lower, model.z_upper, grid_density)
+    shape = tuple(len(axis) for axis in axes)
+    size = int(np.prod(shape))
+    center = np.concatenate([ss.x_s, ss.u_s])[:, None]
+    worst = []
+    # the points of _grid_points, _GRID_BLOCK columns at a time
+    for start in range(0, size, _GRID_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, size)), shape)
+        pts = np.array([axis[i] for axis, i in zip(axes, index)])
+        r = np.linalg.norm(pts - center, axis=0)
+        rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
+        worst.append(np.min(rotated - cert.rho(r)))
+    return float(np.min(worst))
 
 
 def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> float:

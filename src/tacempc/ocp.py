@@ -105,57 +105,88 @@ class OcpSolution:
 
 
 class _Forward:
-    """Single-shooting rollout with input-to-stage-argument sensitivities.
+    """Single-shooting rollout workspace with input-to-stage-argument sensitivities.
 
-    Only the state recursion steps through f; ell, h and the Jacobians
-    are evaluated once over the whole (n, N) trajectory.  Dz (N + 1, n + m,
-    N * m) holds d z_k / d u for z_k = (x_k, u_k): selector rows for u_k and
-    one product f_z(z_k) @ Dz[k] per step for x_{k+1}; Sx is Dz[:, :n].
-    The selector adds only exact zeros, but a non-finite Jacobian entry
-    (|x| > 1e308) spreads to the other columns as NaN (inf * 0).
+    Its buffers depend only on the spec, so a solve builds one and each
+    call ``fwd(u)`` overwrites x, h, ell, Sx, Dh and Dell in place; a
+    result kept past the next call must be copied.  ``_Forward(spec, u)``
+    is a one-off workspace rolled out once.  Only the state recursion
+    steps through f; ell, h and the Jacobians are evaluated once over the
+    whole (n, N) trajectory and copied into step-major (N, rows, n + m)
+    C-contiguous buffers.  Dz (N + 1, n + m, N * m) holds d z_k / d u for
+    z_k = (x_k, u_k): selector rows for u_k, set once, and one product
+    f_z(z_k) @ Dz[k] per step for x_{k+1}; Sx is Dz[:, :n].  The selector
+    adds only exact zeros, but a non-finite Jacobian entry (|x| > 1e308)
+    spreads to the other columns as NaN (inf * 0).
     """
 
-    __slots__ = ("u", "x", "h", "ell", "Sx", "Dh", "Dell")
+    __slots__ = ("model", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_next", "_xs",
+                 "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows", "_Dell_rows")
 
-    def __init__(self, spec: OcpSpec, u: np.ndarray):
+    def __init__(self, spec: OcpSpec, u: Optional[np.ndarray] = None):
         model = spec.model
         n, m, p, N = model.n, model.m, model.p, spec.N
         nu = N * m
-        self.u = u
+        self.model = model
+        self._x0 = spec.x0
         self.x = np.empty((N + 1, n))
-        x = self.x[0] = spec.x0
-        for k in range(N):
-            x = self.x[k + 1] = model.f(x, u[k])
-        xs, us = self.x[:N].T, u.T  # (n, N), (m, N)
+        self.x[0] = spec.x0
+        self._next = list(self.x[1:])  # row views x_1..x_N
+        self._xs = self.x[:N].T
         self.h = np.empty((N, p))
-        self.h[:] = np.atleast_2d(model.h(xs, us)).T
         self.ell = np.empty(N)
-        self.ell[:] = model.ell(xs, us)
-        # step-major (N, rows, n + m) copies, laid out like pointwise Jacobians
-        fz = model.jac_f(xs, us).transpose(2, 0, 1).copy()
-        lz = model.grad_ell(xs, us).T.copy()
-        hz = model.jac_h(xs, us).transpose(2, 0, 1).copy()
+        self._fz = np.empty((N, n, n + m))
+        self._lz = np.empty((N, n + m))
+        self._hz = np.empty((N, p, n + m))
         Dz = np.zeros((N + 1, n + m, nu))
         Dz[:N, n:] = np.eye(nu).reshape(N, m, nu)
-        for k in range(N):
-            np.matmul(fz[k], Dz[k], out=Dz[k + 1, :n])
+        self._steps = [(self._fz[k], Dz[k], Dz[k + 1, :n]) for k in range(N)]
+        self._Dz = Dz[:N]
         self.Sx = Dz[:, :n]
-        self.Dell = (lz[:, None] @ Dz[:N])[:, 0]
-        self.Dh = hz @ Dz[:N]
+        self._lz_rows = self._lz[:, None]
+        self._Dell_rows = np.empty((N, 1, nu))
+        self.Dell = self._Dell_rows[:, 0]
+        self.Dh = np.empty((N, p, nu))
+        if u is not None:
+            self(u)
+
+    def __call__(self, u: np.ndarray) -> "_Forward":
+        """Roll out the inputs u (N, m) into this workspace."""
+        model = self.model
+        f, x = model.f, self._x0
+        for row, uk in zip(self._next, u):
+            x = row[...] = f(x, uk)
+        xs, us = self._xs, u.T  # (n, N), (m, N)
+        self.h[:] = np.atleast_2d(model.h(xs, us)).T
+        self.ell[:] = model.ell(xs, us)
+        np.copyto(self._fz, model.jac_f(xs, us).transpose(2, 0, 1))
+        np.copyto(self._lz, model.grad_ell(xs, us).T)
+        np.copyto(self._hz, model.jac_h(xs, us).transpose(2, 0, 1))
+        for fz, Dz, out in self._steps:
+            np.matmul(fz, Dz, out)
+        np.matmul(self._lz_rows, self._Dz, self._Dell_rows)
+        np.matmul(self._hz, self._Dz, self.Dh)
+        return self
 
 
-def _objective(spec: OcpSpec, fwd: _Forward):
-    """Objective value and gradient."""
-    J = float(np.sum(fwd.ell))
-    DJ = np.sum(fwd.Dell, axis=0)
+def _objective(spec: OcpSpec, fwd: _Forward, lam_x0: Optional[float] = None):
+    """Objective value and gradient.
+
+    The rotated cost reads the storage lam(x0), which is computed here
+    unless the caller passes it as ``lam_x0``.
+    """
+    J = float(fwd.ell.sum())
+    DJ = fwd.Dell.sum(axis=0)
     if spec.objective == ROTATED:
         cert, ss = spec.cert, spec.ss
+        if lam_x0 is None:
+            lam_x0 = float(cert.lam(spec.x0))
         J = (
             J
             - spec.N * ss.ell_s
-            + float(cert.lam(spec.x0))
+            + lam_x0
             - float(cert.lam(fwd.x[-1]))
-            + float(cert.lambda_bar @ np.sum(fwd.h, axis=0))
+            + float(cert.lambda_bar @ fwd.h.sum(axis=0))
         )
         DJ = (
             DJ
@@ -165,29 +196,47 @@ def _objective(spec: OcpSpec, fwd: _Forward):
     return J, DJ
 
 
-def _solver_constraints(spec: OcpSpec, fwd: _Forward):
+class _ConstraintRows:
+    """Buffers of the solver constraints of one spec: g, Dg and their views."""
+
+    def __init__(self, spec: OcpSpec):
+        model, N = spec.model, spec.N
+        n, p, nu = model.n, model.p, N * model.m
+        n_box = 2 * n * (N - 1)
+        self.g = np.empty(n_box + N * p)
+        self.Dg = np.empty((self.g.size, nu))
+        box = self.g[:n_box].reshape(N - 1, 2, n)
+        self.g_lower, self.g_upper = box[:, 0], box[:, 1]
+        self.g_windows = self.g[n_box:].reshape(N, p)
+        box = self.Dg[:n_box].reshape(N - 1, 2, n, nu)
+        self.Dg_lower, self.Dg_upper = box[:, 0], box[:, 1]
+        self.Dg_windows = self.Dg[n_box:].reshape(N, p, nu)
+        self.cum_h = np.empty((N, p))
+        self.cum_Dh = np.empty((N, p, nu))
+
+
+def _solver_constraints(spec: OcpSpec, fwd: _Forward, rows: Optional[_ConstraintRows] = None):
     """Inequality residuals g(u) <= 0 the solver penalizes, with Jacobian.
 
     Families: shot-state box for x_1..x_{N-1} (x0 is fixed, inputs live in
     their box by projection; lower then upper rows per step),
     history-anchored partial windows, and full windows inside the horizon.
+    They are written into ``rows`` (fresh buffers when not given), whose
+    g and Dg are returned.
     """
     model, N, T = spec.model, spec.N, spec.T
-    n, p = model.n, model.p
-    n_box = 2 * n * (N - 1)
-    g = np.empty(n_box + N * p)
-    box = g[:n_box].reshape(N - 1, 2, n)
-    np.subtract(model.x_lower, fwd.x[1:N], out=box[:, 0])
-    np.subtract(fwd.x[1:N], model.x_upper, out=box[:, 1])
-    cum_h = np.cumsum(fwd.h, axis=0)
-    window_rows(cum_h, T, spec.H0.tail_sums, out=g[n_box:].reshape(N, p))
-    nu = N * model.m
-    Dg = np.empty((g.size, nu))
-    box = Dg[:n_box].reshape(N - 1, 2, n, nu)
-    np.negative(fwd.Sx[1:N], out=box[:, 0])
-    box[:, 1] = fwd.Sx[1:N]
-    window_rows(np.cumsum(fwd.Dh, axis=0), T, out=Dg[n_box:].reshape(N, p, nu))
-    return g, Dg
+    rows = _ConstraintRows(spec) if rows is None else rows
+    x_shot = fwd.x[1:N]
+    np.subtract(model.x_lower, x_shot, out=rows.g_lower)
+    np.subtract(x_shot, model.x_upper, out=rows.g_upper)
+    fwd.h.cumsum(axis=0, out=rows.cum_h)
+    window_rows(rows.cum_h, T, spec.H0.tail_sums, out=rows.g_windows)
+    S_shot = fwd.Sx[1:N]
+    np.negative(S_shot, out=rows.Dg_lower)
+    rows.Dg_upper[...] = S_shot
+    fwd.Dh.cumsum(axis=0, out=rows.cum_Dh)
+    window_rows(rows.cum_Dh, T, out=rows.Dg_windows)
+    return rows.g, rows.Dg
 
 
 def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
@@ -223,8 +272,9 @@ def rotated_identity_check(spec: OcpSpec, u) -> float:
     u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
     fwd = _Forward(spec, u)
     telescoped = _objective(replace(spec, objective=ROTATED), fwd)[0]
+    # a converged solve may leave the state box by up to feas_tol
     stagewise = eval_rotated_stage_cost(
-        spec.model, spec.cert, spec.ss, fwd.x[: spec.N].T, u.T
+        spec.model, spec.cert, spec.ss, fwd.x[: spec.N].T, u.T, tol=spec.options.feas_tol
     )
     return abs(float(np.sum(stagewise)) - telescoped)
 
@@ -255,21 +305,32 @@ def solve(spec: OcpSpec) -> OcpSolution:
     N, m = spec.N, model.m
     lb = np.tile(model.u_lower, N)
     ub = np.tile(model.u_upper, N)
+    bounds = list(zip(lb, ub))
     u0 = spec.warm_start if spec.warm_start is not None else np.tile(spec.ss.u_s, (N, 1))
     u_flat = np.clip(u0.ravel(), lb, ub)
 
+    # one workspace per solve; each evaluation overwrites its buffers
+    fwd = _Forward(spec)
+    rows = _ConstraintRows(spec)
+    lam_x0 = float(spec.cert.lam(spec.x0)) if spec.objective == ROTATED else None
+
+    def evaluate(uf):
+        fwd(uf.reshape(N, m))
+        J, DJ = _objective(spec, fwd, lam_x0)
+        return (J, DJ) + _solver_constraints(spec, fwd, rows)
+
     # state-box rows for x_1..x_{N-1}, then one window row per step
-    mult = np.zeros(2 * model.n * (N - 1) + model.p * N)
+    mult = np.zeros(rows.g.size)
     mu = _PENALTY_INIT
     total_iters = 0
-    best = None  # (viol, u_flat, fwd, J, stat) of the least-violating finite iterate
+    # (viol, u_flat, x, h, J, stat): the converged iterate, or else the
+    # least-violating finite one
+    best = None
 
-    def al_fun(uf, mult_, mu_):
-        fwd = _Forward(spec, uf.reshape(N, m))
-        J, DJ = _objective(spec, fwd)
-        g, Dg = _solver_constraints(spec, fwd)
+    def al_fun(uf, mult_, mu_, mult_sq):
+        J, DJ, g, Dg = evaluate(uf)
         active = np.maximum(0.0, mult_ + mu_ * g)
-        value = J + float(active @ active - mult_ @ mult_) / (2.0 * mu_)
+        value = J + float(active @ active - mult_sq) / (2.0 * mu_)
         return value, DJ + active @ Dg
 
     converged = False
@@ -277,10 +338,10 @@ def solve(spec: OcpSpec) -> OcpSolution:
         res = optimize.minimize(
             al_fun,
             u_flat,
-            args=(mult, mu),
+            args=(mult, mu, mult @ mult),
             jac=True,
             method="L-BFGS-B",
-            bounds=list(zip(lb, ub)),
+            bounds=bounds,
             options={
                 "maxiter": _MAX_INNER,
                 "ftol": 1e-15,
@@ -290,9 +351,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
         )
         total_iters += int(res.nit)
         u_flat = np.clip(res.x, lb, ub)
-        fwd = _Forward(spec, u_flat.reshape(N, m))
-        J, DJ = _objective(spec, fwd)
-        g, Dg = _solver_constraints(spec, fwd)
+        J, DJ, g, Dg = evaluate(u_flat)
         viol = max(float(np.max(g)), 0.0)
         mult = np.maximum(0.0, mult + mu * g)
         grad_lag = DJ + mult @ Dg
@@ -300,11 +359,11 @@ def solve(spec: OcpSpec) -> OcpSolution:
         stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
 
         finite = np.isfinite(J) and np.isfinite(viol) and np.isfinite(stat)
-        if finite and (best is None or viol <= best[0] + 1e-15):
-            best = (viol, u_flat, fwd, J, stat)
-        if finite and viol <= opts.feas_tol and stat <= opts.stat_tol:
-            # the current iterate, which may violate slightly less than best
-            converged = True
+        # a converged iterate is returned even when an earlier one violated less
+        converged = bool(finite and viol <= opts.feas_tol and stat <= opts.stat_tol)
+        if converged or (finite and (best is None or viol <= best[0] + 1e-15)):
+            best = (viol, u_flat, fwd.x.copy(), fwd.h.copy(), J, stat)
+        if converged:
             break
         if viol > opts.feas_tol:
             if mu < _PENALTY_MAX:
@@ -314,12 +373,9 @@ def solve(spec: OcpSpec) -> OcpSolution:
             # attainable gradient accuracy, so back it off for a polish pass
             mu = max(mu / _PENALTY_GROWTH, _PENALTY_INIT)
 
-    if not converged:
-        if best is None:
-            raise InfeasibleError(
-                "no iterate with a finite objective, violation and stationarity"
-            )
-        viol, u_flat, fwd, J, stat = best
+    if best is None:
+        raise InfeasibleError("no iterate with a finite objective, violation and stationarity")
+    viol, u_flat, x_pred, h_pred, J, stat = best
     if viol > opts.feas_tol:
         raise InfeasibleError(
             f"no feasible point found (best residual {viol:g})",
@@ -328,8 +384,8 @@ def solve(spec: OcpSpec) -> OcpSolution:
     return OcpSolution(
         spec=spec,
         u=u_flat.reshape(N, m),
-        x_pred=fwd.x,
-        h_pred=fwd.h,
+        x_pred=x_pred,
+        h_pred=h_pred,
         J=J,
         max_violation=viol,
         stationarity=stat,

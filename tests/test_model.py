@@ -242,6 +242,44 @@ def test_grid_points_respect_cap(monkeypatch, builtin):
     np.testing.assert_allclose(np.r_[ss.x_s, ss.u_s], [2.0, 1.0], atol=1e-6)
 
 
+def _pair_setup():
+    """Two decoupled copies of the builtin model: n = m = p = 2."""
+    model = SystemModel.from_expressions(
+        2, 2, ["x1 * u1", "x2 * u2"], "(x1 - 3)^2 + u1^2 + (x2 - 3)^2 + u2^2",
+        ["2*x1 + u1 - 5", "2*x2 + u2 - 5"], [-10.0] * 4, [10.0] * 4,
+    )
+    cert = DissipativityCertificate.from_expression(
+        2, "1.5 * (x1 - 2) + 1.5 * (x2 - 2)", [1.0, 1.0], 0.25, 2.0, 3.0)
+    ss = SteadyState(np.full(2, 2.0), np.ones(2), 4.0, np.zeros(2))
+    return model, cert, ss
+
+
+@pytest.mark.parametrize("density", [7, 8])
+def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, density):
+    for model, cert, ss in (builtin, _pair_setup()):
+        dim = model.n + model.m
+        # the former evaluation: every grid point in one batch
+        pts = _grid_points(model.z_lower, model.z_upper, density)
+        r = np.linalg.norm(pts - np.r_[ss.x_s, ss.u_s][:, None], axis=0)
+        rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
+        whole = float(np.min(rotated - cert.rho(r)))
+        assert check_dissipativity_grid(model, cert, ss, density).hex() == whole.hex()
+        # blocks of 10 columns: several, the last one partial for density 7;
+        # together they are the grid's columns in order
+        blocks = []
+
+        def recording(model, cert, ss, x, u):
+            blocks.append(np.vstack([x, u]))
+            return eval_rotated_stage_cost(model, cert, ss, x, u)
+
+        monkeypatch.setattr(model_mod, "_GRID_BLOCK", 10)
+        monkeypatch.setattr(model_mod, "eval_rotated_stage_cost", recording)
+        assert check_dissipativity_grid(model, cert, ss, density).hex() == whole.hex()
+        assert len(blocks) == -(-density**dim // 10) > 1
+        assert np.hstack(blocks).tobytes() == pts.tobytes()
+        monkeypatch.undo()
+
+
 def test_min_weighted_output_affine(builtin):
     model, cert, _ = builtin
     # h = 2x + u - 5 on [-10, 10]^2, lambda_bar = 1

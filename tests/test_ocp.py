@@ -7,14 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tacempc.errors import ConfigError, InfeasibleError
+from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.history import HistoryState, eq6_rhs, steady_history
-from tacempc.model import DissipativityCertificate, SteadyState, SystemModel
+from tacempc.model import (
+    DissipativityCertificate,
+    SteadyState,
+    SystemModel,
+    eval_rotated_stage_cost,
+    solve_steady_state,
+)
 from tacempc.ocp import (
     ORIGINAL,
     ROTATED,
     OcpSpec,
     SolverOptions,
+    _ConstraintRows,
     _Forward,
     _objective,
     _solver_constraints,
@@ -114,6 +121,60 @@ def test_eq6_bound_on_solutions(builtin, fig_history):
         sol = solve(_spec(builtin, N=N, T=T, x0=1.0 if H0 is None else 2.0, H0=H0))
         total = np.sum(sol.h_pred, axis=0)
         assert np.all(total <= eq6_rhs(sol.spec.H0, N) + 1e-6)
+
+
+def test_solver_counter_guard(builtin, fig_history):
+    """Pins the fig-history N = 12 original solve bit for bit.
+
+    Changes to the evaluation path (model callbacks, the rollout, the
+    objective and constraint assembly) must not move one rounding, and
+    this solve shows it in a fraction of a second: any moved bit changes
+    its L-BFGS-B path.  A deliberate solver change updates both numbers
+    here and says so in CHANGES.md.
+    """
+    sol = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history))
+    assert sol.converged
+    assert sol.iterations == 243
+    assert sol.J.hex() == "0x1.6b25878215442p+4"
+
+
+def _active_bound_spec(**kw):
+    """x+ = u with x in [-1, 1]: the steady state (1, 1) sits on the state
+    bound, and the solve from x0 = 0 stops at x = 1 + 8.75e-9, within
+    feas_tol but outside the box by more than 1e-9."""
+    model = SystemModel.from_expressions(
+        1, 1, ["u1"], "(x1 - 3)^2 + u1^2", ["x1 - 5"], [-1.0, -10.0], [1.0, 10.0]
+    )
+    ss = solve_steady_state(model)
+    cert = DissipativityCertificate.from_expression(1, "0", [0.0], 1.0, 2.0, 1.0)
+    return OcpSpec(model=model, cert=cert, ss=ss, N=6, T=2, x0=np.zeros(1),
+                   H0=steady_history(ss.h_s, 2), **kw)
+
+
+def test_rotated_identity_check_on_active_state_bound():
+    spec = _active_bound_spec()
+    sol = solve(spec)
+    assert sol.converged
+    assert 1.0 + 1e-9 < np.max(sol.x_pred) <= 1.0 + spec.options.feas_tol
+    assert rotated_identity_check(spec, sol.u) <= 1e-10
+    # the stage cost's own default tolerance (check 2's grid) stays 1e-9
+    with pytest.raises(DomainError):
+        eval_rotated_stage_cost(spec.model, spec.cert, spec.ss, sol.x_pred[:6].T, sol.u.T)
+
+
+@pytest.mark.parametrize("objective", [ORIGINAL, ROTATED])
+def test_solution_prediction_is_rollout_of_its_inputs(builtin, fig_history, objective):
+    # the solver's workspace is overwritten by every evaluation, so what a
+    # solution keeps must be its own copy
+    converged = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history, objective=objective))
+    # stat_tol out of reach: 20 multiplier updates, then the best iterate
+    best = solve(_active_bound_spec(objective=objective,
+                                    options=SolverOptions(stat_tol=1e-300)))
+    assert converged.converged and not best.converged
+    for sol in (converged, best):
+        fresh = _Forward(sol.spec, sol.u.copy())
+        assert sol.x_pred.tobytes() == fresh.x.tobytes()
+        assert sol.h_pred.tobytes() == fresh.h.tobytes()
 
 
 def test_open_loop_cost_matches_solution(builtin):
@@ -405,3 +466,19 @@ def test_finite_difference_model_solves_like_exact(builtin, fig_history):
     assert fd.converged and fd.max_violation <= fd.spec.options.feas_tol
     assert fd.J == pytest.approx(exact.J, rel=1e-8)
     np.testing.assert_allclose(fd.u, exact.u, atol=1e-4)
+
+
+@settings(max_examples=100)
+@given(_rollout_cases(), st.data())
+def test_workspace_reuse_matches_fresh_rollout(case, data):
+    spec, u1 = case
+    u2 = data.draw(hnp.arrays(float, u1.shape, elements=st.floats(-1.2, 1.2)))
+    fwd, rows = _Forward(spec), _ConstraintRows(spec)
+    for u in (u1, u2):
+        fwd(u)
+        g, Dg = _solver_constraints(spec, fwd, rows)
+    fresh = _Forward(spec, u2.copy())
+    for name in ("x", "h", "ell", "Sx", "Dh", "Dell"):
+        assert getattr(fwd, name).tobytes() == getattr(fresh, name).tobytes(), name
+    for name, got, expected in zip(("g", "Dg"), (g, Dg), _solver_constraints(spec, fresh)):
+        assert got.tobytes() == expected.tobytes(), name
