@@ -7,8 +7,8 @@ certificate (storage function, multiplier, polynomial margin) is checked
 on a grid, never synthesized.  The rotated stage cost has one evaluation,
 ``eval_rotated_stage_cost``, pointwise or over a batch of columns; the grid
 check and the rotated-cost identity both use it.  Grids over Z hold at most
-``_GRID_MAX_POINTS`` points; the grid check evaluates them in blocks of
-``_GRID_BLOCK`` columns.
+``_GRID_MAX_POINTS`` points; the steady-state search, the grid check and
+``min_weighted_output`` evaluate them in blocks of ``_GRID_BLOCK`` columns.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from scipy import optimize
 
 from . import exprlang
 from .errors import ConfigError, DomainError, InfeasibleError
+from .lbfgsb import lbfgsb
 
 _FD_STEP = 1e-7
 _STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
-_GRID_BLOCK = 2**16  # grid columns the dissipativity check evaluates at once
+_GRID_BLOCK = 2**16  # grid columns evaluated at once
 
 
 def _fd_jacobian(fn, x, u, out_dim):
@@ -294,33 +295,46 @@ def _grid_points(lower, upper, density):
     return np.array(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
 
 
+def _grid_blocks(lower, upper, density):
+    """The columns of ``_grid_points``, in order, ``_GRID_BLOCK`` at a time."""
+    axes = _grid_axes(lower, upper, density)
+    shape = tuple(len(axis) for axis in axes)
+    size = int(np.prod(shape))
+    for start in range(0, size, _GRID_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, size)), shape)
+        yield np.array([axis[i] for axis, i in zip(axes, index)])
+
+
 def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadyState:
     """Global steady-state search: dense grid over Z plus local refinement.
 
     Deterministic: grid candidates are ranked by cost with ties broken by
     lexicographic flat grid index, each refined with SLSQP.
     """
-    density = _grid_density(grid_density, model.n + model.m)
-    pts = _grid_points(model.z_lower, model.z_upper, density)
-    x_pts, u_pts = pts[: model.n], pts[model.n :]
+    n = model.n
+    density = _grid_density(grid_density, n + model.m)
     spacing = np.max((model.z_upper - model.z_lower) / max(density - 1, 1))
     grid_tol = max(spacing, _STEADY_FEAS_TOL)
 
-    f_vals = np.asarray(model.f(x_pts, u_pts))
-    h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
-    ell_vals = np.asarray(model.ell(x_pts, u_pts))
-    eq_res = np.max(np.abs(f_vals - x_pts), axis=0)
-    ineq_res = np.max(h_vals, axis=0)
-    mask = (eq_res <= grid_tol) & (ineq_res <= grid_tol)
-    if not np.any(mask):
+    # the cheapest candidates so far, ranked; a stable sort of them followed
+    # by a block's candidates (in grid order) keeps ties in flat index order
+    candidates, costs = np.empty((n + model.m, 0)), np.empty(0)
+    for pts in _grid_blocks(model.z_lower, model.z_upper, density):
+        x_pts, u_pts = pts[:n], pts[n:]
+        f_vals = np.asarray(model.f(x_pts, u_pts))
+        h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
+        ell_vals = np.asarray(model.ell(x_pts, u_pts))
+        eq_res = np.max(np.abs(f_vals - x_pts), axis=0)
+        ineq_res = np.max(h_vals, axis=0)
+        mask = (eq_res <= grid_tol) & (ineq_res <= grid_tol)
+        candidates = np.hstack([candidates, pts[:, mask]])
+        costs = np.concatenate([costs, ell_vals[mask]])
+        order = np.argsort(costs, kind="stable")[:_STEADY_CANDIDATES]
+        candidates, costs = candidates[:, order], costs[order]
+    if not costs.size:
         raise InfeasibleError("no steady-state candidate on the grid")
 
-    candidates = np.flatnonzero(mask)
-    order = np.argsort(ell_vals[candidates], kind="stable")
-    candidates = candidates[order][:_STEADY_CANDIDATES]
-
     bounds = list(zip(model.z_lower, model.z_upper))
-    n = model.n
 
     def objective(z):
         return float(model.ell(z[:n], z[n:]))
@@ -332,8 +346,7 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
         return -np.atleast_1d(np.asarray(model.h(z[:n], z[n:]), dtype=float))
 
     best = None
-    for idx in candidates:
-        z0 = pts[:, idx]
+    for z0 in candidates.T:
         res = optimize.minimize(
             objective,
             z0,
@@ -386,15 +399,9 @@ def check_dissipativity_grid(
     """
     if grid_density < 2:
         raise ConfigError("grid_density must be at least 2")
-    axes = _grid_axes(model.z_lower, model.z_upper, grid_density)
-    shape = tuple(len(axis) for axis in axes)
-    size = int(np.prod(shape))
     center = np.concatenate([ss.x_s, ss.u_s])[:, None]
     worst = []
-    # the points of _grid_points, _GRID_BLOCK columns at a time
-    for start in range(0, size, _GRID_BLOCK):
-        index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, size)), shape)
-        pts = np.array([axis[i] for axis, i in zip(axes, index)])
+    for pts in _grid_blocks(model.z_lower, model.z_upper, grid_density):
         r = np.linalg.norm(pts - center, axis=0)
         rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
         worst.append(np.min(rotated - cert.rho(r)))
@@ -404,13 +411,20 @@ def check_dissipativity_grid(
 def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> float:
     """theta_low = min over Z of lambda_bar.h.
 
-    Grid search followed by one L-BFGS-B refinement from the best grid
-    point; exact for outputs affine in (x, u) since the grid contains the
-    box vertices.
+    Grid search followed by one L-BFGS-B refinement from the first best
+    grid point; exact for outputs affine in (x, u) since the grid contains
+    the box vertices.
     """
     n = model.n
-    pts = _grid_points(model.z_lower, model.z_upper, _EXTREMES_GRID)
-    values = cert.lambda_bar @ np.atleast_2d(np.asarray(model.h(pts[:n], pts[n:])))
+    grid_min, z0 = np.inf, None
+    for pts in _grid_blocks(model.z_lower, model.z_upper, _EXTREMES_GRID):
+        h = np.atleast_2d(np.asarray(model.h(pts[:n], pts[n:])))
+        # elementwise, not lambda_bar @ h: a BLAS product's rounding of a
+        # column depends on the block it sits in
+        values = np.sum(cert.lambda_bar * h.T, axis=-1)
+        i = int(np.argmin(values))
+        if z0 is None or values[i] < grid_min:
+            grid_min, z0 = float(values[i]), pts[:, i]
 
     def weighted(z):
         return float(cert.lambda_bar @ np.atleast_1d(model.h(z[:n], z[n:])))
@@ -418,12 +432,5 @@ def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> f
     def fun(z):
         return weighted(z), cert.lambda_bar @ model.jac_h(z[:n], z[n:])
 
-    res = optimize.minimize(
-        fun,
-        pts[:, int(np.argmin(values))],
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(model.z_lower, model.z_upper)),
-        options={"maxiter": 200},
-    )
-    return min(weighted(res.x), float(np.min(values)))
+    res = lbfgsb(fun, z0, jac=True, bounds=list(zip(model.z_lower, model.z_upper)), maxiter=200)
+    return min(weighted(res.x), grid_min)

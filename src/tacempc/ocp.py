@@ -5,7 +5,9 @@ are recovered by forward simulation.  The admissible set combines three
 constraint families (pointwise box, partial windows anchored in the
 stored history, full windows inside the horizon).  The solver is an
 augmented Lagrangian over the inequality residuals with a projected
-quasi-Newton inner loop (L-BFGS-B on the input box).  One rollout with
+quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
+``lbfgsb.lbfgsb`` as the ``method`` of ``scipy.optimize.minimize``, so
+the objective is one Python frame below scipy's kernel.  One rollout with
 sensitivities (``_Forward``) serves the solver and the evaluation helpers
 ``constraint_residuals``, ``open_loop_cost`` and ``rotated_identity_check``.
 """
@@ -20,6 +22,7 @@ from scipy import optimize
 
 from .errors import ConfigError, InfeasibleError
 from .history import HistoryState, window_rows
+from .lbfgsb import lbfgsb
 from .model import (
     DissipativityCertificate,
     SteadyState,
@@ -100,7 +103,8 @@ class OcpSolution:
     J: float
     max_violation: float
     stationarity: float
-    iterations: int
+    iterations: int  # L-BFGS-B iterations, summed over the AL runs
+    nfev: int  # L-BFGS-B objective evaluations, summed over the AL runs
     converged: bool
 
 
@@ -322,7 +326,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
     # state-box rows for x_1..x_{N-1}, then one window row per step
     mult = np.zeros(rows.g.size)
     mu = _PENALTY_INIT
-    total_iters = 0
+    total_iters = total_nfev = 0
     # (viol, u_flat, x, h, J, stat): the converged iterate, or else the
     # least-violating finite one
     best = None
@@ -340,7 +344,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
             u_flat,
             args=(mult, mu, mult @ mult),
             jac=True,
-            method="L-BFGS-B",
+            method=lbfgsb,
             bounds=bounds,
             options={
                 "maxiter": _MAX_INNER,
@@ -349,7 +353,8 @@ def solve(spec: OcpSpec) -> OcpSolution:
                 "maxcor": 30,
             },
         )
-        total_iters += int(res.nit)
+        total_iters += res.nit
+        total_nfev += res.nfev
         u_flat = np.clip(res.x, lb, ub)
         J, DJ, g, Dg = evaluate(u_flat)
         viol = max(float(np.max(g)), 0.0)
@@ -390,5 +395,6 @@ def solve(spec: OcpSpec) -> OcpSolution:
         max_violation=viol,
         stationarity=stat,
         iterations=total_iters,
+        nfev=total_nfev,
         converged=converged,
     )

@@ -76,7 +76,7 @@ def test_turnpike_all_steady_trajectory(builtin):
         spec=spec, u=np.tile(ss.u_s, (6, 1)),
         x_pred=np.tile(ss.x_s, (7, 1)), h_pred=np.tile(ss.h_s, (6, 1)),
         J=6 * ss.ell_s, max_violation=0.0, stationarity=0.0,
-        iterations=0, converged=True,
+        iterations=0, nfev=0, converged=True,
     )
     rep = turnpike_report(steady, ss, cert, 0.05)
     assert rep.Q == 6

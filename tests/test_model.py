@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -278,6 +280,46 @@ def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, density
         assert len(blocks) == -(-density**dim // 10) > 1
         assert np.hstack(blocks).tobytes() == pts.tobytes()
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("density", [7, 8])
+def test_steady_state_and_weighted_output_blocks_match_one_block(monkeypatch, builtin, density):
+    # the SLSQP starts (the ranked steady-state candidates) and the L-BFGS-B
+    # start of min_weighted_output (its first best grid point)
+    starts, refinements = [], []
+    minimize, lbfgsb = model_mod.optimize.minimize, model_mod.lbfgsb
+    monkeypatch.setattr(model_mod.optimize, "minimize",
+                        lambda fun, z0, **kw: starts.append(z0) or minimize(fun, z0, **kw))
+    monkeypatch.setattr(model_mod, "lbfgsb",
+                        lambda fun, z0, **kw: refinements.append(z0) or lbfgsb(fun, z0, **kw))
+    monkeypatch.setattr(model_mod, "_EXTREMES_GRID", density)
+    model, cert, _ = _pair_setup()
+    # lambda_bar = (1, 0) ties the weighted output across x2 and u2
+    tied = dataclasses.replace(cert, lambda_bar=np.array([1.0, 0.0]))
+    for model, cert, _ in (builtin, (model, cert, None), (model, tied, None)):
+        # the former ranking: the whole grid at once, ties by flat index
+        pts = _grid_points(model.z_lower, model.z_upper, density)
+        x, u = pts[: model.n], pts[model.n :]
+        grid_tol = np.max((model.z_upper - model.z_lower) / (density - 1))
+        feasible = (np.max(np.abs(model.f(x, u) - x), axis=0) <= grid_tol) & (
+            np.max(np.atleast_2d(model.h(x, u)), axis=0) <= grid_tol)
+        ranked = np.flatnonzero(feasible)
+        ranked = ranked[np.argsort(model.ell(x, u)[ranked], kind="stable")][:10]
+        weighted = np.sum(cert.lambda_bar * np.atleast_2d(model.h(x, u)).T, axis=-1)
+        results = []
+        for block in (model_mod._GRID_BLOCK, 10):
+            monkeypatch.setattr(model_mod, "_GRID_BLOCK", block)
+            starts.clear()
+            ss = solve_steady_state(model, grid_density=density)
+            assert np.array(starts).tobytes() == pts[:, ranked].T.tobytes()
+            results.append((np.r_[ss.x_s, ss.u_s, ss.ell_s, ss.h_s].tobytes(),
+                            min_weighted_output(model, cert).hex()))
+            assert refinements[-1].tobytes() == pts[:, np.argmin(weighted)].tobytes()
+        assert density ** (model.n + model.m) > 10
+        assert results[0] == results[1]
+    # the pair model's symmetric cost ties candidates
+    assert len(set(model.ell(x, u)[ranked])) < len(ranked)
+    assert np.count_nonzero(weighted == weighted.min()) > 10
 
 
 def test_min_weighted_output_affine(builtin):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tacempc import ocp
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.history import HistoryState, eq6_rhs, steady_history
 from tacempc.model import (
@@ -482,3 +483,23 @@ def test_workspace_reuse_matches_fresh_rollout(case, data):
         assert getattr(fwd, name).tobytes() == getattr(fresh, name).tobytes(), name
     for name, got, expected in zip(("g", "Dg"), (g, Dg), _solver_constraints(spec, fresh)):
         assert got.tobytes() == expected.tobytes(), name
+
+
+def test_solution_counts_solver_evaluations(builtin, fig_history, monkeypatch):
+    # nfev and iterations sum L-BFGS-B's objective calls and iterations
+    # over the augmented-Lagrangian runs
+    evaluations, nit = [0], [0]
+    minimize = ocp.optimize.minimize
+
+    def counting(fun, x0, **kw):
+        def counted(*args):
+            evaluations[0] += 1
+            return fun(*args)
+
+        res = minimize(counted, x0, **kw)
+        nit[0] += res.nit
+        return res
+
+    monkeypatch.setattr(ocp.optimize, "minimize", counting)
+    sol = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history))
+    assert sol.nfev == evaluations[0] > sol.iterations == nit[0] > 0
