@@ -155,14 +155,7 @@ def _resolve_steady_state(model, data: dict) -> SteadyState:
     given = data.get("steady_state")
     if given is None:
         return solve_steady_state(model)
-    x_s = np.atleast_1d(np.asarray(given["x"], dtype=float))
-    u_s = np.atleast_1d(np.asarray(given["u"], dtype=float))
-    return SteadyState(
-        x_s=x_s,
-        u_s=u_s,
-        ell_s=float(model.ell(x_s, u_s)),
-        h_s=np.atleast_1d(np.asarray(model.h(x_s, u_s), dtype=float)),
-    )
+    return SteadyState.at(model, given["x"], given["u"])
 
 
 def parse_history(spec, model, ss, T: int) -> HistoryState:

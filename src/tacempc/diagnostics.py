@@ -8,7 +8,7 @@ into the per-step function What and its T-step forward sum W, which is
 practically decreasing along the closed loop even when the rotated
 value function alone is not; ``decrease_check`` is the one test of that
 property, for W and for any other series.  Grids over the state box come
-from ``model._grid_points``, and theta_low from ``model.min_weighted_output``.
+from ``model._grid_blocks``, and theta_low from ``model.min_weighted_output``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .history import (
     window_deficit,
     window_rows,
 )
-from .model import DissipativityCertificate, SteadyState, _grid_points, min_weighted_output
+from .model import DissipativityCertificate, SteadyState, _grid_blocks, min_weighted_output
 from .ocp import OcpSolution
 
 
@@ -53,8 +53,8 @@ class TurnpikeReport:
 
 
 def _storage_sup(cert: DissipativityCertificate, model) -> float:
-    pts = _grid_points(model.x_lower, model.x_upper, 101)
-    return float(np.max(np.abs(np.asarray(cert.lam(pts)))))
+    blocks = _grid_blocks(model.x_lower, model.x_upper, 101)
+    return max(float(np.max(np.abs(np.asarray(cert.lam(pts))))) for pts in blocks)
 
 
 def turnpike_report(

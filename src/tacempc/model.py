@@ -7,8 +7,8 @@ certificate (storage function, multiplier, polynomial margin) is checked
 on a grid, never synthesized.  The rotated stage cost has one evaluation,
 ``eval_rotated_stage_cost``, pointwise or over a batch of columns; the grid
 check and the rotated-cost identity both use it.  Grids over Z hold at most
-``_GRID_MAX_POINTS`` points; the steady-state search, the grid check and
-``min_weighted_output`` evaluate them in blocks of ``_GRID_BLOCK`` columns.
+``_GRID_MAX_POINTS`` points, and every grid user evaluates them in blocks
+of ``_GRID_BLOCK`` columns from ``_grid_blocks``.
 """
 
 from __future__ import annotations
@@ -234,6 +234,14 @@ class SteadyState:
     ell_s: float
     h_s: np.ndarray
 
+    @classmethod
+    def at(cls, model: SystemModel, x_s, u_s) -> "SteadyState":
+        """The steady state (x_s, u_s) of ``model`` with its ell_s and h_s."""
+        x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
+        u_s = np.atleast_1d(np.asarray(u_s, dtype=float))
+        h_s = np.atleast_1d(np.asarray(model.h(x_s, u_s), dtype=float))
+        return cls(x_s=x_s, u_s=u_s, ell_s=float(model.ell(x_s, u_s)), h_s=h_s)
+
 
 def validate_certificate(cert: DissipativityCertificate, ss: SteadyState, tol=1e-8):
     """Reject certificates whose normalization does not match the steady-state.
@@ -283,21 +291,12 @@ def _grid_density(density, dim):
     return k
 
 
-def _grid_axes(lower, upper, density):
-    """Per-axis coordinates of the grid: k = _grid_density(density, dim) each."""
-    k = _grid_density(density, len(lower))
-    return [np.linspace(lo, hi, k) for lo, hi in zip(lower, upper)]
-
-
-def _grid_points(lower, upper, density):
-    """(dim, k**dim) grid over the box, k = _grid_density(density, dim)."""
-    axes = _grid_axes(lower, upper, density)
-    return np.array(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
-
-
 def _grid_blocks(lower, upper, density):
-    """The columns of ``_grid_points``, in order, ``_GRID_BLOCK`` at a time."""
-    axes = _grid_axes(lower, upper, density)
+    """The k**dim points of the grid over the box, k = _grid_density(density,
+    dim) per axis, as (dim, <= _GRID_BLOCK) blocks of columns in flat
+    index order (the last axis varies fastest)."""
+    k = _grid_density(density, len(lower))
+    axes = [np.linspace(lo, hi, k) for lo, hi in zip(lower, upper)]
     shape = tuple(len(axis) for axis in axes)
     size = int(np.prod(shape))
     for start in range(0, size, _GRID_BLOCK):
@@ -375,14 +374,8 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
         raise InfeasibleError(
             "no steady-state satisfied the feasibility tolerance after refinement"
         )
-    cost, z = best
-    x_s, u_s = z[:n].copy(), z[n:].copy()
-    return SteadyState(
-        x_s=x_s,
-        u_s=u_s,
-        ell_s=float(model.ell(x_s, u_s)),
-        h_s=np.atleast_1d(np.asarray(model.h(x_s, u_s), dtype=float)),
-    )
+    z = best[1]
+    return SteadyState.at(model, z[:n], z[n:])
 
 
 def check_dissipativity_grid(

@@ -317,11 +317,18 @@ def solve(spec: OcpSpec) -> OcpSolution:
     fwd = _Forward(spec)
     rows = _ConstraintRows(spec)
     lam_x0 = float(spec.cert.lam(spec.x0)) if spec.objective == ROTATED else None
+    last_key = last = None
 
     def evaluate(uf):
-        fwd(uf.reshape(N, m))
-        J, DJ = _objective(spec, fwd, lam_x0)
-        return (J, DJ) + _solver_constraints(spec, fwd, rows)
+        # a repeat of the last point (after each run and at the start of
+        # the next) reuses its values, which the workspace still holds
+        nonlocal last_key, last
+        key = uf.tobytes()
+        if key != last_key:
+            fwd(uf.reshape(N, m))
+            last_key = key
+            last = _objective(spec, fwd, lam_x0) + _solver_constraints(spec, fwd, rows)
+        return last
 
     # state-box rows for x_1..x_{N-1}, then one window row per step
     mult = np.zeros(rows.g.size)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tacempc import model as model_mod
 from tacempc.closedloop import simulate
 from tacempc.diagnostics import (
+    _storage_sup,
     decrease_check,
     lyapunov_trace,
     remark2_bound,
@@ -10,6 +12,7 @@ from tacempc.diagnostics import (
 )
 from tacempc.errors import DomainError
 from tacempc.history import HistoryState, positive_part_measure, steady_history
+from tacempc.model import DissipativityCertificate
 from tacempc.ocp import ORIGINAL, OcpSolution, OcpSpec, solve
 
 
@@ -54,6 +57,14 @@ def test_turnpike_constants(builtin):
     assert rep.delta == pytest.approx(delta, abs=1e-9)
     # k_{T,N} = 2 leftover steps for N = 10, T = 3
     assert rep.C_prime == pytest.approx(delta + 36.0 + 2 * 35.0, abs=1e-6)
+
+
+def test_storage_sup_reads_every_block(builtin, monkeypatch):
+    # |x1 + 1| peaks at the last of the 101 grid points, x1 = 10
+    model = builtin[0]
+    cert = DissipativityCertificate.from_expression(1, "x1 + 1", [0.0], 1.0, 2.0, 1.0)
+    monkeypatch.setattr(model_mod, "_GRID_BLOCK", 10)
+    assert _storage_sup(cert, model) == 11.0
 
 
 def test_turnpike_grows_with_horizon(builtin):

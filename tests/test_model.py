@@ -14,8 +14,8 @@ from tacempc.model import (
     SteadyState,
     SystemModel,
     _fd_jacobian,
+    _grid_blocks,
     _grid_density,
-    _grid_points,
     check_dissipativity_grid,
     eval_rotated_stage_cost,
     min_weighted_output,
@@ -228,14 +228,23 @@ def test_grid_density_cap():
     assert _grid_density(201, 7) == 10  # 10^7 exactly
 
 
+def _meshgrid(lower, upper, density):
+    """The whole grid in one (dim, k**dim) array, kept as the oracle of the
+    block order: np.meshgrid with "ij" indexing, flattened."""
+    k = _grid_density(density, len(lower))
+    axes = [np.linspace(lo, hi, k) for lo, hi in zip(lower, upper)]
+    return np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+
+
 def test_grid_points_respect_cap(monkeypatch, builtin):
     monkeypatch.setattr(model_mod, "_GRID_MAX_POINTS", 1000)
     lower, upper = -np.ones(4), np.ones(4)
-    pts = _grid_points(lower, upper, 101)
+    pts = np.hstack(list(_grid_blocks(lower, upper, 101)))
     assert pts.shape == (4, 5**4)  # 6^4 = 1296 > 1000
+    assert pts.tobytes() == _meshgrid(lower, upper, 101).tobytes()
     assert {tuple(c) for c in pts.T} >= {(-1.0,) * 4, (1.0,) * 4}
-    assert _grid_points(lower[:3], upper[:3], 101).shape == (3, 10**3)
-    assert _grid_points(lower[:2], upper[:2], 21).shape == (2, 21**2)
+    assert np.hstack(list(_grid_blocks(lower[:3], upper[:3], 101))).shape == (3, 10**3)
+    assert np.hstack(list(_grid_blocks(lower[:2], upper[:2], 21))).shape == (2, 21**2)
     # a capped search (6 points per axis, spacing 4) takes its candidate
     # tolerance from the coarser grid: no grid point is within 2 of a steady state
     model, _, _ = builtin
@@ -261,7 +270,7 @@ def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, density
     for model, cert, ss in (builtin, _pair_setup()):
         dim = model.n + model.m
         # the former evaluation: every grid point in one batch
-        pts = _grid_points(model.z_lower, model.z_upper, density)
+        pts = _meshgrid(model.z_lower, model.z_upper, density)
         r = np.linalg.norm(pts - np.r_[ss.x_s, ss.u_s][:, None], axis=0)
         rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
         whole = float(np.min(rotated - cert.rho(r)))
@@ -298,7 +307,7 @@ def test_steady_state_and_weighted_output_blocks_match_one_block(monkeypatch, bu
     tied = dataclasses.replace(cert, lambda_bar=np.array([1.0, 0.0]))
     for model, cert, _ in (builtin, (model, cert, None), (model, tied, None)):
         # the former ranking: the whole grid at once, ties by flat index
-        pts = _grid_points(model.z_lower, model.z_upper, density)
+        pts = _meshgrid(model.z_lower, model.z_upper, density)
         x, u = pts[: model.n], pts[model.n :]
         grid_tol = np.max((model.z_upper - model.z_lower) / (density - 1))
         feasible = (np.max(np.abs(model.f(x, u) - x), axis=0) <= grid_tol) & (

@@ -139,6 +139,30 @@ def test_solver_counter_guard(builtin, fig_history):
     assert sol.J.hex() == "0x1.6b25878215442p+4"
 
 
+def test_repeated_point_is_not_rolled_out_again(builtin, fig_history, monkeypatch):
+    # the point a run returns is evaluated for the multiplier update and
+    # again as the next run's start; neither repeat may cost a rollout
+    rolled, calls = [], []
+    rollout, minimize = _Forward.__call__, ocp.optimize.minimize
+
+    def counting_rollout(self, u):
+        rolled.append(u.tobytes())
+        return rollout(self, u)
+
+    def counting_minimize(fun, *args, **kwargs):
+        res = minimize(fun, *args, **kwargs)
+        calls.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(_Forward, "__call__", counting_rollout)
+    monkeypatch.setattr(ocp.optimize, "minimize", counting_minimize)
+    sol = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history))
+    assert sol.converged and len(calls) > 1
+    assert all(a != b for a, b in zip(rolled, rolled[1:]))
+    # one rollout per objective call plus one per run, less the repeats
+    assert len(rolled) < sum(calls) + len(calls)
+
+
 def _active_bound_spec(**kw):
     """x+ = u with x in [-1, 1]: the steady state (1, 1) sits on the state
     bound, and the solve from x0 = 0 stops at x = 1 + 8.75e-9, within
@@ -309,12 +333,26 @@ def _assembly_cases(draw):
     return spec, fwd
 
 
+# h = (inf, 1, 1) with T = 2: the full window starting at step 1 is inf - inf
+_INF_WINDOW_CASE = (
+    SimpleNamespace(
+        model=SimpleNamespace(n=1, m=1, p=1, x_lower=np.zeros(1), x_upper=np.ones(1)),
+        N=3, T=2, H0=HistoryState(np.zeros((1, 1)), T=2),
+    ),
+    SimpleNamespace(x=np.zeros((4, 1)), h=np.array([[np.inf], [1.0], [1.0]]),
+                    Sx=np.zeros((4, 1, 3)), Dh=np.zeros((3, 1, 3))),
+)
+
+
 @given(_assembly_cases())
+@example(_INF_WINDOW_CASE)
 def test_constraint_assembly_matches_loops(case):
     spec, fwd = case
-    want_g, want_Dg = _loop_constraints(spec, fwd)
     with np.errstate(invalid="ignore", over="ignore"):
+        want_g, want_Dg = _loop_constraints(spec, fwd)
         g, Dg = _solver_constraints(spec, fwd)
+    if spec is _INF_WINDOW_CASE[0]:
+        assert np.isnan(g[-1])
     assert _same_bits(g, want_g)
     assert _same_bits(Dg, want_Dg)
 
