@@ -27,6 +27,17 @@ thin wrappers over the compiled functions, cached per node.
 ``kernel`` compiles a sequence of expressions into one function that
 runs their per-expression code in turn and stores the values, or the
 gradients, in one array; a model callback is one such kernel.
+
+``rollout`` compiles the dynamics into the state recursion
+``x_{k+1} = f(x_k, u_k)`` over a whole input sequence: one Python frame
+that steps Python floats (``tolist`` in, one array store out) instead of
+calling the ``f`` kernel once per step on numpy scalars.  Its per-step
+code is the value code of ``kernel``, so every state is bit for bit what
+stepping the kernel gives.  The two places where Python floats and numpy
+scalars differ are bound to the numpy behaviour: each ``^`` is numpy's
+float64 scalar power (libm ``pow``), so an overflow gives inf (and
+numpy's warning) where Python's ``**`` would raise OverflowError, and a
+division by zero raises EvalError at the same inputs.
 """
 
 from __future__ import annotations
@@ -294,6 +305,18 @@ def _pow(a, k):
     return a**k
 
 
+def _scalar_pow(a, k):
+    """a ** k on a Python float through numpy's float64 scalar power, as a
+    kernel computes it at a point of a numpy array: libm pow, inf on
+    overflow."""
+    return float(np.float64(a) ** k)
+
+
+def _scalar_nonzero(b):
+    if b == 0:
+        raise EvalError("division by zero")
+
+
 def _batch_shape(x):
     """The trailing batch shape of an argument: () at a point."""
     try:
@@ -334,12 +357,17 @@ class _Codegen:
         self.lines.append(f"{name} = {rhs}")
         return name
 
-    def build(self, result):
-        body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def compiled(x, u):\n{body}    return {result}\n"
+    def body(self, indent):
+        return "".join(f"{indent}{line}\n" for line in self.lines)
+
+    def define(self, source):
+        """The function ``compiled`` that ``source`` defines over the bindings."""
         namespace = dict(self.names)
         exec(compile(source, "<exprlang>", "exec"), namespace)  # noqa: S102
         return namespace["compiled"]
+
+    def build(self, result):
+        return self.define(f"def compiled(x, u):\n{self.body('    ')}    return {result}\n")
 
 
 def _var(e: Var) -> str:
@@ -496,6 +524,32 @@ def kernel(exprs, n: int, m: int, gradient: bool = False):
     gen.lines.append(f"out = _empty({shape} + _batch_shape(x))")
     gen.lines += [f"out[{index}] = {name}" for index, name in stores]
     return gen.build("out")
+
+
+def rollout(exprs):
+    """Compiled state recursion ``(x0, u, out)`` of the dynamics ``exprs``.
+
+    x0 is the start state (n,) for n = len(exprs), u the inputs (N, m), and
+    out a flat array of N * n entries: one assignment stores x_1..x_N in
+    it, with x_{k+1} = f(x_k, u_k) for f the value kernel of ``exprs``.
+    The recursion runs on Python floats; powers and division checks behave
+    as at a point of the kernel, so out holds the kernel's states bit for
+    bit, and an EvalError raised at any step leaves out untouched.
+    """
+    gen = _Codegen()
+    gen.names.update(_pow=_scalar_pow, _check_nonzero=_scalar_nonzero)
+    states = [_value_code(e, gen) for e in exprs]
+    return gen.define(
+        "def compiled(x0, us, out):\n"
+        "    x = x0.tolist()\n"
+        "    rows = []\n"
+        "    push = rows.extend\n"
+        "    for u in us.tolist():\n"
+        f"{gen.body('        ')}"
+        f"        x = [{', '.join(states)}]\n"
+        "        push(x)\n"
+        "    out[:] = rows\n"
+    )
 
 
 def eval(e: Expr, x, u):  # noqa: A001 - name fixed by the public API

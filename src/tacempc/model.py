@@ -143,7 +143,9 @@ class SystemModel:
         Every callback is compiled here, once, into one kernel (see
         ``exprlang.kernel``; ell is its expression's value function); the
         callables broadcast over a batch axis bit for bit like pointwise
-        calls.
+        calls.  ``f`` carries the compiled state recursion of its
+        expressions as ``f.rollout`` (see ``exprlang.rollout``), which the
+        OCP rollout runs in place of stepping ``f``.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
@@ -151,6 +153,8 @@ class SystemModel:
         ell_expr = exprlang.parse(ell_source, n, m)
         h_exprs = [exprlang.parse(s, n, m) for s in h_sources]
         ell_value = exprlang.value_function(ell_expr)
+        f = exprlang.kernel(f_exprs, n, m)
+        f.rollout = exprlang.rollout(f_exprs)
 
         def ell(x, u):
             value = ell_value(x, u)
@@ -160,7 +164,7 @@ class SystemModel:
             n=n,
             m=m,
             p=len(h_exprs),
-            f=exprlang.kernel(f_exprs, n, m),
+            f=f,
             ell=ell,
             h=exprlang.kernel(h_exprs, n, m),
             z_lower=np.asarray(z_lower, dtype=float),

@@ -10,6 +10,10 @@ quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
 the objective is one Python frame below scipy's kernel.  One rollout with
 sensitivities (``_Forward``) serves the solver and the evaluation helpers
 ``constraint_residuals``, ``open_loop_cost`` and ``rotated_identity_check``.
+Its two per-step loops stay off numpy's per-call overhead: the states come
+from the model's compiled recursion ``f.rollout`` when f carries one
+(models built from expressions), and each sensitivity step calls BLAS
+through ``ndarray.dot``.
 """
 
 from __future__ import annotations
@@ -114,18 +118,26 @@ class _Forward:
     Its buffers depend only on the spec, so a solve builds one and each
     call ``fwd(u)`` overwrites x, h, ell, Sx, Dh and Dell in place; a
     result kept past the next call must be copied.  ``_Forward(spec, u)``
-    is a one-off workspace rolled out once.  Only the state recursion
-    steps through f; ell, h and the Jacobians are evaluated once over the
+    is a one-off workspace rolled out once.  Only the state recursion is
+    sequential.  When ``model.f`` carries a compiled recursion
+    (``f.rollout``, see ``exprlang.rollout``) it computes x_1..x_N in one
+    call, bit for bit the states of stepping f; any other f (a plain
+    callable, or one swapped in with ``dataclasses.replace``, such as a
+    tracing wrapper) is stepped once per stage.  The choice is made once
+    per workspace.  ell, h and the Jacobians are evaluated once over the
     whole (n, N) trajectory and copied into step-major (N, rows, n + m)
     C-contiguous buffers.  Dz (N + 1, n + m, N * m) holds d z_k / d u for
     z_k = (x_k, u_k): selector rows for u_k, set once, and one product
-    f_z(z_k) @ Dz[k] per step for x_{k+1}; Sx is Dz[:, :n].  The selector
-    adds only exact zeros, but a non-finite Jacobian entry (|x| > 1e308)
-    spreads to the other columns as NaN (inf * 0).
+    f_z(z_k) @ Dz[k] per step for x_{k+1}, written by ``fz.dot(Dz[k],
+    out)``: BLAS called directly, about half the cost of the ``np.matmul``
+    ufunc on these small C-contiguous blocks and the same bits; Sx is
+    Dz[:, :n].  The selector adds only exact zeros, but a non-finite
+    Jacobian entry (|x| > 1e308) spreads to the other columns as NaN
+    (inf * 0).
     """
 
-    __slots__ = ("model", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_next", "_xs",
-                 "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows", "_Dell_rows")
+    __slots__ = ("model", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_rollout", "_next",
+                 "_xs", "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows", "_Dell_rows")
 
     def __init__(self, spec: OcpSpec, u: Optional[np.ndarray] = None):
         model = spec.model
@@ -135,7 +147,11 @@ class _Forward:
         self._x0 = spec.x0
         self.x = np.empty((N + 1, n))
         self.x[0] = spec.x0
-        self._next = list(self.x[1:])  # row views x_1..x_N
+        self._rollout = getattr(model.f, "rollout", None)
+        if self._rollout is None:
+            self._next = list(self.x[1:])  # row views x_1..x_N, one per f step
+        else:
+            self._next = self.x[1:].reshape(-1)  # x_1..x_N flat, one store
         self._xs = self.x[:N].T
         self.h = np.empty((N, p))
         self.ell = np.empty(N)
@@ -157,9 +173,12 @@ class _Forward:
     def __call__(self, u: np.ndarray) -> "_Forward":
         """Roll out the inputs u (N, m) into this workspace."""
         model = self.model
-        f, x = model.f, self._x0
-        for row, uk in zip(self._next, u):
-            x = row[...] = f(x, uk)
+        if self._rollout is not None:
+            self._rollout(self._x0, u, self._next)
+        else:
+            f, x = model.f, self._x0
+            for row, uk in zip(self._next, u):
+                x = row[...] = f(x, uk)
         xs, us = self._xs, u.T  # (n, N), (m, N)
         self.h[:] = np.atleast_2d(model.h(xs, us)).T
         self.ell[:] = model.ell(xs, us)
@@ -167,7 +186,7 @@ class _Forward:
         np.copyto(self._lz, model.grad_ell(xs, us).T)
         np.copyto(self._hz, model.jac_h(xs, us).transpose(2, 0, 1))
         for fz, Dz, out in self._steps:
-            np.matmul(fz, Dz, out)
+            fz.dot(Dz, out)
         np.matmul(self._lz_rows, self._Dz, self._Dell_rows)
         np.matmul(self._hz, self._Dz, self.Dh)
         return self

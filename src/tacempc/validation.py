@@ -239,9 +239,14 @@ def _completed(trace: Optional[ClosedLoopTrace]) -> ClosedLoopTrace:
 
 
 @_check("10a", "first closed-loop Lyapunov value")
-def _first_lyapunov_value(lt):
+def _first_lyapunov_value(lt, tr):
+    # W(0) = sum Jtilde*(0..T-1) + c * sum V(0..T-1), each part printed
     rel = abs(lt.W[0] - FIG_W0) / FIG_W0
-    return rel <= 0.05, f"W(0) = {lt.W[0]:.6f}, reference {FIG_W0:.6f}, relative error {rel:.3f}"
+    last = tr.T - 1
+    parts = (f"sum Jtilde*(0..{last}) {np.sum(tr.Jtildestar[: tr.T]):.4f} + "
+             f"c 1/{1 / lt.c:.6g} * sum V(0..{last}) {np.sum(lt.V[: tr.T]):.2f}")
+    return rel <= 0.05, (f"W(0) = {lt.W[0]:.6f} = {parts}, reference {FIG_W0:.6f}, "
+                         f"relative error {rel:.3f}")
 
 
 @_check("10b", "rotated value after one step")
@@ -266,7 +271,7 @@ def check_closed_loop(trace: Optional[ClosedLoopTrace] = None) -> List[CheckResu
     """Criteria 10a-10d on the reference closed-loop run."""
     tr = _shared(_completed, trace)
     lt = _shared(lambda run: lyapunov_trace(run, run.cert, run.ss), tr)
-    return [_first_lyapunov_value(lt), _rotated_value_after_one_step(tr),
+    return [_first_lyapunov_value(lt, tr), _rotated_value_after_one_step(tr),
             _lyapunov_decreasing(lt), _rotated_value_not_monotone(tr)]
 
 

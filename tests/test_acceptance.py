@@ -111,6 +111,17 @@ def test_criterion_10a_first_lyapunov_value(closed_loop_checks):
     assert r.passed, r.detail
 
 
+def test_first_lyapunov_value_prints_its_decomposition(closed_loop_checks):
+    # the 10a detail shows W(0) = sum Jtilde*(0..5) + c * sum V(0..5), so
+    # the known gap can be read off the row
+    detail = closed_loop_checks["10a"].detail
+    match = re.match(r"W\(0\) = (\S+) = sum Jtilde\*\(0\.\.5\) (\S+) \+ "
+                     r"c 1/240 \* sum V\(0\.\.5\) (\S+), reference", detail)
+    assert match, detail
+    W0, jtilde, V = map(float, match.groups())
+    assert jtilde + V / 240 == pytest.approx(W0, abs=1e-4)
+
+
 def test_criterion_10b_rotated_value_after_one_step(closed_loop_checks):
     r = closed_loop_checks["10b"]
     assert r.passed, r.detail

@@ -434,3 +434,47 @@ def test_kernels_match_per_expression_functions(case, data):
                 expected = expected[0]
             assert got[1].shape == expected.shape, name
             assert _bits_equal(got[1], expected), name
+
+
+# ---------------------------------------------------------------------------
+# Rollout: the compiled state recursion of a dynamics kernel
+
+
+@st.composite
+def _recursions(draw):
+    """(dynamics, x0 (n,), inputs (N, m)) for n states and m inputs."""
+    n, m, N = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    exprs = draw(st.lists(_exprs(n, m), min_size=n, max_size=n))
+    x0 = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    u = draw(st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=N, max_size=N))
+    return exprs, np.array(x0), np.array(u)
+
+
+def _stepped(kernel, x0, u):
+    """The states x_1..x_N of stepping the kernel at numpy points."""
+    states, x = [], x0
+    for uk in u:
+        x = kernel(x, uk)
+        states.append(x)
+    return np.concatenate(states)
+
+
+@settings(max_examples=300)
+@given(_recursions())
+# x_1 = 1e200, then numpy's scalar power overflows to inf where a Python
+# float power raises OverflowError
+@example(([parse("x1^3 + u1", 1, 1)], np.array([1e200 ** (1 / 3)]), np.zeros((2, 1))))
+@example(([parse("x1 / u1", 1, 1)], np.array([1.0]), np.array([[2.0], [0.0], [2.0]])))
+def test_rollout_matches_stepping_the_kernel(case):
+    exprs, x0, u = case
+    n, m = len(x0), u.shape[1]
+    want = _outcome(_stepped, exprlang.kernel(exprs, n, m), x0, u)
+    untouched = np.full(u.shape[0] * n, 7.0)
+    out = untouched.copy()
+    got = _outcome(exprlang.rollout(exprs), x0, u, out)
+    assert got[0] == want[0]
+    if want[0] == "raised":
+        assert got[1] is want[1] is EvalError
+        assert out.tobytes() == untouched.tobytes()
+    else:
+        assert _bits_equal(out, want[1])

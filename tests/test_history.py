@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tacempc.errors import DomainError
 from tacempc.history import (
@@ -13,6 +16,7 @@ from tacempc.history import (
     shift_update,
     steady_history,
     window_deficit,
+    window_rows,
 )
 
 
@@ -161,3 +165,22 @@ def test_eq6_window_partition_property():
 def test_steady_history_fill():
     H = steady_history([-2.0], 3)
     np.testing.assert_array_equal(H.columns, [[-2.0, -2.0]])
+
+
+@given(st.integers(1, 3), st.integers(2, 6), st.data())
+def test_shift_updates_compose(p, T, data):
+    # T - 1 pushes replace the whole history; each partial window over the
+    # pushed outputs, headed by the start history's tail sums, is that
+    # output plus the column sum of the history it was pushed onto
+    values = st.floats(-1e3, 1e3)
+    H0 = HistoryState(data.draw(hnp.arrays(float, (p, T - 1), elements=values)), T=T)
+    pushed = data.draw(hnp.arrays(float, (T - 1, p), elements=values))
+    before = [H0]
+    for y in pushed:
+        before.append(shift_update(before[-1], y))
+    assert before[-1].columns.tobytes() == np.ascontiguousarray(pushed.T).tobytes()
+    windows = window_rows(np.cumsum(pushed, axis=0), T, H0.tail_sums)
+    for y, H, window in zip(pushed, before, windows):
+        expected = y + H.columns.sum(axis=1)
+        scale = np.abs(y) + np.abs(H.columns).sum(axis=1)
+        assert np.all(np.abs(window - expected) <= 1e-12 * scale)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from tacempc import ocp
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
+from tacempc.exprlang import EvalError
 from tacempc.history import HistoryState, eq6_rhs, steady_history
 from tacempc.model import (
     DissipativityCertificate,
@@ -139,6 +140,20 @@ def test_solver_counter_guard(builtin, fig_history):
     assert sol.J.hex() == "0x1.6b25878215442p+4"
 
 
+def test_long_horizon_counter_guard(builtin):
+    """Pins check 9's N = 30, T = 3 solve from x0 = 1 bit for bit.
+
+    The per-step parts of the rollout (the state recursion and the
+    sensitivity products) weigh most at long horizons; like
+    ``test_solver_counter_guard``, any moved rounding changes this
+    solve's L-BFGS-B path.
+    """
+    sol = solve(_spec(builtin, N=30, T=3, x0=1.0))
+    assert sol.converged
+    assert (sol.iterations, sol.nfev) == (2409, 2964)
+    assert sol.J.hex() == "0x1.036d76ca586bcp+6"
+
+
 def test_repeated_point_is_not_rolled_out_again(builtin, fig_history, monkeypatch):
     # the point a run returns is evaluated for the multiplier update and
     # again as the next run's start; neither repeat may cost a rollout
@@ -248,6 +263,7 @@ def test_infeasible_history_raises(builtin):
     ("ell", np.nan),  # J NaN
     ("ell", np.inf),  # J inf, so the scale-relative stationarity reads 0
     ("ell_grad", np.nan),  # J and violation finite, stationarity NaN
+    ("f", np.nan),  # states NaN: the replacement is stepped, not compiled
 ])
 def test_non_finite_solve_raises(builtin, name, factor):
     # no iterate with a non-finite value may come back as a solution
@@ -463,6 +479,42 @@ def _corner_case():
     return spec, np.full((12, 1), 10.0)
 
 
+def _scalar_case(f_source, x0, u, box):
+    """(spec, u) for the one-state, one-input model x+ = f_source on the box
+    [-box, box]^2, with a linear cost, output and storage."""
+    model = SystemModel.from_expressions(
+        1, 1, [f_source], "3 * x1 + u1", ["2*x1 + u1 - 5"], [-box, -box], [box, box])
+    ss = SteadyState(np.zeros(1), np.zeros(1), 0.0, np.zeros(1))
+    cert = DissipativityCertificate.from_expression(1, "1.5 * (x1 - 2)", [1.0], 0.25, 2.0, 3.0)
+    u = np.array(u, dtype=float).reshape(-1, 1)
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=len(u), T=1, x0=np.array([x0]),
+                   H0=steady_history(np.zeros(1), 1))
+    return spec, u
+
+
+# x_1 = 1e100 and x_2 = (1e100)^4 overflows to inf in numpy's scalar power,
+# where a Python float power would raise OverflowError
+_OVERFLOW_CASE = _scalar_case("x1^4 + u1", 1e25, [0.0, 0.0], 1e30)
+# the second step divides by u = 0
+_DIVISION_CASE = _scalar_case("x1 / u1", 1.0, [2.0, 0.0, 2.0], 10.0)
+
+
+def _matmul_sensitivities(spec, x, u):
+    """The former sensitivity products of ``_Forward``, one ``np.matmul``
+    per step, kept as the reference: (Sx, Dh, Dell) at the states x."""
+    model, N = spec.model, spec.N
+    n, nu = model.n, N * model.m
+    xs, us = x[:N].T, u.T
+    fz = np.ascontiguousarray(model.jac_f(xs, us).transpose(2, 0, 1))
+    lz = np.ascontiguousarray(model.grad_ell(xs, us).T)
+    hz = np.ascontiguousarray(model.jac_h(xs, us).transpose(2, 0, 1))
+    Dz = np.zeros((N + 1, n + model.m, nu))
+    Dz[:N, n:] = np.eye(nu).reshape(N, model.m, nu)
+    for k in range(N):
+        np.matmul(fz[k], Dz[k], Dz[k + 1, :n])
+    return Dz[:, :n], np.matmul(hz, Dz[:N]), np.matmul(lz[:, None], Dz[:N])[:, 0]
+
+
 def _assert_matches(got, expected, n, name):
     if n == 1:  # one nonzero product per entry: nothing to reassociate
         assert _same_bits(np.asarray(got), np.asarray(expected)), name
@@ -473,27 +525,70 @@ def _assert_matches(got, expected, n, name):
 @settings(max_examples=200)
 @given(_rollout_cases())
 @example(_corner_case())
+@example(_OVERFLOW_CASE)
+@example(_DIVISION_CASE)
 def test_batched_rollout_matches_step_loop(case):
     spec, u = case
     n = spec.model.n
-    fwd = _Forward(spec, u)
-    want = _loop_forward(spec, u)
-    names = ("x", "h", "ell", "Sx", "Dh", "Dell")
-    for name, expected in zip(names, want):
+    # the overflow example makes inf and NaN on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = _loop_forward(spec, u)
+        except EvalError:
+            assert case is _DIVISION_CASE
+            with pytest.raises(EvalError, match="division by zero"):
+                _Forward(spec, u)
+            return
+        fwd = _Forward(spec, u)
+        reference = _matmul_sensitivities(spec, fwd.x, u)
+        names = ("x", "h", "ell", "Sx", "Dh", "Dell")
+        oracle = SimpleNamespace(**dict(zip(names, want)))
+        costs = [_objective(dataclasses.replace(spec, objective=objective), state)
+                 for objective in (ORIGINAL, ROTATED) for state in (fwd, oracle)]
+        rows = [_solver_constraints(spec, state) for state in (fwd, oracle)]
+    assert case is not _OVERFLOW_CASE or np.isposinf(fwd.x[-1, 0])
+    # the states are the pointwise f's bit for bit, at every n
+    assert _same_bits(fwd.x, oracle.x)
+    for name, expected in zip(names[1:], want[1:]):
         got = getattr(fwd, name)
         assert got.shape == expected.shape
         _assert_matches(got, expected, n, name)
+    # the sensitivity steps are the former np.matmul products bit for bit
+    for name, expected in zip(("Sx", "Dh", "Dell"), reference):
+        assert _same_bits(getattr(fwd, name), expected), name
     # what the solver reads: both objectives and the constraint rows, fed
     # once from the rollout (Sx is a strided view) and once from the oracle
-    oracle = SimpleNamespace(**dict(zip(names, want)))
-    for objective in (ORIGINAL, ROTATED):
-        costed = dataclasses.replace(spec, objective=objective)
-        for name, got, expected in zip(("J", "DJ"), _objective(costed, fwd),
-                                       _objective(costed, oracle)):
-            _assert_matches(got, expected, n, f"{objective} {name}")
-    for name, got, expected in zip(("g", "Dg"), _solver_constraints(spec, fwd),
-                                   _solver_constraints(spec, oracle)):
-        _assert_matches(got, expected, n, name)
+    for objective, (got, expected) in zip((ORIGINAL, ROTATED), (costs[:2], costs[2:])):
+        for name, a, b in zip(("J", "DJ"), got, expected):
+            _assert_matches(a, b, n, f"{objective} {name}")
+    for name, a, b in zip(("g", "Dg"), *rows):
+        _assert_matches(a, b, n, name)
+
+
+def test_swapped_dynamics_are_stepped(builtin, fig_history):
+    # an f replaced through dataclasses.replace carries no compiled
+    # recursion, so the rollout steps the replacement, once per stage; a
+    # replacement that carries one is not stepped
+    model = builtin[0]
+    spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
+    calls = []
+
+    def counting_f(x, u):
+        calls.append(1)
+        return model.f(x, u)
+
+    u = np.random.default_rng(5).uniform(0.5, 1.5, (2, 12, 1))
+    compiled = _Forward(spec, u[0])
+    stepped = _Forward(dataclasses.replace(spec, model=dataclasses.replace(model, f=counting_f)))
+    for k, uk in enumerate(u):
+        stepped(uk)
+        assert len(calls) == 12 * (k + 1)
+    compiled(u[1])
+    for name in ("x", "h", "ell", "Sx", "Dh", "Dell"):
+        assert getattr(stepped, name).tobytes() == getattr(compiled, name).tobytes(), name
+    counting_f.rollout = model.f.rollout
+    _Forward(dataclasses.replace(spec, model=dataclasses.replace(model, f=counting_f)), u[0])
+    assert len(calls) == 24
 
 
 def test_finite_difference_model_solves_like_exact(builtin, fig_history):
