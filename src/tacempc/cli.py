@@ -81,7 +81,8 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def write_trace_svg(trace: ClosedLoopTrace, lt, path: str):
-    """Line chart of the per-step series on a fixed 800x480 viewport."""
+    """Line chart of the per-step series on a fixed 800x480 viewport; a
+    run that halted before its first step gives the axes alone."""
     width, height = 800, 480
     mleft, mright, mtop, mbottom = 60, 20, 30, 40
     series = [
@@ -92,8 +93,8 @@ def write_trace_svg(trace: ClosedLoopTrace, lt, path: str):
     if lt is not None:
         series.append(("What", np.arange(len(lt.What)), lt.What))
         series.append(("W", np.arange(len(lt.W)), lt.W))
-    ys = np.concatenate([s[2] for s in series if len(s[2])])
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    ys = np.concatenate([s[2] for s in series])
+    y_lo, y_hi = (float(np.min(ys)), float(np.max(ys))) if ys.size else (0.0, 1.0)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     x_hi = max(trace.K - 1, 1)

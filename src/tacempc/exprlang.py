@@ -12,21 +12,19 @@ Grammar (standard precedence, ``^`` binds tighter than unary minus)::
 exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``).  Identifiers are ``x1..xn`` and ``u1..um``.
 
-Each expression is compiled once, on first use, into two straight-line
-Python functions: ``value_function`` computes the value and
-``gradient_function`` propagates forward-mode dual numbers, exact for the
-polynomial/rational expressions the grammar admits.  Both work on scalars
-or on numpy arrays (componentwise broadcast over a batch axis).  The
-generated code performs the operations of a recursive tree walk one for
-one, in the same order and without constant folding, so results are
-bit-identical to interpreting the tree at a point; integer powers of
-arrays call libm ``pow`` like scalar ``**`` does, so a batch evaluation
-equals the pointwise ones bit for bit.  ``eval`` and ``eval_grad`` are
-thin wrappers over the compiled functions, cached per node.
-
-``kernel`` compiles a sequence of expressions into one function that
-runs their per-expression code in turn and stores the values, or the
-gradients, in one array; a model callback is one such kernel.
+``kernel`` compiles a sequence of expressions into one straight-line
+Python function that computes their values, or their gradients by
+forward-mode dual numbers (exact for the polynomial/rational
+expressions the grammar admits), and stores them in one array; every
+model callback is one such kernel.  A kernel works on a point (scalars)
+or on numpy arrays (componentwise broadcast over a trailing batch axis),
+and its result always has the batch shape: a constant expression over K
+columns gives K values.  The generated code performs the operations of
+a recursive tree walk one for one, in the same order and without
+constant folding, so results are bit-identical to interpreting the tree
+at a point; integer powers of arrays call libm ``pow`` like scalar
+``**`` does, so a batch evaluation equals the pointwise ones bit for
+bit.
 
 ``rollout`` compiles the dynamics into the state recursion
 ``x_{k+1} = f(x_k, u_k)`` over a whole input sequence: one Python frame
@@ -45,7 +43,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -430,50 +427,6 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-_COMPILED = {}  # id(node) -> {key: function}; an entry dies with its node
-
-
-def _cached(e: Expr, key, build):
-    if not isinstance(e, Expr):
-        raise TypeError(f"not an Expr: {e!r}")
-    entry = _COMPILED.get(id(e))
-    if entry is None:
-        entry = _COMPILED[id(e)] = {}
-        weakref.finalize(e, _COMPILED.pop, id(e), None)
-    fn = entry.get(key)
-    if fn is None:
-        fn = entry[key] = build()
-    return fn
-
-
-def value_function(e: Expr):
-    """Compiled ``(x, u) -> value`` of e; broadcasts like numpy operators."""
-
-    def build():
-        gen = _Codegen()
-        return gen.build(_value_code(e, gen))
-
-    return _cached(e, "value", build)
-
-
-def gradient_function(e: Expr, n: int, m: int):
-    """Compiled ``(x, u) -> (value, gradient tuple)``; broadcasts like
-    ``value_function``.
-
-    The gradient is taken w.r.t. (x1..xn, u1..um), so it has n + m
-    entries; forward-mode duals, exact for the polynomial/rational
-    expressions the grammar admits.  Over a batch, entries that do not
-    depend on the point (constants, zeros) stay scalars.
-    """
-
-    def build():
-        gen = _Codegen()
-        value, grad = _dual_code(e, gen, n, n + m)
-        return gen.build(f"{value}, ({''.join(g + ', ' for g in grad)})")
-
-    return _cached(e, (n, m), build)
-
-
 _TEMP = re.compile(r"\bt\d+\b")
 
 
@@ -498,12 +451,14 @@ def _live_lines(lines, results):
 def kernel(exprs, n: int, m: int, gradient: bool = False):
     """One compiled ``(x, u) -> ndarray`` for a sequence of expressions.
 
-    The body is the code of ``value_function`` (or ``gradient_function``)
-    for each expression in turn, so every stored number is bit for bit
-    what the per-expression function returns.  The result is one
-    ``np.empty`` array of shape (len(exprs)[, K]) for values and
-    (len(exprs), n + m[, K]) for gradients; a single expression, not in a
-    sequence, drops the leading row axis.  Gradient kernels keep only the
+    The body is the value code (or the dual-number code) of each
+    expression in turn, so every stored number is bit for bit what
+    interpreting its tree gives at that point.  The gradient is taken
+    w.r.t. (x1..xn, u1..um).  The result is one ``np.empty`` array of
+    shape (len(exprs)[, K]) for values and (len(exprs), n + m[, K]) for
+    gradients, with K the batch shape of x, whatever the expressions read;
+    a single expression, not in a sequence, drops the leading row axis, so
+    it gives a 0-d array at a point.  Gradient kernels keep only the
     lines a gradient entry or a division check reads: values no entry
     needs are not computed, so a dead power that would overflow a Python
     float does not raise OverflowError here.
@@ -551,16 +506,3 @@ def rollout(exprs):
         "    out[:] = rows\n"
     )
 
-
-def eval(e: Expr, x, u):  # noqa: A001 - name fixed by the public API
-    """Evaluate at state x and input u (scalars or broadcastable arrays)."""
-    return value_function(e)(x, u)
-
-
-def eval_grad(e: Expr, x, u):
-    """Value and gradient w.r.t. (x1..xn, u1..um), at a point or a batch.
-
-    The gradient dimension is len(x) + len(u).
-    """
-    value, grad = gradient_function(e, len(x), len(u))(x, u)
-    return value, list(grad)

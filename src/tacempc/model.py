@@ -141,24 +141,26 @@ class SystemModel:
         """Build a model from expression strings over x1..xn, u1..um.
 
         Every callback is compiled here, once, into one kernel (see
-        ``exprlang.kernel``; ell is its expression's value function); the
-        callables broadcast over a batch axis bit for bit like pointwise
-        calls.  ``f`` carries the compiled state recursion of its
-        expressions as ``f.rollout`` (see ``exprlang.rollout``), which the
-        OCP rollout runs in place of stepping ``f``.
+        ``exprlang.kernel``); ``ell`` wraps its kernel to return a float at
+        a point.  The callables broadcast over a batch axis bit for bit like
+        pointwise calls, and a batch result has one column per point even
+        for a constant expression.  ``f`` carries the compiled state
+        recursion of its expressions as ``f.rollout`` (see
+        ``exprlang.rollout``), which the OCP rollout runs in place of
+        stepping ``f``.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
         f_exprs = [exprlang.parse(s, n, m) for s in f_sources]
         ell_expr = exprlang.parse(ell_source, n, m)
         h_exprs = [exprlang.parse(s, n, m) for s in h_sources]
-        ell_value = exprlang.value_function(ell_expr)
+        ell_value = exprlang.kernel(ell_expr, n, m)
         f = exprlang.kernel(f_exprs, n, m)
         f.rollout = exprlang.rollout(f_exprs)
 
         def ell(x, u):
             value = ell_value(x, u)
-            return value if np.ndim(value) else float(value)
+            return value if value.ndim else float(value)
 
         return cls(
             n=n,
@@ -209,12 +211,12 @@ class DissipativityCertificate:
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
         lam_expr = exprlang.parse(lam_source, n, 0)
-        lam_value = exprlang.value_function(lam_expr)
+        lam_value = exprlang.kernel(lam_expr, n, 0)
         lam_kernel = exprlang.kernel(lam_expr, n, 0, gradient=True)
 
         def lam(x):
             value = lam_value(x, ())
-            return value if np.ndim(value) else float(value)
+            return value if value.ndim else float(value)
 
         def lam_grad(x):
             return lam_kernel(x, ())

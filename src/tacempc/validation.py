@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -170,8 +170,7 @@ def check_norm_replacement():
 
 
 @_check("6", "history-implied bound on predicted output sums")
-def check_eq6_bound(solutions=None):
-    sols = _sweep_solutions() if solutions is None else solutions
+def check_eq6_bound(sols):
     worst = -np.inf
     for sol in sols:
         lhs = np.sum(sol.h_pred, axis=0)
@@ -180,9 +179,8 @@ def check_eq6_bound(solutions=None):
 
 
 @_check("7", "turnpike count lower bound (realized excess)")
-def check_lemma1(solutions=None):
+def check_lemma1(sols):
     _, cert, ss = _context()
-    sols = _sweep_solutions() if solutions is None else solutions
     radii = (0.05, 0.1, 0.5, 1.0)
     checked = 0
     for sol in sols:
@@ -205,9 +203,8 @@ def check_lemma1(solutions=None):
 
 
 @_check("8", "turnpike count grows with the horizon")
-def check_turnpike_growth(solutions=None):
+def check_turnpike_growth(sols):
     _, cert, ss = _context()
-    sols = _sweep_solutions() if solutions is None else solutions
     Q = {sol.spec.N: turnpike_report(sol, ss, cert, 0.1).Q
          for sol in sols if sol.spec.T == 3 and sol.spec.N in (10, 12)}
     return Q[12] >= Q[10], f"Q(N=12)={Q[12]}, Q(N=10)={Q[10]}"
@@ -230,12 +227,11 @@ def reference_trace() -> ClosedLoopTrace:
     return simulate(model, cert, ss, N=12, x0=[2.0], H0=H0, K=30)
 
 
-def _completed(trace: Optional[ClosedLoopTrace]) -> ClosedLoopTrace:
-    """The given run, or else the reference one; a halted run raises."""
-    tr = reference_trace() if trace is None else trace
-    if tr.failure is not None:
-        raise InfeasibleError(f"closed loop halted ({tr.failure})")
-    return tr
+def _completed(trace: ClosedLoopTrace) -> ClosedLoopTrace:
+    """The given run; a halted run raises."""
+    if trace.failure is not None:
+        raise InfeasibleError(f"closed loop halted ({trace.failure})")
+    return trace
 
 
 @_check("10a", "first closed-loop Lyapunov value")
@@ -267,7 +263,7 @@ def _rotated_value_not_monotone(tr):
     return not mono, f"max Jtilde* increase {max_inc:.4f} (> 1e-3 expected)"
 
 
-def check_closed_loop(trace: Optional[ClosedLoopTrace] = None) -> List[CheckResult]:
+def check_closed_loop(trace: ClosedLoopTrace) -> List[CheckResult]:
     """Criteria 10a-10d on the reference closed-loop run."""
     tr = _shared(_completed, trace)
     lt = _shared(lambda run: lyapunov_trace(run, run.cert, run.ss), tr)
@@ -276,13 +272,13 @@ def check_closed_loop(trace: Optional[ClosedLoopTrace] = None) -> List[CheckResu
 
 
 @_check("11", "closed-loop window constraints")
-def check_window_constraints(trace: Optional[ClosedLoopTrace] = None):
+def check_window_constraints(trace: ClosedLoopTrace):
     worst = float(np.max(window_sums(_completed(trace))))
     return worst <= 1e-6, f"max closed-loop window sum {worst:.2e}"
 
 
 @_check("12", "closed loop settles near the steady state")
-def check_practical_convergence(trace: Optional[ClosedLoopTrace] = None):
+def check_practical_convergence(trace: ClosedLoopTrace):
     dev = float(np.max(np.abs(_completed(trace).x[20:, 0] - 2.0)))
     return dev <= 0.05, f"max |x(k) - 2| for k >= 20 is {dev:.2e}"
 
@@ -315,10 +311,11 @@ def check_gradients():
         expr = _random_expr(rng, n, m, 4)
         x = rng.uniform(-2, 2, size=n)
         u = rng.uniform(-2, 2, size=m)
-        _, grad = exprlang.eval_grad(expr, x, u)
-        fd = _fd_jacobian(lambda xs, us: [exprlang.eval(expr, xs, us)], x, u, 1)[0]
+        value = exprlang.kernel([expr], n, m)
+        grad = exprlang.kernel(expr, n, m, gradient=True)(x, u)
+        fd = _fd_jacobian(value, x, u, 1)[0]
         scale = 1.0 + np.max(np.abs(fd))
-        worst = max(worst, float(np.max(np.abs(np.array(grad) - fd))) / scale)
+        worst = max(worst, float(np.max(np.abs(grad - fd))) / scale)
     return worst <= 1e-5, f"max relative gradient mismatch {worst:.2e}"
 
 

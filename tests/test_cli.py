@@ -269,12 +269,17 @@ def test_simulate_svg(tmp_path, capsys):
 
 
 def test_simulate_infeasible_exit_code(tmp_path, capsys):
-    rc = main(["simulate", "--model", "mueller-koehler",
-               "--T", "2", "--K", "2", "--x0", "2", "--history", "40",
-               "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "halted" in captured.err
+    # the run halts at step 0; with --svg the chart holds the axes alone
+    for extra in ([], ["--svg"]):
+        rc = main(["simulate", "--model", "mueller-koehler",
+                   "--T", "2", "--K", "2", "--x0", "2", "--history", "40",
+                   "--out", str(tmp_path), *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "halted" in captured.err
+    root = ET.parse(tmp_path / "chart.svg").getroot()
+    polylines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    assert [el.get("data-series") for el in polylines] == [None]
 
 
 def test_turnpike_command(capsys):

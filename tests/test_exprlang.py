@@ -10,6 +10,16 @@ from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse, to_source
 
 
+def _value(source, x, u):
+    """The value kernel of ``source`` at the point (x, u)."""
+    return exprlang.kernel(parse(source, len(x), len(u)), len(x), len(u))(x, u)
+
+
+def _gradient(source, x, u):
+    """The gradient kernel of ``source`` at the point (x, u)."""
+    return exprlang.kernel(parse(source, len(x), len(u)), len(x), len(u), gradient=True)(x, u)
+
+
 def test_parse_number_and_variable():
     e = parse("x1 + 2.5", 2, 1)
     assert isinstance(e, exprlang.BinOp)
@@ -20,10 +30,10 @@ def test_parse_number_and_variable():
 
 def test_precedence_and_associativity():
     # 1 - 2 - 3 is (1 - 2) - 3; 2 + 3 * 4 keeps * tighter
-    assert exprlang.eval(parse("1 - 2 - 3", 1, 1), [0.0], [0.0]) == -4.0
-    assert exprlang.eval(parse("2 + 3 * 4", 1, 1), [0.0], [0.0]) == 14.0
-    assert exprlang.eval(parse("-2^2", 1, 1), [0.0], [0.0]) == -4.0
-    assert exprlang.eval(parse("(1 + 2) * 3", 1, 1), [0.0], [0.0]) == 9.0
+    assert _value("1 - 2 - 3", [0.0], [0.0]) == -4.0
+    assert _value("2 + 3 * 4", [0.0], [0.0]) == 14.0
+    assert _value("-2^2", [0.0], [0.0]) == -4.0
+    assert _value("(1 + 2) * 3", [0.0], [0.0]) == 9.0
 
 
 def test_power_right_associative_integer_chain():
@@ -64,15 +74,14 @@ def test_eval_broadcasts_over_batches():
     e = parse("2*x1 + u1 - 5", 1, 1)
     x = np.array([[1.0, 2.0, 3.0]])
     u = np.array([[1.0, 1.0, 2.0]])
-    np.testing.assert_allclose(exprlang.eval(e, x, u), [-2.0, 0.0, 3.0])
+    np.testing.assert_allclose(exprlang.kernel(e, 1, 1)(x, u), [-2.0, 0.0, 3.0])
 
 
 def test_division_by_zero_raises():
-    e = parse("x1 / u1", 1, 1)
     with pytest.raises(EvalError):
-        exprlang.eval(e, [1.0], [0.0])
+        _value("x1 / u1", [1.0], [0.0])
     with pytest.raises(EvalError):
-        exprlang.eval_grad(e, [1.0], [0.0])
+        _gradient("x1 / u1", [1.0], [0.0])
 
 
 def test_to_source_round_trip():
@@ -85,42 +94,29 @@ def test_to_source_round_trip():
     ]
     rng = np.random.default_rng(3)
     for src in sources:
-        e = parse(src, 2, 1)
-        printed = to_source(e)
-        e2 = parse(printed, 2, 1)
-        assert to_source(e2) == printed  # canonical form is stable
+        printed = to_source(parse(src, 2, 1))
+        assert to_source(parse(printed, 2, 1)) == printed  # canonical form is stable
         for _ in range(5):
             x = rng.uniform(0.5, 2.0, 2)
             u = rng.uniform(0.5, 2.0, 1)
-            assert exprlang.eval(e, x, u) == pytest.approx(
-                exprlang.eval(e2, x, u), rel=0, abs=0
-            )
+            assert _value(src, x, u) == _value(printed, x, u)
 
 
 def test_gradient_simple_cases():
-    e = parse("(x1 - 3)^2 + u1^2", 1, 1)
-    value, grad = exprlang.eval_grad(e, [2.0], [1.0])
-    assert value == pytest.approx(2.0)
-    assert grad == pytest.approx([-2.0, 2.0])
-
-    e = parse("x1 * u1", 1, 1)
-    value, grad = exprlang.eval_grad(e, [2.0], [3.0])
-    assert value == 6.0
-    assert grad == pytest.approx([3.0, 2.0])
+    assert _value("(x1 - 3)^2 + u1^2", [2.0], [1.0]) == pytest.approx(2.0)
+    assert _gradient("(x1 - 3)^2 + u1^2", [2.0], [1.0]) == pytest.approx([-2.0, 2.0])
+    assert _value("x1 * u1", [2.0], [3.0]) == 6.0
+    assert _gradient("x1 * u1", [2.0], [3.0]) == pytest.approx([3.0, 2.0])
 
 
 def test_gradient_quotient_rule():
-    e = parse("x1 / u1", 1, 1)
-    value, grad = exprlang.eval_grad(e, [6.0], [2.0])
-    assert value == 3.0
-    assert grad == pytest.approx([0.5, -1.5])
+    assert _value("x1 / u1", [6.0], [2.0]) == 3.0
+    assert _gradient("x1 / u1", [6.0], [2.0]) == pytest.approx([0.5, -1.5])
 
 
 def test_zero_exponent_kills_gradient():
-    e = parse("x1^0", 1, 1)
-    value, grad = exprlang.eval_grad(e, [5.0], [0.0])
-    assert value == 1.0
-    assert grad == pytest.approx([0.0, 0.0])
+    assert _value("x1^0", [5.0], [0.0]) == 1.0
+    assert _gradient("x1^0", [5.0], [0.0]) == pytest.approx([0.0, 0.0])
 
 
 def test_to_source_parenthesizes_negative_constants():
@@ -128,15 +124,15 @@ def test_to_source_parenthesizes_negative_constants():
     # it needs parentheses: (-1.5)^2 is 2.25, -1.5^2 would be -2.25
     e = exprlang.Pow(exprlang.Num(-1.5), 2)
     assert to_source(e) == "(-1.5)^2"
-    assert exprlang.eval(parse(to_source(e), 1, 1), [0.0], [0.0]) == 2.25
+    assert _value(to_source(e), [0.0], [0.0]) == 2.25
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation against the former recursive interpreter
+# Kernels against the former recursive interpreter
 #
 # _oracle_eval and _oracle_dual are the tree-walking evaluators the compiler
-# replaced, kept verbatim: the compiled functions must reproduce them bit for
-# bit, including which inputs raise EvalError.
+# replaced, kept verbatim: the kernels must reproduce them bit for bit,
+# including which inputs raise EvalError.
 
 
 def _oracle_check_nonzero(b):
@@ -223,14 +219,6 @@ def _bits_equal(a, b):
     return a[keep].tobytes() == b[keep].tobytes()
 
 
-def _numbers(result):
-    """A value, or a (value, gradient) pair, as one flat float array."""
-    if isinstance(result, tuple):
-        value, grad = result
-        return np.array([value, *grad], dtype=float)
-    return np.array([result], dtype=float)
-
-
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0])
 # quotients like 7/3 are not dyadic, so every operation rounds
 _ROUNDED = st.builds(lambda a, b: a / b, st.integers(-999, 999), st.integers(1, 97))
@@ -269,43 +257,77 @@ def _cases(draw, constants=_VALUES, quotient=False):
     return e, np.array(x), np.array(u)
 
 
-@settings(max_examples=400)
-@given(st.one_of(_cases(), _cases(quotient=True)))
-def test_compiled_value_matches_interpreter(case):
-    e, x, u = case
-    for args in ((x, u), (list(x), list(u))):  # numpy and Python scalars
-        want = _outcome(_oracle_eval, e, *args)
-        got = _outcome(exprlang.eval, e, *args)
-        assert got[0] == want[0]
-        if want[0] == "raised":
-            assert got[1] is want[1]
-        else:
-            assert type(got[1]) is type(want[1])
-            assert _bits_equal(got[1], want[1])
+@st.composite
+def _kernel_cases(draw, quotient=False):
+    """(rows, x, u): one to three expressions, the first drawn by _cases."""
+    e, x, u = draw(_cases(quotient=quotient))
+    return [e, *draw(st.lists(_exprs(len(x), len(u)), max_size=2))], x, u
 
 
-@settings(max_examples=400)
-@given(st.one_of(_cases(), _cases(quotient=True)))
-def test_compiled_gradient_matches_interpreter(case):
-    e, x, u = case
-    want = _outcome(_oracle_dual, e, x, u, len(x), len(x) + len(u))
-    got = _outcome(exprlang.eval_grad, e, x, u)
-    assert got[0] == want[0]
-    if want[0] == "raised":
-        assert got[1] is want[1]
-        return
-    (value, grad), (want_value, want_grad) = got[1], want[1]
-    assert isinstance(grad, list)
-    assert _bits_equal(value, want_value)
-    assert _bits_equal(grad, want_grad)
-
-
+_KERNEL_CASES = st.one_of(_kernel_cases(), _kernel_cases(quotient=True))
 _EXTRA_COLUMNS = st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=4)
-# numpy's array ** rounds x^3 here one ulp away from libm pow at the point
-_CUBE_EXAMPLE = example(
-    case=(parse("x1^3", 1, 1), np.array([0.1899176304301875]), np.array([0.0])),
-    extra=[(0.0, 0.0, 0.0)],
-)
+
+
+def _pinned(batch):
+    """Always run the edge cases below, whatever hypothesis draws; a batch
+    test also gets their extra columns."""
+    cases = [
+        # division by zero at the drawn point
+        (["x1 / u1"], [1.0], [0.0], [(2.0, 1.0, 0.0)]),
+        # x1^4 overflows a Python float; the gradient kernel never computes
+        # it, since no entry reads it
+        (["x1^4"], [1e100], [0.0], [(2.0, 1.0, 0.0)]),
+        # a constant expression still gives one value per column
+        (["2", "u1"], [0.5], [1.0], [(1.0, 2.0, 3.0)]),
+        # numpy's array ** rounds x^3 here one ulp away from libm pow
+        (["x1^3"], [0.1899176304301875], [0.0], [(0.0, 0.0, 0.0)]),
+    ]
+
+    def decorate(test):
+        for sources, x, u, extra in reversed(cases):
+            case = [parse(src, 1, 1) for src in sources], np.array(x), np.array(u)
+            test = example(case=case, **({"extra": extra} if batch else {}))(test)
+        return test
+
+    return decorate
+
+
+def _gradient_oracle(e, x, u):
+    return _oracle_dual(e, x, u, len(x), len(x) + len(u))[1]
+
+
+def _interpreted(oracle, rows, x, u):
+    """The oracle's results for the rows at one point, stacked."""
+    return np.array([oracle(e, x, u) for e in rows], dtype=float)
+
+
+def _kernels(rows, n, m, gradient):
+    """(kernel, rows it computes, whether its result drops the row axis):
+    the first expression alone, then all of them."""
+    yield exprlang.kernel(rows[0], n, m, gradient), rows[:1], True
+    yield exprlang.kernel(rows, n, m, gradient), rows, False
+
+
+def _check_points(case, gradient):
+    """Kernels against the oracle at numpy scalars and at Python floats."""
+    rows, x, u = case
+    oracle = _gradient_oracle if gradient else _oracle_eval
+    for kernel, exprs, single in _kernels(rows, len(x), len(u), gradient):
+        for args in ((x, u), (list(x), list(u))):
+            want = _outcome(_interpreted, oracle, exprs, *args)
+            got = _outcome(kernel, *args)
+            if gradient and want == ("raised", OverflowError):
+                # the oracle computes every value, the kernel only the ones
+                # an entry reads: a dead power that overflows may not raise
+                assert got[0] == "ok" or got[1] in (OverflowError, EvalError)
+                continue
+            assert got[0] == want[0]
+            if want[0] == "raised":
+                assert got[1] is want[1]
+                continue
+            expected = want[1][0] if single else want[1]
+            assert got[1].shape == expected.shape
+            assert _bits_equal(got[1], expected)
 
 
 def _batch(x, u, extra):
@@ -316,40 +338,65 @@ def _batch(x, u, extra):
     return np.column_stack(columns)
 
 
-@_CUBE_EXAMPLE
-@given(_cases(), _EXTRA_COLUMNS)
+def _check_batch(case, extra, gradient):
+    """Kernels over a batch of columns against the oracle at each column."""
+    rows, x, u = case
+    n, m = len(x), len(u)
+    z = _batch(x, u, extra)
+    oracle = _gradient_oracle if gradient else _oracle_eval
+    for kernel, exprs, single in _kernels(rows, n, m, gradient):
+        got = _outcome(kernel, z[:n], z[n:])
+        points = [_outcome(_interpreted, oracle, exprs, col[:n], col[n:]) for col in z.T]
+        raised = {p[1] for p in points if p[0] == "raised"}
+        if EvalError in raised:  # a division check reads the whole batch
+            assert got == ("raised", EvalError)
+            continue
+        if got[0] == "raised":
+            # only a Python float overflows by raising: a constant power, or
+            # at a point an overflow that came before a failing check
+            assert got[1] in (OverflowError, EvalError) and OverflowError in raised
+            continue
+        rows_axis = () if single else (len(exprs),)
+        assert got[1].shape == rows_axis + ((n + m,) if gradient else ()) + (z.shape[1],)
+        for k, point in enumerate(points):
+            if point[0] == "ok":
+                assert _bits_equal(got[1][..., k], point[1][0] if single else point[1])
+
+
+@settings(max_examples=400)
+@given(case=_KERNEL_CASES)
+@_pinned(batch=False)
+def test_compiled_value_matches_interpreter(case):
+    _check_points(case, gradient=False)
+
+
+@settings(max_examples=400)
+@given(case=_KERNEL_CASES)
+@_pinned(batch=False)
+def test_compiled_gradient_matches_interpreter(case):
+    _check_points(case, gradient=True)
+
+
+@settings(max_examples=200)
+@given(case=_KERNEL_CASES, extra=_EXTRA_COLUMNS)
+@_pinned(batch=True)
 def test_batch_evaluation_matches_pointwise(case, extra):
-    e, x, u = case
-    n = len(x)
-    z = _batch(x, u, extra)
-    batch = _outcome(exprlang.eval, e, z[:n], z[n:])
-    points = [_outcome(exprlang.eval, e, col[:n], col[n:]) for col in z.T]
-    if any(p == ("raised", EvalError) for p in points):
-        assert batch == ("raised", EvalError)
-        return
-    assert batch[0] == "ok"
-    expected = np.array([p[1] for p in points])
-    assert _bits_equal(np.broadcast_to(batch[1], expected.shape), expected)
+    _check_batch(case, extra, gradient=False)
 
 
-@_CUBE_EXAMPLE
-@given(_cases(), _EXTRA_COLUMNS)
+@settings(max_examples=200)
+@given(case=_KERNEL_CASES, extra=_EXTRA_COLUMNS)
+@_pinned(batch=True)
 def test_batch_gradient_matches_pointwise(case, extra):
-    e, x, u = case
-    n = len(x)
-    z = _batch(x, u, extra)
-    batch = _outcome(exprlang.eval_grad, e, z[:n], z[n:])
-    points = [_outcome(exprlang.eval_grad, e, col[:n], col[n:]) for col in z.T]
-    if any(p == ("raised", OverflowError) for p in points):
-        return  # a Python float overflows by raising, an array to inf
-    if any(p == ("raised", EvalError) for p in points):
-        assert batch == ("raised", EvalError)
-        return
-    assert batch[0] == "ok"
-    expected = np.array([_numbers(p[1]) for p in points])  # (batch, 1 + n + m)
-    value, grad = batch[1]
-    got = np.column_stack([np.broadcast_to(v, len(points)) for v in (value, *grad)])
-    assert _bits_equal(got, expected)
+    _check_batch(case, extra, gradient=True)
+
+
+def test_gradient_kernel_skips_dead_powers():
+    # x1^4 overflows a Python float at 1e100, but only 4 * x1^3 is read
+    with np.errstate(over="ignore"):
+        assert _value("x1^4", np.array([1e100]), np.array([0.0])) == np.inf
+    grad = _gradient("x1^4", [1e100], [0.0])
+    assert grad.tobytes() == np.array([4 * 1e100**3, 0.0]).tobytes()
 
 
 @given(_cases(constants=st.one_of(_SPECIAL, st.floats(-1e6, 1e6))))
@@ -357,25 +404,25 @@ def test_reparsed_source_compiles_to_same_results(case):
     # the grammar has no negative literals: a negative constant reparses as
     # a negation, whose zero gradient is -0.0, so zeros compare by value
     e, x, u = case
-    e2 = parse(to_source(e), len(x), len(u))
-    for fn in (exprlang.eval, exprlang.eval_grad):
-        want, got = _outcome(fn, e, x, u), _outcome(fn, e2, x, u)
+    n, m = len(x), len(u)
+    e2 = parse(to_source(e), n, m)
+    for gradient in (False, True):
+        want = _outcome(exprlang.kernel(e, n, m, gradient), x, u)
+        got = _outcome(exprlang.kernel(e2, n, m, gradient), x, u)
         assert got[0] == want[0]
         if want[0] == "raised":
             assert got[1] is want[1]
         else:
-            assert np.array_equal(_numbers(got[1]), _numbers(want[1]), equal_nan=True)
+            assert np.array_equal(got[1], want[1], equal_nan=True)
 
 
-def test_compiled_functions_are_cached_per_node():
-    e = parse("x1 * u1 + 2", 1, 1)
-    assert exprlang.value_function(e) is exprlang.value_function(e)
-    assert exprlang.gradient_function(e, 1, 1) is exprlang.gradient_function(e, 1, 1)
-    # the cache is per node, not per equal tree: Num(0.0) == Num(-0.0)
+def test_kernels_keep_the_sign_of_zero_constants():
+    # Num(0.0) == Num(-0.0) as trees, yet each keeps its sign
     positive, negative = exprlang.Num(0.0), exprlang.Num(-0.0)
     assert positive == negative
-    assert math.copysign(1.0, exprlang.eval(positive, [], [])) == 1.0
-    assert math.copysign(1.0, exprlang.eval(negative, [], [])) == -1.0
+    values = exprlang.kernel([positive, negative], 0, 0)([], [])
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+    assert math.copysign(1.0, exprlang.kernel(negative, 0, 0)([], [])) == -1.0
 
 
 def test_generated_source_binds_constants_by_name():
@@ -384,56 +431,6 @@ def test_generated_source_binds_constants_by_name():
     source = "\n".join(gen.lines)
     assert "1.5" not in source and "0.25" not in source
     assert {gen.names[k] for k in gen.names if k.startswith("c")} == {1.5, 0.25}
-
-
-# ---------------------------------------------------------------------------
-# Kernels: one compiled function per model callback
-
-
-def _stack(results, batch):
-    """Per-expression values, or gradient tuples, as one float array of
-    shape (rows, *batch) or (rows, n + m, *batch)."""
-
-    def entry(v):
-        return np.broadcast_to(np.asarray(v, dtype=float), batch)
-
-    return np.array([[entry(g) for g in r] if isinstance(r, tuple) else entry(r)
-                     for r in results])
-
-
-@settings(max_examples=300)
-@given(st.one_of(_cases(), _cases(quotient=True)), st.data())
-def test_kernels_match_per_expression_functions(case, data):
-    e, x, u = case
-    n, m = len(x), len(u)
-    rows = [e] + data.draw(st.lists(_exprs(n, m), max_size=2))
-    z = _batch(x, u, data.draw(_EXTRA_COLUMNS))
-    kernels = {
-        "values": (exprlang.kernel(rows, n, m),
-                   [exprlang.value_function(r) for r in rows], lambda v: v),
-        "gradients": (exprlang.kernel(rows, n, m, gradient=True),
-                      [exprlang.gradient_function(r, n, m) for r in rows], lambda v: v[1]),
-        "one value": (exprlang.kernel(e, n, m), [exprlang.value_function(e)], lambda v: v),
-        "one gradient": (exprlang.kernel(e, n, m, gradient=True),
-                         [exprlang.gradient_function(e, n, m)], lambda v: v[1]),
-    }
-    # numpy scalars and Python floats at a point, then a batch of columns
-    for args in ((x, u), (list(x), list(u)), (z[:n], z[n:])):
-        batch = np.shape(args[0])[1:]
-        for name, (kernel, functions, pick) in kernels.items():
-            want = _outcome(lambda a, b: [pick(fn(a, b)) for fn in functions], *args)
-            got = _outcome(kernel, *args)
-            if want == ("raised", OverflowError) and "gradient" in name:
-                continue  # a dead power a gradient kernel drops may overflow a float
-            assert got[0] == want[0], name
-            if want[0] == "raised":
-                assert got[1] is want[1], name
-                continue
-            expected = _stack(want[1], batch)
-            if name.startswith("one"):
-                expected = expected[0]
-            assert got[1].shape == expected.shape, name
-            assert _bits_equal(got[1], expected), name
 
 
 # ---------------------------------------------------------------------------

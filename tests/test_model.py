@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tacempc import model as model_mod
+from tacempc.diagnostics import turnpike_report
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.history import steady_history
 from tacempc.model import (
@@ -22,7 +23,9 @@ from tacempc.model import (
     solve_steady_state,
     validate_certificate,
 )
-from tacempc.ocp import ROTATED, OcpSpec, _Forward, _objective, rotated_identity_check
+from tacempc.ocp import (
+    ORIGINAL, ROTATED, OcpSpec, _Forward, _objective, rotated_identity_check, solve,
+)
 
 
 def test_builtin_steady_state(builtin):
@@ -62,6 +65,33 @@ def test_steady_state_infeasible_output():
     )
     with pytest.raises(InfeasibleError):
         solve_steady_state(model)
+
+
+def test_constant_cost_and_storage_keep_the_batch_shape():
+    # ell = 2 and lam = 0 read no variable, yet a batch of K columns gets K
+    # values: the steady-state grid search indexes them per column and the
+    # turnpike report sums N of them
+    model = SystemModel.from_expressions(
+        1, 1, ["x1 * u1"], "2", ["2*x1 + u1 - 5"], [-10.0, -10.0], [10.0, 10.0]
+    )
+    cert = DissipativityCertificate.from_expression(1, "0", [1.0], 1.0, 2.0, 1.0)
+    z = np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 1.5]])
+    assert model.ell(z[:1], z[1:]).tobytes() == np.full(3, 2.0).tobytes()
+    assert cert.lam(z[:1]).tobytes() == np.zeros(3).tobytes()
+
+    ss = solve_steady_state(model)
+    assert ss.ell_s == 2.0
+    assert abs(float(model.f(ss.x_s, ss.u_s)[0]) - ss.x_s[0]) <= 1e-8
+    assert ss.h_s[0] <= 1e-8
+
+    x0 = np.array([1.0])
+    H0 = steady_history(model.h(x0, np.array([1.0])), 3)
+    sol = solve(OcpSpec(model=model, cert=cert, ss=ss, N=6, T=3, x0=x0, H0=H0,
+                        objective=ORIGINAL))
+    assert turnpike_report(sol, ss, cert, 0.1).delta == 0.0
+
+    point = (np.array([1.0]), np.array([1.0]))
+    assert type(model.ell(*point)) is float and type(cert.lam(point[0])) is float
 
 
 def test_crossed_bounds_rejected():
