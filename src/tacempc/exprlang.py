@@ -26,16 +26,18 @@ at a point; integer powers of arrays call libm ``pow`` like scalar
 ``**`` does, so a batch evaluation equals the pointwise ones bit for
 bit.
 
-``rollout`` compiles the dynamics into the state recursion
-``x_{k+1} = f(x_k, u_k)`` over a whole input sequence: one Python frame
-that steps Python floats (``tolist`` in, one array store out) instead of
-calling the ``f`` kernel once per step on numpy scalars.  Its per-step
-code is the value code of ``kernel``, so every state is bit for bit what
-stepping the kernel gives.  The two places where Python floats and numpy
-scalars differ are bound to the numpy behaviour: each ``^`` is numpy's
-float64 scalar power (libm ``pow``), so an overflow gives inf (and
-numpy's warning) where Python's ``**`` would raise OverflowError, and a
-division by zero raises EvalError at the same inputs.
+``stage_pass`` compiles a whole model (dynamics f, stage cost ell and
+outputs h) into one Python-float loop over an input sequence: at each step
+it computes the next state, ell and h by the value code of ``kernel`` and
+the Jacobians f_z, ell_z and h_z by the same live dual code as the
+gradient kernels, and at the end it stores each output with one write.
+In a rollout it takes the place of N steps of the f kernel on numpy
+scalars and five batched kernel calls.  Python floats and numpy differ in two places,
+and both are bound to the numpy behaviour: each ``^`` is libm ``pow``, with
+numpy's inf where Python's ``**`` raises OverflowError (the pass then runs
+again with ``_scalar_pow``), and a division by zero raises EvalError at
+the same inputs.  So every output is bit for bit what stepping f and
+batching the other kernels gives.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from typing import Union
 
@@ -328,13 +331,21 @@ def _dual_var(v):
 
 
 class _Codegen:
-    """Accumulates the lines and the name bindings of one generated function."""
+    """Accumulates the lines and the name bindings of one generated function.
 
-    def __init__(self):
+    A kernel's code reads variables as ``x[i]``/``u[i]`` and writes ``^`` as
+    ``_pow``.  A stage pass's code (``floats``) runs on Python floats: it
+    reads each variable from a local ``x_i``/``u_i``, which the dual code
+    uses as is (``_dual_var`` is the identity there), checks divisions with
+    ``_scalar_nonzero`` and writes ``^`` as Python's ``**`` (``fast``) or as
+    ``_scalar_pow``.
+    """
+
+    def __init__(self, floats=False, fast=False):
         self.lines = []
         self.names = {
-            "_check_nonzero": _check_nonzero,
-            "_pow": _pow,
+            "_check_nonzero": _scalar_nonzero if floats else _check_nonzero,
+            "_pow": _scalar_pow if floats else _pow,
             "_dual_var": _dual_var,
             "_empty": np.empty,
             "_batch_shape": _batch_shape,
@@ -342,6 +353,8 @@ class _Codegen:
             "_one": 1.0,
         }
         self.temps = 0
+        self.floats = floats
+        self.fast = fast
 
     def const(self, value):
         name = f"c{len(self.names)}"
@@ -353,6 +366,15 @@ class _Codegen:
         self.temps += 1
         self.lines.append(f"{name} = {rhs}")
         return name
+
+    def var(self, kind, index):
+        """The code that reads the variable x_index or u_index."""
+        kind, index = "x" if kind == "x" else "u", operator.index(index)
+        return f"{kind}_{index}" if self.floats else f"{kind}[{index}]"
+
+    def power(self, base, k):
+        k = operator.index(k)
+        return f"{base} ** {k}" if self.fast else f"_pow({base}, {k})"
 
     def body(self, indent):
         return "".join(f"{indent}{line}\n" for line in self.lines)
@@ -367,20 +389,16 @@ class _Codegen:
         return self.define(f"def compiled(x, u):\n{self.body('    ')}    return {result}\n")
 
 
-def _var(e: Var) -> str:
-    return f"{'x' if e.kind == 'x' else 'u'}[{operator.index(e.index)}]"
-
-
 def _value_code(e: Expr, gen: _Codegen) -> str:
     """Emit the value computation of e; returns the name or leaf holding it."""
     if isinstance(e, Num):
         return gen.const(e.value)
     if isinstance(e, Var):
-        return _var(e)
+        return gen.var(e.kind, e.index)
     if isinstance(e, Neg):
         return gen.emit(f"-{_value_code(e.arg, gen)}")
     if isinstance(e, Pow):
-        return gen.emit(f"_pow({_value_code(e.base, gen)}, {operator.index(e.exponent)})")
+        return gen.emit(gen.power(_value_code(e.base, gen), e.exponent))
     if isinstance(e, BinOp) and e.op in _PREC:
         a = _value_code(e.left, gen)
         b = _value_code(e.right, gen)
@@ -398,7 +416,8 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
         slot = e.index if e.kind == "x" else n + e.index
         grad = ["_zero"] * dim
         grad[slot] = "_one"
-        return gen.emit(f"_dual_var({_var(e)})"), grad
+        read = gen.var(e.kind, e.index)
+        return (read if gen.floats else gen.emit(f"_dual_var({read})")), grad
     if isinstance(e, Neg):
         v, g = _dual_code(e.arg, gen, n, dim)
         return gen.emit(f"-{v}"), [gen.emit(f"-{gi}") for gi in g]
@@ -407,8 +426,8 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
         k = operator.index(e.exponent)
         if k == 0:
             return "_one", ["_zero"] * dim
-        scale = gen.emit(f"{k} * _pow({v}, {k - 1})")
-        return gen.emit(f"_pow({v}, {k})"), [gen.emit(f"{scale} * {gi}") for gi in g]
+        scale = gen.emit(f"{k} * {gen.power(v, k - 1)}")
+        return gen.emit(gen.power(v, k)), [gen.emit(f"{scale} * {gi}") for gi in g]
     if isinstance(e, BinOp) and e.op in _PREC:
         va, ga = _dual_code(e.left, gen, n, dim)
         vb, gb = _dual_code(e.right, gen, n, dim)
@@ -481,28 +500,68 @@ def kernel(exprs, n: int, m: int, gradient: bool = False):
     return gen.build("out")
 
 
-def rollout(exprs):
-    """Compiled state recursion ``(x0, u, out)`` of the dynamics ``exprs``.
+_STAGE_OUTPUTS = ("x", "ell", "h", "fz", "lz", "hz")
 
-    x0 is the start state (n,) for n = len(exprs), u the inputs (N, m), and
-    out a flat array of N * n entries: one assignment stores x_1..x_N in
-    it, with x_{k+1} = f(x_k, u_k) for f the value kernel of ``exprs``.
-    The recursion runs on Python floats; powers and division checks behave
-    as at a point of the kernel, so out holds the kernel's states bit for
-    bit, and an EvalError raised at any step leaves out untouched.
-    """
-    gen = _Codegen()
-    gen.names.update(_pow=_scalar_pow, _check_nonzero=_scalar_nonzero)
-    states = [_value_code(e, gen) for e in exprs]
+
+def _stage_code(f, ell, h, n, m, fast):
+    """The stage loop of ``stage_pass``, with ``^`` as ``**`` when fast."""
+    gen = _Codegen(floats=True, fast=fast)
+    gen.names["_pack_into"] = struct.pack_into
+    models = (f, [ell], h)
+    values = [[_value_code(e, gen) for e in rows] for rows in models]
+    grads = [[g for e in rows for g in _dual_code(e, gen, n, n + m)[1]] for rows in models]
+    results = values + grads
+    gen.lines = _live_lines(gen.lines, [name for names in results for name in names])
+    state = "".join(f"x_{i}, " for i in range(n))
+    inputs = "".join(f"u_{j}, " for j in range(m))
+    # the bindings become default arguments: locals read faster than globals
+    bound = "".join(f", {name}={name}" for name in gen.names)
     return gen.define(
-        "def compiled(x0, us, out):\n"
-        "    x = x0.tolist()\n"
-        "    rows = []\n"
-        "    push = rows.extend\n"
-        "    for u in us.tolist():\n"
-        f"{gen.body('        ')}"
-        f"        x = [{', '.join(states)}]\n"
-        "        push(x)\n"
-        "    out[:] = rows\n"
+        f"def compiled(x0, us, {', '.join(_STAGE_OUTPUTS)}{bound}):\n"
+        f"    {state}= x0.tolist()\n"
+        + "".join(f"    {out}_rows = []\n" for out in _STAGE_OUTPUTS)
+        + f"    for {inputs}in us.tolist():\n"
+        + gen.body("        ")
+        + "".join(
+            f"        {out}_rows.append({name})\n"
+            for out, names in zip(_STAGE_OUTPUTS, results)
+            for name in names
+        )
+        + f"        {', '.join(f'x_{i}' for i in range(n))} = {', '.join(values[0])}\n"
+        # one store per output: packing the doubles into its buffer is about
+        # twice as fast as numpy's ``out[:] = rows``
+        + "".join(
+            f"    _pack_into(f'{{len({out}_rows)}}d', {out}, 0, *{out}_rows)\n"
+            for out in _STAGE_OUTPUTS
+        )
     )
 
+
+def stage_pass(f, ell, h, n: int, m: int):
+    """Compiled stage pass ``(x0, us, x, ell, h, fz, lz, hz)`` of a model.
+
+    f (n expressions), ell (one) and h (p expressions) are over x1..xn and
+    u1..um.  The pass runs over the inputs us (N, m) once, from the state
+    x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k), ell_k and
+    h_k by the value code of ``kernel`` and the Jacobians f_z, ell_z and h_z
+    by its live dual code.  The outputs are flat arrays of N * n, N, N * p,
+    N * n * (n + m), N * (n + m) and N * p * (n + m) entries, each written
+    by one store at the end in the step-major order of the batched kernels
+    transposed to (N, rows[, n + m]), so an EvalError leaves them untouched.
+
+    The loop runs on Python floats, bound to what the numpy kernels compute
+    at the same points: each ``^`` is libm ``pow`` (Python's ``**``), and a
+    division checks its divisor like the kernels do.  Where ``**`` raises
+    OverflowError numpy gives inf, so the pass is then run again with every
+    ``^`` as ``_scalar_pow``.  Every output is bit for bit the batched
+    kernels' at the states of stepping f.
+    """
+    fast, safe = (_stage_code(f, ell, h, n, m, fast) for fast in (True, False))
+
+    def compiled(x0, us, x, ell, h, fz, lz, hz):
+        try:
+            fast(x0, us, x, ell, h, fz, lz, hz)
+        except OverflowError:
+            safe(x0, us, x, ell, h, fz, lz, hz)
+
+    return compiled

@@ -29,6 +29,8 @@ _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
 _GRID_BLOCK = 2**16  # grid columns evaluated at once
+# the callbacks an expression model's stage pass reproduces, in its order
+STAGE_CALLBACKS = ("f", "ell", "h", "f_jac", "ell_grad", "h_jac")
 
 
 def _fd_jacobian(fn, x, u, out_dim):
@@ -144,10 +146,13 @@ class SystemModel:
         ``exprlang.kernel``); ``ell`` wraps its kernel to return a float at
         a point.  The callables broadcast over a batch axis bit for bit like
         pointwise calls, and a batch result has one column per point even
-        for a constant expression.  ``f`` carries the compiled state
-        recursion of its expressions as ``f.rollout`` (see
-        ``exprlang.rollout``), which the OCP rollout runs in place of
-        stepping ``f``.
+        for a constant expression.  ``f`` carries the compiled stage pass of
+        the model as ``f.stage_pass`` (see ``exprlang.stage_pass``): one
+        Python-float loop that computes the states, ell, h and the three
+        Jacobians of a whole rollout, bit for bit what ``f`` stepped and the
+        other five callbacks batched give.  Its ``callbacks`` attribute names
+        those six callables (``STAGE_CALLBACKS``), so the OCP rollout runs it
+        only for a model whose six callbacks are still these very objects.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
@@ -155,18 +160,16 @@ class SystemModel:
         ell_expr = exprlang.parse(ell_source, n, m)
         h_exprs = [exprlang.parse(s, n, m) for s in h_sources]
         ell_value = exprlang.kernel(ell_expr, n, m)
-        f = exprlang.kernel(f_exprs, n, m)
-        f.rollout = exprlang.rollout(f_exprs)
 
         def ell(x, u):
             value = ell_value(x, u)
             return value if value.ndim else float(value)
 
-        return cls(
+        model = cls(
             n=n,
             m=m,
             p=len(h_exprs),
-            f=f,
+            f=exprlang.kernel(f_exprs, n, m),
             ell=ell,
             h=exprlang.kernel(h_exprs, n, m),
             z_lower=np.asarray(z_lower, dtype=float),
@@ -175,6 +178,10 @@ class SystemModel:
             ell_grad=exprlang.kernel(ell_expr, n, m, gradient=True),
             h_jac=exprlang.kernel(h_exprs, n, m, gradient=True),
         )
+        stage_pass = exprlang.stage_pass(f_exprs, ell_expr, h_exprs, n, m)
+        stage_pass.callbacks = tuple(getattr(model, name) for name in STAGE_CALLBACKS)
+        model.f.stage_pass = stage_pass
+        return model
 
 
 @dataclass(frozen=True)

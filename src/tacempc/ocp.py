@@ -10,10 +10,10 @@ quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
 the objective is one Python frame below scipy's kernel.  One rollout with
 sensitivities (``_Forward``) serves the solver and the evaluation helpers
 ``constraint_residuals``, ``open_loop_cost`` and ``rotated_identity_check``.
-Its two per-step loops stay off numpy's per-call overhead: the states come
-from the model's compiled recursion ``f.rollout`` when f carries one
-(models built from expressions), and each sensitivity step calls BLAS
-through ``ndarray.dot``.
+Its per-step loops stay off numpy's per-call overhead: a model built from
+expressions runs its compiled stage pass ``f.stage_pass``, one Python-float
+loop for the states, stage values and stage Jacobians, and each
+sensitivity step calls BLAS through ``ndarray.dot``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import ConfigError, InfeasibleError
 from .history import HistoryState, window_rows
 from .lbfgsb import lbfgsb
 from .model import (
+    STAGE_CALLBACKS,
     DissipativityCertificate,
     SteadyState,
     SystemModel,
@@ -85,6 +86,8 @@ class OcpSpec:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.shape != (self.model.n,):
             raise ConfigError("x0 has wrong dimension")
+        if not np.all(np.isfinite(x0)):  # NaN would pass the box check below
+            raise ConfigError(f"initial state must be finite, got {x0.tolist()}")
         # solves stop within feas_tol of the state box, so a predicted state
         # passed on as the next x0 may lie outside it by as much
         tol = self.options.feas_tol
@@ -94,8 +97,14 @@ class OcpSpec:
             raise ConfigError("history period does not match T")
         object.__setattr__(self, "x0", x0)
         if self.warm_start is not None:
-            ws = np.asarray(self.warm_start, dtype=float).reshape(self.N, self.model.m)
-            object.__setattr__(self, "warm_start", ws)
+            ws = np.asarray(self.warm_start, dtype=float)
+            if ws.size != self.N * self.model.m:
+                raise ConfigError(
+                    f"warm start has {ws.size} entries, expected N * m = {self.N * self.model.m}"
+                )
+            if not np.all(np.isfinite(ws)):
+                raise ConfigError("warm start must be finite")
+            object.__setattr__(self, "warm_start", ws.reshape(self.N, self.model.m))
 
 
 @dataclass(frozen=True)
@@ -118,14 +127,17 @@ class _Forward:
     Its buffers depend only on the spec, so a solve builds one and each
     call ``fwd(u)`` overwrites x, h, ell, Sx, Dh and Dell in place; a
     result kept past the next call must be copied.  ``_Forward(spec, u)``
-    is a one-off workspace rolled out once.  Only the state recursion is
-    sequential.  When ``model.f`` carries a compiled recursion
-    (``f.rollout``, see ``exprlang.rollout``) it computes x_1..x_N in one
-    call, bit for bit the states of stepping f; any other f (a plain
-    callable, or one swapped in with ``dataclasses.replace``, such as a
-    tracing wrapper) is stepped once per stage.  The choice is made once
-    per workspace.  ell, h and the Jacobians are evaluated once over the
-    whole (n, N) trajectory and copied into step-major (N, rows, n + m)
+    is a one-off workspace rolled out once.  The states, ell, h and the
+    stage Jacobians f_z, ell_z and h_z come from one of two paths, chosen
+    once per workspace.  When ``model.f`` carries a stage pass
+    (``f.stage_pass``, see ``exprlang.stage_pass``) and the model's six
+    callbacks ``STAGE_CALLBACKS`` are the very objects it was compiled
+    with, one call of the pass computes them all and stores them in the
+    buffers.  Otherwise (a plain callable, or any callback swapped in with
+    ``dataclasses.replace``, such as a tracing wrapper or ``h_jac=None``)
+    f is stepped once per stage and ell, h and the Jacobians are evaluated
+    once over the whole (n, N) trajectory.  Over the same callbacks both
+    paths give the same bits, in the same step-major (N, rows, n + m)
     C-contiguous buffers.  Dz (N + 1, n + m, N * m) holds d z_k / d u for
     z_k = (x_k, u_k): selector rows for u_k, set once, and one product
     f_z(z_k) @ Dz[k] per step for x_{k+1}, written by ``fz.dot(Dz[k],
@@ -136,8 +148,9 @@ class _Forward:
     (inf * 0).
     """
 
-    __slots__ = ("model", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_rollout", "_next",
-                 "_xs", "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows", "_Dell_rows")
+    __slots__ = ("model", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_pass", "_outs",
+                 "_next", "_xs", "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows",
+                 "_Dell_rows")
 
     def __init__(self, spec: OcpSpec, u: Optional[np.ndarray] = None):
         model = spec.model
@@ -147,12 +160,6 @@ class _Forward:
         self._x0 = spec.x0
         self.x = np.empty((N + 1, n))
         self.x[0] = spec.x0
-        self._rollout = getattr(model.f, "rollout", None)
-        if self._rollout is None:
-            self._next = list(self.x[1:])  # row views x_1..x_N, one per f step
-        else:
-            self._next = self.x[1:].reshape(-1)  # x_1..x_N flat, one store
-        self._xs = self.x[:N].T
         self.h = np.empty((N, p))
         self.ell = np.empty(N)
         self._fz = np.empty((N, n, n + m))
@@ -167,24 +174,34 @@ class _Forward:
         self._Dell_rows = np.empty((N, 1, nu))
         self.Dell = self._Dell_rows[:, 0]
         self.Dh = np.empty((N, p, nu))
+        self._pass = getattr(model.f, "stage_pass", None)
+        if self._pass is not None and all(
+            a is getattr(model, name) for a, name in zip(self._pass.callbacks, STAGE_CALLBACKS)
+        ):
+            buffers = (self.x[1:], self.ell, self.h, self._fz, self._lz, self._hz)
+            self._outs = tuple(b.reshape(-1) for b in buffers)  # flat views
+        else:
+            self._pass = None
+            self._next = list(self.x[1:])  # row views x_1..x_N, one per f step
+            self._xs = self.x[:N].T
         if u is not None:
             self(u)
 
     def __call__(self, u: np.ndarray) -> "_Forward":
         """Roll out the inputs u (N, m) into this workspace."""
-        model = self.model
-        if self._rollout is not None:
-            self._rollout(self._x0, u, self._next)
+        if self._pass is not None:
+            self._pass(self._x0, u, *self._outs)
         else:
+            model = self.model
             f, x = model.f, self._x0
             for row, uk in zip(self._next, u):
                 x = row[...] = f(x, uk)
-        xs, us = self._xs, u.T  # (n, N), (m, N)
-        self.h[:] = np.atleast_2d(model.h(xs, us)).T
-        self.ell[:] = model.ell(xs, us)
-        np.copyto(self._fz, model.jac_f(xs, us).transpose(2, 0, 1))
-        np.copyto(self._lz, model.grad_ell(xs, us).T)
-        np.copyto(self._hz, model.jac_h(xs, us).transpose(2, 0, 1))
+            xs, us = self._xs, u.T  # (n, N), (m, N)
+            self.h[:] = np.atleast_2d(model.h(xs, us)).T
+            self.ell[:] = model.ell(xs, us)
+            np.copyto(self._fz, model.jac_f(xs, us).transpose(2, 0, 1))
+            np.copyto(self._lz, model.grad_ell(xs, us).T)
+            np.copyto(self._hz, model.jac_h(xs, us).transpose(2, 0, 1))
         for fz, Dz, out in self._steps:
             fz.dot(Dz, out)
         np.matmul(self._lz_rows, self._Dz, self._Dell_rows)

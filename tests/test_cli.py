@@ -99,6 +99,16 @@ def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, argv, messag
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["simulate", "turnpike"])
+def test_non_finite_initial_state_exits_with_config_error(tmp_path, capsys, command):
+    # a NaN x0 used to reach the solver: a 0-step trace and exit 2 from
+    # simulate, the solver's "no iterate with a finite objective" from turnpike
+    out = ["--out", str(tmp_path)] if command == "simulate" else []
+    assert main([command, "--model", "mueller-koehler", "--K", "3", "--x0", "nan", *out]) == 1
+    assert capsys.readouterr().err.startswith("error: initial state must be finite")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key", [
     "seed", "penalty_init", "penalty_growth", "penalty_max", "max_outer", "max_inner",
 ])

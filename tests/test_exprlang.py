@@ -434,44 +434,77 @@ def test_generated_source_binds_constants_by_name():
 
 
 # ---------------------------------------------------------------------------
-# Rollout: the compiled state recursion of a dynamics kernel
+# Stage pass: states, stage values and stage Jacobians in one Python-float loop
 
 
 @st.composite
-def _recursions(draw):
-    """(dynamics, x0 (n,), inputs (N, m)) for n states and m inputs."""
-    n, m, N = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
-    exprs = draw(st.lists(_exprs(n, m), min_size=n, max_size=n))
+def _models(draw):
+    """(f, ell, h, x0 (n,), inputs (N, m)) for n states, m inputs, p outputs."""
+    n, m, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    N = draw(st.integers(1, 5))
+    f = draw(st.lists(_exprs(n, m), min_size=n, max_size=n))
+    ell = draw(_exprs(n, m))
+    h = draw(st.lists(_exprs(n, m), min_size=p, max_size=p))
     x0 = draw(st.lists(_VALUES, min_size=n, max_size=n))
     u = draw(st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=N, max_size=N))
-    return exprs, np.array(x0), np.array(u)
+    return f, ell, h, np.array(x0), np.array(u)
 
 
-def _stepped(kernel, x0, u):
-    """The states x_1..x_N of stepping the kernel at numpy points."""
-    states, x = [], x0
+def _stepped_and_batched(f, ell, h, x0, u):
+    """What the stage pass must store: x_1..x_N from stepping the f kernel
+    at numpy points, then ell, h and the Jacobians from the batched
+    kernels over the whole trajectory, each flattened step-major."""
+    n, m = len(x0), u.shape[1]
+    step = exprlang.kernel(f, n, m)
+    states, x = [x0], x0
     for uk in u:
-        x = kernel(x, uk)
+        x = step(x, uk)
         states.append(x)
-    return np.concatenate(states)
+    xs, us = np.array(states[:-1]).T, u.T
+    batched = [
+        exprlang.kernel(ell, n, m)(xs, us),
+        exprlang.kernel(h, n, m)(xs, us).T,
+        exprlang.kernel(f, n, m, gradient=True)(xs, us).transpose(2, 0, 1),
+        exprlang.kernel(ell, n, m, gradient=True)(xs, us).T,
+        exprlang.kernel(h, n, m, gradient=True)(xs, us).transpose(2, 0, 1),
+    ]
+    return [np.concatenate(states[1:])] + [a.ravel() for a in batched]
+
+
+def _model_case(f, ell, h, x0, u):
+    x0, u = np.array(x0, dtype=float), np.array(u, dtype=float)
+    n, m = len(x0), u.shape[1]
+    return ([parse(s, n, m) for s in f], parse(ell, n, m), [parse(s, n, m) for s in h], x0, u)
 
 
 @settings(max_examples=300)
-@given(_recursions())
-# x_1 = 1e200, then numpy's scalar power overflows to inf where a Python
-# float power raises OverflowError
-@example(([parse("x1^3 + u1", 1, 1)], np.array([1e200 ** (1 / 3)]), np.zeros((2, 1))))
-@example(([parse("x1 / u1", 1, 1)], np.array([1.0]), np.array([[2.0], [0.0], [2.0]])))
-def test_rollout_matches_stepping_the_kernel(case):
-    exprs, x0, u = case
+@given(_models())
+# x_1 = 1e100, so x_2 overflows: numpy gives inf where a Python float
+# power raises OverflowError
+@example(_model_case(["x1^4 + u1"], "x1^2", ["x1^3 - u1"], [1e25], [[0.0], [0.0]]))
+# the second step divides by u = 0: EvalError, the outputs untouched
+@example(_model_case(["x1 / u1"], "x1", ["u1"], [1.0], [[2.0], [0.0], [2.0]]))
+# a constant cost still gives one value, and a zero gradient, per step
+@example(_model_case(["x2", "x1 * u1"], "2", ["x1", "x2 - u1"], [0.5, 1.5], [[1.0], [3.0]]))
+# x1^4 overflows a Python float at 1e100, but the gradient reads only 4 * x1^3
+@example(_model_case(["x1"], "x1^4", ["x1^4"], [1e100], [[0.0]]))
+def test_stage_pass_matches_stepped_and_batched_kernels(case):
+    f, ell, h, x0, u = case
     n, m = len(x0), u.shape[1]
-    want = _outcome(_stepped, exprlang.kernel(exprs, n, m), x0, u)
-    untouched = np.full(u.shape[0] * n, 7.0)
-    out = untouched.copy()
-    got = _outcome(exprlang.rollout(exprs), x0, u, out)
+    want = _outcome(_stepped_and_batched, f, ell, h, x0, u)
+    sizes = [n, 1, len(h), n * (n + m), n + m, len(h) * (n + m)]
+    outs = [np.full(u.shape[0] * size, 7.0) for size in sizes]
+    untouched = [out.copy() for out in outs]
+    got = _outcome(exprlang.stage_pass(f, ell, h, n, m), x0, u, *outs)
+    if want == ("raised", OverflowError):
+        # only a constant power overflows the batched kernels by raising; at
+        # the same place the stage pass gives inf, as a numpy point would
+        assert got[0] == "ok" or got[1] is EvalError
+        return
     assert got[0] == want[0]
     if want[0] == "raised":
         assert got[1] is want[1] is EvalError
-        assert out.tobytes() == untouched.tobytes()
-    else:
-        assert _bits_equal(out, want[1])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, untouched))
+        return
+    for name, out, expected in zip(exprlang._STAGE_OUTPUTS, outs, want[1]):
+        assert _bits_equal(out, expected), name

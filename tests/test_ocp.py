@@ -12,6 +12,7 @@ from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.exprlang import EvalError
 from tacempc.history import HistoryState, eq6_rhs, steady_history
 from tacempc.model import (
+    STAGE_CALLBACKS,
     DissipativityCertificate,
     SteadyState,
     SystemModel,
@@ -53,10 +54,28 @@ def test_spec_validation(builtin):
                 x0=np.array([1.0, 2.0]), H0=H)  # wrong dimension
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=3, x0=12.0, H0=H)  # outside the box
+    for x0 in (np.nan, np.inf, -np.inf):  # NaN compares false with both bounds
+        with pytest.raises(ConfigError, match="initial state must be finite"):
+            _spec(builtin, N=6, T=3, x0=x0, H0=H)
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=2, x0=1.0, H0=H)  # history period mismatch
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=3, x0=1.0, H0=H, objective="economic")
+
+
+@pytest.mark.parametrize("warm_start, message", [
+    (np.ones(5), r"warm start has 5 entries, expected N \* m = 6"),
+    (np.ones((3, 3)), r"warm start has 9 entries, expected N \* m = 6"),
+    (np.full((6, 1), np.nan), "warm start must be finite"),
+    ([1.0, 1.0, np.inf, 1.0, 1.0, 1.0], "warm start must be finite"),
+])
+def test_spec_rejects_malformed_warm_start(builtin, warm_start, message):
+    with pytest.raises(ConfigError, match=message):
+        _spec(builtin, N=6, T=3, x0=1.0, H0=steady_history([-2.0], 3), warm_start=warm_start)
+    # any shape with N * m finite entries is taken, row by row
+    spec = _spec(builtin, N=6, T=3, x0=1.0, H0=steady_history([-2.0], 3),
+                 warm_start=np.arange(6.0))
+    assert spec.warm_start.tobytes() == np.arange(6.0).reshape(6, 1).tobytes()
 
 
 @pytest.mark.parametrize("name", ["feas_tol", "stat_tol"])
@@ -565,30 +584,47 @@ def test_batched_rollout_matches_step_loop(case):
         _assert_matches(a, b, n, name)
 
 
-def test_swapped_dynamics_are_stepped(builtin, fig_history):
-    # an f replaced through dataclasses.replace carries no compiled
-    # recursion, so the rollout steps the replacement, once per stage; a
-    # replacement that carries one is not stepped
+@pytest.mark.parametrize("name", STAGE_CALLBACKS)
+def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
+    # a callback replaced through dataclasses.replace is not one the stage
+    # pass reproduces, so the rollout calls the replacement: f once per
+    # stage, the other five once per rollout over the whole trajectory; an
+    # f that carries the original's stage pass is stepped all the same
     model = builtin[0]
     spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
-    calls = []
+    original, calls = getattr(model, name), []
 
-    def counting_f(x, u):
+    def counting(x, u):
         calls.append(1)
-        return model.f(x, u)
+        return original(x, u)
 
+    if name == "f":
+        counting.stage_pass = model.f.stage_pass
+    swapped = dataclasses.replace(model, **{name: counting})
+    compiled, generic = _Forward(spec), _Forward(dataclasses.replace(spec, model=swapped))
+    per_rollout = spec.N if name == "f" else 1
     u = np.random.default_rng(5).uniform(0.5, 1.5, (2, 12, 1))
-    compiled = _Forward(spec, u[0])
-    stepped = _Forward(dataclasses.replace(spec, model=dataclasses.replace(model, f=counting_f)))
     for k, uk in enumerate(u):
-        stepped(uk)
-        assert len(calls) == 12 * (k + 1)
-    compiled(u[1])
-    for name in ("x", "h", "ell", "Sx", "Dh", "Dell"):
-        assert getattr(stepped, name).tobytes() == getattr(compiled, name).tobytes(), name
-    counting_f.rollout = model.f.rollout
-    _Forward(dataclasses.replace(spec, model=dataclasses.replace(model, f=counting_f)), u[0])
-    assert len(calls) == 24
+        compiled(uk)
+        generic(uk)
+        assert len(calls) == per_rollout * (k + 1)
+        for attr in ("x", "h", "ell", "Sx", "Dh", "Dell"):
+            assert getattr(generic, attr).tobytes() == getattr(compiled, attr).tobytes(), attr
+
+
+@pytest.mark.parametrize("name, buffer", [("f_jac", "Sx"), ("ell_grad", "Dell"), ("h_jac", "Dh")])
+def test_dropped_jacobian_takes_finite_differences(builtin, fig_history, name, buffer):
+    # without the Jacobian callable the rollout differentiates numerically,
+    # so its sensitivities differ from the stage pass's exact ones
+    model = builtin[0]
+    spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
+    fd_spec = dataclasses.replace(spec, model=dataclasses.replace(model, **{name: None}))
+    u = np.random.default_rng(5).uniform(0.5, 1.5, (12, 1))
+    exact, fd = _Forward(spec, u), _Forward(fd_spec, u)
+    assert getattr(fd, buffer).tobytes() != getattr(exact, buffer).tobytes()
+    np.testing.assert_allclose(getattr(fd, buffer), getattr(exact, buffer), rtol=1e-6, atol=1e-9)
+    for attr in ("x", "h", "ell"):
+        assert getattr(fd, attr).tobytes() == getattr(exact, attr).tobytes(), attr
 
 
 def test_finite_difference_model_solves_like_exact(builtin, fig_history):
