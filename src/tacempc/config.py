@@ -249,6 +249,8 @@ def load_config(
         if x0.shape != (model.n,):
             raise ConfigError(f"x0 must have {model.n} entries")
     epsilon = as_number(exp.get("eps", 0.1), float, "experiment eps")
+    if not 0 < epsilon < np.inf:  # also rejects NaN
+        raise ConfigError(f"experiment eps must be positive and finite, got {epsilon!r}")
     config = RunConfig(
         model=model,
         cert=cert,

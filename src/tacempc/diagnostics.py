@@ -70,8 +70,8 @@ def turnpike_report(
     (x(k) - x_s, u(k) - u_s); delta is the realized excess of the plain
     economic cost over N * ell_s for this solution.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not epsilon > 0:  # NaN too
+        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     spec = solution.spec
     model, N, T = spec.model, spec.N, spec.T
     dev = np.hstack([solution.x_pred[:N] - ss.x_s, solution.u - ss.u_s])

@@ -31,12 +31,13 @@ outputs h) into one Python-float loop over an input sequence: at each step
 it computes the next state, ell and h by the value code of ``kernel`` and
 the Jacobians f_z, ell_z and h_z by the same live dual code as the
 gradient kernels, and at the end it stores each output with one write.
-In a rollout it takes the place of N steps of the f kernel on numpy
-scalars and five batched kernel calls.  Python floats and numpy differ in two places,
-and both are bound to the numpy behaviour: each ``^`` is libm ``pow``, with
-numpy's inf where Python's ``**`` raises OverflowError (the pass then runs
-again with ``_scalar_pow``), and a division by zero raises EvalError at
-the same inputs.  So every output is bit for bit what stepping f and
+``SystemModel.from_expressions`` keeps it as the model's ``stage_pass``
+field; in a rollout it takes the place of N steps of the f kernel on
+numpy scalars and five batched kernel calls.  Python floats and numpy
+differ in two places, and both are bound to the numpy behaviour: each
+``^`` is libm ``pow``, with numpy's inf where Python's ``**`` raises
+OverflowError (the pass then runs again with ``_scalar_pow``), and a
+division by zero raises EvalError at the same inputs.  So every output is bit for bit what stepping f and
 batching the other kernels gives.
 """
 

@@ -13,7 +13,7 @@ of ``_GRID_BLOCK`` columns from ``_grid_blocks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,8 +29,6 @@ _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
 _GRID_BLOCK = 2**16  # grid columns evaluated at once
-# the callbacks an expression model's stage pass reproduces, in its order
-STAGE_CALLBACKS = ("f", "ell", "h", "f_jac", "ell_grad", "h_jac")
 
 
 def _fd_jacobian(fn, x, u, out_dim):
@@ -65,6 +63,10 @@ class SystemModel:
     (n+m, K) and h_jac (p, n+m, K).  The grid routines and the rollout
     call them once per batch.  Jacobian callables are optional; central
     finite differences of f, ell and h, also batched, are used when absent.
+    The box Z must be finite (it is compact).  ``stage_pass`` is the
+    compiled rollout of a model built by ``from_expressions``; it is not an
+    argument, and ``dataclasses.replace`` does not copy it, so a replaced
+    model, whose callbacks may differ, never runs a stale pass.
     """
 
     n: int
@@ -78,6 +80,7 @@ class SystemModel:
     f_jac: Optional[Callable] = None  # (x, u) -> (n, n+m[, K])
     ell_grad: Optional[Callable] = None  # (x, u) -> (n+m[, K])
     h_jac: Optional[Callable] = None  # (x, u) -> (p, n+m[, K])
+    stage_pass: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if min(self.n, self.m, self.p) < 1:
@@ -86,6 +89,8 @@ class SystemModel:
         upper = np.asarray(self.z_upper, dtype=float)
         if lower.shape != (self.n + self.m,) or upper.shape != (self.n + self.m,):
             raise ConfigError("box bounds must have length n + m")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+            raise ConfigError("box bounds must be finite")
         if np.any(lower > upper):
             raise ConfigError("box lower bounds exceed upper bounds")
         object.__setattr__(self, "z_lower", lower)
@@ -146,13 +151,11 @@ class SystemModel:
         ``exprlang.kernel``); ``ell`` wraps its kernel to return a float at
         a point.  The callables broadcast over a batch axis bit for bit like
         pointwise calls, and a batch result has one column per point even
-        for a constant expression.  ``f`` carries the compiled stage pass of
-        the model as ``f.stage_pass`` (see ``exprlang.stage_pass``): one
-        Python-float loop that computes the states, ell, h and the three
-        Jacobians of a whole rollout, bit for bit what ``f`` stepped and the
-        other five callbacks batched give.  Its ``callbacks`` attribute names
-        those six callables (``STAGE_CALLBACKS``), so the OCP rollout runs it
-        only for a model whose six callbacks are still these very objects.
+        for a constant expression.  The model's ``stage_pass`` is compiled
+        here too (see ``exprlang.stage_pass``): one Python-float loop that
+        computes the states, ell, h and the three Jacobians of a whole
+        rollout, bit for bit what ``f`` stepped and the other five
+        callbacks batched give.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
@@ -179,8 +182,7 @@ class SystemModel:
             h_jac=exprlang.kernel(h_exprs, n, m, gradient=True),
         )
         stage_pass = exprlang.stage_pass(f_exprs, ell_expr, h_exprs, n, m)
-        stage_pass.callbacks = tuple(getattr(model, name) for name in STAGE_CALLBACKS)
-        model.f.stage_pass = stage_pass
+        object.__setattr__(model, "stage_pass", stage_pass)
         return model
 
 
@@ -201,10 +203,12 @@ class DissipativityCertificate:
 
     def __post_init__(self):
         lb = np.atleast_1d(np.asarray(self.lambda_bar, dtype=float))
+        if not np.all(np.isfinite(lb)):
+            raise ConfigError("multiplier lambda_bar must be finite")
         if np.any(lb < 0):
             raise ConfigError("multiplier lambda_bar must be nonnegative")
-        if self.a <= 0 or self.omega <= 0 or self.L_h <= 0:
-            raise ConfigError("a, omega and L_h must be positive")
+        if not all(0 < value < np.inf for value in (self.a, self.omega, self.L_h)):
+            raise ConfigError("a, omega and L_h must be positive and finite")  # NaN too
         object.__setattr__(self, "lambda_bar", lb)
 
     def rho(self, r):

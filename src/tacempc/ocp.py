@@ -7,13 +7,15 @@ stored history, full windows inside the horizon).  The solver is an
 augmented Lagrangian over the inequality residuals with a projected
 quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
 ``lbfgsb.lbfgsb`` as the ``method`` of ``scipy.optimize.minimize``, so
-the objective is one Python frame below scipy's kernel.  One rollout with
-sensitivities (``_Forward``) serves the solver and the evaluation helpers
-``constraint_residuals``, ``open_loop_cost`` and ``rotated_identity_check``.
-Its per-step loops stay off numpy's per-call overhead: a model built from
-expressions runs its compiled stage pass ``f.stage_pass``, one Python-float
-loop for the states, stage values and stage Jacobians, and each
-sensitivity step calls BLAS through ``ndarray.dot``.
+the objective is one Python frame below scipy's kernel.  One problem
+object per spec (``_Problem``) evaluates the objective, the constraints
+and their derivatives from one rollout with sensitivities (``_Forward``);
+it serves the solver and the evaluation helpers ``constraint_residuals``,
+``open_loop_cost`` and ``rotated_identity_check``.  The rollout's per-step
+loops stay off numpy's per-call overhead: a model built from expressions
+runs its compiled stage pass ``model.stage_pass``, one Python-float loop
+for the states, stage values and stage Jacobians, and each sensitivity
+step calls BLAS through ``ndarray.dot``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import ConfigError, InfeasibleError
 from .history import HistoryState, window_rows
 from .lbfgsb import lbfgsb
 from .model import (
-    STAGE_CALLBACKS,
     DissipativityCertificate,
     SteadyState,
     SystemModel,
@@ -126,19 +127,17 @@ class _Forward:
 
     Its buffers depend only on the spec, so a solve builds one and each
     call ``fwd(u)`` overwrites x, h, ell, Sx, Dh and Dell in place; a
-    result kept past the next call must be copied.  ``_Forward(spec, u)``
-    is a one-off workspace rolled out once.  The states, ell, h and the
-    stage Jacobians f_z, ell_z and h_z come from one of two paths, chosen
-    once per workspace.  When ``model.f`` carries a stage pass
-    (``f.stage_pass``, see ``exprlang.stage_pass``) and the model's six
-    callbacks ``STAGE_CALLBACKS`` are the very objects it was compiled
-    with, one call of the pass computes them all and stores them in the
-    buffers.  Otherwise (a plain callable, or any callback swapped in with
-    ``dataclasses.replace``, such as a tracing wrapper or ``h_jac=None``)
-    f is stepped once per stage and ell, h and the Jacobians are evaluated
-    once over the whole (n, N) trajectory.  Over the same callbacks both
-    paths give the same bits, in the same step-major (N, rows, n + m)
-    C-contiguous buffers.  Dz (N + 1, n + m, N * m) holds d z_k / d u for
+    result kept past the next call must be copied.  The states, ell, h and
+    the stage Jacobians f_z, ell_z and h_z come from one of two paths,
+    chosen once per workspace.  A model built from expressions carries its
+    compiled ``stage_pass`` (see ``exprlang.stage_pass``), and one call of
+    it computes them all and stores them in the buffers.  Otherwise (a
+    model built in Python, or one made by ``dataclasses.replace``, which
+    does not copy the pass: a tracing wrapper, ``h_jac=None``) f is stepped
+    once per stage and ell, h and the Jacobians are evaluated once over the
+    whole (n, N) trajectory.  Over the same callbacks both paths give the
+    same bits, in the same step-major (N, rows, n + m) C-contiguous
+    buffers.  Dz (N + 1, n + m, N * m) holds d z_k / d u for
     z_k = (x_k, u_k): selector rows for u_k, set once, and one product
     f_z(z_k) @ Dz[k] per step for x_{k+1}, written by ``fz.dot(Dz[k],
     out)``: BLAS called directly, about half the cost of the ``np.matmul``
@@ -152,7 +151,7 @@ class _Forward:
                  "_next", "_xs", "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows",
                  "_Dell_rows")
 
-    def __init__(self, spec: OcpSpec, u: Optional[np.ndarray] = None):
+    def __init__(self, spec: OcpSpec):
         model = spec.model
         n, m, p, N = model.n, model.m, model.p, spec.N
         nu = N * m
@@ -174,18 +173,13 @@ class _Forward:
         self._Dell_rows = np.empty((N, 1, nu))
         self.Dell = self._Dell_rows[:, 0]
         self.Dh = np.empty((N, p, nu))
-        self._pass = getattr(model.f, "stage_pass", None)
-        if self._pass is not None and all(
-            a is getattr(model, name) for a, name in zip(self._pass.callbacks, STAGE_CALLBACKS)
-        ):
+        self._pass = model.stage_pass
+        if self._pass is not None:
             buffers = (self.x[1:], self.ell, self.h, self._fz, self._lz, self._hz)
             self._outs = tuple(b.reshape(-1) for b in buffers)  # flat views
         else:
-            self._pass = None
             self._next = list(self.x[1:])  # row views x_1..x_N, one per f step
             self._xs = self.x[:N].T
-        if u is not None:
-            self(u)
 
     def __call__(self, u: np.ndarray) -> "_Forward":
         """Roll out the inputs u (N, m) into this workspace."""
@@ -209,39 +203,22 @@ class _Forward:
         return self
 
 
-def _objective(spec: OcpSpec, fwd: _Forward, lam_x0: Optional[float] = None):
-    """Objective value and gradient.
+class _Problem:
+    """The OCP of one spec: ``problem(uf)`` gives (J, DJ, g, Dg) at the inputs uf.
 
-    The rotated cost reads the storage lam(x0), which is computed here
-    unless the caller passes it as ``lam_x0``.
+    It owns what every evaluation reuses: a ``_Forward`` workspace ``fwd``,
+    the buffers of g and Dg with their views, lam(x0) for the rotated cost,
+    and a memo on the last point's bytes, so a repeat of that point (after
+    each AL run and at the start of the next) costs no rollout.  Each new
+    point overwrites fwd, g and Dg.  ``objective`` and ``constraints`` read
+    any rollout with the attributes of ``_Forward``.
     """
-    J = float(fwd.ell.sum())
-    DJ = fwd.Dell.sum(axis=0)
-    if spec.objective == ROTATED:
-        cert, ss = spec.cert, spec.ss
-        if lam_x0 is None:
-            lam_x0 = float(cert.lam(spec.x0))
-        J = (
-            J
-            - spec.N * ss.ell_s
-            + lam_x0
-            - float(cert.lam(fwd.x[-1]))
-            + float(cert.lambda_bar @ fwd.h.sum(axis=0))
-        )
-        DJ = (
-            DJ
-            - cert.grad_lam(fwd.x[-1]) @ fwd.Sx[-1]
-            + np.einsum("i,kij->j", cert.lambda_bar, fwd.Dh)
-        )
-    return J, DJ
-
-
-class _ConstraintRows:
-    """Buffers of the solver constraints of one spec: g, Dg and their views."""
 
     def __init__(self, spec: OcpSpec):
         model, N = spec.model, spec.N
         n, p, nu = model.n, model.p, N * model.m
+        self.spec = spec
+        self.fwd = _Forward(spec)
         n_box = 2 * n * (N - 1)
         self.g = np.empty(n_box + N * p)
         self.Dg = np.empty((self.g.size, nu))
@@ -253,30 +230,57 @@ class _ConstraintRows:
         self.Dg_windows = self.Dg[n_box:].reshape(N, p, nu)
         self.cum_h = np.empty((N, p))
         self.cum_Dh = np.empty((N, p, nu))
+        self.lam_x0 = float(spec.cert.lam(spec.x0)) if spec.objective == ROTATED else None
+        self._key = self._last = None
 
+    def __call__(self, uf: np.ndarray):
+        key = uf.tobytes()
+        if key != self._key:
+            fwd = self.fwd(uf.reshape(self.spec.N, self.spec.model.m))
+            self._key = key
+            self._last = self.objective(fwd) + self.constraints(fwd)
+        return self._last
 
-def _solver_constraints(spec: OcpSpec, fwd: _Forward, rows: Optional[_ConstraintRows] = None):
-    """Inequality residuals g(u) <= 0 the solver penalizes, with Jacobian.
+    def objective(self, fwd):
+        """Objective value and gradient."""
+        spec, cert = self.spec, self.spec.cert
+        J = float(fwd.ell.sum())
+        DJ = fwd.Dell.sum(axis=0)
+        if spec.objective == ROTATED:
+            J = (
+                J
+                - spec.N * spec.ss.ell_s
+                + self.lam_x0
+                - float(cert.lam(fwd.x[-1]))
+                + float(cert.lambda_bar @ fwd.h.sum(axis=0))
+            )
+            DJ = (
+                DJ
+                - cert.grad_lam(fwd.x[-1]) @ fwd.Sx[-1]
+                + np.einsum("i,kij->j", cert.lambda_bar, fwd.Dh)
+            )
+        return J, DJ
 
-    Families: shot-state box for x_1..x_{N-1} (x0 is fixed, inputs live in
-    their box by projection; lower then upper rows per step),
-    history-anchored partial windows, and full windows inside the horizon.
-    They are written into ``rows`` (fresh buffers when not given), whose
-    g and Dg are returned.
-    """
-    model, N, T = spec.model, spec.N, spec.T
-    rows = _ConstraintRows(spec) if rows is None else rows
-    x_shot = fwd.x[1:N]
-    np.subtract(model.x_lower, x_shot, out=rows.g_lower)
-    np.subtract(x_shot, model.x_upper, out=rows.g_upper)
-    fwd.h.cumsum(axis=0, out=rows.cum_h)
-    window_rows(rows.cum_h, T, spec.H0.tail_sums, out=rows.g_windows)
-    S_shot = fwd.Sx[1:N]
-    np.negative(S_shot, out=rows.Dg_lower)
-    rows.Dg_upper[...] = S_shot
-    fwd.Dh.cumsum(axis=0, out=rows.cum_Dh)
-    window_rows(rows.cum_Dh, T, out=rows.Dg_windows)
-    return rows.g, rows.Dg
+    def constraints(self, fwd):
+        """Inequality residuals g(u) <= 0 the solver penalizes, with Jacobian.
+
+        Families: shot-state box for x_1..x_{N-1} (x0 is fixed, inputs live in
+        their box by projection; lower then upper rows per step),
+        history-anchored partial windows, and full windows inside the horizon.
+        They are written into g and Dg, which are returned.
+        """
+        spec, N = self.spec, self.spec.N
+        x_shot = fwd.x[1:N]
+        np.subtract(spec.model.x_lower, x_shot, out=self.g_lower)
+        np.subtract(x_shot, spec.model.x_upper, out=self.g_upper)
+        fwd.h.cumsum(axis=0, out=self.cum_h)
+        window_rows(self.cum_h, spec.T, spec.H0.tail_sums, out=self.g_windows)
+        S_shot = fwd.Sx[1:N]
+        np.negative(S_shot, out=self.Dg_lower)
+        self.Dg_upper[...] = S_shot
+        fwd.Dh.cumsum(axis=0, out=self.cum_Dh)
+        window_rows(self.cum_Dh, spec.T, out=self.Dg_windows)
+        return self.g, self.Dg
 
 
 def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
@@ -284,22 +288,21 @@ def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
 
     Fixed ordering: pointwise lower bounds, pointwise upper bounds (both
     over (x_k, u_k), k = 0..N-1), partial windows by anchor j ascending,
-    full windows by start index i ascending.
+    full windows by start index i ascending (the solver's window rows).
     """
     u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    fwd = _Forward(spec, u)
+    problem = _Problem(spec)
+    problem(u)
     model = spec.model
-    z = np.hstack([fwd.x[: spec.N], u])  # (N, n + m)
+    z = np.hstack([problem.fwd.x[: spec.N], u])  # (N, n + m)
     lower = (model.z_lower - z).ravel()
     upper = (z - model.z_upper).ravel()
-    windows = window_rows(np.cumsum(fwd.h, axis=0), spec.T, spec.H0.tail_sums)
-    return np.concatenate([lower, upper, windows.ravel()])
+    return np.concatenate([lower, upper, problem.g_windows.ravel()])
 
 
 def open_loop_cost(spec: OcpSpec, u) -> float:
     """Objective value of an input sequence under the configured cost."""
-    u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    return _objective(spec, _Forward(spec, u))[0]
+    return _Problem(spec)(np.asarray(u, dtype=float))[0]
 
 
 def rotated_identity_check(spec: OcpSpec, u) -> float:
@@ -310,11 +313,11 @@ def rotated_identity_check(spec: OcpSpec, u) -> float:
     ``eval_rotated_stage_cost`` along the same rollout must agree with it.
     """
     u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    fwd = _Forward(spec, u)
-    telescoped = _objective(replace(spec, objective=ROTATED), fwd)[0]
+    problem = _Problem(replace(spec, objective=ROTATED))
+    telescoped = problem(u)[0]
     # a converged solve may leave the state box by up to feas_tol
     stagewise = eval_rotated_stage_cost(
-        spec.model, spec.cert, spec.ss, fwd.x[: spec.N].T, u.T, tol=spec.options.feas_tol
+        spec.model, spec.cert, spec.ss, problem.fwd.x[: spec.N].T, u.T, tol=spec.options.feas_tol
     )
     return abs(float(np.sum(stagewise)) - telescoped)
 
@@ -349,25 +352,9 @@ def solve(spec: OcpSpec) -> OcpSolution:
     u0 = spec.warm_start if spec.warm_start is not None else np.tile(spec.ss.u_s, (N, 1))
     u_flat = np.clip(u0.ravel(), lb, ub)
 
-    # one workspace per solve; each evaluation overwrites its buffers
-    fwd = _Forward(spec)
-    rows = _ConstraintRows(spec)
-    lam_x0 = float(spec.cert.lam(spec.x0)) if spec.objective == ROTATED else None
-    last_key = last = None
-
-    def evaluate(uf):
-        # a repeat of the last point (after each run and at the start of
-        # the next) reuses its values, which the workspace still holds
-        nonlocal last_key, last
-        key = uf.tobytes()
-        if key != last_key:
-            fwd(uf.reshape(N, m))
-            last_key = key
-            last = _objective(spec, fwd, lam_x0) + _solver_constraints(spec, fwd, rows)
-        return last
-
+    problem = _Problem(spec)
     # state-box rows for x_1..x_{N-1}, then one window row per step
-    mult = np.zeros(rows.g.size)
+    mult = np.zeros(problem.g.size)
     mu = _PENALTY_INIT
     total_iters = total_nfev = 0
     # (viol, u_flat, x, h, J, stat): the converged iterate, or else the
@@ -375,7 +362,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
     best = None
 
     def al_fun(uf, mult_, mu_, mult_sq):
-        J, DJ, g, Dg = evaluate(uf)
+        J, DJ, g, Dg = problem(uf)
         active = np.maximum(0.0, mult_ + mu_ * g)
         value = J + float(active @ active - mult_sq) / (2.0 * mu_)
         return value, DJ + active @ Dg
@@ -399,7 +386,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
         total_iters += res.nit
         total_nfev += res.nfev
         u_flat = np.clip(res.x, lb, ub)
-        J, DJ, g, Dg = evaluate(u_flat)
+        J, DJ, g, Dg = problem(u_flat)
         viol = max(float(np.max(g)), 0.0)
         mult = np.maximum(0.0, mult + mu * g)
         grad_lag = DJ + mult @ Dg
@@ -410,7 +397,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
         # a converged iterate is returned even when an earlier one violated less
         converged = bool(finite and viol <= opts.feas_tol and stat <= opts.stat_tol)
         if converged or (finite and (best is None or viol <= best[0] + 1e-15)):
-            best = (viol, u_flat, fwd.x.copy(), fwd.h.copy(), J, stat)
+            best = (viol, u_flat, problem.fwd.x.copy(), problem.fwd.h.copy(), J, stat)
         if converged:
             break
         if viol > opts.feas_tol:

@@ -109,6 +109,36 @@ def test_non_finite_initial_state_exits_with_config_error(tmp_path, capsys, comm
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("a", float("nan"), "a, omega and L_h must be positive and finite"),
+    ("omega", float("inf"), "a, omega and L_h must be positive and finite"),
+    ("L_h", float("nan"), "a, omega and L_h must be positive and finite"),
+    ("lambda_bar", [float("nan")], "multiplier lambda_bar must be finite"),
+    ("z_lower", [-float("inf"), -10.0], "box bounds must be finite"),
+    ("z_lower", [float("nan"), -10.0], "box bounds must be finite"),
+])
+def test_non_finite_model_constants_exit_with_config_error(tmp_path, capsys, key, value, message):
+    # Python's json reads NaN and Infinity: a NaN a wrote nan Lyapunov cells,
+    # an infinite omega gave c = 0, an infinite box bound bound=nan, and a
+    # NaN box bound or multiplier ended in a solver error
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", key: value}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--K", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+def test_proximity_radius_must_be_positive_and_finite(capsys, eps):
+    # --eps nan printed bound=nan and exited 0; --eps -1 exited 2 from the report
+    assert main(["turnpike", "--model", "mueller-koehler", "--N", "6", "--T", "3",
+                 f"--eps={eps}"]) == 1
+    assert capsys.readouterr().err.startswith("error: experiment eps must be positive and finite")
+    with pytest.raises(ConfigError, match="experiment eps must be positive and finite"):
+        load_config(model_name="mueller-koehler", overrides={"eps": float(eps)})
+
+
 @pytest.mark.parametrize("key", [
     "seed", "penalty_init", "penalty_growth", "penalty_max", "max_outer", "max_inner",
 ])

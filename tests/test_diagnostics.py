@@ -27,8 +27,9 @@ def _solve_original(builtin, N, T, x0=1.0):
 
 def test_turnpike_requires_positive_epsilon(builtin):
     sol = _solve_original(builtin, N=6, T=3)
-    with pytest.raises(DomainError):
-        turnpike_report(sol, builtin[2], builtin[1], 0.0)
+    for epsilon in (0.0, -1.0, np.nan):  # NaN compares false with 0
+        with pytest.raises(DomainError):
+            turnpike_report(sol, builtin[2], builtin[1], epsilon)
 
 
 def test_turnpike_report_consistency(builtin):

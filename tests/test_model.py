@@ -24,7 +24,7 @@ from tacempc.model import (
     validate_certificate,
 )
 from tacempc.ocp import (
-    ORIGINAL, ROTATED, OcpSpec, _Forward, _objective, rotated_identity_check, solve,
+    ORIGINAL, ROTATED, OcpSpec, _Forward, _Problem, rotated_identity_check, solve,
 )
 
 
@@ -242,9 +242,9 @@ def test_rotated_stage_cost_sums_to_telescoped_objective(setup, data):
                    x0=_in_box(data.draw, model.n),
                    H0=steady_history(np.zeros(model.p), T), objective=ROTATED)
     u = _in_box(data.draw, N, model.m)
-    fwd = _Forward(spec, u)
+    fwd = _Forward(spec)(u)
     stagewise = float(np.sum(eval_rotated_stage_cost(model, cert, ss, fwd.x[:N].T, u.T)))
-    telescoped = _objective(spec, fwd)[0]
+    telescoped = _Problem(spec).objective(fwd)[0]
     assert stagewise == pytest.approx(telescoped, rel=0, abs=1e-10)
     assert rotated_identity_check(spec, u) == abs(stagewise - telescoped)
 
@@ -381,6 +381,26 @@ def test_certificate_parameter_validation():
         DissipativityCertificate(lam=lambda x: 0.0, lambda_bar=[-1.0], a=1.0, omega=2.0, L_h=1.0)
     with pytest.raises(ConfigError):
         DissipativityCertificate(lam=lambda x: 0.0, lambda_bar=[1.0], a=-1.0, omega=2.0, L_h=1.0)
+    # NaN compares false with 0, so "a <= 0" let it through
+    kw = dict(lam=lambda x: 0.0, lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0)
+    for name in ("a", "omega", "L_h"):
+        for value in (np.nan, np.inf, 0.0):
+            with pytest.raises(ConfigError, match="a, omega and L_h must be positive and finite"):
+                DissipativityCertificate(**{**kw, name: value})
+    for value in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="multiplier lambda_bar must be finite"):
+            DissipativityCertificate(**{**kw, "lambda_bar": [1.0, value]})
+
+
+@pytest.mark.parametrize("side", ["z_lower", "z_upper"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_box_bounds_finite(side, value):
+    # Z is compact; NaN compares false with the other bound, so it passed
+    # the crossed-bounds check
+    box = {"z_lower": [-1.0, -1.0], "z_upper": [1.0, 1.0]}
+    box[side][0] = value
+    with pytest.raises(ConfigError, match="box bounds must be finite"):
+        SystemModel.from_expressions(1, 1, ["x1"], "x1^2", ["x1"], **box)
 
 
 def test_steady_history_shape():

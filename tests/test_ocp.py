@@ -12,7 +12,6 @@ from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.exprlang import EvalError
 from tacempc.history import HistoryState, eq6_rhs, steady_history
 from tacempc.model import (
-    STAGE_CALLBACKS,
     DissipativityCertificate,
     SteadyState,
     SystemModel,
@@ -24,10 +23,8 @@ from tacempc.ocp import (
     ROTATED,
     OcpSpec,
     SolverOptions,
-    _ConstraintRows,
     _Forward,
-    _objective,
-    _solver_constraints,
+    _Problem,
     constraint_residuals,
     open_loop_cost,
     rotated_identity_check,
@@ -231,7 +228,7 @@ def test_solution_prediction_is_rollout_of_its_inputs(builtin, fig_history, obje
                                     options=SolverOptions(stat_tol=1e-300)))
     assert converged.converged and not best.converged
     for sol in (converged, best):
-        fresh = _Forward(sol.spec, sol.u.copy())
+        fresh = _Forward(sol.spec)(sol.u.copy())
         assert sol.x_pred.tobytes() == fresh.x.tobytes()
         assert sol.h_pred.tobytes() == fresh.h.tobytes()
 
@@ -361,31 +358,47 @@ def _assembly_cases(draw):
     def arr(*shape):
         return draw(hnp.arrays(float, shape, elements=_FLOATS))
 
-    model = SimpleNamespace(n=n, m=m, p=p, x_lower=arr(n), x_upper=arr(n))
-    spec = SimpleNamespace(model=model, N=N, T=T, H0=HistoryState(arr(p, T - 1), T=T))
+    # the spec and model attributes a _Problem reads; its workspace reads
+    # x0 and stage_pass, and the test does not roll it out
+    model = SimpleNamespace(n=n, m=m, p=p, x_lower=arr(n), x_upper=arr(n), stage_pass=None)
+    spec = SimpleNamespace(model=model, N=N, T=T, H0=HistoryState(arr(p, T - 1), T=T),
+                           x0=np.zeros(n), objective=ORIGINAL)
     fwd = SimpleNamespace(x=arr(N + 1, n), h=arr(N, p), Sx=arr(N + 1, n, nu),
                           Dh=arr(N, p, nu))
     return spec, fwd
 
 
+def _scalar_assembly_case(x_lower, tail, x, h, Sx, Dh):
+    """(spec, fwd) of n = m = p = 1, N = 3, T = 2 and x_upper = 1."""
+    model = SimpleNamespace(n=1, m=1, p=1, x_lower=np.array([x_lower]), x_upper=np.ones(1),
+                            stage_pass=None)
+    spec = SimpleNamespace(model=model, N=3, T=2, H0=HistoryState(np.array([[tail]]), T=2),
+                           x0=np.zeros(1), objective=ORIGINAL)
+    fwd = SimpleNamespace(x=np.array(x, dtype=float).reshape(4, 1),
+                          h=np.array(h, dtype=float).reshape(3, 1),
+                          Sx=np.array(Sx, dtype=float).reshape(4, 1, 3),
+                          Dh=np.array(Dh, dtype=float).reshape(3, 1, 3))
+    return spec, fwd
+
+
 # h = (inf, 1, 1) with T = 2: the full window starting at step 1 is inf - inf
-_INF_WINDOW_CASE = (
-    SimpleNamespace(
-        model=SimpleNamespace(n=1, m=1, p=1, x_lower=np.zeros(1), x_upper=np.ones(1)),
-        N=3, T=2, H0=HistoryState(np.zeros((1, 1)), T=2),
-    ),
-    SimpleNamespace(x=np.zeros((4, 1)), h=np.array([[np.inf], [1.0], [1.0]]),
-                    Sx=np.zeros((4, 1, 3)), Dh=np.zeros((3, 1, 3))),
-)
+_INF_WINDOW_CASE = _scalar_assembly_case(0.0, 0.0, [0.0] * 4, [np.inf, 1.0, 1.0],
+                                         [0.0] * 12, [0.0] * 9)
+# NaN in a bound, the history, a state, an output and both sensitivities
+_NAN_INPUT_CASE = _scalar_assembly_case(
+    np.nan, np.nan, [0.0, np.nan, 1.0, 0.0], [1.0, np.nan, -0.0],
+    [0.0, 0.0, 0.0, np.nan, 1.0, 0.0, 0.0, -0.0, 1.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, np.nan, 1.0, 0.0, 0.0, 0.0, 1.0])
 
 
 @given(_assembly_cases())
 @example(_INF_WINDOW_CASE)
+@example(_NAN_INPUT_CASE)
 def test_constraint_assembly_matches_loops(case):
     spec, fwd = case
     with np.errstate(invalid="ignore", over="ignore"):
         want_g, want_Dg = _loop_constraints(spec, fwd)
-        g, Dg = _solver_constraints(spec, fwd)
+        g, Dg = _Problem(spec).constraints(fwd)
     if spec is _INF_WINDOW_CASE[0]:
         assert np.isnan(g[-1])
     assert _same_bits(g, want_g)
@@ -412,7 +425,7 @@ def test_constraint_residual_windows_match_loops(TN, p, data):
     u = data.draw(hnp.arrays(float, (N, 1), elements=box))
     res = constraint_residuals(spec, u)
     windows = res[2 * N * (model.n + model.m) :]
-    h = _Forward(spec, u).h
+    h = _Forward(spec)(u).h
     assert windows.tobytes() == _loop_window_residuals(spec, h).tobytes()
 
 
@@ -516,6 +529,8 @@ def _scalar_case(f_source, x0, u, box):
 _OVERFLOW_CASE = _scalar_case("x1^4 + u1", 1e25, [0.0, 0.0], 1e30)
 # the second step divides by u = 0
 _DIVISION_CASE = _scalar_case("x1 / u1", 1.0, [2.0, 0.0, 2.0], 10.0)
+# signed zeros in x0 and u give signed-zero states, costs and Jacobian entries
+_SIGNED_ZERO_CASE = _scalar_case("x1 * u1", -0.0, [-0.0, 0.0, -0.0], 10.0)
 
 
 def _matmul_sensitivities(spec, x, u):
@@ -546,6 +561,7 @@ def _assert_matches(got, expected, n, name):
 @example(_corner_case())
 @example(_OVERFLOW_CASE)
 @example(_DIVISION_CASE)
+@example(_SIGNED_ZERO_CASE)
 def test_batched_rollout_matches_step_loop(case):
     spec, u = case
     n = spec.model.n
@@ -556,15 +572,17 @@ def test_batched_rollout_matches_step_loop(case):
         except EvalError:
             assert case is _DIVISION_CASE
             with pytest.raises(EvalError, match="division by zero"):
-                _Forward(spec, u)
+                _Forward(spec)(u)
             return
-        fwd = _Forward(spec, u)
+        fwd = _Forward(spec)(u)
         reference = _matmul_sensitivities(spec, fwd.x, u)
         names = ("x", "h", "ell", "Sx", "Dh", "Dell")
         oracle = SimpleNamespace(**dict(zip(names, want)))
-        costs = [_objective(dataclasses.replace(spec, objective=objective), state)
-                 for objective in (ORIGINAL, ROTATED) for state in (fwd, oracle)]
-        rows = [_solver_constraints(spec, state) for state in (fwd, oracle)]
+        problems = [_Problem(dataclasses.replace(spec, objective=objective))
+                    for objective in (ORIGINAL, ROTATED)]
+        costs = [problem.objective(state) for problem in problems for state in (fwd, oracle)]
+        # one problem per rollout: each keeps its own g and Dg buffers
+        rows = [_Problem(spec).constraints(state) for state in (fwd, oracle)]
     assert case is not _OVERFLOW_CASE or np.isposinf(fwd.x[-1, 0])
     # the states are the pointwise f's bit for bit, at every n
     assert _same_bits(fwd.x, oracle.x)
@@ -584,12 +602,11 @@ def test_batched_rollout_matches_step_loop(case):
         _assert_matches(a, b, n, name)
 
 
-@pytest.mark.parametrize("name", STAGE_CALLBACKS)
+@pytest.mark.parametrize("name", ["f", "ell", "h", "f_jac", "ell_grad", "h_jac"])
 def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
-    # a callback replaced through dataclasses.replace is not one the stage
-    # pass reproduces, so the rollout calls the replacement: f once per
-    # stage, the other five once per rollout over the whole trajectory; an
-    # f that carries the original's stage pass is stepped all the same
+    # dataclasses.replace does not copy the stage pass, so the rollout calls
+    # the replacement: f once per stage, the other five once per rollout
+    # over the whole trajectory
     model = builtin[0]
     spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
     original, calls = getattr(model, name), []
@@ -598,9 +615,8 @@ def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
         calls.append(1)
         return original(x, u)
 
-    if name == "f":
-        counting.stage_pass = model.f.stage_pass
     swapped = dataclasses.replace(model, **{name: counting})
+    assert model.stage_pass is not None and swapped.stage_pass is None
     compiled, generic = _Forward(spec), _Forward(dataclasses.replace(spec, model=swapped))
     per_rollout = spec.N if name == "f" else 1
     u = np.random.default_rng(5).uniform(0.5, 1.5, (2, 12, 1))
@@ -612,6 +628,19 @@ def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
             assert getattr(generic, attr).tobytes() == getattr(compiled, attr).tobytes(), attr
 
 
+def test_replaced_model_drops_its_stage_pass(builtin, fig_history):
+    # a replace that swaps nothing still takes the generic path, to the same bits
+    model = builtin[0]
+    plain = dataclasses.replace(model)
+    assert plain.stage_pass is None
+    spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
+    u = np.random.default_rng(6).uniform(0.5, 1.5, (12, 1))
+    compiled = _Forward(spec)(u)
+    generic = _Forward(dataclasses.replace(spec, model=plain))(u)
+    for attr in ("x", "h", "ell", "Sx", "Dh", "Dell"):
+        assert getattr(generic, attr).tobytes() == getattr(compiled, attr).tobytes(), attr
+
+
 @pytest.mark.parametrize("name, buffer", [("f_jac", "Sx"), ("ell_grad", "Dell"), ("h_jac", "Dh")])
 def test_dropped_jacobian_takes_finite_differences(builtin, fig_history, name, buffer):
     # without the Jacobian callable the rollout differentiates numerically,
@@ -620,7 +649,7 @@ def test_dropped_jacobian_takes_finite_differences(builtin, fig_history, name, b
     spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
     fd_spec = dataclasses.replace(spec, model=dataclasses.replace(model, **{name: None}))
     u = np.random.default_rng(5).uniform(0.5, 1.5, (12, 1))
-    exact, fd = _Forward(spec, u), _Forward(fd_spec, u)
+    exact, fd = _Forward(spec)(u), _Forward(fd_spec)(u)
     assert getattr(fd, buffer).tobytes() != getattr(exact, buffer).tobytes()
     np.testing.assert_allclose(getattr(fd, buffer), getattr(exact, buffer), rtol=1e-6, atol=1e-9)
     for attr in ("x", "h", "ell"):
@@ -643,15 +672,16 @@ def test_finite_difference_model_solves_like_exact(builtin, fig_history):
 def test_workspace_reuse_matches_fresh_rollout(case, data):
     spec, u1 = case
     u2 = data.draw(hnp.arrays(float, u1.shape, elements=st.floats(-1.2, 1.2)))
-    fwd, rows = _Forward(spec), _ConstraintRows(spec)
+    problem = _Problem(spec)
     for u in (u1, u2):
-        fwd(u)
-        g, Dg = _solver_constraints(spec, fwd, rows)
-    fresh = _Forward(spec, u2.copy())
+        J, DJ, g, Dg = problem(u.ravel())
+    fresh = _Forward(spec)(u2.copy())
     for name in ("x", "h", "ell", "Sx", "Dh", "Dell"):
-        assert getattr(fwd, name).tobytes() == getattr(fresh, name).tobytes(), name
-    for name, got, expected in zip(("g", "Dg"), (g, Dg), _solver_constraints(spec, fresh)):
-        assert got.tobytes() == expected.tobytes(), name
+        assert getattr(problem.fwd, name).tobytes() == getattr(fresh, name).tobytes(), name
+    oracle = _Problem(spec)
+    expected = oracle.objective(fresh) + oracle.constraints(fresh)
+    for name, got, want in zip(("J", "DJ", "g", "Dg"), (J, DJ, g, Dg), expected):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 def test_solution_counts_solver_evaluations(builtin, fig_history, monkeypatch):
