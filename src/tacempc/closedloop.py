@@ -200,8 +200,7 @@ def window_sums(trace: ClosedLoopTrace) -> np.ndarray:
     H0, so row i is the sum over steps i - (T-1) .. i with negative
     indices read from the history.  Shape (K, p).
     """
-    cum = np.cumsum(trace.h, axis=0)
-    return window_rows(cum, trace.T, trace.histories[0].tail_sums)
+    return window_rows(trace.h, trace.T, trace.histories[0].tail_sums)
 
 
 def performance_residual(trace: ClosedLoopTrace) -> np.ndarray:

@@ -140,7 +140,7 @@ def lyapunov_trace(
         [iss_function(trace.histories[k], ss.h_s, cert.omega) for k in range(n_vals)]
     )
     What = trace.Jtildestar[:n_vals] + c * V
-    W = window_rows(np.cumsum(What)[:, None], T)[T - 1 :, 0]  # the full windows
+    W = window_rows(What, T)[T - 1 :]  # the full windows
     return LyapunovTrace(c=c, V=V, What=What, W=W)
 
 

@@ -30,15 +30,17 @@ bit.
 outputs h) into one Python-float loop over an input sequence: at each step
 it computes the next state, ell and h by the value code of ``kernel`` and
 the Jacobians f_z, ell_z and h_z by the same live dual code as the
-gradient kernels, and at the end it stores each output with one write.
+gradient kernels, appends them as one tuple to one list (the lines that
+read only constants run once, before the loop), and at the end stores the
+list with one write into the rollout's step record, one row per step.
 ``SystemModel.from_expressions`` keeps it as the model's ``stage_pass``
 field; in a rollout it takes the place of N steps of the f kernel on
 numpy scalars and five batched kernel calls.  Python floats and numpy
 differ in two places, and both are bound to the numpy behaviour: each
 ``^`` is libm ``pow``, with numpy's inf where Python's ``**`` raises
 OverflowError (the pass then runs again with ``_scalar_pow``), and a
-division by zero raises EvalError at the same inputs.  So every output is bit for bit what stepping f and
-batching the other kernels gives.
+division by zero raises EvalError at the same inputs.  So every output is
+bit for bit what stepping f and batching the other kernels gives.
 """
 
 from __future__ import annotations
@@ -501,7 +503,26 @@ def kernel(exprs, n: int, m: int, gradient: bool = False):
     return gen.build("out")
 
 
-_STAGE_OUTPUTS = ("x", "ell", "h", "fz", "lz", "hz")
+_LOOP_VAR = re.compile(r"\b[xu]_\d+\b")
+
+
+def _hoisted(lines):
+    """Split the lines of a stage loop into (before, inside) the loop.
+
+    A line whose operands are all constants or hoisted temporaries gives
+    the same value at every step, so it runs once before the loop; the
+    others keep their order inside it.
+    """
+    variant, before, inside = set(), [], []
+    for line in lines:
+        target, assign, rhs = line.partition(" = ")
+        reads = rhs if assign else line
+        if _LOOP_VAR.search(reads) or variant.intersection(_TEMP.findall(reads)):
+            variant.add(target)
+            inside.append(line)
+        else:
+            before.append(line)
+    return before, inside
 
 
 def _stage_code(f, ell, h, n, m, fast):
@@ -511,44 +532,48 @@ def _stage_code(f, ell, h, n, m, fast):
     models = (f, [ell], h)
     values = [[_value_code(e, gen) for e in rows] for rows in models]
     grads = [[g for e in rows for g in _dual_code(e, gen, n, n + m)[1]] for rows in models]
-    results = values + grads
-    gen.lines = _live_lines(gen.lines, [name for names in results for name in names])
+    # the record row of step k after x_k: ell, h, f_z, ell_z, h_z, then x_{k+1}
+    row = values[1] + values[2] + grads[0] + grads[1] + grads[2] + values[0]
+    before, inside = _hoisted(_live_lines(gen.lines, row))
+    gen.lines = before
+    once = gen.body("    ")
+    gen.lines = inside
     state = "".join(f"x_{i}, " for i in range(n))
     inputs = "".join(f"u_{j}, " for j in range(m))
     # the bindings become default arguments: locals read faster than globals
     bound = "".join(f", {name}={name}" for name in gen.names)
     return gen.define(
-        f"def compiled(x0, us, {', '.join(_STAGE_OUTPUTS)}{bound}):\n"
+        f"def compiled(x0, us, record{bound}):\n"
         f"    {state}= x0.tolist()\n"
-        + "".join(f"    {out}_rows = []\n" for out in _STAGE_OUTPUTS)
+        "    rows = []\n"
+        "    extend = rows.extend\n"
+        + once
         + f"    for {inputs}in us.tolist():\n"
         + gen.body("        ")
-        + "".join(
-            f"        {out}_rows.append({name})\n"
-            for out, names in zip(_STAGE_OUTPUTS, results)
-            for name in names
-        )
-        + f"        {', '.join(f'x_{i}' for i in range(n))} = {', '.join(values[0])}\n"
-        # one store per output: packing the doubles into its buffer is about
-        # twice as fast as numpy's ``out[:] = rows``
-        + "".join(
-            f"    _pack_into(f'{{len({out}_rows)}}d', {out}, 0, *{out}_rows)\n"
-            for out in _STAGE_OUTPUTS
-        )
+        + f"        extend(({', '.join(row)},))\n"
+        + f"        {state}= {', '.join(values[0])},\n"
+        # one store: packing the doubles into the record is about twice as
+        # fast as numpy's ``out[:] = rows``
+        + f"    _pack_into(f'{{len(rows)}}d', record, {8 * n}, *rows)\n"
     )
 
 
 def stage_pass(f, ell, h, n: int, m: int):
-    """Compiled stage pass ``(x0, us, x, ell, h, fz, lz, hz)`` of a model.
+    """Compiled stage pass ``(x0, us, record)`` of a model.
 
     f (n expressions), ell (one) and h (p expressions) are over x1..xn and
-    u1..um.  The pass runs over the inputs us (N, m) once, from the state
-    x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k), ell_k and
-    h_k by the value code of ``kernel`` and the Jacobians f_z, ell_z and h_z
-    by its live dual code.  The outputs are flat arrays of N * n, N, N * p,
-    N * n * (n + m), N * (n + m) and N * p * (n + m) entries, each written
-    by one store at the end in the step-major order of the batched kernels
-    transposed to (N, rows[, n + m]), so an EvalError leaves them untouched.
+    u1..um.  The pass runs over the inputs us (N, m), N >= 1, once, from
+    the state x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k),
+    ell_k and h_k by the value code of ``kernel`` and the Jacobians f_z,
+    ell_z and h_z by its live dual code; lines that read only constants
+    run once, before the loop.  The results go into the step record, a
+    C-contiguous (N + 1, R) array with R = n + 1 + p + (n + p + 1)(n + m):
+    row k holds x_k, ell_k, h_k, then f_z, ell_z and h_z at z_k = (x_k,
+    u_k), each flattened row-major like the batched kernels transposed to
+    (N, rows[, n + m]); row N holds x_N.  The pass appends one tuple per
+    step to one list and stores it with one ``struct.pack_into`` at the
+    end, from entry n of row 0 on, so x0 and the unused tail of row N are
+    not written and an EvalError leaves the record untouched.
 
     The loop runs on Python floats, bound to what the numpy kernels compute
     at the same points: each ``^`` is libm ``pow`` (Python's ``**``), and a
@@ -559,10 +584,10 @@ def stage_pass(f, ell, h, n: int, m: int):
     """
     fast, safe = (_stage_code(f, ell, h, n, m, fast) for fast in (True, False))
 
-    def compiled(x0, us, x, ell, h, fz, lz, hz):
+    def compiled(x0, us, record):
         try:
-            fast(x0, us, x, ell, h, fz, lz, hz)
+            fast(x0, us, record)
         except OverflowError:
-            safe(x0, us, x, ell, h, fz, lz, hz)
+            safe(x0, us, record)
 
     return compiled

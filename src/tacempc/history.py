@@ -7,9 +7,12 @@ norm-replacement, the ISS-style weighted deviation sum, and the bound the
 stored history imposes on the next N predicted outputs.
 
 It also holds the one implementation of the transient-average windows
-(``window_rows``), shared by the solver's constraint assembly
-(``ocp``) and the closed-loop record (``closedloop.window_sums``), and
-of the steady history H^s (``steady_history``).
+(``Windows``, and ``window_rows`` for one call), shared by the solver's
+constraint assembly (``ocp``), the closed-loop record
+(``closedloop.window_sums``) and the Lyapunov windows (``diagnostics``),
+and of the steady history H^s (``steady_history``).  A window sum is one
+subtraction of two row blocks of a padded cumulative sum whose head rows
+hold the negated history tail sums.
 """
 
 from __future__ import annotations
@@ -125,25 +128,46 @@ def iss_function(H: HistoryState, h_s, kappa: float) -> float:
     return float(np.sum(weights * dev**kappa))
 
 
-def window_rows(cum, T: int, head=None, out=None) -> np.ndarray:
-    """Length-T window sums from the cumulative outputs cum (N, p[, nu]).
+_accumulate = np.add.accumulate
 
-    Rows 0..T-2 are the partial windows anchored at j = 1..T-1 (plus the
-    history tail sums ``head`` when given), rows T-1..N-1 the full windows
-    starting at i = 0..N-T; the first full window keeps its ``- 0.0``.
-    Any N >= 0 is accepted: for N < T only partial windows exist.
+
+class Windows:
+    """Length-T window sums of N per-step values (N, *shape): two operations.
+
+    The buffer ``pad`` (T + N, *shape) holds the rows [-head; 0; cum]: the
+    T - 1 history tail sums ``head`` negated, once (zeros without a head),
+    a zero row, and the running sums cum of the values, which each call
+    rewrites.  The windows are pad[T:] - pad[:N]: row k < T - 1 is the
+    partial window anchored at j = k + 1, cum_k - (-head_k), which is
+    cum_k + head_k bit for bit; row T - 1 is the first full window
+    cum_{T-1} - 0.0; row k >= T is cum_k - cum_{k-T}.  Any N >= 0 works:
+    for N < T only partial windows exist.
     """
-    N = cum.shape[0]
-    P = min(T - 1, N)
-    out = np.empty_like(cum) if out is None else out
-    if head is None:
-        out[:P] = cum[:P]
-    else:
-        np.add(head[:P], cum[:P], out=out[:P])
-    if N >= T:
-        np.subtract(cum[T - 1], 0.0, out=out[T - 1])
-        np.subtract(cum[T:], cum[: N - T], out=out[T:])
-    return out
+
+    __slots__ = ("pad", "_cum", "_older")
+
+    def __init__(self, N: int, T: int, head=None, shape=()):
+        self.pad = np.zeros((T + N, *shape))
+        if head is not None:
+            np.negative(head, out=self.pad[: T - 1])
+        self._cum, self._older = self.pad[T:], self.pad[:N]
+
+    def __call__(self, values, out=None) -> np.ndarray:
+        """The N window rows of values (N, *shape), written into out if given."""
+        _accumulate(values, axis=0, out=self._cum)  # cumsum, without its argument handling
+        return np.subtract(self._cum, self._older, out=out)
+
+
+def window_rows(values, T: int, head=None) -> np.ndarray:
+    """Length-T window sums of the per-step values (N, ...), one row per step.
+
+    Row k < T - 1 is the partial window anchored at j = k + 1, plus the
+    history tail sums ``head`` when given; the other rows are the full
+    windows starting at i = 0..N-T.  One ``Windows`` call on a fresh
+    padded buffer: a cumulative sum and one subtraction.
+    """
+    values = np.asarray(values, dtype=float)
+    return Windows(len(values), T, head, values.shape[1:])(values)
 
 
 def window_deficit(N: int, T: int) -> int:

@@ -59,6 +59,9 @@ def lbfgsb(fun, x0, args=(), jac=None, bounds=None, maxcor=10,
     dsave = np.zeros(29)
 
     x_last = x.copy()  # the last point evaluated, with its value and gradient
+    # its entries as floats: list == compares them like numpy's x == x_last
+    # (-0.0 == 0.0, nan != nan), for a fraction of the cost on short vectors
+    point = x_last.tolist()
     f_last, g_last = fun(x_last, *args)
     nfev, nit = 1, 0
     while True:
@@ -66,8 +69,9 @@ def lbfgsb(fun, x0, args=(), jac=None, bounds=None, maxcor=10,
         _lbfgsb.setulb(maxcor, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa,
                        task, lsave, isave, dsave, maxls, ln_task)
         if task[0] == _FG:
-            if not (x == x_last).all():
-                x_last = x.copy()
+            entries = x.tolist()
+            if entries != point:
+                x_last, point = x.copy(), entries
                 f_last, g_last = fun(x_last, *args)
                 nfev += 1
             f, g = f_last, g_last

@@ -8,7 +8,9 @@ on a grid, never synthesized.  The rotated stage cost has one evaluation,
 ``eval_rotated_stage_cost``, pointwise or over a batch of columns; the grid
 check and the rotated-cost identity both use it.  Grids over Z hold at most
 ``_GRID_MAX_POINTS`` points, and every grid user evaluates them in blocks
-of ``_GRID_BLOCK`` columns from ``_grid_blocks``.
+of ``_GRID_BLOCK`` columns from ``_grid_blocks``.  ``SystemModel``,
+``DissipativityCertificate`` and ``SteadyState`` hold arrays and
+callables, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _fd_jacobian(fn, x, u, out_dim):
     return jac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Dynamics, stage cost, auxiliary output and box constraints.
 
@@ -80,7 +82,7 @@ class SystemModel:
     f_jac: Optional[Callable] = None  # (x, u) -> (n, n+m[, K])
     ell_grad: Optional[Callable] = None  # (x, u) -> (n+m[, K])
     h_jac: Optional[Callable] = None  # (x, u) -> (p, n+m[, K])
-    stage_pass: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
+    stage_pass: Optional[Callable] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if min(self.n, self.m, self.p) < 1:
@@ -186,7 +188,7 @@ class SystemModel:
         return model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissipativityCertificate:
     """Storage function, multiplier and polynomial dissipation margin.
 
@@ -242,7 +244,7 @@ class DissipativityCertificate:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteadyState:
     """Optimal admissible steady-state and derived quantities."""
 

@@ -14,8 +14,13 @@ it serves the solver and the evaluation helpers ``constraint_residuals``,
 ``open_loop_cost`` and ``rotated_identity_check``.  The rollout's per-step
 loops stay off numpy's per-call overhead: a model built from expressions
 runs its compiled stage pass ``model.stage_pass``, one Python-float loop
-for the states, stage values and stage Jacobians, and each sensitivity
-step calls BLAS through ``ndarray.dot``.
+that writes the states, stage values and stage Jacobians of every step
+into one step record (one row per step, of which x, ell, h and the stage
+Jacobians are views) with one store, and each sensitivity step calls BLAS
+through ``ndarray.dot``.  The window rows of g and Dg are two operations
+each: a cumulative sum into a padded buffer whose head rows hold the
+negated history tail sums, and one subtraction of two of its row blocks
+(``history.Windows``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, InfeasibleError
-from .history import HistoryState, window_rows
+from .history import HistoryState, Windows
 from .lbfgsb import lbfgsb
 from .model import (
     DissipativityCertificate,
@@ -96,6 +101,10 @@ class OcpSpec:
             raise ConfigError("initial state outside the state box")
         if self.H0.T != self.T:
             raise ConfigError("history period does not match T")
+        if self.H0.p != self.model.p:
+            raise ConfigError(
+                f"history has {self.H0.p} output rows, the model has p = {self.model.p}"
+            )
         object.__setattr__(self, "x0", x0)
         if self.warm_start is not None:
             ws = np.asarray(self.warm_start, dtype=float)
@@ -128,17 +137,21 @@ class _Forward:
     Its buffers depend only on the spec, so a solve builds one and each
     call ``fwd(u)`` overwrites x, h, ell, Sx, Dh and Dell in place; a
     result kept past the next call must be copied.  The states, ell, h and
-    the stage Jacobians f_z, ell_z and h_z come from one of two paths,
-    chosen once per workspace.  A model built from expressions carries its
-    compiled ``stage_pass`` (see ``exprlang.stage_pass``), and one call of
-    it computes them all and stores them in the buffers.  Otherwise (a
-    model built in Python, or one made by ``dataclasses.replace``, which
-    does not copy the pass: a tracing wrapper, ``h_jac=None``) f is stepped
-    once per stage and ell, h and the Jacobians are evaluated once over the
-    whole (n, N) trajectory.  Over the same callbacks both paths give the
-    same bits, in the same step-major (N, rows, n + m) C-contiguous
-    buffers.  Dz (N + 1, n + m, N * m) holds d z_k / d u for
-    z_k = (x_k, u_k): selector rows for u_k, set once, and one product
+    the stage Jacobians f_z, ell_z and h_z live in one step record, a
+    C-contiguous (N + 1, R) buffer with one row per step: row k holds x_k,
+    ell_k, h_k, f_z, ell_z and h_z at z_k = (x_k, u_k), each flattened, and
+    row N holds x_N (see ``exprlang.stage_pass``); row 0's x0 is written
+    once.  x (N + 1, n), ell (N,), h (N, p) and the (N, rows, n + m) stage
+    Jacobians are strided views of it.  The record is filled by one of two
+    paths, chosen once per workspace.  A model built from expressions
+    carries its compiled ``stage_pass``, and one call of it computes every
+    entry and stores them with one write.  Otherwise (a model built in
+    Python, or one made by ``dataclasses.replace``, which does not copy the
+    pass: a tracing wrapper, ``h_jac=None``) f is stepped once per stage
+    and ell, h and the Jacobians are evaluated once over the whole (n, N)
+    trajectory, each written into its view.  Over the same callbacks both
+    paths give the same bits.  Dz (N + 1, n + m, N * m) holds d z_k / d u
+    for z_k = (x_k, u_k): selector rows for u_k, set once, and one product
     f_z(z_k) @ Dz[k] per step for x_{k+1}, written by ``fz.dot(Dz[k],
     out)``: BLAS called directly, about half the cost of the ``np.matmul``
     ufunc on these small C-contiguous blocks and the same bits; Sx is
@@ -147,24 +160,28 @@ class _Forward:
     (inf * 0).
     """
 
-    __slots__ = ("model", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_pass", "_outs",
+    __slots__ = ("model", "record", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_pass",
                  "_next", "_xs", "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows",
                  "_Dell_rows")
 
     def __init__(self, spec: OcpSpec):
         model = spec.model
         n, m, p, N = model.n, model.m, model.p, spec.N
-        nu = N * m
+        nz, nu = n + m, N * m
         self.model = model
         self._x0 = spec.x0
-        self.x = np.empty((N + 1, n))
-        self.x[0] = spec.x0
-        self.h = np.empty((N, p))
-        self.ell = np.empty(N)
-        self._fz = np.empty((N, n, n + m))
-        self._lz = np.empty((N, n + m))
-        self._hz = np.empty((N, p, n + m))
-        Dz = np.zeros((N + 1, n + m, nu))
+        # x, ell, h, f_z, ell_z, h_z: consecutive columns of the record
+        widths = (n, 1, p, n * nz, nz, p * nz)
+        self.record = np.zeros((N + 1, sum(widths)))
+        x, ell, h, fz, lz, hz = np.split(self.record, np.cumsum(widths)[:-1], axis=1)
+        x[0] = spec.x0
+        self.x = x
+        self.ell = ell[:N, 0]
+        self.h = h[:N]
+        self._fz = fz[:N].reshape(N, n, nz)
+        self._lz = lz[:N]
+        self._hz = hz[:N].reshape(N, p, nz)
+        Dz = np.zeros((N + 1, nz, nu))
         Dz[:N, n:] = np.eye(nu).reshape(N, m, nu)
         self._steps = [(self._fz[k], Dz[k], Dz[k + 1, :n]) for k in range(N)]
         self._Dz = Dz[:N]
@@ -174,17 +191,14 @@ class _Forward:
         self.Dell = self._Dell_rows[:, 0]
         self.Dh = np.empty((N, p, nu))
         self._pass = model.stage_pass
-        if self._pass is not None:
-            buffers = (self.x[1:], self.ell, self.h, self._fz, self._lz, self._hz)
-            self._outs = tuple(b.reshape(-1) for b in buffers)  # flat views
-        else:
+        if self._pass is None:
             self._next = list(self.x[1:])  # row views x_1..x_N, one per f step
             self._xs = self.x[:N].T
 
     def __call__(self, u: np.ndarray) -> "_Forward":
         """Roll out the inputs u (N, m) into this workspace."""
         if self._pass is not None:
-            self._pass(self._x0, u, *self._outs)
+            self._pass(self._x0, u, self.record)
         else:
             model = self.model
             f, x = model.f, self._x0
@@ -207,9 +221,11 @@ class _Problem:
     """The OCP of one spec: ``problem(uf)`` gives (J, DJ, g, Dg) at the inputs uf.
 
     It owns what every evaluation reuses: a ``_Forward`` workspace ``fwd``,
-    the buffers of g and Dg with their views, lam(x0) for the rotated cost,
-    and a memo on the last point's bytes, so a repeat of that point (after
-    each AL run and at the start of the next) costs no rollout.  Each new
+    the buffers of g and Dg with their views, the padded window operators
+    of h and Dh (``history.Windows``, whose head rows hold the history's
+    negated tail sums), N * ell_s and lam(x0) for the rotated cost, and a
+    memo on the last point's bytes, so a repeat of that point (after each
+    AL run and at the start of the next) costs no rollout.  Each new
     point overwrites fwd, g and Dg.  ``objective`` and ``constraints`` read
     any rollout with the attributes of ``_Forward``.
     """
@@ -228,9 +244,12 @@ class _Problem:
         box = self.Dg[:n_box].reshape(N - 1, 2, n, nu)
         self.Dg_lower, self.Dg_upper = box[:, 0], box[:, 1]
         self.Dg_windows = self.Dg[n_box:].reshape(N, p, nu)
-        self.cum_h = np.empty((N, p))
-        self.cum_Dh = np.empty((N, p, nu))
-        self.lam_x0 = float(spec.cert.lam(spec.x0)) if spec.objective == ROTATED else None
+        self.x_lower, self.x_upper = model.x_lower, model.x_upper
+        self.windows_h = Windows(N, spec.T, spec.H0.tail_sums, (p,))
+        self.windows_Dh = Windows(N, spec.T, None, (p, nu))
+        if spec.objective == ROTATED:  # the rotated cost's terms fixed by the spec
+            self.N_ell_s = N * spec.ss.ell_s
+            self.lam_x0 = float(spec.cert.lam(spec.x0))
         self._key = self._last = None
 
     def __call__(self, uf: np.ndarray):
@@ -244,15 +263,15 @@ class _Problem:
     def objective(self, fwd):
         """Objective value and gradient."""
         spec, cert = self.spec, self.spec.cert
-        J = float(fwd.ell.sum())
-        DJ = fwd.Dell.sum(axis=0)
+        J = float(np.add.reduce(fwd.ell))
+        DJ = np.add.reduce(fwd.Dell, axis=0)
         if spec.objective == ROTATED:
             J = (
                 J
-                - spec.N * spec.ss.ell_s
+                - self.N_ell_s
                 + self.lam_x0
                 - float(cert.lam(fwd.x[-1]))
-                + float(cert.lambda_bar @ fwd.h.sum(axis=0))
+                + float(cert.lambda_bar @ np.add.reduce(fwd.h, axis=0))
             )
             DJ = (
                 DJ
@@ -269,17 +288,15 @@ class _Problem:
         history-anchored partial windows, and full windows inside the horizon.
         They are written into g and Dg, which are returned.
         """
-        spec, N = self.spec, self.spec.N
+        N = self.spec.N
         x_shot = fwd.x[1:N]
-        np.subtract(spec.model.x_lower, x_shot, out=self.g_lower)
-        np.subtract(x_shot, spec.model.x_upper, out=self.g_upper)
-        fwd.h.cumsum(axis=0, out=self.cum_h)
-        window_rows(self.cum_h, spec.T, spec.H0.tail_sums, out=self.g_windows)
+        np.subtract(self.x_lower, x_shot, out=self.g_lower)
+        np.subtract(x_shot, self.x_upper, out=self.g_upper)
+        self.windows_h(fwd.h, out=self.g_windows)
         S_shot = fwd.Sx[1:N]
         np.negative(S_shot, out=self.Dg_lower)
         self.Dg_upper[...] = S_shot
-        fwd.Dh.cumsum(axis=0, out=self.cum_Dh)
-        window_rows(self.cum_Dh, spec.T, out=self.Dg_windows)
+        self.windows_Dh(fwd.Dh, out=self.Dg_windows)
         return self.g, self.Dg
 
 
@@ -361,10 +378,15 @@ def solve(spec: OcpSpec) -> OcpSolution:
     # least-violating finite one
     best = None
 
+    active = np.empty(problem.g.size)
+
     def al_fun(uf, mult_, mu_, mult_sq):
         J, DJ, g, Dg = problem(uf)
-        active = np.maximum(0.0, mult_ + mu_ * g)
-        value = J + float(active @ active - mult_sq) / (2.0 * mu_)
+        # max(0, mult + mu * g), in that operand order, into one buffer
+        np.multiply(mu_, g, out=active)
+        np.add(mult_, active, out=active)
+        np.maximum(0.0, active, out=active)
+        value = J + float(active.dot(active) - mult_sq) / (2.0 * mu_)
         return value, DJ + active @ Dg
 
     converged = False

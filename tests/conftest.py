@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from tacempc.config import load_config
 from tacempc.history import HistoryState
+from tacempc.model import DissipativityCertificate, SteadyState, SystemModel
 from tacempc.validation import reference_trace
 
 # Property tests draw the same examples on every run (no example database,
@@ -18,6 +19,19 @@ settings.load_profile("tacempc")
 def builtin():
     cfg = load_config(model_name="mueller-koehler")
     return cfg.model, cfg.cert, cfg.ss
+
+
+@pytest.fixture(scope="session")
+def pair():
+    """Two decoupled copies of the builtin model: n = m = p = 2."""
+    model = SystemModel.from_expressions(
+        2, 2, ["x1 * u1", "x2 * u2"], "(x1 - 3)^2 + u1^2 + (x2 - 3)^2 + u2^2",
+        ["2*x1 + u1 - 5", "2*x2 + u2 - 5"], [-10.0] * 4, [10.0] * 4,
+    )
+    cert = DissipativityCertificate.from_expression(
+        2, "1.5 * (x1 - 2) + 1.5 * (x2 - 2)", [1.0, 1.0], 0.25, 2.0, 3.0
+    )
+    return model, cert, SteadyState.at(model, [2.0, 2.0], [1.0, 1.0])
 
 
 @pytest.fixture(scope="session")

@@ -102,7 +102,7 @@ def test_criterion_09_consecutive_turnpike():
 
 
 def test_criterion_10_runtime(closed_loop_runtime):
-    assert closed_loop_runtime < 20.0
+    assert closed_loop_runtime < 10.0
 
 
 def test_criterion_10a_first_lyapunov_value(closed_loop_checks):

@@ -488,14 +488,17 @@ def _model_case(f, ell, h, x0, u):
 @example(_model_case(["x2", "x1 * u1"], "2", ["x1", "x2 - u1"], [0.5, 1.5], [[1.0], [3.0]]))
 # x1^4 overflows a Python float at 1e100, but the gradient reads only 4 * x1^3
 @example(_model_case(["x1"], "x1^4", ["x1^4"], [1e100], [[0.0]]))
+# a divisor that reads only constants is checked once, before the loop:
+# EvalError, the record untouched
+@example(_model_case(["x1 / (1 - 1)"], "x1", ["u1"], [1.0], [[2.0], [3.0]]))
 def test_stage_pass_matches_stepped_and_batched_kernels(case):
     f, ell, h, x0, u = case
-    n, m = len(x0), u.shape[1]
+    n, m, p, N = len(x0), u.shape[1], len(h), u.shape[0]
     want = _outcome(_stepped_and_batched, f, ell, h, x0, u)
-    sizes = [n, 1, len(h), n * (n + m), n + m, len(h) * (n + m)]
-    outs = [np.full(u.shape[0] * size, 7.0) for size in sizes]
-    untouched = [out.copy() for out in outs]
-    got = _outcome(exprlang.stage_pass(f, ell, h, n, m), x0, u, *outs)
+    widths = [n, 1, p, n * (n + m), n + m, p * (n + m)]
+    record = np.full((N + 1, sum(widths)), 7.0)
+    untouched = record.copy()
+    got = _outcome(exprlang.stage_pass(f, ell, h, n, m), x0, u, record)
     if want == ("raised", OverflowError):
         # only a constant power overflows the batched kernels by raising; at
         # the same place the stage pass gives inf, as a numpy point would
@@ -504,7 +507,14 @@ def test_stage_pass_matches_stepped_and_batched_kernels(case):
     assert got[0] == want[0]
     if want[0] == "raised":
         assert got[1] is want[1] is EvalError
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, untouched))
+        assert record.tobytes() == untouched.tobytes()
         return
-    for name, out, expected in zip(exprlang._STAGE_OUTPUTS, outs, want[1]):
-        assert _bits_equal(out, expected), name
+    # the six named views: x_1..x_N, then ell, h, f_z, ell_z, h_z of steps 0..N-1
+    columns = np.split(record, np.cumsum(widths)[:-1], axis=1)
+    views = [columns[0][1:]] + [c[:N] for c in columns[1:]]
+    names = ("x", "ell", "h", "fz", "lz", "hz")
+    for name, view, expected in zip(names, views, want[1]):
+        assert _bits_equal(view.ravel(), expected), name
+    # x0 and the unused tail of row N are not written
+    assert record[0, :n].tobytes() == untouched[0, :n].tobytes()
+    assert record[N, n:].tobytes() == untouched[N, n:].tobytes()

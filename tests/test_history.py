@@ -179,7 +179,7 @@ def test_shift_updates_compose(p, T, data):
     for y in pushed:
         before.append(shift_update(before[-1], y))
     assert before[-1].columns.tobytes() == np.ascontiguousarray(pushed.T).tobytes()
-    windows = window_rows(np.cumsum(pushed, axis=0), T, H0.tail_sums)
+    windows = window_rows(pushed, T, H0.tail_sums)
     for y, H, window in zip(pushed, before, windows):
         expected = y + H.columns.sum(axis=1)
         scale = np.abs(y) + np.abs(H.columns).sum(axis=1)

@@ -283,21 +283,9 @@ def test_grid_points_respect_cap(monkeypatch, builtin):
     np.testing.assert_allclose(np.r_[ss.x_s, ss.u_s], [2.0, 1.0], atol=1e-6)
 
 
-def _pair_setup():
-    """Two decoupled copies of the builtin model: n = m = p = 2."""
-    model = SystemModel.from_expressions(
-        2, 2, ["x1 * u1", "x2 * u2"], "(x1 - 3)^2 + u1^2 + (x2 - 3)^2 + u2^2",
-        ["2*x1 + u1 - 5", "2*x2 + u2 - 5"], [-10.0] * 4, [10.0] * 4,
-    )
-    cert = DissipativityCertificate.from_expression(
-        2, "1.5 * (x1 - 2) + 1.5 * (x2 - 2)", [1.0, 1.0], 0.25, 2.0, 3.0)
-    ss = SteadyState(np.full(2, 2.0), np.ones(2), 4.0, np.zeros(2))
-    return model, cert, ss
-
-
 @pytest.mark.parametrize("density", [7, 8])
-def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, density):
-    for model, cert, ss in (builtin, _pair_setup()):
+def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, pair, density):
+    for model, cert, ss in (builtin, pair):
         dim = model.n + model.m
         # the former evaluation: every grid point in one batch
         pts = _meshgrid(model.z_lower, model.z_upper, density)
@@ -322,7 +310,8 @@ def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, density
 
 
 @pytest.mark.parametrize("density", [7, 8])
-def test_steady_state_and_weighted_output_blocks_match_one_block(monkeypatch, builtin, density):
+def test_steady_state_and_weighted_output_blocks_match_one_block(monkeypatch, builtin, pair,
+                                                                 density):
     # the SLSQP starts (the ranked steady-state candidates) and the L-BFGS-B
     # start of min_weighted_output (its first best grid point)
     starts, refinements = [], []
@@ -332,7 +321,7 @@ def test_steady_state_and_weighted_output_blocks_match_one_block(monkeypatch, bu
     monkeypatch.setattr(model_mod, "lbfgsb",
                         lambda fun, z0, **kw: refinements.append(z0) or lbfgsb(fun, z0, **kw))
     monkeypatch.setattr(model_mod, "_EXTREMES_GRID", density)
-    model, cert, _ = _pair_setup()
+    model, cert, _ = pair
     # lambda_bar = (1, 0) ties the weighted output across x2 and u2
     tied = dataclasses.replace(cert, lambda_bar=np.array([1.0, 0.0]))
     for model, cert, _ in (builtin, (model, cert, None), (model, tied, None)):
@@ -477,3 +466,14 @@ def test_batched_jacobians_match_pointwise():
         if k == z.shape[1] - 1:  # a fixed 1e-7 step would round away next to 3e12
             fd, exact = fd[:, 0], exact[:, 0]
         np.testing.assert_allclose(fd, exact, rtol=1e-6, atol=1e-6)
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity(builtin, pair):
+    # distinct instances with equal values: the generated field-tuple
+    # comparison would ask numpy for the truth value of an array
+    model, cert, ss = pair
+    for obj, field in ((builtin[0], "z_lower"), (model, "z_lower"),
+                       (cert, "lambda_bar"), (ss, "x_s")):
+        twin = dataclasses.replace(obj, **{field: getattr(obj, field).copy()})
+        assert obj == obj and obj != twin and not obj == twin
+        assert len({obj, twin, obj}) == 2

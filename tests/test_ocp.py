@@ -60,6 +60,17 @@ def test_spec_validation(builtin):
         _spec(builtin, N=6, T=3, x0=1.0, H0=H, objective="economic")
 
 
+def test_spec_rejects_history_of_other_output_dimension(builtin, pair):
+    # a mismatched history would be broadcast into the window rows: a 1-row
+    # history on a p = 2 model fills both outputs' windows from one row
+    with pytest.raises(ConfigError, match="history has 2 output rows, the model has p = 1"):
+        _spec(builtin, N=6, T=3, x0=1.0, H0=steady_history([-1.0, -2.0], 3))
+    model, cert, ss = pair
+    with pytest.raises(ConfigError, match="history has 1 output rows, the model has p = 2"):
+        OcpSpec(model=model, cert=cert, ss=ss, N=6, T=3, x0=np.full(2, 2.0),
+                H0=steady_history([-1.0], 3))
+
+
 @pytest.mark.parametrize("warm_start, message", [
     (np.ones(5), r"warm start has 5 entries, expected N \* m = 6"),
     (np.ones((3, 3)), r"warm start has 9 entries, expected N \* m = 6"),
@@ -168,6 +179,41 @@ def test_long_horizon_counter_guard(builtin):
     assert sol.converged
     assert (sol.iterations, sol.nfev) == (2409, 2964)
     assert sol.J.hex() == "0x1.036d76ca586bcp+6"
+
+
+def test_rotated_counter_guard(builtin, fig_history):
+    """Pins the fig-history N = 12, T = 6 rotated solve bit for bit.
+
+    From x0 = 2 that solve starts at its optimum (J = 0 after one
+    evaluation), so x0 = 2.5 is used: the rotated objective's storage
+    and multiplier terms then enter every evaluation, and any moved
+    rounding in them changes the L-BFGS-B path.
+    """
+    sol = solve(_spec(builtin, N=12, T=6, x0=2.5, H0=fig_history, objective=ROTATED))
+    assert sol.converged
+    assert (sol.iterations, sol.nfev) == (157, 322)
+    assert sol.J.hex() == "0x1.f1a63b8e2752ap-2"
+
+
+@pytest.mark.parametrize("objective, counters, J_hex", [
+    (ORIGINAL, (270, 340), "0x1.e09f7b0da563ap+4"),
+    (ROTATED, (34, 46), "0x1.36c8e1c2c2e98p-4"),
+])
+def test_vector_model_counter_guard(pair, objective, counters, J_hex):
+    """Pins an N = 8, T = 4 solve of two decoupled copies of the builtin
+    model (n = m = p = 2) bit for bit.
+
+    With more than one state, output and input per step, the rollout's
+    per-step blocks and the sums over outputs are strided views of
+    several entries, which the scalar guards do not exercise.
+    """
+    model, cert, ss = pair
+    H0 = HistoryState(np.array([[-2.0, -2.0, -1.0], [-1.0, -2.0, -2.0]]), T=4)
+    sol = solve(OcpSpec(model=model, cert=cert, ss=ss, N=8, T=4, x0=np.array([2.0, 1.8]),
+                        H0=H0, objective=objective))
+    assert sol.converged
+    assert (sol.iterations, sol.nfev) == counters
+    assert sol.J.hex() == J_hex
 
 
 def test_repeated_point_is_not_rolled_out_again(builtin, fig_history, monkeypatch):
