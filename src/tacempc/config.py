@@ -24,6 +24,7 @@ from .model import (
     DissipativityCertificate,
     SteadyState,
     SystemModel,
+    solve_steady_state,
     validate_certificate,
 )
 from .ocp import SolverOptions
@@ -72,10 +73,20 @@ class RunConfig:
         return self.ss.x_s.copy() if self.x0 is None else self.x0
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is, or a nested list holds, a boolean: JSON true and
+    false, which int(), float() and numpy would read as 1 and 0."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(item) for item in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def as_number(value, kind, name: str):
     """kind(value) for kind int or float; ConfigError naming the field if
-    malformed, including a fractional value for an integer field."""
+    malformed, including a boolean and a fractional value for an integer field."""
     try:
+        if _holds_bool(value):
+            raise TypeError(value)
         number = kind(value)
         if kind is int and isinstance(value, float) and number != value:
             raise ValueError(value)
@@ -98,10 +109,13 @@ def _as_section(section, name: str) -> dict:
 
 
 def _as_floats(values, name: str) -> np.ndarray:
-    """Float array of values (a string splits at commas); ConfigError if malformed."""
+    """Float array of values (a string splits at commas); ConfigError if
+    malformed or boolean."""
     if isinstance(values, str):
         values = values.split(",")
     try:
+        if _holds_bool(values):
+            raise TypeError(values)
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be numbers, got {values!r}") from None
@@ -122,8 +136,8 @@ def _build_model(data: dict):
         f_sources = list(data["f"])
         ell_source = data["ell"]
         h_sources = list(data["h"])
-        z_lower = data["z_lower"]
-        z_upper = data["z_upper"]
+        z_lower = _as_floats(data["z_lower"], "model z_lower")
+        z_upper = _as_floats(data["z_upper"], "model z_upper")
     except KeyError as exc:
         raise ConfigError(f"model definition missing key {exc.args[0]!r}") from None
     model = SystemModel.from_expressions(
@@ -139,10 +153,10 @@ def _build_model(data: dict):
         cert = DissipativityCertificate.from_expression(
             n=n,
             lam_source=data["lam"],
-            lambda_bar=data["lambda_bar"],
-            a=data["a"],
-            omega=data["omega"],
-            L_h=data["L_h"],
+            lambda_bar=_as_floats(data["lambda_bar"], "model lambda_bar"),
+            a=as_number(data["a"], float, "model a"),
+            omega=as_number(data["omega"], float, "model omega"),
+            L_h=as_number(data["L_h"], float, "model L_h"),
         )
     except KeyError as exc:
         raise ConfigError(f"certificate missing key {exc.args[0]!r}") from None
@@ -150,12 +164,12 @@ def _build_model(data: dict):
 
 
 def _resolve_steady_state(model, data: dict) -> SteadyState:
-    from .model import solve_steady_state
-
     given = data.get("steady_state")
     if given is None:
         return solve_steady_state(model)
-    return SteadyState.at(model, given["x"], given["u"])
+    x_s = _as_floats(given["x"], "model steady_state x")
+    u_s = _as_floats(given["u"], "model steady_state u")
+    return SteadyState.at(model, x_s, u_s)
 
 
 def parse_history(spec, model, ss, T: int) -> HistoryState:
@@ -174,13 +188,18 @@ def parse_history(spec, model, ss, T: int) -> HistoryState:
             u_hat = np.array(parts[model.n :])
             h_val = np.atleast_1d(np.asarray(model.h(x_hat, u_hat), dtype=float))
             return steady_history(h_val, T)
-        # explicit columns: semicolons separate columns, commas entries
-        spec = [col.split(",") for col in text.split(";") if col.strip()]
-    cols = _as_floats(spec, "history columns")
+        # explicit columns: semicolons separate columns, commas entries; with
+        # p = 1, one comma list without semicolons is the whole history row
+        chunks = [col.split(",") for col in text.split(";") if col.strip()]
+        cols = _as_floats(chunks, "history columns")
+        if model.p > 1 or len(chunks) > 1:
+            cols = cols.T
+    else:  # a JSON list: the (p, T - 1) matrix, or its (T - 1, p) transpose
+        cols = _as_floats(spec, "history columns")
+        if cols.shape == (T - 1, model.p) and T - 1 != model.p:
+            cols = cols.T  # accept row-per-step layout
     if cols.ndim == 1:
         cols = cols.reshape(1, -1) if model.p == 1 else cols.reshape(-1, 1)
-    if cols.shape[0] == T - 1 and cols.shape[1] == model.p and cols.shape[0] != cols.shape[1]:
-        cols = cols.T  # accept row-per-step layout
     if cols.shape != (model.p, T - 1):
         raise ConfigError(
             f"history must have shape ({model.p}, {T - 1}), got {cols.shape}"

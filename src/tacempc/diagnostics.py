@@ -20,13 +20,7 @@ import numpy as np
 
 from .closedloop import ClosedLoopTrace
 from .errors import DomainError
-from .history import (
-    HistoryState,
-    iss_function,
-    matrix_one_norm,
-    window_deficit,
-    window_rows,
-)
+from .history import iss_function, window_deficit, window_rows
 from .model import DissipativityCertificate, SteadyState, _grid_blocks, min_weighted_output
 from .ocp import OcpSolution
 
@@ -156,16 +150,3 @@ def decrease_check(series, tol: float = 1e-3):
     max_increase = float(np.max(np.diff(series)))
     return max_increase, max_increase <= tol
 
-
-def remark2_bound(H: HistoryState, lambda_bar, h_s=None) -> float:
-    """Worst-case multiplier-weighted history contribution
-    (T-1)^2 * ||lambda_bar|| * ||H - H^s||_1 (induced matrix 1-norm)."""
-    if H.T < 2:
-        raise DomainError("remark2_bound requires T >= 2")
-    lambda_bar = np.atleast_1d(np.asarray(lambda_bar, dtype=float))
-    columns = H.columns
-    if h_s is not None:
-        columns = columns - np.atleast_1d(np.asarray(h_s, dtype=float)).reshape(-1, 1)
-    return float(
-        (H.T - 1) ** 2 * np.linalg.norm(lambda_bar) * matrix_one_norm(columns)
-    )

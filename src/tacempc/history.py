@@ -51,10 +51,6 @@ class HistoryState:
     def p(self) -> int:
         return self.columns.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        """1-based column access matching the H_1..H_{T-1} convention."""
-        return self.columns[:, j - 1]
-
     @cached_property
     def tail_sums(self) -> np.ndarray:
         """Row j-1 sums columns H_j..H_{T-1}: the history part of the

@@ -55,6 +55,11 @@ def _fd_jacobian(fn, x, u, out_dim):
     return jac
 
 
+def step_record_widths(n: int, m: int, p: int):
+    """Column widths of the step record: x, ell, h, f_z, ell_z and h_z."""
+    return (n, 1, p, n * (n + m), n + m, p * (n + m))
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Dynamics, stage cost, auxiliary output and box constraints.
@@ -65,10 +70,10 @@ class SystemModel:
     (n+m, K) and h_jac (p, n+m, K).  The grid routines and the rollout
     call them once per batch.  Jacobian callables are optional; central
     finite differences of f, ell and h, also batched, are used when absent.
-    The box Z must be finite (it is compact).  ``stage_pass`` is the
-    compiled rollout of a model built by ``from_expressions``; it is not an
-    argument, and ``dataclasses.replace`` does not copy it, so a replaced
-    model, whose callbacks may differ, never runs a stale pass.
+    The box Z must be finite (it is compact).  ``stage_pass(x0, us, record)``
+    is the model's one rollout into the step record (``exprlang.stage_pass``):
+    compiled by ``from_expressions``, else (``dataclasses.replace`` too) the
+    callbacks' pass, which steps f and batches the other five callbacks.
     """
 
     n: int
@@ -82,7 +87,7 @@ class SystemModel:
     f_jac: Optional[Callable] = None  # (x, u) -> (n, n+m[, K])
     ell_grad: Optional[Callable] = None  # (x, u) -> (n+m[, K])
     h_jac: Optional[Callable] = None  # (x, u) -> (p, n+m[, K])
-    stage_pass: Optional[Callable] = field(default=None, init=False, repr=False)
+    stage_pass: Callable = field(init=False, repr=False)  # (x0, us, record) -> None
 
     def __post_init__(self):
         if min(self.n, self.m, self.p) < 1:
@@ -97,6 +102,28 @@ class SystemModel:
             raise ConfigError("box lower bounds exceed upper bounds")
         object.__setattr__(self, "z_lower", lower)
         object.__setattr__(self, "z_upper", upper)
+        object.__setattr__(self, "stage_pass", self._callback_pass())
+
+    def _callback_pass(self):
+        """The stage pass of this model's callbacks.  Unlike the compiled
+        one it writes x0 too, and it keeps the views of its last record."""
+        n, last = self.n, (None,)
+
+        def stage_pass(x0, us, record):
+            nonlocal last
+            N, us_T, views = len(us), us.T, last  # one read: another thread may swap last
+            if views[0] is not record:
+                views = last = record, list(record[:, :n]), record[:N, :n].T, record[:N, n:].T
+            _, rows, xs, stages = views  # xs (n, N), stages (R - n, N)
+            x = rows[0][...] = x0
+            for row, uk in zip(rows[1:], us):
+                x = row[...] = self.f(x, uk)
+            # the stage columns are the batch results stacked, each flattened to (rows, N)
+            np.concatenate((self.ell(xs, us_T)[None], np.atleast_2d(self.h(xs, us_T)),
+                            self.jac_f(xs, us_T).reshape(-1, N), self.grad_ell(xs, us_T),
+                            self.jac_h(xs, us_T).reshape(-1, N)), out=stages)
+
+        return stage_pass
 
     @property
     def x_lower(self):
@@ -153,11 +180,9 @@ class SystemModel:
         ``exprlang.kernel``); ``ell`` wraps its kernel to return a float at
         a point.  The callables broadcast over a batch axis bit for bit like
         pointwise calls, and a batch result has one column per point even
-        for a constant expression.  The model's ``stage_pass`` is compiled
-        here too (see ``exprlang.stage_pass``): one Python-float loop that
-        computes the states, ell, h and the three Jacobians of a whole
-        rollout, bit for bit what ``f`` stepped and the other five
-        callbacks batched give.
+        for a constant expression.  So is the ``stage_pass``, one
+        Python-float loop (``exprlang.stage_pass``) bit for bit the
+        callbacks' pass.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")

@@ -11,16 +11,14 @@ the objective is one Python frame below scipy's kernel.  One problem
 object per spec (``_Problem``) evaluates the objective, the constraints
 and their derivatives from one rollout with sensitivities (``_Forward``);
 it serves the solver and the evaluation helpers ``constraint_residuals``,
-``open_loop_cost`` and ``rotated_identity_check``.  The rollout's per-step
-loops stay off numpy's per-call overhead: a model built from expressions
-runs its compiled stage pass ``model.stage_pass``, one Python-float loop
-that writes the states, stage values and stage Jacobians of every step
-into one step record (one row per step, of which x, ell, h and the stage
-Jacobians are views) with one store, and each sensitivity step calls BLAS
-through ``ndarray.dot``.  The window rows of g and Dg are two operations
-each: a cumulative sum into a padded buffer whose head rows hold the
-negated history tail sums, and one subtraction of two of its row blocks
-(``history.Windows``).
+``open_loop_cost`` and ``rotated_identity_check``.  The rollout calls
+no model callback: one call of the model's ``stage_pass`` writes the
+states, stage values and stage Jacobians of every step into one step
+record (one row per step, of which x, ell, h and the stage Jacobians are
+views), and each sensitivity step calls BLAS through ``ndarray.dot``.
+The window rows of g and Dg are two operations each: a cumulative sum
+into a padded buffer whose head rows hold the negated history tail sums,
+and one subtraction of two of its row blocks (``history.Windows``).
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from .model import (
     SteadyState,
     SystemModel,
     eval_rotated_stage_cost,
+    step_record_widths,
 )
 
 ORIGINAL = "original"
@@ -142,36 +141,25 @@ class _Forward:
     ell_k, h_k, f_z, ell_z and h_z at z_k = (x_k, u_k), each flattened, and
     row N holds x_N (see ``exprlang.stage_pass``); row 0's x0 is written
     once.  x (N + 1, n), ell (N,), h (N, p) and the (N, rows, n + m) stage
-    Jacobians are strided views of it.  The record is filled by one of two
-    paths, chosen once per workspace.  A model built from expressions
-    carries its compiled ``stage_pass``, and one call of it computes every
-    entry and stores them with one write.  Otherwise (a model built in
-    Python, or one made by ``dataclasses.replace``, which does not copy the
-    pass: a tracing wrapper, ``h_jac=None``) f is stepped once per stage
-    and ell, h and the Jacobians are evaluated once over the whole (n, N)
-    trajectory, each written into its view.  Over the same callbacks both
-    paths give the same bits.  Dz (N + 1, n + m, N * m) holds d z_k / d u
-    for z_k = (x_k, u_k): selector rows for u_k, set once, and one product
-    f_z(z_k) @ Dz[k] per step for x_{k+1}, written by ``fz.dot(Dz[k],
-    out)``: BLAS called directly, about half the cost of the ``np.matmul``
-    ufunc on these small C-contiguous blocks and the same bits; Sx is
-    Dz[:, :n].  The selector adds only exact zeros, but a non-finite
-    Jacobian entry (|x| > 1e308) spreads to the other columns as NaN
-    (inf * 0).
+    Jacobians are strided views of it, and one call of ``model.stage_pass``
+    fills it.  Dz (N + 1, n + m, N * m) holds d z_k / d u for z_k = (x_k,
+    u_k): selector rows for u_k, set once, and one product f_z(z_k) @ Dz[k]
+    per step for x_{k+1}, written by ``fz.dot(Dz[k], out)``: BLAS called
+    directly, about half the cost of the ``np.matmul`` ufunc on these small
+    C-contiguous blocks and the same bits; Sx is Dz[:, :n].  The selector
+    adds only exact zeros, but a non-finite Jacobian entry (|x| > 1e308)
+    spreads to the other columns as NaN (inf * 0).
     """
 
-    __slots__ = ("model", "record", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_pass",
-                 "_next", "_xs", "_fz", "_lz", "_hz", "_steps", "_Dz", "_lz_rows",
-                 "_Dell_rows")
+    __slots__ = ("record", "x", "h", "ell", "Sx", "Dh", "Dell", "_x0", "_pass", "_fz",
+                 "_lz", "_hz", "_steps", "_Dz", "_lz_rows", "_Dell_rows")
 
     def __init__(self, spec: OcpSpec):
         model = spec.model
         n, m, p, N = model.n, model.m, model.p, spec.N
         nz, nu = n + m, N * m
-        self.model = model
         self._x0 = spec.x0
-        # x, ell, h, f_z, ell_z, h_z: consecutive columns of the record
-        widths = (n, 1, p, n * nz, nz, p * nz)
+        widths = step_record_widths(n, m, p)
         self.record = np.zeros((N + 1, sum(widths)))
         x, ell, h, fz, lz, hz = np.split(self.record, np.cumsum(widths)[:-1], axis=1)
         x[0] = spec.x0
@@ -191,25 +179,10 @@ class _Forward:
         self.Dell = self._Dell_rows[:, 0]
         self.Dh = np.empty((N, p, nu))
         self._pass = model.stage_pass
-        if self._pass is None:
-            self._next = list(self.x[1:])  # row views x_1..x_N, one per f step
-            self._xs = self.x[:N].T
 
     def __call__(self, u: np.ndarray) -> "_Forward":
         """Roll out the inputs u (N, m) into this workspace."""
-        if self._pass is not None:
-            self._pass(self._x0, u, self.record)
-        else:
-            model = self.model
-            f, x = model.f, self._x0
-            for row, uk in zip(self._next, u):
-                x = row[...] = f(x, uk)
-            xs, us = self._xs, u.T  # (n, N), (m, N)
-            self.h[:] = np.atleast_2d(model.h(xs, us)).T
-            self.ell[:] = model.ell(xs, us)
-            np.copyto(self._fz, model.jac_f(xs, us).transpose(2, 0, 1))
-            np.copyto(self._lz, model.grad_ell(xs, us).T)
-            np.copyto(self._hz, model.jac_h(xs, us).transpose(2, 0, 1))
+        self._pass(self._x0, u, self.record)
         for fz, Dz, out in self._steps:
             fz.dot(Dz, out)
         np.matmul(self._lz_rows, self._Dz, self._Dell_rows)

@@ -1,10 +1,11 @@
 import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tacempc import cli, model
+from tacempc import cli, config, model
 from tacempc.cli import csv_header, main
 from tacempc.config import load_config, parse_history
 from tacempc.errors import ConfigError
@@ -40,6 +41,23 @@ def test_history_shorthands():
         parse_history("constant:1", cfg.model, cfg.ss, 4)  # needs n + m numbers
     with pytest.raises(ConfigError):
         parse_history("-2,-2", cfg.model, cfg.ss, 6)  # wrong length
+
+
+def test_explicit_history_chunks_are_columns():
+    # each ;-chunk is one column H_j, also when the (p, T - 1) matrix is square
+    pair = SimpleNamespace(n=2, m=2, p=2)
+    for T, text in ((3, "1,2;3,4"), (4, "1,2;3,4;5,6")):
+        H = parse_history(text, pair, None, T)
+        np.testing.assert_array_equal(H.columns, np.arange(1.0, 2 * T - 1).reshape(T - 1, 2).T)
+    # p = 1: the comma shorthand is the whole row, as are one-entry chunks
+    scalar = SimpleNamespace(n=1, m=1, p=1)
+    for spec in ("-2,-2,-2,-2,-1", "-2;-2;-2;-2;-1", [[-2, -2, -2, -2, -1]],
+                 [-2, -2, -2, -2, -1]):
+        H = parse_history(spec, scalar, None, 6)
+        np.testing.assert_array_equal(H.columns, [[-2, -2, -2, -2, -1]])
+    # a JSON list is the matrix row by row, one row per output
+    H = parse_history([[1, 3], [2, 4]], pair, None, 3)
+    np.testing.assert_array_equal(H.columns, [[1, 3], [2, 4]])
 
 
 def test_config_file_sections(tmp_path):
@@ -125,6 +143,35 @@ def test_non_finite_model_constants_exit_with_config_error(tmp_path, capsys, key
     path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", key: value}}))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--K", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("experiment", "N", True, "experiment N must be an integer, got True"),
+    ("experiment", "K", True, "experiment K must be an integer, got True"),
+    ("experiment", "x0", [True], "experiment x0 must be numbers, got [True]"),
+    ("experiment", "eps", True, "experiment eps must be a number, got True"),
+    ("experiment", "history", [[-2, -2, -2, -2, False]], "history columns must be numbers"),
+    ("solver", "feas_tol", True, "solver feas_tol must be a number, got True"),
+    ("model", "n", True, "model n must be an integer, got True"),
+    ("model", "a", True, "model a must be a number, got True"),
+    ("model", "omega", True, "model omega must be a number, got True"),
+    ("model", "L_h", True, "model L_h must be a number, got True"),
+    ("model", "z_lower", [-10.0, False], "model z_lower must be numbers"),
+    ("model", "z_upper", [True, 10.0], "model z_upper must be numbers"),
+    ("model", "lambda_bar", [True], "model lambda_bar must be numbers, got [True]"),
+    ("model", "steady_state", {"x": [True], "u": [1.0]},
+     "model steady_state x must be numbers, got [True]"),
+])
+def test_boolean_numbers_exit_with_config_error(tmp_path, capsys, section, key, value, message):
+    # JSON true and false read as 1 and 0: K, x0, eps and a set to true ran
+    # a one-step loop from x0 = 1 with eps = a = 1 and exited 0
+    section_data = {"builtin": "mueller-koehler"} if section == "model" else {}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: {**section_data, key: value}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
@@ -222,7 +269,7 @@ def test_steady_state_command_solves_once(tmp_path, capsys, monkeypatch, pinned)
         return solve(*args, **kwargs)
 
     solve = model.solve_steady_state
-    monkeypatch.setattr(model, "solve_steady_state", counting)
+    monkeypatch.setattr(config, "solve_steady_state", counting)
     monkeypatch.setattr(cli, "solve_steady_state", counting)
     path = tmp_path / "model.json"
     section = {"builtin": "mueller-koehler"} if pinned else {

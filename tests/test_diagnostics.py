@@ -7,11 +7,10 @@ from tacempc.diagnostics import (
     _storage_sup,
     decrease_check,
     lyapunov_trace,
-    remark2_bound,
     turnpike_report,
 )
 from tacempc.errors import DomainError
-from tacempc.history import HistoryState, positive_part_measure, steady_history
+from tacempc.history import positive_part_measure, steady_history
 from tacempc.model import DissipativityCertificate
 from tacempc.ocp import ORIGINAL, OcpSolution, OcpSpec, solve
 
@@ -159,13 +158,3 @@ def test_lyapunov_domain_errors(builtin, closed_loop_trace):
     with pytest.raises(DomainError):
         lyapunov_trace(short, cert, ss)  # 3 steps < T = 6
 
-
-def test_remark2_bound_examples(builtin):
-    _, cert, ss = builtin
-    H = HistoryState(np.array([[-2.0, -2.0, -2.0, -2.0, -1.0]]), T=6)
-    # (T-1)^2 * ||lambda_bar|| * max column deviation = 25 * 1 * 2
-    assert remark2_bound(H, cert.lambda_bar, ss.h_s) == pytest.approx(50.0)
-    Hs = steady_history(ss.h_s, 6)
-    assert remark2_bound(Hs, cert.lambda_bar, ss.h_s) == pytest.approx(0.0)
-    with pytest.raises(DomainError):
-        remark2_bound(HistoryState(np.zeros((1, 0)), T=1), cert.lambda_bar)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse, to_source
+from tacempc.model import step_record_widths
 
 
 def _value(source, x, u):
@@ -495,7 +496,7 @@ def test_stage_pass_matches_stepped_and_batched_kernels(case):
     f, ell, h, x0, u = case
     n, m, p, N = len(x0), u.shape[1], len(h), u.shape[0]
     want = _outcome(_stepped_and_batched, f, ell, h, x0, u)
-    widths = [n, 1, p, n * (n + m), n + m, p * (n + m)]
+    widths = step_record_widths(n, m, p)
     record = np.full((N + 1, sum(widths)), 7.0)
     untouched = record.copy()
     got = _outcome(exprlang.stage_pass(f, ell, h, n, m), x0, u, record)

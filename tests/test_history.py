@@ -51,12 +51,6 @@ def test_shift_update_drops_oldest():
     assert H2.T == 4
 
 
-def test_one_based_column_accessor():
-    H = HistoryState(np.array([[1.0, 2.0], [3.0, 4.0]]), T=3)
-    np.testing.assert_array_equal(H.column(1), [1.0, 3.0])
-    np.testing.assert_array_equal(H.column(2), [2.0, 4.0])
-
-
 def test_positive_part_measure_examples():
     assert positive_part_measure(np.array([[-2.0, -1.0]])) == 0.0
     assert positive_part_measure(np.array([[1.0, -3.0]])) == 1.0

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -516,7 +518,7 @@ _OUTPUTS = ("2 * x{a} + u{b} - 5", "x{a} * u{b}^2 - x{c}", "x{c}^3 / (1 + x{a}^2
 
 
 @st.composite
-def _rollout_cases(draw):
+def _rollout_cases(draw, finite_differences=st.booleans()):
     n, m, p = (draw(st.sampled_from([1, 2])) for _ in range(3))
     T = draw(st.integers(1, 4))
     N = draw(st.integers(T, 2 * T + 2))
@@ -531,7 +533,7 @@ def _rollout_cases(draw):
         f"(x1 - 3)^2 + u{m}^2 + 0.5 * x{n} * u1",
         [source(_OUTPUTS) for _ in range(p)], [-10.0] * (n + m), [10.0] * (n + m),
     )
-    if draw(st.booleans()):  # central differences instead of compiled Jacobians
+    if draw(finite_differences):  # central differences instead of compiled Jacobians
         model = dataclasses.replace(model, f_jac=None, ell_grad=None, h_jac=None)
     ss = SteadyState(np.zeros(n), np.zeros(m), 0.0, np.zeros(p))
     cert = DissipativityCertificate.from_expression(
@@ -648,11 +650,44 @@ def test_batched_rollout_matches_step_loop(case):
         _assert_matches(a, b, n, name)
 
 
+def _runs_callback_pass(model):
+    """Whether the model's stage pass is the one built from its callbacks."""
+    return model.stage_pass.__qualname__ == "SystemModel._callback_pass.<locals>.stage_pass"
+
+
+@settings(max_examples=100)
+@given(_rollout_cases(finite_differences=st.just(False)))
+@example(_OVERFLOW_CASE)
+@example(_DIVISION_CASE)
+@example(_SIGNED_ZERO_CASE)
+def test_compiled_and_callback_passes_write_the_same_record(case):
+    # the compiled pass of an expression model and the pass its callbacks
+    # give a replaced copy fill every record entry with the same bits
+    spec, u = case
+    compiled = spec.model
+    replaced = dataclasses.replace(compiled)
+    assert not _runs_callback_pass(compiled) and _runs_callback_pass(replaced)
+    records = [np.full_like(_Forward(spec).record, 7.0) for _ in range(2)]
+    for record in records:
+        record[0, : compiled.n] = spec.x0  # where a rollout workspace keeps it
+    # the overflow example makes inf and NaN on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        if case is _DIVISION_CASE:
+            for model, record in zip((compiled, replaced), records):
+                with pytest.raises(EvalError, match="division by zero"):
+                    model.stage_pass(spec.x0, u, record)
+            return
+        for model, record in zip((compiled, replaced), records):
+            model.stage_pass(spec.x0, u, record)
+    assert case is not _OVERFLOW_CASE or np.isposinf(records[0][-1, 0])
+    assert records[0].tobytes() == records[1].tobytes()
+
+
 @pytest.mark.parametrize("name", ["f", "ell", "h", "f_jac", "ell_grad", "h_jac"])
 def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
-    # dataclasses.replace does not copy the stage pass, so the rollout calls
-    # the replacement: f once per stage, the other five once per rollout
-    # over the whole trajectory
+    # dataclasses.replace does not copy the stage pass, so the rollout runs
+    # the replacement's callback pass: f once per stage, the other five once
+    # per rollout over the whole trajectory
     model = builtin[0]
     spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
     original, calls = getattr(model, name), []
@@ -662,7 +697,7 @@ def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
         return original(x, u)
 
     swapped = dataclasses.replace(model, **{name: counting})
-    assert model.stage_pass is not None and swapped.stage_pass is None
+    assert not _runs_callback_pass(model) and _runs_callback_pass(swapped)
     compiled, generic = _Forward(spec), _Forward(dataclasses.replace(spec, model=swapped))
     per_rollout = spec.N if name == "f" else 1
     u = np.random.default_rng(5).uniform(0.5, 1.5, (2, 12, 1))
@@ -675,16 +710,47 @@ def test_swapped_callbacks_take_the_generic_path(builtin, fig_history, name):
 
 
 def test_replaced_model_drops_its_stage_pass(builtin, fig_history):
-    # a replace that swaps nothing still takes the generic path, to the same bits
+    # a replace that swaps nothing still runs the callback pass, to the same bits
     model = builtin[0]
     plain = dataclasses.replace(model)
-    assert plain.stage_pass is None
+    assert _runs_callback_pass(plain)
     spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
     u = np.random.default_rng(6).uniform(0.5, 1.5, (12, 1))
     compiled = _Forward(spec)(u)
     generic = _Forward(dataclasses.replace(spec, model=plain))(u)
     for attr in ("x", "h", "ell", "Sx", "Dh", "Dell"):
         assert getattr(generic, attr).tobytes() == getattr(compiled, attr).tobytes(), attr
+
+
+def test_callback_pass_serves_every_workspace_across_threads(builtin, fig_history):
+    # the callback pass keeps the views of its last record: workspaces of one
+    # model, used in turn or from two threads at once, each get their own rollout
+    spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
+    plain = dataclasses.replace(spec, model=dataclasses.replace(builtin[0]))
+    inputs = np.random.default_rng(7).uniform(0.5, 1.5, (2, 12, 1))
+    want = [_Forward(spec)(u).record.tobytes() for u in inputs]
+    workspaces = [_Forward(plain) for _ in inputs]
+    for k in (0, 1, 0, 1):
+        assert workspaces[k](inputs[k]).record.tobytes() == want[k]
+    mismatches = []
+
+    def roll(k):
+        for _ in range(200):
+            if workspaces[k](inputs[k]).record.tobytes() != want[k]:
+                mismatches.append(k)
+
+    threads = [threading.Thread(target=roll, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
 
 
 @pytest.mark.parametrize("name, buffer", [("f_jac", "Sx"), ("ell_grad", "Dell"), ("h_jac", "Dh")])
