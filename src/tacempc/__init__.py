@@ -38,7 +38,6 @@ from .ocp import (
     OcpSolution,
     OcpSpec,
     SolverOptions,
-    open_loop_cost,
     solve,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "OcpSolution",
     "OcpSpec",
     "SolverOptions",
-    "open_loop_cost",
     "solve",
 ]
 

@@ -160,9 +160,8 @@ def _experiment_overrides(args) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.model, _experiment_overrides(args))
-    H0 = cfg.history()
     trace = simulate(
-        cfg.model, cfg.cert, cfg.ss, cfg.N, cfg.initial_state(), H0, cfg.K,
+        cfg.model, cfg.cert, cfg.ss, cfg.N, cfg.x0, cfg.H0, cfg.K,
         options=cfg.options,
     )
     lt = None
@@ -192,10 +191,9 @@ def cmd_turnpike(args) -> int:
     } | {"N": max(horizons)})
     eps = cfg.epsilon
     for N in horizons:
-        H0 = cfg.history()
         spec = OcpSpec(
             model=cfg.model, cert=cfg.cert, ss=cfg.ss, N=N, T=cfg.T,
-            x0=cfg.initial_state(), H0=H0, objective=ORIGINAL,
+            x0=cfg.x0, H0=cfg.H0, objective=ORIGINAL,
             options=cfg.options,
         )
         rep = turnpike_report(solve(spec), cfg.ss, cfg.cert, eps)

@@ -13,7 +13,7 @@ that names them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ from .model import (
     DissipativityCertificate,
     SteadyState,
     SystemModel,
+    is_steady_state,
     solve_steady_state,
     validate_certificate,
 )
@@ -52,25 +53,20 @@ EXPERIMENT_KEYS = ("N", "T", "K", "x0", "history", "eps")
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration ready to execute."""
+    """Fully resolved configuration ready to execute; ``load_config`` makes
+    it, with x0 = x_s and the steady history where the experiment gives none."""
 
     model: SystemModel
     cert: DissipativityCertificate
     ss: SteadyState
-    N: int = 12
-    T: int = 6
-    K: int = 30
-    x0: Optional[np.ndarray] = None
-    history_spec: str | list = "steady"
-    options: SolverOptions = field(default_factory=SolverOptions)
-    epsilon: float = 0.1
-    ss_solved: bool = False  # ss came from solve_steady_state, not the config
-
-    def history(self) -> HistoryState:
-        return parse_history(self.history_spec, self.model, self.ss, self.T)
-
-    def initial_state(self) -> np.ndarray:
-        return self.ss.x_s.copy() if self.x0 is None else self.x0
+    N: int
+    T: int
+    K: int
+    x0: np.ndarray
+    H0: HistoryState
+    options: SolverOptions
+    epsilon: float
+    ss_solved: bool  # ss came from solve_steady_state, not the config
 
 
 def _holds_bool(value) -> bool:
@@ -164,11 +160,27 @@ def _build_model(data: dict):
 
 
 def _resolve_steady_state(model, data: dict) -> SteadyState:
+    """The pinned steady state, checked as ``solve_steady_state`` checks its
+    candidates, or the solved one when none is pinned."""
     given = data.get("steady_state")
     if given is None:
         return solve_steady_state(model)
-    x_s = _as_floats(given["x"], "model steady_state x")
-    u_s = _as_floats(given["u"], "model steady_state u")
+    if not isinstance(given, dict) or set(given) != {"x", "u"}:
+        raise ConfigError(
+            f'model steady_state must be a JSON object with keys "x" and "u", got {given!r}'
+        )
+    x_s = np.atleast_1d(_as_floats(given["x"], "model steady_state x"))
+    u_s = np.atleast_1d(_as_floats(given["u"], "model steady_state u"))
+    if x_s.shape != (model.n,) or u_s.shape != (model.m,):
+        raise ConfigError(
+            f"model steady_state needs {model.n} x and {model.m} u entries, "
+            f"got {x_s.tolist()} and {u_s.tolist()}"
+        )
+    if not is_steady_state(model, x_s, u_s):  # the box is finite, so nan and inf fail
+        raise ConfigError(
+            f"model steady_state x {x_s.tolist()}, u {u_s.tolist()} is not an admissible "
+            "steady state: it needs (x, u) in the box, f(x, u) = x and h(x, u) <= 0"
+        )
     return SteadyState.at(model, x_s, u_s)
 
 
@@ -262,15 +274,16 @@ def load_config(
         raise ConfigError(f"need N >= T >= 1, got N={N}, T={T}")
     if K < 1:
         raise ConfigError(f"K must be >= 1, got K={K}")
-    x0 = exp.get("x0")
-    if x0 is not None:
-        x0 = np.atleast_1d(_as_floats(x0, "experiment x0"))
+    if exp.get("x0") is None:
+        x0 = ss.x_s.copy()
+    else:
+        x0 = np.atleast_1d(_as_floats(exp["x0"], "experiment x0"))
         if x0.shape != (model.n,):
             raise ConfigError(f"x0 must have {model.n} entries")
     epsilon = as_number(exp.get("eps", 0.1), float, "experiment eps")
     if not 0 < epsilon < np.inf:  # also rejects NaN
         raise ConfigError(f"experiment eps must be positive and finite, got {epsilon!r}")
-    config = RunConfig(
+    return RunConfig(
         model=model,
         cert=cert,
         ss=ss,
@@ -278,10 +291,8 @@ def load_config(
         T=T,
         K=K,
         x0=x0,
-        history_spec=exp.get("history", "steady"),
+        H0=parse_history(exp.get("history", "steady"), model, ss, T),
         options=options,
         epsilon=epsilon,
         ss_solved=data.get("steady_state") is None,
     )
-    config.history()  # validate early
-    return config

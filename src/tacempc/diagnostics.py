@@ -24,6 +24,8 @@ from .history import iss_function, window_deficit, window_rows
 from .model import DissipativityCertificate, SteadyState, _grid_blocks, min_weighted_output
 from .ocp import OcpSolution
 
+_DECREASE_TOL = 1e-3  # largest one-step increase of a practically decreasing series
+
 
 @dataclass(frozen=True)
 class TurnpikeReport:
@@ -138,15 +140,15 @@ def lyapunov_trace(
     return LyapunovTrace(c=c, V=V, What=What, W=W)
 
 
-def decrease_check(series, tol: float = 1e-3):
+def decrease_check(series):
     """Largest one-step increase of a series and whether it stays within
-    tol: the practical-decrease test for W (which passes it on the closed
-    loop) and for the rotated value function (which does not)."""
+    ``_DECREASE_TOL``: the practical-decrease test for W (which passes it on
+    the closed loop) and for the rotated value function (which does not)."""
     series = np.asarray(series, dtype=float)
     if series.size == 0:
         raise DomainError("empty series")
     if series.size == 1:
         return 0.0, True
     max_increase = float(np.max(np.diff(series)))
-    return max_increase, max_increase <= tol
+    return max_increase, max_increase <= _DECREASE_TOL
 

@@ -45,12 +45,10 @@ bit for bit what stepping f and batching the other kernels gives.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 import struct
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -104,9 +102,6 @@ class BinOp(Expr):
 class Pow(Expr):
     base: Expr
     exponent: int  # >= 0
-
-
-ExprNode = Union[Num, Var, Neg, BinOp, Pow]
 
 
 # ---------------------------------------------------------------------------
@@ -229,55 +224,6 @@ def _parse_atom(toks, n, m):
 
 
 # ---------------------------------------------------------------------------
-# Canonical printer
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Num) and math.copysign(1.0, e.value) < 0:
-        return _PREC_NEG  # printed with a leading minus, like a negation
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def to_source(e: Expr) -> str:
-    """Canonical, reparseable rendering with minimal parentheses."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"{e.kind}{e.index + 1}"
-    if isinstance(e, Neg):
-        inner = to_source(e.arg)
-        if _prec(e.arg) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        base = to_source(e.base)
-        if _prec(e.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, BinOp):
-        level = _PREC[e.op]
-        left = to_source(e.left)
-        if _prec(e.left) < level:
-            left = f"({left})"
-        right = to_source(e.right)
-        if _prec(e.right) <= level:
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Compilation
 #
 # An expression is translated once into straight-line Python source that
@@ -286,6 +232,9 @@ def to_source(e: Expr) -> str:
 # variables are read as x[i] / u[i] where they occur, float constants are
 # bound by name (never printed into the source) and nothing is folded or
 # simplified.  Results are therefore bit-identical to tree interpretation.
+
+
+_BINARY_OPS = ("+", "-", "*", "/")  # the operators a BinOp may carry
 
 
 def _check_nonzero(b):
@@ -402,7 +351,7 @@ def _value_code(e: Expr, gen: _Codegen) -> str:
         return gen.emit(f"-{_value_code(e.arg, gen)}")
     if isinstance(e, Pow):
         return gen.emit(gen.power(_value_code(e.base, gen), e.exponent))
-    if isinstance(e, BinOp) and e.op in _PREC:
+    if isinstance(e, BinOp) and e.op in _BINARY_OPS:
         a = _value_code(e.left, gen)
         b = _value_code(e.right, gen)
         if e.op == "/":
@@ -431,7 +380,7 @@ def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
             return "_one", ["_zero"] * dim
         scale = gen.emit(f"{k} * {gen.power(v, k - 1)}")
         return gen.emit(gen.power(v, k)), [gen.emit(f"{scale} * {gi}") for gi in g]
-    if isinstance(e, BinOp) and e.op in _PREC:
+    if isinstance(e, BinOp) and e.op in _BINARY_OPS:
         va, ga = _dual_code(e.left, gen, n, dim)
         vb, gb = _dual_code(e.right, gen, n, dim)
         if e.op in ("+", "-"):

@@ -27,6 +27,7 @@ from .lbfgsb import lbfgsb
 
 _FD_STEP = 1e-7
 _STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
+_CERT_TOL = 1e-8  # bound on |lam(x_s)| and |lambda_bar . h_s| of a certificate
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
@@ -287,16 +288,28 @@ class SteadyState:
         return cls(x_s=x_s, u_s=u_s, ell_s=float(model.ell(x_s, u_s)), h_s=h_s)
 
 
-def validate_certificate(cert: DissipativityCertificate, ss: SteadyState, tol=1e-8):
+def is_steady_state(model: SystemModel, x, u) -> bool:
+    """Whether (x, u) is an admissible steady state of model: in the box,
+    f(x, u) = x and h(x, u) <= 0, each to ``_STEADY_FEAS_TOL``.  The test
+    every candidate of ``solve_steady_state`` passes, and a pinned one too."""
+    return bool(
+        model.in_box(x, u, tol=_STEADY_FEAS_TOL)
+        and np.max(np.abs(np.asarray(model.f(x, u), dtype=float) - x)) <= _STEADY_FEAS_TOL
+        and np.max(np.atleast_1d(model.h(x, u))) <= _STEADY_FEAS_TOL
+    )
+
+
+def validate_certificate(cert: DissipativityCertificate, ss: SteadyState):
     """Reject certificates whose normalization does not match the steady-state.
 
-    Requires lam(x_s) = 0 and complementarity lambda_bar . h_s = 0.
+    Requires lam(x_s) = 0 and complementarity lambda_bar . h_s = 0, each to
+    ``_CERT_TOL``.
     """
     lam_s = float(cert.lam(ss.x_s))
-    if abs(lam_s) > tol:
+    if abs(lam_s) > _CERT_TOL:
         raise ConfigError(f"storage function not normalized: lam(x_s) = {lam_s:g}")
     slack = float(cert.lambda_bar @ ss.h_s)
-    if abs(slack) > tol:
+    if abs(slack) > _CERT_TOL:
         raise ConfigError(
             f"multiplier/output complementarity violated: lambda_bar . h_s = {slack:g}"
         )
@@ -402,12 +415,7 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
             options={"maxiter": 200, "ftol": 1e-14},
         )
         for z in (res.x, z0):  # fall back to the raw grid point
-            x, u = z[:n], z[n:]
-            if not model.in_box(x, u, tol=_STEADY_FEAS_TOL):
-                continue
-            if np.max(np.abs(eq_con(z))) > _STEADY_FEAS_TOL:
-                continue
-            if np.max(np.atleast_1d(model.h(x, u))) > _STEADY_FEAS_TOL:
+            if not is_steady_state(model, z[:n], z[n:]):
                 continue
             cost = objective(z)
             if best is None or cost < best[0] - 1e-12:

@@ -10,12 +10,12 @@ quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
 the objective is one Python frame below scipy's kernel.  One problem
 object per spec (``_Problem``) evaluates the objective, the constraints
 and their derivatives from one rollout with sensitivities (``_Forward``);
-it serves the solver and the evaluation helpers ``constraint_residuals``,
-``open_loop_cost`` and ``rotated_identity_check``.  The rollout calls
-no model callback: one call of the model's ``stage_pass`` writes the
-states, stage values and stage Jacobians of every step into one step
-record (one row per step, of which x, ell, h and the stage Jacobians are
-views), and each sensitivity step calls BLAS through ``ndarray.dot``.
+it serves the solver and the evaluation helpers ``constraint_residuals``
+and ``rotated_identity_check``.  The rollout calls no model callback:
+one call of the model's ``stage_pass`` writes the states, stage values
+and stage Jacobians of every step into one step record (one row per
+step, of which x, ell, h and the stage Jacobians are views), and each
+sensitivity step calls BLAS through ``ndarray.dot``.
 The window rows of g and Dg are two operations each: a cumulative sum
 into a padded buffer whose head rows hold the negated history tail sums,
 and one subtraction of two of its row blocks (``history.Windows``).
@@ -288,11 +288,6 @@ def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
     lower = (model.z_lower - z).ravel()
     upper = (z - model.z_upper).ravel()
     return np.concatenate([lower, upper, problem.g_windows.ravel()])
-
-
-def open_loop_cost(spec: OcpSpec, u) -> float:
-    """Objective value of an input sequence under the configured cost."""
-    return _Problem(spec)(np.asarray(u, dtype=float))[0]
 
 
 def rotated_identity_check(spec: OcpSpec, u) -> float:

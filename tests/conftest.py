@@ -1,6 +1,13 @@
+import os
 import time
 
-import numpy as np
+# One BLAS thread, as in perfbench: with the default thread pool, a second
+# process on the same cores made the sweep behind check 8 ten times slower,
+# so the runtime budgets measured contention instead of the code.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

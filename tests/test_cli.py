@@ -19,8 +19,8 @@ def test_load_builtin_defaults():
     cfg = load_config(model_name="mueller-koehler")
     assert (cfg.N, cfg.T, cfg.K) == (12, 6, 30)
     assert cfg.ss.x_s[0] == pytest.approx(2.0)
-    np.testing.assert_array_equal(cfg.initial_state(), cfg.ss.x_s)
-    assert cfg.history().columns.shape == (1, 5)
+    np.testing.assert_array_equal(cfg.x0, cfg.ss.x_s)
+    assert cfg.H0.columns.shape == (1, 5)
 
 
 def test_unknown_builtin_rejected():
@@ -72,7 +72,7 @@ def test_config_file_sections(tmp_path):
     assert (cfg.N, cfg.T, cfg.K) == (10, 3, 4)
     assert cfg.options.feas_tol == 1e-7
     assert cfg.options.stat_tol == 1e-5
-    np.testing.assert_array_equal(cfg.initial_state(), [1.0])
+    np.testing.assert_array_equal(cfg.x0, [1.0])
 
 
 def test_config_overrides_route_to_sections(tmp_path):
@@ -174,6 +174,34 @@ def test_boolean_numbers_exit_with_config_error(tmp_path, capsys, section, key, 
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
+
+
+_NO_STORAGE = {"lam": "0 * x1", "lambda_bar": [0.0]}  # any steady state passes the certificate
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"steady_state": [2.0, 1.0]},  # was a TypeError traceback
+     'model steady_state must be a JSON object with keys "x" and "u", got [2.0, 1.0]'),
+    ({"steady_state": {"x": [2.0]}},  # was a KeyError traceback
+     'model steady_state must be a JSON object with keys "x" and "u"'),
+    ({"steady_state": {"x": [2.0], "u": [1.0], "h": 4}},
+     'model steady_state must be a JSON object with keys "x" and "u"'),
+    ({"steady_state": {"x": [2.0, 3.0], "u": [1.0]}},  # gave x_s of shape (2,)
+     "model steady_state needs 1 x and 1 u entries, got [2.0, 3.0] and [1.0]"),
+    ({"steady_state": {"x": [float("nan")], "u": [1.0]}},
+     "model steady_state x [nan], u [1.0] is not an admissible steady state"),
+    ({**_NO_STORAGE, "steady_state": {"x": [2.0], "u": [0.5]}},  # f(x, u) = 1
+     "model steady_state x [2.0], u [0.5] is not an admissible steady state"),
+    ({**_NO_STORAGE, "steady_state": {"x": [3.0], "u": [1.0]}},  # h(x, u) = 2
+     "model steady_state x [3.0], u [1.0] is not an admissible steady state"),
+    ({**_NO_STORAGE, "steady_state": {"x": [-20.0], "u": [1.0]}},  # outside the box
+     "model steady_state x [-20.0], u [1.0] is not an admissible steady state"),
+])
+def test_malformed_pinned_steady_state_exits_with_config_error(tmp_path, capsys, overrides, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", **overrides}}))
+    assert main(["steady-state", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])

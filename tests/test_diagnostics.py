@@ -121,7 +121,7 @@ def test_lyapunov_constant_and_decrease(closed_loop_trace):
     assert lt.c == pytest.approx(1.0 / 240.0, rel=1e-12)
     assert len(lt.What) == 30
     assert len(lt.W) == 25  # defined for k = 0 .. K - T
-    max_inc, ok = decrease_check(lt.W, tol=1e-3)
+    max_inc, ok = decrease_check(lt.W)
     assert ok
     assert max_inc <= 1e-3
 
@@ -130,13 +130,13 @@ def test_decrease_check_edge_cases():
     with pytest.raises(DomainError):
         decrease_check([])
     assert decrease_check([5.0]) == (0.0, True)
-    assert decrease_check([3.0, 1.0, 1.0005], tol=1e-3) == (pytest.approx(5e-4), True)
-    assert decrease_check([1.0, 2.0], tol=1e-3) == (1.0, False)
+    assert decrease_check([3.0, 1.0, 1.0005]) == (pytest.approx(5e-4), True)
+    assert decrease_check([1.0, 2.0]) == (1.0, False)
 
 
 def test_rotated_value_is_not_decreasing(closed_loop_trace):
     trace = closed_loop_trace
-    max_inc, ok = decrease_check(trace.Jtildestar[: trace.K], tol=1e-3)
+    max_inc, ok = decrease_check(trace.Jtildestar[: trace.K])
     assert not ok
     assert max_inc > 1e-3
 

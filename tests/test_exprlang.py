@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tacempc import exprlang
-from tacempc.exprlang import EvalError, ExprSyntaxError, parse, to_source
+from tacempc.exprlang import EvalError, ExprSyntaxError, parse
 from tacempc.model import step_record_widths
 
 
@@ -85,24 +85,6 @@ def test_division_by_zero_raises():
         _gradient("x1 / u1", [1.0], [0.0])
 
 
-def test_to_source_round_trip():
-    sources = [
-        "x1 + u1 * (x2 - 3.0)",
-        "-(x1 + u1)^2",
-        "x1 / (u1 - 2.0) / x2",
-        "1.0 - (2.0 - x1) - u1",
-        "-x1^2 + (-x1)^2",
-    ]
-    rng = np.random.default_rng(3)
-    for src in sources:
-        printed = to_source(parse(src, 2, 1))
-        assert to_source(parse(printed, 2, 1)) == printed  # canonical form is stable
-        for _ in range(5):
-            x = rng.uniform(0.5, 2.0, 2)
-            u = rng.uniform(0.5, 2.0, 1)
-            assert _value(src, x, u) == _value(printed, x, u)
-
-
 def test_gradient_simple_cases():
     assert _value("(x1 - 3)^2 + u1^2", [2.0], [1.0]) == pytest.approx(2.0)
     assert _gradient("(x1 - 3)^2 + u1^2", [2.0], [1.0]) == pytest.approx([-2.0, 2.0])
@@ -120,12 +102,10 @@ def test_zero_exponent_kills_gradient():
     assert _gradient("x1^0", [5.0], [0.0]) == pytest.approx([0.0, 0.0])
 
 
-def test_to_source_parenthesizes_negative_constants():
-    # a negative constant prints with a leading minus, so as a power base
-    # it needs parentheses: (-1.5)^2 is 2.25, -1.5^2 would be -2.25
-    e = exprlang.Pow(exprlang.Num(-1.5), 2)
-    assert to_source(e) == "(-1.5)^2"
-    assert _value(to_source(e), [0.0], [0.0]) == 2.25
+def test_negative_power_base_needs_parentheses():
+    # ^ binds tighter than unary minus: (-1.5)^2 is 2.25, -1.5^2 is -2.25
+    assert _value("(-1.5)^2", [0.0], [0.0]) == 2.25
+    assert _value("-1.5^2", [0.0], [0.0]) == -2.25
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +207,9 @@ _VALUES = st.one_of(_SPECIAL, _ROUNDED, st.floats(-10.0, 10.0))
 
 
 @functools.lru_cache(maxsize=None)  # building a recursive strategy is slow
-def _exprs(n, m, constants=_VALUES):
+def _exprs(n, m):
     leaves = st.one_of(
-        constants.map(exprlang.Num),
+        _VALUES.map(exprlang.Num),
         st.integers(0, n - 1).map(lambda i: exprlang.Var("x", i)),
         st.integers(0, m - 1).map(lambda i: exprlang.Var("u", i)),
     )
@@ -247,11 +227,11 @@ def _exprs(n, m, constants=_VALUES):
 
 
 @st.composite
-def _cases(draw, constants=_VALUES, quotient=False):
+def _cases(draw, quotient=False):
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    e = draw(_exprs(n, m, constants))
+    e = draw(_exprs(n, m))
     if quotient:  # exercise the quotient rule with nontrivial gradients
-        e = exprlang.BinOp("/", e, draw(_exprs(n, m, constants)))
+        e = exprlang.BinOp("/", e, draw(_exprs(n, m)))
     point = st.one_of(_ROUNDED, _VALUES)  # zeros rarer, so fewer quotients raise
     x = draw(st.lists(point, min_size=n, max_size=n))
     u = draw(st.lists(point, min_size=m, max_size=m))
@@ -398,23 +378,6 @@ def test_gradient_kernel_skips_dead_powers():
         assert _value("x1^4", np.array([1e100]), np.array([0.0])) == np.inf
     grad = _gradient("x1^4", [1e100], [0.0])
     assert grad.tobytes() == np.array([4 * 1e100**3, 0.0]).tobytes()
-
-
-@given(_cases(constants=st.one_of(_SPECIAL, st.floats(-1e6, 1e6))))
-def test_reparsed_source_compiles_to_same_results(case):
-    # the grammar has no negative literals: a negative constant reparses as
-    # a negation, whose zero gradient is -0.0, so zeros compare by value
-    e, x, u = case
-    n, m = len(x), len(u)
-    e2 = parse(to_source(e), n, m)
-    for gradient in (False, True):
-        want = _outcome(exprlang.kernel(e, n, m, gradient), x, u)
-        got = _outcome(exprlang.kernel(e2, n, m, gradient), x, u)
-        assert got[0] == want[0]
-        if want[0] == "raised":
-            assert got[1] is want[1]
-        else:
-            assert np.array_equal(got[1], want[1], equal_nan=True)
 
 
 def test_kernels_keep_the_sign_of_zero_constants():

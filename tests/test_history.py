@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -57,24 +57,30 @@ def test_positive_part_measure_examples():
     assert positive_part_measure(np.array([[1.0, -3.0], [2.0, 1.0]])) == 3.0
 
 
-def test_norm_replacement_axioms_random():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        p = int(rng.integers(1, 4))
-        T = int(rng.integers(2, 7))
-        cols = rng.uniform(-2, 2, size=(p, T - 1))
-        H = HistoryState(cols, T=T)
-        val = norm_replacement(H)
-        assert val >= 0.0
-        assert (val == 0.0) == bool(np.all(cols <= 0.0))
-        # entrywise increase cannot decrease the measure
-        grown = HistoryState(cols + rng.uniform(0.0, 1.0, cols.shape), T=T)
-        assert norm_replacement(grown) >= val - 1e-12
-        # scaling a nonnegative matrix scales the measure
-        pos = HistoryState(np.abs(cols), T=T)
-        assert positive_part_measure(2.0 * np.abs(cols)) == pytest.approx(
-            2.0 * norm_replacement(pos)
-        )
+@st.composite
+def _nonneg_growths(draw):
+    """A history matrix (p, T - 1) and a nonnegative growth of its shape."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(2, 6)) - 1)
+    cols = draw(hnp.arrays(float, shape, elements=st.floats(-2.0, 2.0)))
+    return cols, draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0)))
+
+
+# check 5 samples the same axioms with its own generator
+@given(_nonneg_growths())
+@example((np.zeros((1, 1)), np.zeros((1, 1))))  # T = 2, all-zero history
+@example((np.zeros((1, 1)), np.array([[1e-300]])))  # growth leaves the zero set
+@example((np.array([[-1.0, 0.5], [0.0, -2.0], [1.0, 1.0]]), np.ones((3, 2))))  # p = 3
+def test_norm_replacement_axioms_random(case):
+    cols, growth = case
+    T = cols.shape[1] + 1
+    val = norm_replacement(HistoryState(cols, T=T))
+    assert val >= 0.0
+    assert (val == 0.0) == bool(np.all(cols <= 0.0))
+    # entrywise increase cannot decrease the measure: rounding is monotone
+    assert norm_replacement(HistoryState(cols + growth, T=T)) >= val
+    # scaling a nonnegative matrix scales the measure
+    pos = HistoryState(np.abs(cols), T=T)
+    assert positive_part_measure(2.0 * np.abs(cols)) == 2.0 * norm_replacement(pos)
 
 
 def test_deviation_norm_replacement():
@@ -101,23 +107,34 @@ def test_iss_function_weighted_sum():
     assert iss_function(H, [0.0], 1.0) == pytest.approx(25.0)
 
 
-def test_iss_sandwich_and_decrease_properties():
-    rng = np.random.default_rng(29)
-    for _ in range(1000):
-        T = int(rng.choice([2, 3, 6]))
-        p = int(rng.choice([1, 2]))
-        kappa = float(rng.choice([1.0, 2.0]))
-        cols = rng.uniform(-3, 3, size=(p, T - 1))
-        h_s = rng.uniform(-1, 1, size=p)
-        h_new = rng.uniform(-3, 3, size=p)
-        H = HistoryState(cols, T=T)
-        V = iss_function(H, h_s, kappa)
-        dev = matrix_one_norm(cols - h_s.reshape(-1, 1))
-        assert dev**kappa <= V + 1e-9
-        assert V <= (T - 1) ** 2 * dev**kappa + 1e-9
-        V_next = iss_function(shift_update(H, h_new), h_s, kappa)
-        bound = -(dev**kappa) + (T - 1) * float(np.sum(np.abs(h_new - h_s))) ** kappa
-        assert V_next - V <= bound + 1e-9
+@st.composite
+def _iss_cases(draw):
+    """(H, h_s, h_new, kappa) with T <= 6, p <= 3 and entries drawn as check 4 draws them."""
+    p, T = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    entries = st.floats(-3.0, 3.0)
+    cols = draw(hnp.arrays(float, (p, T - 1), elements=entries))
+    h_s = draw(hnp.arrays(float, p, elements=st.floats(-1.0, 1.0)))
+    h_new = draw(hnp.arrays(float, p, elements=entries))
+    return HistoryState(cols, T=T), h_s, h_new, draw(st.sampled_from([1.0, 2.0]))
+
+
+# check 4 samples the same inequalities with its own generator
+@given(_iss_cases())
+@example((steady_history([0.0], 2), np.zeros(1), np.zeros(1), 1.0))  # T = 2, all-zero history
+@example((steady_history([0.0], 2), np.zeros(1), np.array([3.0]), 2.0))  # the same, then a new output
+@example((steady_history([3.0, -3.0, 0.0], 6), np.array([1.0, -1.0, 0.5]), np.zeros(3), 2.0))  # p = 3
+def test_iss_sandwich_and_decrease_properties(case):
+    H, h_s, h_new, kappa = case
+    T = H.T
+    V = iss_function(H, h_s, kappa)
+    dev = matrix_one_norm(H.columns - h_s.reshape(-1, 1))
+    # sandwich: each column deviation is at most dev, with weights 1..T-1
+    assert dev**kappa <= V
+    assert V <= (T - 1) ** 2 * dev**kappa * (1 + 1e-12)
+    # one-step decrease: the shift drops one weight from every old column
+    V_next = iss_function(shift_update(H, h_new), h_s, kappa)
+    new_dev = float(np.sum(np.abs(h_new - h_s))) ** kappa
+    assert V_next - V <= -(dev**kappa) + (T - 1) * new_dev + 1e-12 * (V + V_next + 1.0)
 
 
 def test_window_deficit():

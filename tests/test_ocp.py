@@ -28,7 +28,6 @@ from tacempc.ocp import (
     _Forward,
     _Problem,
     constraint_residuals,
-    open_loop_cost,
     rotated_identity_check,
     solve,
 )
@@ -281,9 +280,9 @@ def test_solution_prediction_is_rollout_of_its_inputs(builtin, fig_history, obje
         assert sol.h_pred.tobytes() == fresh.h.tobytes()
 
 
-def test_open_loop_cost_matches_solution(builtin):
+def test_solution_cost_is_objective_at_its_inputs(builtin):
     sol = solve(_spec(builtin, N=10, T=3, x0=1.0))
-    assert open_loop_cost(sol.spec, sol.u) == pytest.approx(sol.J, rel=1e-12)
+    assert _Problem(sol.spec)(sol.u)[0] == pytest.approx(sol.J, rel=1e-12)
 
 
 def test_solver_deterministic(builtin):
