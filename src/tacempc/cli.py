@@ -64,10 +64,7 @@ def write_trace_csv(trace: ClosedLoopTrace, lt, path: str):
         row.append(_fmt(trace.Jstar[k]))
         row.append(_fmt(trace.Jtildestar[k]))
         row.append(_fmt(trace.Hnorm[k]))
-        if lt is not None and k < len(lt.What):
-            row.append(_fmt(lt.What[k]))
-        else:
-            row.append("")
+        row.append(_fmt(lt.What[k]) if lt is not None else "")
         if lt is not None and k < len(lt.W):
             row.append(_fmt(lt.W[k]))
         else:
@@ -153,7 +150,7 @@ def cmd_steady_state(args) -> int:
 def _experiment_overrides(args) -> dict:
     over = {}
     for key in EXPERIMENT_KEYS:
-        if hasattr(args, key) and getattr(args, key) is not None:
+        if getattr(args, key) is not None:
             over[key] = getattr(args, key)
     return over
 
@@ -209,7 +206,7 @@ def cmd_check(args) -> int:
     failed = False
     for r in results:
         print(f"{r.ident:>3}  {r.status:4}  {r.name:<{width}}  {r.detail}")
-        if not r.passed and not r.skipped:
+        if not r.passed:
             failed = True
     return EXIT_CONFIG if failed else EXIT_OK
 

@@ -7,10 +7,12 @@ objective, which feeds the Lyapunov diagnostics.  Warm starts are the
 previous optimal sequence shifted by one with u_s appended.
 
 Both solves of a step, and the pair at the terminal state, are built
-by ``_solve_pair``; the closed-loop window sums reuse the window
-operator of ``history``.  The trace holds the applied states and inputs,
-from which ``model.eval_rotated_stage_cost`` gives the rotated stage
-costs in one batched call.
+by ``_solve_pair``.  The loop keeps three records, the states, the
+histories and each step's ``StepDiagnostics``, and builds every series
+of the trace from them once it ends.  The closed-loop window sums reuse
+the window operator of ``history``.  The trace holds the applied states
+and inputs, from which ``model.eval_rotated_stage_cost`` gives the
+rotated stage costs in one batched call.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ class StepDiagnostics:
 
 def _solve_pair(model, cert, ss, N, x, H, options, ws_orig, ws_rot):
     """Solve the original and the rotated problem at (x, H), in that order."""
-    common = dict(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H)
-    if options is not None:
-        common["options"] = options
+    common = dict(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H, options=options)
     return (
         solve(OcpSpec(objective=ORIGINAL, warm_start=ws_orig, **common)),
         solve(OcpSpec(objective=ROTATED, warm_start=ws_rot, **common)),
@@ -53,7 +53,7 @@ def step(
     ss: SteadyState,
     N: int,
     state: Tuple[np.ndarray, HistoryState],
-    options: Optional[SolverOptions] = None,
+    options: SolverOptions = SolverOptions(),
     warm_start_original=None,
     warm_start_rotated=None,
 ):
@@ -104,7 +104,6 @@ class ClosedLoopTrace:
     Jstar: np.ndarray  # (K + 1,) or (K,) after a halt
     Jtildestar: np.ndarray  # same length as Jstar
     Hnorm: np.ndarray  # (K,), norm-replacement of H(k) - H^s
-    Jcl: np.ndarray  # (K,), running sum of ell
     histories: Tuple[HistoryState, ...]  # length K + 1
     failure: Optional[str] = None  # set when the loop halted early
 
@@ -121,7 +120,7 @@ def simulate(
     x0,
     H0: HistoryState,
     K: int,
-    options: Optional[SolverOptions] = None,
+    options: SolverOptions = SolverOptions(),
 ) -> ClosedLoopTrace:
     """Run K receding-horizon steps from (x0, H0).
 
@@ -131,48 +130,30 @@ def simulate(
     """
     if K < 1:
         raise DomainError("K must be >= 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    H = H0
-    xs, us, hs, ells, Js, Jts, Hnorms = [x.copy()], [], [], [], [], [], []
-    histories = [H]
-    ws_orig = ws_rot = None
+    xs, histories, diags = [np.array(x0, dtype=float, ndmin=1)], [H0], []
+    warm = [None, None]
     failure = None
     for k in range(K):
         try:
-            u_applied, (x, H), diag = step(
-                model, cert, ss, N, (xs[-1], H),
-                options=options,
-                warm_start_original=ws_orig,
-                warm_start_rotated=ws_rot,
-            )
+            _, (x, H), diag = step(model, cert, ss, N, (xs[-1], histories[-1]), options, *warm)
         except InfeasibleError as exc:
             failure = f"step {k}: {exc}"
             break
-        us.append(u_applied)
-        hs.append(diag.h)
-        ells.append(diag.ell)
-        Js.append(diag.original.J)
-        Jts.append(diag.rotated.J)
-        Hnorms.append(deviation_norm_replacement(histories[-1], ss.h_s))
         xs.append(x.copy())
         histories.append(H)
-        ws_orig = np.vstack([diag.original.u[1:], ss.u_s.reshape(1, -1)])
-        ws_rot = np.vstack([diag.rotated.u[1:], ss.u_s.reshape(1, -1)])
+        diags.append(diag)
+        warm = [np.vstack([sol.u[1:], ss.u_s[None]]) for sol in (diag.original, diag.rotated)]
 
+    pairs = [(diag.original, diag.rotated) for diag in diags]
     if failure is None:
         # value functions at the terminal extended state, for the
         # performance residual r(K)
         try:
-            sol_orig, sol_rot = _solve_pair(
-                model, cert, ss, N, xs[-1], H, options, ws_orig, ws_rot
-            )
-            Js.append(sol_orig.J)
-            Jts.append(sol_rot.J)
+            pairs.append(_solve_pair(model, cert, ss, N, xs[-1], histories[-1], options, *warm))
         except InfeasibleError as exc:
             failure = f"terminal evaluation: {exc}"
 
-    done = len(us)
-    m, p = model.m, model.p
+    done = len(diags)
     return ClosedLoopTrace(
         model=model,
         cert=cert,
@@ -181,13 +162,12 @@ def simulate(
         T=H0.T,
         K=done,
         x=np.array(xs),
-        u=np.array(us).reshape(done, m),
-        h=np.array(hs).reshape(done, p),
-        ell=np.array(ells),
-        Jstar=np.array(Js),
-        Jtildestar=np.array(Jts),
-        Hnorm=np.array(Hnorms),
-        Jcl=np.cumsum(ells) if ells else np.zeros(0),
+        u=np.array([diag.original.u[0] for diag in diags]).reshape(done, model.m),
+        h=np.array([diag.h for diag in diags]).reshape(done, model.p),
+        ell=np.array([diag.ell for diag in diags]),
+        Jstar=np.array([orig.J for orig, _ in pairs]),
+        Jtildestar=np.array([rot.J for _, rot in pairs]),
+        Hnorm=np.array([deviation_norm_replacement(H, ss.h_s) for H in histories[:done]]),
         histories=tuple(histories),
         failure=failure,
     )
@@ -204,12 +184,13 @@ def window_sums(trace: ClosedLoopTrace) -> np.ndarray:
 
 
 def performance_residual(trace: ClosedLoopTrace) -> np.ndarray:
-    """Residual r(K) = Jcl_K - [J*(chi(0)) - J*(chi(K))] - K * ell_s.
+    """Residual r(K) = Jcl_K - [J*(chi(0)) - J*(chi(K))] - K * ell_s, with
+    Jcl_K the closed-loop cost, the sum of ell over the first K steps.
 
     Returns the series for K = 1 .. number of steps the value function
     was evaluated at; r(K)/K estimates the horizon-dependent per-step
     suboptimality.
     """
-    n_vals = len(trace.Jstar)  # K + 1 on success
-    ks = np.arange(1, n_vals)
-    return trace.Jcl[ks - 1] - (trace.Jstar[0] - trace.Jstar[ks]) - ks * trace.ss.ell_s
+    ks = np.arange(1, len(trace.Jstar))  # len(Jstar) is K + 1 on success
+    Jcl = np.cumsum(trace.ell)
+    return Jcl[ks - 1] - (trace.Jstar[0] - trace.Jstar[ks]) - ks * trace.ss.ell_s

@@ -7,8 +7,9 @@ combine the rotated value function with the weighted history deviation
 into the per-step function What and its T-step forward sum W, which is
 practically decreasing along the closed loop even when the rotated
 value function alone is not; ``decrease_check`` is the one test of that
-property, for W and for any other series.  Grids over the state box come
-from ``model._grid_blocks``, and theta_low from ``model.min_weighted_output``.
+property, for W and for any other series.  The extremes over the box,
+theta_low (``model.min_weighted_output``) and sup |lam|, come from one
+grid search with refinement, ``model._box_min``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .closedloop import ClosedLoopTrace
 from .errors import DomainError
 from .history import iss_function, window_deficit, window_rows
-from .model import DissipativityCertificate, SteadyState, _grid_blocks, min_weighted_output
+from .model import DissipativityCertificate, SteadyState, _box_min, min_weighted_output
 from .ocp import OcpSolution
 
 _DECREASE_TOL = 1e-3  # largest one-step increase of a practically decreasing series
@@ -49,8 +50,15 @@ class TurnpikeReport:
 
 
 def _storage_sup(cert: DissipativityCertificate, model) -> float:
-    blocks = _grid_blocks(model.x_lower, model.x_upper, 101)
-    return max(float(np.max(np.abs(np.asarray(cert.lam(pts))))) for pts in blocks)
+    """sup over the state box of |lam|: minus the ``_box_min`` of -|lam|,
+    refined like theta_low, so a supremum between grid points is found."""
+
+    def fun(x):
+        lam = float(cert.lam(x))
+        return -abs(lam), -np.sign(lam) * cert.grad_lam(x)
+
+    return -_box_min(lambda pts: -np.abs(np.asarray(cert.lam(pts))), fun,
+                     model.x_lower, model.x_upper)
 
 
 def turnpike_report(
@@ -125,17 +133,13 @@ def lyapunov_trace(
     T = trace.T
     if T < 2:
         raise DomainError("Lyapunov diagnostics require T >= 2")
-    n_vals = min(trace.K, len(trace.Jtildestar), len(trace.histories))
-    if n_vals < T:
-        raise DomainError(
-            f"trace too short for W: need at least {T} evaluated steps, got {n_vals}"
-        )
+    K = trace.K
+    if K < T:
+        raise DomainError(f"trace too short for W: need at least {T} evaluated steps, got {K}")
     n, m = trace.model.n, trace.model.m
     c = cert.a * (n + m) ** (-0.5 * cert.omega) / (2.0 * cert.L_h * (T - 1))
-    V = np.array(
-        [iss_function(trace.histories[k], ss.h_s, cert.omega) for k in range(n_vals)]
-    )
-    What = trace.Jtildestar[:n_vals] + c * V
+    V = np.array([iss_function(H, ss.h_s, cert.omega) for H in trace.histories[:K]])
+    What = trace.Jtildestar[:K] + c * V
     W = window_rows(What, T)[T - 1 :]  # the full windows
     return LyapunovTrace(c=c, V=V, What=What, W=W)
 

@@ -97,8 +97,6 @@ def norm_replacement(H: HistoryState) -> float:
 def deviation_norm_replacement(H: HistoryState, h_s) -> float:
     """Norm-replacement of H - H^s for the steady output h_s."""
     h_s = np.atleast_1d(np.asarray(h_s, dtype=float))
-    if H.T == 1:
-        return 0.0
     return positive_part_measure(H.columns - h_s.reshape(-1, 1))
 
 

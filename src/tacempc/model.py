@@ -29,7 +29,7 @@ _FD_STEP = 1e-7
 _STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
 _CERT_TOL = 1e-8  # bound on |lam(x_s)| and |lambda_bar . h_s| of a certificate
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
-_EXTREMES_GRID = 101  # points per axis of the min_weighted_output grid
+_CERT_GRID = 101  # points per axis of the certificate grids: residual, theta_low, sup |lam|
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
 _GRID_BLOCK = 2**16  # grid columns evaluated at once
 
@@ -434,48 +434,54 @@ def check_dissipativity_grid(
     model: SystemModel,
     cert: DissipativityCertificate,
     ss: SteadyState,
-    grid_density: int = 101,
 ) -> float:
-    """Worst-case dissipation residual on a grid over Z.
+    """Worst-case dissipation residual on the ``_CERT_GRID`` grid over Z.
 
     Returns min over the grid of the rotated stage cost minus the margin
     rho(||(x - x_s, u - u_s)||); the certificate is accepted iff the result
     is >= -1e-9.
     """
-    if grid_density < 2:
-        raise ConfigError("grid_density must be at least 2")
     center = np.concatenate([ss.x_s, ss.u_s])[:, None]
     worst = []
-    for pts in _grid_blocks(model.z_lower, model.z_upper, grid_density):
+    for pts in _grid_blocks(model.z_lower, model.z_upper, _CERT_GRID):
         r = np.linalg.norm(pts - center, axis=0)
         rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
         worst.append(np.min(rotated - cert.rho(r)))
     return float(np.min(worst))
 
 
-def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> float:
-    """theta_low = min over Z of lambda_bar.h.
+def _box_min(values, fun, lower, upper) -> float:
+    """Minimum over the box [lower, upper]: grid search followed by one
+    L-BFGS-B refinement from the first best grid point.
 
-    Grid search followed by one L-BFGS-B refinement from the first best
-    grid point; exact for outputs affine in (x, u) since the grid contains
-    the box vertices.
+    ``values`` maps a (dim, K) block of grid columns to their K values and
+    ``fun`` a point z to its value and gradient.  Exact when the minimum
+    lies on a grid point, such as a box vertex.
     """
-    n = model.n
     grid_min, z0 = np.inf, None
-    for pts in _grid_blocks(model.z_lower, model.z_upper, _EXTREMES_GRID):
+    for pts in _grid_blocks(lower, upper, _CERT_GRID):
+        block = values(pts)
+        i = int(np.argmin(block))
+        if z0 is None or block[i] < grid_min:
+            grid_min, z0 = float(block[i]), pts[:, i]
+    res = lbfgsb(fun, z0, jac=True, bounds=list(zip(lower, upper)), maxiter=200)
+    return min(fun(res.x)[0], grid_min)
+
+
+def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> float:
+    """theta_low = min over Z of lambda_bar.h, by ``_box_min``; exact for
+    outputs affine in (x, u) since the grid contains the box vertices."""
+    n = model.n
+
+    def values(pts):
         h = np.atleast_2d(np.asarray(model.h(pts[:n], pts[n:])))
         # elementwise, not lambda_bar @ h: a BLAS product's rounding of a
         # column depends on the block it sits in
-        values = np.sum(cert.lambda_bar * h.T, axis=-1)
-        i = int(np.argmin(values))
-        if z0 is None or values[i] < grid_min:
-            grid_min, z0 = float(values[i]), pts[:, i]
-
-    def weighted(z):
-        return float(cert.lambda_bar @ np.atleast_1d(model.h(z[:n], z[n:])))
+        return np.sum(cert.lambda_bar * h.T, axis=-1)
 
     def fun(z):
-        return weighted(z), cert.lambda_bar @ model.jac_h(z[:n], z[n:])
+        weighted = float(cert.lambda_bar @ np.atleast_1d(model.h(z[:n], z[n:])))
+        return weighted, cert.lambda_bar @ model.jac_h(z[:n], z[n:])
 
-    res = lbfgsb(fun, z0, jac=True, bounds=list(zip(model.z_lower, model.z_upper)), maxiter=200)
-    return min(weighted(res.x), grid_min)
+    return _box_min(values, fun, model.z_lower, model.z_upper)
+

@@ -10,12 +10,12 @@ quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
 the objective is one Python frame below scipy's kernel.  One problem
 object per spec (``_Problem``) evaluates the objective, the constraints
 and their derivatives from one rollout with sensitivities (``_Forward``);
-it serves the solver and the evaluation helpers ``constraint_residuals``
-and ``rotated_identity_check``.  The rollout calls no model callback:
-one call of the model's ``stage_pass`` writes the states, stage values
-and stage Jacobians of every step into one step record (one row per
-step, of which x, ell, h and the stage Jacobians are views), and each
-sensitivity step calls BLAS through ``ndarray.dot``.
+it serves the solver and the evaluation helper ``rotated_identity_check``.
+The rollout calls no model callback: one call of the model's
+``stage_pass`` writes the states, stage values and stage Jacobians of
+every step into one step record (one row per step, of which x, ell, h
+and the stage Jacobians are views), and each sensitivity step calls BLAS
+through ``ndarray.dot``.
 The window rows of g and Dg are two operations each: a cumulative sum
 into a padded buffer whose head rows hold the negated history tail sums,
 and one subtraction of two of its row blocks (``history.Windows``).
@@ -271,23 +271,6 @@ class _Problem:
         self.Dg_upper[...] = S_shot
         self.windows_Dh(fwd.Dh, out=self.Dg_windows)
         return self.g, self.Dg
-
-
-def constraint_residuals(spec: OcpSpec, u) -> np.ndarray:
-    """Admissibility residuals of an input sequence (each <= 0 if feasible).
-
-    Fixed ordering: pointwise lower bounds, pointwise upper bounds (both
-    over (x_k, u_k), k = 0..N-1), partial windows by anchor j ascending,
-    full windows by start index i ascending (the solver's window rows).
-    """
-    u = np.asarray(u, dtype=float).reshape(spec.N, spec.model.m)
-    problem = _Problem(spec)
-    problem(u)
-    model = spec.model
-    z = np.hstack([problem.fwd.x[: spec.N], u])  # (N, n + m)
-    lower = (model.z_lower - z).ravel()
-    upper = (z - model.z_upper).ravel()
-    return np.concatenate([lower, upper, problem.g_windows.ravel()])
 
 
 def rotated_identity_check(spec: OcpSpec, u) -> float:

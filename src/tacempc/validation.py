@@ -114,7 +114,7 @@ def check_steady_state():
 
 @_check("2", "dissipativity certificate on 101x101 grid")
 def check_dissipativity():
-    residual = check_dissipativity_grid(*_context(), grid_density=101)
+    residual = check_dissipativity_grid(*_context())
     return residual >= -1e-9, f"min grid residual {residual:.3e}"
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import tacempc
 
 
@@ -8,3 +11,46 @@ def test_public_names_resolve():
 
 def test_public_names_unique():
     assert len(set(tacempc.__all__)) == len(tacempc.__all__)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+# Definitions no program code reads yet, each with its reason.
+_UNREAD = {
+    # the closed-loop performance bound r(K); ROADMAP item 5's check 14 will read it
+    "performance_residual",
+}
+
+
+def _reads(tree):
+    """(name, line) of every name loaded, attribute taken and string constant
+    (``__all__`` and ``getattr``-style references) in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_definition_is_read_by_program_code():
+    # no helper that only its own test reads: each module-level function and
+    # class of the library is read in the library or the benchmark, outside
+    # its own body; tests do not count
+    paths = [*(_ROOT / "src" / "tacempc").glob("*.py"), *(_ROOT / "perfbench").rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths if not path.name.startswith("test_")}
+    reads = [(name, path, line) for path, tree in trees.items() for name, line in _reads(tree)]
+
+    def read_outside(node, path):
+        return any(name == node.name
+                   and not (where == path and node.lineno <= line <= node.end_lineno)
+                   for name, where, line in reads)
+
+    unread = {
+        node.name
+        for path, tree in trees.items() if path.parent.name == "tacempc"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not read_outside(node, path)
+    }
+    assert unread == _UNREAD

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tacempc import closedloop
 from tacempc.closedloop import performance_residual, simulate, step, window_sums
-from tacempc.errors import DomainError
+from tacempc.errors import DomainError, InfeasibleError
 from tacempc.history import HistoryState, deviation_norm_replacement, steady_history
 from tacempc.model import (
     DissipativityCertificate,
@@ -83,12 +84,6 @@ def test_window_sums_match_histories(closed_loop_trace):
         np.testing.assert_allclose(sums[k], expect, atol=1e-12)
 
 
-def test_running_cost_is_cumsum(closed_loop_trace):
-    trace = closed_loop_trace
-    np.testing.assert_allclose(trace.Jcl, np.cumsum(trace.ell), atol=1e-10)
-    assert trace.Jcl[-1] == pytest.approx(float(np.sum(trace.ell)), abs=1e-10)
-
-
 def test_rotated_closed_loop_identity(closed_loop_trace):
     trace = closed_loop_trace
     cert, ss = trace.cert, trace.ss
@@ -96,7 +91,7 @@ def test_rotated_closed_loop_identity(closed_loop_trace):
     stages = eval_rotated_stage_cost(trace.model, cert, ss, trace.x[:K].T, trace.u.T)
     lhs = float(np.sum(stages))
     rhs = (
-        trace.Jcl[-1]
+        np.cumsum(trace.ell)[-1]
         - K * ss.ell_s
         + float(cert.lam(trace.x[0]))
         - float(cert.lam(trace.x[K]))
@@ -145,7 +140,7 @@ def test_steady_state_is_invariant(builtin):
     # the cost landscape is flat at the optimum, so the stationarity
     # tolerance translates into O(1e-3) input accuracy
     np.testing.assert_allclose(trace.u, np.tile(ss.u_s, (5, 1)), atol=5e-3)
-    assert trace.Jcl[-1] == pytest.approx(5 * ss.ell_s, abs=1e-2)
+    assert np.cumsum(trace.ell)[-1] == pytest.approx(5 * ss.ell_s, abs=1e-2)
     resid = performance_residual(trace)
     assert np.max(np.abs(resid)) <= 1e-2
 
@@ -155,14 +150,47 @@ def test_performance_residual_shape(closed_loop_trace):
     assert len(resid) == 30
 
 
+def _assert_halted(trace, K, prefix):
+    """A trace halted after K steps: every series has K rows (x and the
+    histories one more), is float64, and the failure names the halt."""
+    n, m, p = trace.model.n, trace.model.m, trace.model.p
+    assert not trace.completed and trace.failure.startswith(prefix)
+    assert trace.K == K and len(trace.histories) == K + 1
+    shapes = {"x": (K + 1, n), "u": (K, m), "h": (K, p), "ell": (K,),
+              "Jstar": (K,), "Jtildestar": (K,), "Hnorm": (K,)}
+    for name, shape in shapes.items():
+        series = getattr(trace, name)
+        assert (series.shape, series.dtype) == (shape, np.float64), name
+
+
 def test_infeasible_start_returns_partial_trace(builtin):
     model, cert, ss = builtin
     bad = HistoryState(np.array([[40.0]]), T=2)
     trace = simulate(model, cert, ss, 4, [2.0], bad, 5)
-    assert not trace.completed
-    assert trace.K == 0
-    assert trace.failure is not None and "step 0" in trace.failure
-    assert trace.u.shape == (0, 1)
+    _assert_halted(trace, 0, "step 0: ")
+
+
+def test_terminal_evaluation_failure_keeps_the_steps(builtin, fig_history, monkeypatch):
+    # K = 3 steps make 2K solves; the terminal pair's first one, call 2K + 1, raises
+    model, cert, ss = builtin
+    full = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    calls = []
+
+    def failing(spec):
+        calls.append(spec)
+        if len(calls) == 7:
+            raise InfeasibleError("forced")
+        return solve(spec)
+
+    solve = closedloop.solve
+    monkeypatch.setattr(closedloop, "solve", failing)
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    assert len(calls) == 7
+    _assert_halted(trace, 3, "terminal evaluation: forced")
+    for name in ("x", "u", "h", "ell", "Hnorm"):
+        assert getattr(trace, name).tobytes() == getattr(full, name).tobytes(), name
+    assert trace.Jstar.tobytes() == full.Jstar[:3].tobytes()
+    assert trace.Jtildestar.tobytes() == full.Jtildestar[:3].tobytes()
 
 
 def test_simulate_rejects_bad_k(builtin, fig_history):

@@ -67,6 +67,14 @@ def test_storage_sup_reads_every_block(builtin, monkeypatch):
     assert _storage_sup(cert, model) == 11.0
 
 
+def test_storage_sup_is_refined_between_grid_points(builtin):
+    # |x1 (100 - x1^2)| peaks at x1 = 10/sqrt(3), off the grid over [-10, 10],
+    # whose best point gives 384.888
+    cert = DissipativityCertificate.from_expression(
+        1, "x1 * (100 - x1^2)", [0.0], 1.0, 2.0, 1.0)
+    assert _storage_sup(cert, builtin[0]) == pytest.approx(2000 / (3 * np.sqrt(3)), rel=1e-12)
+
+
 def test_turnpike_grows_with_horizon(builtin):
     model, cert, ss = builtin
     q10 = turnpike_report(_solve_original(builtin, 10, 3), ss, cert, 0.1).Q

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse
-from tacempc.model import step_record_widths
+from tacempc.model import _fd_jacobian, step_record_widths
 
 
 def _value(source, x, u):
@@ -370,6 +370,59 @@ def test_batch_evaluation_matches_pointwise(case, extra):
 @_pinned(batch=True)
 def test_batch_gradient_matches_pointwise(case, extra):
     _check_batch(case, extra, gradient=True)
+
+
+# ---------------------------------------------------------------------------
+# Gradient kernels against central differences of the value kernel: the
+# invariant validation check 13 samples, over its expressions (+ - * and
+# ^0..3, depth <= 4) and points in [-2, 2].  Constants lie in [-1, 1], not
+# check 13's [-3, 3]: a constant subtree such as ((3^3)^3)^3 = 3^27 added to
+# x1 hides x1's step below the rounding of the sum, so the difference
+# quotient, not the kernel, is wrong (relative error 1.0 at x1 = 0.5).
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_exprs(n, m, depth=4):
+    leaf = st.one_of(
+        st.floats(-1.0, 1.0).map(exprlang.Num),
+        st.integers(0, n - 1).map(lambda i: exprlang.Var("x", i)),
+        st.integers(0, m - 1).map(lambda i: exprlang.Var("u", i)),
+    )
+    if depth == 0:
+        return leaf
+    sub = _smooth_exprs(n, m, depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(exprlang.Neg),
+        st.builds(exprlang.Pow, sub, st.integers(0, 3)),
+        st.builds(exprlang.BinOp, st.sampled_from("+-*"), sub, sub),
+    )
+
+
+@st.composite
+def _smooth_cases(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    point = st.floats(-2.0, 2.0)
+    x = draw(st.lists(point, min_size=n, max_size=n))
+    u = draw(st.lists(point, min_size=m, max_size=m))
+    return draw(_smooth_exprs(n, m)), np.array(x), np.array(u)
+
+
+def _smooth_case(source, x, u):
+    return parse(source, len(x), len(u)), np.array(x), np.array(u)
+
+
+@settings(max_examples=300)
+@given(_smooth_cases())
+@example(_smooth_case("0.75", [1.5], [-2.0]))
+@example(_smooth_case("x1^0", [-1.25], [0.5]))
+@example(_smooth_case("(x1*u1)^3", [1.75], [-1.5]))
+def test_gradient_matches_finite_differences(case):
+    e, x, u = case
+    n, m = len(x), len(u)
+    grad = exprlang.kernel(e, n, m, gradient=True)(x, u)
+    fd = _fd_jacobian(exprlang.kernel([e], n, m), x, u, 1)[0]
+    assert np.max(np.abs(grad - fd)) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
 
 
 def test_gradient_kernel_skips_dead_powers():

@@ -108,7 +108,7 @@ def test_crossed_bounds_rejected():
 
 def test_dissipativity_residual_nonnegative(builtin):
     model, cert, ss = builtin
-    residual = check_dissipativity_grid(model, cert, ss, grid_density=101)
+    residual = check_dissipativity_grid(model, cert, ss)
     assert residual >= -1e-9
 
 
@@ -118,7 +118,7 @@ def test_dissipativity_fails_for_inflated_margin(builtin):
         lam=cert.lam, lambda_bar=cert.lambda_bar, a=10.0,
         omega=cert.omega, L_h=cert.L_h, lam_grad=cert.lam_grad,
     )
-    assert check_dissipativity_grid(model, bad, ss, grid_density=51) < -1e-9
+    assert check_dissipativity_grid(model, bad, ss) < -1e-9
 
 
 def test_dissipativity_residual_closed_form(builtin):
@@ -286,13 +286,14 @@ def test_grid_points_respect_cap(monkeypatch, builtin):
 @pytest.mark.parametrize("density", [7, 8])
 def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, pair, density):
     for model, cert, ss in (builtin, pair):
+        monkeypatch.setattr(model_mod, "_CERT_GRID", density)
         dim = model.n + model.m
         # the former evaluation: every grid point in one batch
         pts = _meshgrid(model.z_lower, model.z_upper, density)
         r = np.linalg.norm(pts - np.r_[ss.x_s, ss.u_s][:, None], axis=0)
         rotated = eval_rotated_stage_cost(model, cert, ss, pts[: model.n], pts[model.n :])
         whole = float(np.min(rotated - cert.rho(r)))
-        assert check_dissipativity_grid(model, cert, ss, density).hex() == whole.hex()
+        assert check_dissipativity_grid(model, cert, ss).hex() == whole.hex()
         # blocks of 10 columns: several, the last one partial for density 7;
         # together they are the grid's columns in order
         blocks = []
@@ -303,7 +304,7 @@ def test_dissipativity_grid_blocks_match_one_block(monkeypatch, builtin, pair, d
 
         monkeypatch.setattr(model_mod, "_GRID_BLOCK", 10)
         monkeypatch.setattr(model_mod, "eval_rotated_stage_cost", recording)
-        assert check_dissipativity_grid(model, cert, ss, density).hex() == whole.hex()
+        assert check_dissipativity_grid(model, cert, ss).hex() == whole.hex()
         assert len(blocks) == -(-density**dim // 10) > 1
         assert np.hstack(blocks).tobytes() == pts.tobytes()
         monkeypatch.undo()
@@ -320,7 +321,7 @@ def test_steady_state_and_weighted_output_blocks_match_one_block(monkeypatch, bu
                         lambda fun, z0, **kw: starts.append(z0) or minimize(fun, z0, **kw))
     monkeypatch.setattr(model_mod, "lbfgsb",
                         lambda fun, z0, **kw: refinements.append(z0) or lbfgsb(fun, z0, **kw))
-    monkeypatch.setattr(model_mod, "_EXTREMES_GRID", density)
+    monkeypatch.setattr(model_mod, "_CERT_GRID", density)
     model, cert, _ = pair
     # lambda_bar = (1, 0) ties the weighted output across x2 and u2
     tied = dataclasses.replace(cert, lambda_bar=np.array([1.0, 0.0]))
