@@ -7,12 +7,16 @@ objective, which feeds the Lyapunov diagnostics.  Warm starts are the
 previous optimal sequence shifted by one with u_s appended.
 
 Both solves of a step, and the pair at the terminal state, are built
-by ``_solve_pair``.  The loop keeps three records, the states, the
-histories and each step's ``StepDiagnostics``, and builds every series
-of the trace from them once it ends.  The closed-loop window sums reuse
-the window operator of ``history``.  The trace holds the applied states
-and inputs, from which ``model.eval_rotated_stage_cost`` gives the
-rotated stage costs in one batched call.
+by ``_solve_pair``.  The applied step is read from the original solve's
+rollout, as the solver evaluated it: the next state is ``x_pred[1]``,
+and the output and the stage cost the step realizes are ``h_pred[0]``
+and ``ell_pred[0]``, so the loop calls no model callback.  The loop
+keeps three records, the states, the histories and each step's pair of
+solutions, and builds every series of the trace from them once it ends.
+The closed-loop window sums reuse the window operator of ``history``.
+The trace holds the applied states and inputs, from which
+``model.eval_rotated_stage_cost`` gives the rotated stage costs in one
+batched call.
 """
 
 from __future__ import annotations
@@ -25,17 +29,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .history import HistoryState, deviation_norm_replacement, shift_update, window_rows
 from .model import DissipativityCertificate, SteadyState, SystemModel
-from .ocp import ORIGINAL, ROTATED, OcpSolution, OcpSpec, SolverOptions, solve
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Both per-step solves plus the realized stage quantities."""
-
-    original: OcpSolution
-    rotated: OcpSolution
-    ell: float
-    h: np.ndarray
+from .ocp import ORIGINAL, ROTATED, OcpSpec, SolverOptions, solve
 
 
 def _solve_pair(model, cert, ss, N, x, H, options, ws_orig, ws_rot):
@@ -59,25 +53,15 @@ def step(
 ):
     """One receding-horizon step from the extended state (x, H).
 
-    Returns (u_applied, (x_next, H_next), diagnostics).  Raises
+    Returns (u_applied, (x_next, H_next), (original, rotated)), the two
+    solutions at (x, H).  x_next and the output shifted into H_next are
+    the original solution's predicted x_pred[1] and h_pred[0].  Raises
     InfeasibleError when no admissible input sequence is found.
     """
     x, H = state
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sol_orig, sol_rot = _solve_pair(
-        model, cert, ss, N, x, H, options, warm_start_original, warm_start_rotated
-    )
-    u_applied = sol_orig.u[0].copy()
-    x_next = np.atleast_1d(np.asarray(model.f(x, u_applied), dtype=float))
-    h_now = np.atleast_1d(np.asarray(model.h(x, u_applied), dtype=float))
-    H_next = shift_update(H, h_now)
-    diag = StepDiagnostics(
-        original=sol_orig,
-        rotated=sol_rot,
-        ell=float(model.ell(x, u_applied)),
-        h=h_now,
-    )
-    return u_applied, (x_next, H_next), diag
+    pair = _solve_pair(model, cert, ss, N, x, H, options, warm_start_original, warm_start_rotated)
+    sol = pair[0]
+    return sol.u[0].copy(), (sol.x_pred[1].copy(), shift_update(H, sol.h_pred[0])), pair
 
 
 @dataclass(frozen=True)
@@ -130,21 +114,21 @@ def simulate(
     """
     if K < 1:
         raise DomainError("K must be >= 1")
-    xs, histories, diags = [np.array(x0, dtype=float, ndmin=1)], [H0], []
+    xs, histories, pairs = [np.array(x0, dtype=float, ndmin=1)], [H0], []
     warm = [None, None]
     failure = None
     for k in range(K):
         try:
-            _, (x, H), diag = step(model, cert, ss, N, (xs[-1], histories[-1]), options, *warm)
+            _, (x, H), pair = step(model, cert, ss, N, (xs[-1], histories[-1]), options, *warm)
         except InfeasibleError as exc:
             failure = f"step {k}: {exc}"
             break
-        xs.append(x.copy())
+        xs.append(x)
         histories.append(H)
-        diags.append(diag)
-        warm = [np.vstack([sol.u[1:], ss.u_s[None]]) for sol in (diag.original, diag.rotated)]
+        pairs.append(pair)
+        warm = [np.vstack([sol.u[1:], ss.u_s[None]]) for sol in pair]
 
-    pairs = [(diag.original, diag.rotated) for diag in diags]
+    done = len(pairs)
     if failure is None:
         # value functions at the terminal extended state, for the
         # performance residual r(K)
@@ -153,7 +137,6 @@ def simulate(
         except InfeasibleError as exc:
             failure = f"terminal evaluation: {exc}"
 
-    done = len(diags)
     return ClosedLoopTrace(
         model=model,
         cert=cert,
@@ -162,9 +145,9 @@ def simulate(
         T=H0.T,
         K=done,
         x=np.array(xs),
-        u=np.array([diag.original.u[0] for diag in diags]).reshape(done, model.m),
-        h=np.array([diag.h for diag in diags]).reshape(done, model.p),
-        ell=np.array([diag.ell for diag in diags]),
+        u=np.array([orig.u[0] for orig, _ in pairs[:done]]).reshape(done, model.m),
+        h=np.array([orig.h_pred[0] for orig, _ in pairs[:done]]).reshape(done, model.p),
+        ell=np.array([orig.ell_pred[0] for orig, _ in pairs[:done]]),
         Jstar=np.array([orig.J for orig, _ in pairs]),
         Jtildestar=np.array([rot.J for _, rot in pairs]),
         Hnorm=np.array([deviation_norm_replacement(H, ss.h_s) for H in histories[:done]]),
@@ -188,9 +171,10 @@ def performance_residual(trace: ClosedLoopTrace) -> np.ndarray:
     Jcl_K the closed-loop cost, the sum of ell over the first K steps.
 
     Returns the series for K = 1 .. number of steps the value function
-    was evaluated at; r(K)/K estimates the horizon-dependent per-step
-    suboptimality.
+    was evaluated at, empty for a run halted at step 0 or 1; r(K)/K
+    estimates the horizon-dependent per-step suboptimality.
     """
     ks = np.arange(1, len(trace.Jstar))  # len(Jstar) is K + 1 on success
     Jcl = np.cumsum(trace.ell)
-    return Jcl[ks - 1] - (trace.Jstar[0] - trace.Jstar[ks]) - ks * trace.ss.ell_s
+    # Jstar[:1], not Jstar[0]: a run halted at step 0 has no J*(chi(0))
+    return Jcl[ks - 1] - (trace.Jstar[:1] - trace.Jstar[ks]) - ks * trace.ss.ell_s

@@ -72,7 +72,8 @@ def turnpike_report(
 
     Proximity uses the Euclidean norm of the stacked deviation
     (x(k) - x_s, u(k) - u_s); delta is the realized excess of the plain
-    economic cost over N * ell_s for this solution.
+    economic cost over N * ell_s for this solution, the sum of the stage
+    costs its rollout evaluated (``ell_pred``).
     """
     if not epsilon > 0:  # NaN too
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
@@ -90,8 +91,7 @@ def turnpike_report(
         if run >= T:
             consecutive.append(k)
 
-    J_N = float(np.sum(model.ell(solution.x_pred[:N].T, solution.u.T)))
-    delta = J_N - N * ss.ell_s
+    delta = float(np.sum(solution.ell_pred)) - N * ss.ell_s
     C = 2.0 * _storage_sup(cert, model)
     theta_low = min_weighted_output(model, cert)
     C_prime = delta + C - window_deficit(N, T) * theta_low

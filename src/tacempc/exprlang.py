@@ -33,14 +33,14 @@ the Jacobians f_z, ell_z and h_z by the same live dual code as the
 gradient kernels, appends them as one tuple to one list (the lines that
 read only constants run once, before the loop), and at the end stores the
 list with one write into the rollout's step record, one row per step.
-``SystemModel.from_expressions`` keeps it as the model's ``stage_pass``
-field; in a rollout it takes the place of N steps of the f kernel on
-numpy scalars and five batched kernel calls.  Python floats and numpy
-differ in two places, and both are bound to the numpy behaviour: each
-``^`` is libm ``pow``, with numpy's inf where Python's ``**`` raises
-OverflowError (the pass then runs again with ``_scalar_pow``), and a
-division by zero raises EvalError at the same inputs.  So every output is
-bit for bit what stepping f and batching the other kernels gives.
+``SystemModel.from_expressions`` makes it the model's ``stage_pass``; in a
+rollout it takes the place of N steps of the f kernel on numpy scalars
+and five batched kernel calls.  Each ``^`` is Python's ``**``, which calls
+libm ``pow`` like the kernels, and a division by zero raises EvalError at
+the same inputs, so every output is bit for bit what stepping f and
+batching the other kernels gives.  Where a power overflows, numpy gives
+inf but ``**`` raises OverflowError; the pass then leaves the record
+untouched, and ``from_expressions`` runs the kernels' pass instead.
 """
 
 from __future__ import annotations
@@ -257,13 +257,6 @@ def _pow(a, k):
     return a**k
 
 
-def _scalar_pow(a, k):
-    """a ** k on a Python float through numpy's float64 scalar power, as a
-    kernel computes it at a point of a numpy array: libm pow, inf on
-    overflow."""
-    return float(np.float64(a) ** k)
-
-
 def _scalar_nonzero(b):
     if b == 0:
         raise EvalError("division by zero")
@@ -289,15 +282,14 @@ class _Codegen:
     ``_pow``.  A stage pass's code (``floats``) runs on Python floats: it
     reads each variable from a local ``x_i``/``u_i``, which the dual code
     uses as is (``_dual_var`` is the identity there), checks divisions with
-    ``_scalar_nonzero`` and writes ``^`` as Python's ``**`` (``fast``) or as
-    ``_scalar_pow``.
+    ``_scalar_nonzero`` and writes ``^`` as Python's ``**``.
     """
 
-    def __init__(self, floats=False, fast=False):
+    def __init__(self, floats=False):
         self.lines = []
         self.names = {
             "_check_nonzero": _scalar_nonzero if floats else _check_nonzero,
-            "_pow": _scalar_pow if floats else _pow,
+            "_pow": _pow,
             "_dual_var": _dual_var,
             "_empty": np.empty,
             "_batch_shape": _batch_shape,
@@ -306,7 +298,6 @@ class _Codegen:
         }
         self.temps = 0
         self.floats = floats
-        self.fast = fast
 
     def const(self, value):
         name = f"c{len(self.names)}"
@@ -326,7 +317,7 @@ class _Codegen:
 
     def power(self, base, k):
         k = operator.index(k)
-        return f"{base} ** {k}" if self.fast else f"_pow({base}, {k})"
+        return f"{base} ** {k}" if self.floats else f"_pow({base}, {k})"
 
     def body(self, indent):
         return "".join(f"{indent}{line}\n" for line in self.lines)
@@ -474,9 +465,32 @@ def _hoisted(lines):
     return before, inside
 
 
-def _stage_code(f, ell, h, n, m, fast):
-    """The stage loop of ``stage_pass``, with ``^`` as ``**`` when fast."""
-    gen = _Codegen(floats=True, fast=fast)
+def stage_pass(f, ell, h, n: int, m: int):
+    """Compiled stage pass ``(x0, us, record)`` of a model.
+
+    f (n expressions), ell (one) and h (p expressions) are over x1..xn and
+    u1..um.  The pass runs over the inputs us (N, m), N >= 1, once, from
+    the state x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k),
+    ell_k and h_k by the value code of ``kernel`` and the Jacobians f_z,
+    ell_z and h_z by its live dual code; lines that read only constants
+    run once, before the loop.  The results go into the step record, a
+    C-contiguous (N + 1, R) array with R = n + 1 + p + (n + p + 1)(n + m):
+    row k holds x_k, ell_k, h_k, then f_z, ell_z and h_z at z_k = (x_k,
+    u_k), each flattened row-major like the batched kernels transposed to
+    (N, rows[, n + m]); row N holds x_N.  The pass appends one tuple per
+    step to one list and stores it with one ``struct.pack_into`` at the
+    end, from entry n of row 0 on, so x0 and the unused tail of row N are
+    not written, and an EvalError or OverflowError leaves the record
+    untouched.
+
+    The loop runs on Python floats, bound to what the numpy kernels compute
+    at the same points: each ``^`` is libm ``pow`` (Python's ``**``), and a
+    division checks its divisor like the kernels do.  So every output is
+    bit for bit the batched kernels' at the states of stepping f, except
+    that where a power overflows numpy gives inf and the pass raises
+    OverflowError.
+    """
+    gen = _Codegen(floats=True)
     gen.names["_pack_into"] = struct.pack_into
     models = (f, [ell], h)
     values = [[_value_code(e, gen) for e in rows] for rows in models]
@@ -505,38 +519,3 @@ def _stage_code(f, ell, h, n, m, fast):
         # fast as numpy's ``out[:] = rows``
         + f"    _pack_into(f'{{len(rows)}}d', record, {8 * n}, *rows)\n"
     )
-
-
-def stage_pass(f, ell, h, n: int, m: int):
-    """Compiled stage pass ``(x0, us, record)`` of a model.
-
-    f (n expressions), ell (one) and h (p expressions) are over x1..xn and
-    u1..um.  The pass runs over the inputs us (N, m), N >= 1, once, from
-    the state x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k),
-    ell_k and h_k by the value code of ``kernel`` and the Jacobians f_z,
-    ell_z and h_z by its live dual code; lines that read only constants
-    run once, before the loop.  The results go into the step record, a
-    C-contiguous (N + 1, R) array with R = n + 1 + p + (n + p + 1)(n + m):
-    row k holds x_k, ell_k, h_k, then f_z, ell_z and h_z at z_k = (x_k,
-    u_k), each flattened row-major like the batched kernels transposed to
-    (N, rows[, n + m]); row N holds x_N.  The pass appends one tuple per
-    step to one list and stores it with one ``struct.pack_into`` at the
-    end, from entry n of row 0 on, so x0 and the unused tail of row N are
-    not written and an EvalError leaves the record untouched.
-
-    The loop runs on Python floats, bound to what the numpy kernels compute
-    at the same points: each ``^`` is libm ``pow`` (Python's ``**``), and a
-    division checks its divisor like the kernels do.  Where ``**`` raises
-    OverflowError numpy gives inf, so the pass is then run again with every
-    ``^`` as ``_scalar_pow``.  Every output is bit for bit the batched
-    kernels' at the states of stepping f.
-    """
-    fast, safe = (_stage_code(f, ell, h, n, m, fast) for fast in (True, False))
-
-    def compiled(x0, us, record):
-        try:
-            fast(x0, us, record)
-        except OverflowError:
-            safe(x0, us, record)
-
-    return compiled

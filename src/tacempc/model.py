@@ -75,6 +75,9 @@ class SystemModel:
     is the model's one rollout into the step record (``exprlang.stage_pass``):
     compiled by ``from_expressions``, else (``dataclasses.replace`` too) the
     callbacks' pass, which steps f and batches the other five callbacks.
+    The rollout is the one evaluation of a predicted trajectory: a solution
+    keeps its states, outputs and stage costs, and the closed loop and the
+    turnpike report read them from it.
     """
 
     n: int
@@ -183,7 +186,9 @@ class SystemModel:
         pointwise calls, and a batch result has one column per point even
         for a constant expression.  So is the ``stage_pass``, one
         Python-float loop (``exprlang.stage_pass``) bit for bit the
-        callbacks' pass.
+        callbacks' pass.  Where a power overflows, that loop raises
+        OverflowError and numpy gives inf, so the model's ``stage_pass``
+        then runs the callbacks' pass, which writes the inf.
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
@@ -209,7 +214,15 @@ class SystemModel:
             ell_grad=exprlang.kernel(ell_expr, n, m, gradient=True),
             h_jac=exprlang.kernel(h_exprs, n, m, gradient=True),
         )
-        stage_pass = exprlang.stage_pass(f_exprs, ell_expr, h_exprs, n, m)
+        compiled = exprlang.stage_pass(f_exprs, ell_expr, h_exprs, n, m)
+        callbacks = model.stage_pass
+
+        def stage_pass(x0, us, record):
+            try:
+                compiled(x0, us, record)
+            except OverflowError:  # a power numpy takes to inf; the record is untouched
+                callbacks(x0, us, record)
+
         object.__setattr__(model, "stage_pass", stage_pass)
         return model
 

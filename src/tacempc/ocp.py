@@ -19,6 +19,10 @@ through ``ndarray.dot``.
 The window rows of g and Dg are two operations each: a cumulative sum
 into a padded buffer whose head rows hold the negated history tail sums,
 and one subtraction of two of its row blocks (``history.Windows``).
+A solution keeps copies of the accepted iterate's rollout, its states,
+outputs and stage costs (``x_pred``, ``h_pred``, ``ell_pred``); the
+closed loop and the turnpike report read them instead of calling the
+model again.
 """
 
 from __future__ import annotations
@@ -122,6 +126,7 @@ class OcpSolution:
     u: np.ndarray  # (N, m)
     x_pred: np.ndarray  # (N + 1, n), x_pred[0] = x0
     h_pred: np.ndarray  # (N, p)
+    ell_pred: np.ndarray  # (N,)
     J: float
     max_violation: float
     stationarity: float
@@ -325,8 +330,8 @@ def solve(spec: OcpSpec) -> OcpSolution:
     mult = np.zeros(problem.g.size)
     mu = _PENALTY_INIT
     total_iters = total_nfev = 0
-    # (viol, u_flat, x, h, J, stat): the converged iterate, or else the
-    # least-violating finite one
+    # (viol, u_flat, x, h, ell, J, stat): the converged iterate, or else
+    # the least-violating finite one
     best = None
 
     active = np.empty(problem.g.size)
@@ -370,7 +375,8 @@ def solve(spec: OcpSpec) -> OcpSolution:
         # a converged iterate is returned even when an earlier one violated less
         converged = bool(finite and viol <= opts.feas_tol and stat <= opts.stat_tol)
         if converged or (finite and (best is None or viol <= best[0] + 1e-15)):
-            best = (viol, u_flat, problem.fwd.x.copy(), problem.fwd.h.copy(), J, stat)
+            fwd = problem.fwd
+            best = (viol, u_flat, fwd.x.copy(), fwd.h.copy(), fwd.ell.copy(), J, stat)
         if converged:
             break
         if viol > opts.feas_tol:
@@ -383,7 +389,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
 
     if best is None:
         raise InfeasibleError("no iterate with a finite objective, violation and stationarity")
-    viol, u_flat, x_pred, h_pred, J, stat = best
+    viol, u_flat, x_pred, h_pred, ell_pred, J, stat = best
     if viol > opts.feas_tol:
         raise InfeasibleError(
             f"no feasible point found (best residual {viol:g})",
@@ -394,6 +400,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
         u=u_flat.reshape(N, m),
         x_pred=x_pred,
         h_pred=h_pred,
+        ell_pred=ell_pred,
         J=J,
         max_violation=viol,
         stationarity=stat,

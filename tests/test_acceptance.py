@@ -11,9 +11,11 @@ no consistent alternative weighting reproduces the reference; the check
 is kept honest rather than loosened.
 """
 
+import json
 import re
 import time
 
+import numpy as np
 import pytest
 
 from tacempc import closedloop, validation
@@ -205,3 +207,12 @@ def test_run_all_survives_raising_inputs(monkeypatch):
             assert r.status == "PASS", (r.ident, r.detail)
         else:
             assert (r.status, r.detail) == ("FAIL", "raised RuntimeError: boom"), r.ident
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0])
+def test_check_result_holds_a_python_bool(value):
+    # a numeric check returns a numpy comparison; its result stores a bool,
+    # so it prints as True/False and serializes to JSON
+    r = validation._check("x", "numeric check")(lambda: (np.float64(value) <= 1.0, ""))()
+    assert type(r.passed) is bool and r.passed == (value <= 1.0)
+    assert json.loads(json.dumps(r.__dict__))["passed"] is r.passed

@@ -1,3 +1,4 @@
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,11 +126,38 @@ def test_replay_is_deterministic(builtin, fig_history):
 
 def test_step_matches_simulate(builtin, fig_history):
     model, cert, ss = builtin
-    u, (x1, H1), diag = step(model, cert, ss, 12, ([2.0], fig_history))
+    u, (x1, H1), pair = step(model, cert, ss, 12, ([2.0], fig_history))
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 1)
     np.testing.assert_array_equal(trace.u[0], u)
     np.testing.assert_array_equal(trace.x[1], x1)
-    assert trace.Jstar[0] == diag.original.J
+    assert trace.Jstar[0] == pair[0].J
+
+
+def _raising(*args):
+    raise AssertionError("a model callback was called")
+
+
+def test_step_reads_the_rollout(builtin, fig_history):
+    # with f, h and ell swapped for raising stubs, the solves still run the
+    # compiled stage pass, and the step returns the same bytes: the applied
+    # state, output and cost are the rollout's x_pred[1], h_pred[0] and
+    # ell_pred[0]
+    model, cert, ss = builtin
+    stubbed = copy.copy(model)  # a copy keeps the compiled stage pass
+    for name in ("f", "h", "ell"):
+        object.__setattr__(stubbed, name, _raising)
+    results = [step(m, cert, ss, 12, ([2.0], fig_history)) for m in (model, stubbed)]
+    (u, (x1, H1), pair), (u_s, (x1_s, H1_s), pair_s) = results
+    assert u.tobytes() == u_s.tobytes() and x1.tobytes() == x1_s.tobytes()
+    assert H1.columns.tobytes() == H1_s.columns.tobytes()
+    assert x1.tobytes() == pair[0].x_pred[1].tobytes()
+    assert H1.columns[:, -1].tobytes() == pair[0].h_pred[0].tobytes()
+    for sol, sol_s in zip(pair, pair_s):
+        for name in ("u", "x_pred", "h_pred", "ell_pred", "J"):
+            assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(
+                getattr(sol_s, name)).tobytes(), name
+    # ell_pred is the accepted iterate's: the original objective sums it
+    assert pair[0].J == float(np.add.reduce(pair[0].ell_pred))
 
 
 def test_steady_state_is_invariant(builtin):
@@ -148,6 +176,15 @@ def test_steady_state_is_invariant(builtin):
 def test_performance_residual_shape(closed_loop_trace):
     resid = performance_residual(closed_loop_trace)
     assert len(resid) == 30
+
+
+def test_performance_residual_of_a_run_halted_at_step_0(builtin):
+    # no value function was evaluated, so the residual series is empty
+    model, cert, ss = builtin
+    trace = simulate(model, cert, ss, 12, [2.0], HistoryState(np.full((1, 5), 5.0), T=6), 3)
+    _assert_halted(trace, 0, "step 0: ")
+    resid = performance_residual(trace)
+    assert (resid.shape, resid.dtype) == ((0,), np.float64)
 
 
 def _assert_halted(trace, K, prefix):

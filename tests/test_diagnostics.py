@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,26 @@ def test_turnpike_report_consistency(builtin):
     for k in rep.consecutive_set:
         assert all(j in near for j in range(k - 2, k + 1))
     assert rep.lemma1_holds
+
+
+def _raising(*args):
+    raise AssertionError("a model callback was called")
+
+
+def test_turnpike_report_reads_the_rollout(builtin):
+    # with f and ell swapped for raising stubs, the solve still runs the
+    # compiled stage pass and the report sums the rollout's ell_pred; h
+    # stays, since theta_low minimizes it over the box
+    model, cert, ss = builtin
+    stubbed = copy.copy(model)  # a copy keeps the compiled stage pass
+    for name in ("f", "ell"):
+        object.__setattr__(stubbed, name, _raising)
+    reports = [
+        dataclasses.astuple(turnpike_report(_solve_original((m, cert, ss), N=10, T=3), ss,
+                                            cert, 0.1))
+        for m in (model, stubbed)
+    ]
+    assert repr(reports[0]) == repr(reports[1])
 
 
 def test_turnpike_constants(builtin):
@@ -94,6 +117,7 @@ def test_turnpike_all_steady_trajectory(builtin):
     steady = OcpSolution(
         spec=spec, u=np.tile(ss.u_s, (6, 1)),
         x_pred=np.tile(ss.x_s, (7, 1)), h_pred=np.tile(ss.h_s, (6, 1)),
+        ell_pred=np.full(6, ss.ell_s),
         J=6 * ss.ell_s, max_violation=0.0, stationarity=0.0,
         iterations=0, nfev=0, converged=True,
     )

@@ -554,11 +554,11 @@ def _corner_case():
     return spec, np.full((12, 1), 10.0)
 
 
-def _scalar_case(f_source, x0, u, box):
+def _scalar_case(f_source, x0, u, box, ell="3 * x1 + u1", h="2*x1 + u1 - 5"):
     """(spec, u) for the one-state, one-input model x+ = f_source on the box
-    [-box, box]^2, with a linear cost, output and storage."""
-    model = SystemModel.from_expressions(
-        1, 1, [f_source], "3 * x1 + u1", ["2*x1 + u1 - 5"], [-box, -box], [box, box])
+    [-box, box]^2, with a linear storage, and a linear cost and output
+    unless ell and h are given."""
+    model = SystemModel.from_expressions(1, 1, [f_source], ell, [h], [-box, -box], [box, box])
     ss = SteadyState(np.zeros(1), np.zeros(1), 0.0, np.zeros(1))
     cert = DissipativityCertificate.from_expression(1, "1.5 * (x1 - 2)", [1.0], 0.25, 2.0, 3.0)
     u = np.array(u, dtype=float).reshape(-1, 1)
@@ -574,6 +574,9 @@ _OVERFLOW_CASE = _scalar_case("x1^4 + u1", 1e25, [0.0, 0.0], 1e30)
 _DIVISION_CASE = _scalar_case("x1 / u1", 1.0, [2.0, 0.0, 2.0], 10.0)
 # signed zeros in x0 and u give signed-zero states, costs and Jacobian entries
 _SIGNED_ZERO_CASE = _scalar_case("x1 * u1", -0.0, [-0.0, 0.0, -0.0], 10.0)
+# x1^4 overflows at x1 = 1e100 in the cost and the output, while their
+# derivative 4 * x1^3 stays finite
+_POWER_CASE = _scalar_case("x1", 1e100, [0.0], 1e101, ell="x1^4", h="x1^4")
 
 
 def _matmul_sensitivities(spec, x, u):
@@ -655,6 +658,7 @@ def _runs_callback_pass(model):
 @example(_OVERFLOW_CASE)
 @example(_DIVISION_CASE)
 @example(_SIGNED_ZERO_CASE)
+@example(_POWER_CASE)
 def test_compiled_and_callback_passes_write_the_same_record(case):
     # the compiled pass of an expression model and the pass its callbacks
     # give a replaced copy fill every record entry with the same bits
@@ -675,6 +679,7 @@ def test_compiled_and_callback_passes_write_the_same_record(case):
         for model, record in zip((compiled, replaced), records):
             model.stage_pass(spec.x0, u, record)
     assert case is not _OVERFLOW_CASE or np.isposinf(records[0][-1, 0])
+    assert case is not _POWER_CASE or np.isposinf(records[0][0, 1:3]).all()
     assert records[0].tobytes() == records[1].tobytes()
 
 
