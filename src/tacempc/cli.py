@@ -91,6 +91,7 @@ def write_trace_svg(trace: ClosedLoopTrace, lt, path: str):
         series.append(("What", np.arange(len(lt.What)), lt.What))
         series.append(("W", np.arange(len(lt.W)), lt.W))
     ys = np.concatenate([s[2] for s in series])
+    ys = ys[np.isfinite(ys)]  # Jtildestar and What are NaN after a failed rotated solve
     y_lo, y_hi = (float(np.min(ys)), float(np.max(ys))) if ys.size else (0.0, 1.0)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
@@ -118,7 +119,7 @@ def write_trace_svg(trace: ClosedLoopTrace, lt, path: str):
     for idx, (name, ks, vals) in enumerate(series):
         if len(vals) == 0:
             continue
-        pts = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in zip(ks, vals))
+        pts = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in zip(ks, vals) if np.isfinite(v))
         ET.SubElement(
             root, "polyline", points=pts, fill="none",
             stroke=_SVG_COLORS[idx % len(_SVG_COLORS)],
@@ -175,6 +176,10 @@ def cmd_simulate(args) -> int:
         svg_path = os.path.join(out_dir, "chart.svg")
         write_trace_svg(trace, lt, svg_path)
         print(f"wrote {svg_path}")
+    values = np.column_stack([trace.Jstar, trace.Jtildestar])
+    unconverged = np.count_nonzero(~trace.converged & ~np.isnan(values))
+    if unconverged:
+        print(f"note: {unconverged} solves returned converged=False", file=sys.stderr)
     if trace.failure is not None:
         print(f"simulation halted early: {trace.failure}", file=sys.stderr)
         return EXIT_RUNTIME

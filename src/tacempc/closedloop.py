@@ -1,22 +1,13 @@
 """Receding-horizon loop: solve, apply the first input, shift the history.
 
-Each step solves the optimal control problem twice at the current
-extended state (x, H): once with the plain economic objective, whose
-first input is applied to the plant, and once with the rotated
-objective, which feeds the Lyapunov diagnostics.  Warm starts are the
-previous optimal sequence shifted by one with u_s appended.
-
-Both solves of a step, and the pair at the terminal state, are built
-by ``_solve_pair``.  The applied step is read from the original solve's
-rollout, as the solver evaluated it: the next state is ``x_pred[1]``,
-and the output and the stage cost the step realizes are ``h_pred[0]``
-and ``ell_pred[0]``, so the loop calls no model callback.  The loop
-keeps three records, the states, the histories and each step's pair of
-solutions, and builds every series of the trace from them once it ends.
-The closed-loop window sums reuse the window operator of ``history``.
-The trace holds the applied states and inputs, from which
-``model.eval_rotated_stage_cost`` gives the rotated stage costs in one
-batched call.
+Each step solves the economic (original) problem once at the extended
+state (x, H) and reads the applied step from its rollout: the next state,
+output and stage cost are ``x_pred[1]``, ``h_pred[0]`` and
+``ell_pred[0]``, so the loop calls no model callback.  After the loop the
+original problem is solved at the terminal state, and the rotated one,
+which feeds only the Lyapunov diagnostics, along the recorded states.
+Each chain of solves is warm-started from its previous solution shifted
+by one with u_s appended.
 """
 
 from __future__ import annotations
@@ -32,13 +23,14 @@ from .model import DissipativityCertificate, SteadyState, SystemModel
 from .ocp import ORIGINAL, ROTATED, OcpSpec, SolverOptions, solve
 
 
-def _solve_pair(model, cert, ss, N, x, H, options, ws_orig, ws_rot):
-    """Solve the original and the rotated problem at (x, H), in that order."""
-    common = dict(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H, options=options)
-    return (
-        solve(OcpSpec(objective=ORIGINAL, warm_start=ws_orig, **common)),
-        solve(OcpSpec(objective=ROTATED, warm_start=ws_rot, **common)),
-    )
+def _solve_at(objective, model, cert, ss, N, state, options, warm_start):
+    x, H = state
+    return solve(OcpSpec(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H,
+                         objective=objective, options=options, warm_start=warm_start))
+
+
+def _shifted(sol, ss):
+    return np.vstack([sol.u[1:], ss.u_s[None]])
 
 
 def step(
@@ -48,20 +40,27 @@ def step(
     N: int,
     state: Tuple[np.ndarray, HistoryState],
     options: SolverOptions = SolverOptions(),
-    warm_start_original=None,
-    warm_start_rotated=None,
+    warm_start=None,
 ):
-    """One receding-horizon step from the extended state (x, H).
+    """One original solve at (x, H).  Returns (u_applied, (x_next, H_next),
+    solution) with x_next and the output shifted into H_next read from its
+    rollout.  Raises InfeasibleError when no admissible input is found."""
+    sol = _solve_at(ORIGINAL, model, cert, ss, N, state, options, warm_start)
+    return sol.u[0].copy(), (sol.x_pred[1].copy(), shift_update(state[1], sol.h_pred[0])), sol
 
-    Returns (u_applied, (x_next, H_next), (original, rotated)), the two
-    solutions at (x, H).  x_next and the output shifted into H_next are
-    the original solution's predicted x_pred[1] and h_pred[0].  Raises
-    InfeasibleError when no admissible input sequence is found.
-    """
-    x, H = state
-    pair = _solve_pair(model, cert, ss, N, x, H, options, warm_start_original, warm_start_rotated)
-    sol = pair[0]
-    return sol.u[0].copy(), (sol.x_pred[1].copy(), shift_update(H, sol.h_pred[0])), pair
+
+def _rotated_values(model, cert, ss, N, states, options):
+    """(values, converged, failure) of the rotated solves along the states;
+    one infeasible at state j leaves values[j:] NaN and converged[j:] False."""
+    values, converged = np.full(len(states), np.nan), np.zeros(len(states), dtype=bool)
+    warm = None
+    for j, state in enumerate(states):
+        try:
+            sol = _solve_at(ROTATED, model, cert, ss, N, state, options, warm)
+        except InfeasibleError as exc:
+            return values, converged, f"rotated value at step {j}: {exc}"
+        values[j], converged[j], warm = sol.J, sol.converged, _shifted(sol, ss)
+    return values, converged, None
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,11 @@ class ClosedLoopTrace:
 
     Arrays are indexed by the step k.  States and histories have one
     extra entry for the terminal extended state; the value arrays Jstar
-    and Jtildestar also cover the terminal state when the run completed
-    (a final pair of solves evaluates them there), so their length is
-    K + 1 on success and K after an infeasible halt.
+    and Jtildestar also cover the terminal state unless the loop halted
+    (a final original solve evaluates it), so their length is K + 1, or K
+    after a halt.  Jtildestar comes from rotated solves run
+    after the loop; one infeasible at state j leaves Jtildestar[j:] NaN
+    and sets ``failure``, while the applied series cover the whole run.
     """
 
     model: SystemModel
@@ -87,9 +88,10 @@ class ClosedLoopTrace:
     ell: np.ndarray  # (K,)
     Jstar: np.ndarray  # (K + 1,) or (K,) after a halt
     Jtildestar: np.ndarray  # same length as Jstar
+    converged: np.ndarray  # (len(Jstar), 2) bool: original, rotated solve
     Hnorm: np.ndarray  # (K,), norm-replacement of H(k) - H^s
     histories: Tuple[HistoryState, ...]  # length K + 1
-    failure: Optional[str] = None  # set when the loop halted early
+    failure: Optional[str] = None  # set when the loop halted or a rotated solve failed
 
     @property
     def completed(self) -> bool:
@@ -106,53 +108,49 @@ def simulate(
     K: int,
     options: SolverOptions = SolverOptions(),
 ) -> ClosedLoopTrace:
-    """Run K receding-horizon steps from (x0, H0).
+    """Run K receding-horizon steps from (x0, H0), then the terminal
+    original solve and the rotated solves along the recorded states.
 
-    An infeasible step does not raise: the trace collected so far is
-    returned with ``failure`` describing the halt, so callers can
-    inspect how far the loop got.
+    An infeasible solve does not raise: the trace is returned with
+    ``failure`` naming it, the loop's halt before a rotated failure.
     """
     if K < 1:
         raise DomainError("K must be >= 1")
-    xs, histories, pairs = [np.array(x0, dtype=float, ndmin=1)], [H0], []
-    warm = [None, None]
-    failure = None
+    xs, histories, sols = [np.array(x0, dtype=float, ndmin=1)], [H0], []
+    warm = failure = None
     for k in range(K):
         try:
-            _, (x, H), pair = step(model, cert, ss, N, (xs[-1], histories[-1]), options, *warm)
+            _, (x, H), sol = step(model, cert, ss, N, (xs[-1], histories[-1]), options, warm)
         except InfeasibleError as exc:
             failure = f"step {k}: {exc}"
             break
         xs.append(x)
         histories.append(H)
-        pairs.append(pair)
-        warm = [np.vstack([sol.u[1:], ss.u_s[None]]) for sol in pair]
+        sols.append(sol)
+        warm = _shifted(sol, ss)
 
-    done = len(pairs)
+    done = len(sols)
     if failure is None:
-        # value functions at the terminal extended state, for the
-        # performance residual r(K)
+        # the value function at the terminal state, for the residual r(K)
         try:
-            pairs.append(_solve_pair(model, cert, ss, N, xs[-1], histories[-1], options, *warm))
+            sols.append(_solve_at(ORIGINAL, model, cert, ss, N, (xs[-1], histories[-1]), options, warm))
         except InfeasibleError as exc:
             failure = f"terminal evaluation: {exc}"
+    Jtildestar, rotated_converged, rotated_failure = _rotated_values(
+        model, cert, ss, N, list(zip(xs, histories))[: len(sols)], options)
 
     return ClosedLoopTrace(
-        model=model,
-        cert=cert,
-        ss=ss,
-        N=N,
-        T=H0.T,
-        K=done,
+        model=model, cert=cert, ss=ss, N=N, T=H0.T, K=done,
         x=np.array(xs),
-        u=np.array([orig.u[0] for orig, _ in pairs[:done]]).reshape(done, model.m),
-        h=np.array([orig.h_pred[0] for orig, _ in pairs[:done]]).reshape(done, model.p),
-        ell=np.array([orig.ell_pred[0] for orig, _ in pairs[:done]]),
-        Jstar=np.array([orig.J for orig, _ in pairs]),
-        Jtildestar=np.array([rot.J for _, rot in pairs]),
+        u=np.array([sol.u[0] for sol in sols[:done]]).reshape(done, model.m),
+        h=np.array([sol.h_pred[0] for sol in sols[:done]]).reshape(done, model.p),
+        ell=np.array([sol.ell_pred[0] for sol in sols[:done]]),
+        Jstar=np.array([sol.J for sol in sols]),
+        Jtildestar=Jtildestar,
+        converged=np.column_stack([np.array([sol.converged for sol in sols], bool), rotated_converged]),
         Hnorm=np.array([deviation_norm_replacement(H, ss.h_s) for H in histories[:done]]),
         histories=tuple(histories),
-        failure=failure,
+        failure=failure or rotated_failure,
     )
 
 

@@ -21,6 +21,7 @@ import pytest
 from tacempc import closedloop, validation
 from tacempc.cli import main
 from tacempc.errors import InfeasibleError
+from tacempc.ocp import ORIGINAL
 from tacempc.validation import (
     _sweep_solutions,
     check_closed_loop,
@@ -167,15 +168,16 @@ def _rows(out):
 
 
 def test_check_table_survives_a_halted_run(monkeypatch, capsys):
-    # the 5th closed-loop solve (the first of step 2) raises, so the
+    # the 3rd original closed-loop solve (step 2's) raises, so the
     # reference run halts after two steps: every row it feeds fails and
     # names the halt, and every other row still prints its own result
-    calls = []
+    originals = []
 
     def failing(spec):
-        calls.append(spec)
-        if len(calls) == 5:
-            raise InfeasibleError("forced")
+        if spec.objective == ORIGINAL:
+            originals.append(spec)
+            if len(originals) == 3:
+                raise InfeasibleError("forced")
         return solve(spec)
 
     solve = closedloop.solve

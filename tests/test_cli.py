@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
@@ -5,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tacempc import cli, config, model
+from tacempc import cli, closedloop, config, model
 from tacempc.cli import csv_header, main
 from tacempc.config import load_config, parse_history
-from tacempc.errors import ConfigError
+from tacempc.errors import ConfigError, InfeasibleError
+from tacempc.ocp import ROTATED
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +383,55 @@ def test_simulate_svg(tmp_path, capsys):
     ns = "{http://www.w3.org/2000/svg}"
     names = {el.get("data-series") for el in root.iter(f"{ns}polyline")}
     assert {"Jstar", "Jtildestar", "Hnorm", "What", "W"} <= names
+
+
+def _patch_second_rotated(monkeypatch, replace):
+    """Pass the 2nd rotated closed-loop solution through replace(sol)."""
+    solve, rotated = closedloop.solve, []
+
+    def patched(spec):
+        sol = solve(spec)
+        if spec.objective == ROTATED:
+            rotated.append(spec)
+            if len(rotated) == 2:
+                return replace(sol)
+        return sol
+
+    monkeypatch.setattr(closedloop, "solve", patched)
+
+
+def test_simulate_reports_unconverged_solves(tmp_path, monkeypatch, capsys):
+    # the count goes to stderr; stdout and the CSV are unchanged
+    outputs = []
+    for patch in (False, True):
+        if patch:
+            _patch_second_rotated(monkeypatch, lambda sol: dataclasses.replace(sol, converged=False))
+        assert _simulate_reference(tmp_path) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out, captured.err, (tmp_path / "trace.csv").read_bytes()))
+    (out, err, csv), (out_p, err_p, csv_p) = outputs
+    assert (out_p, csv_p) == (out, csv)
+    assert err == "" and err_p == "note: 1 solves returned converged=False\n"
+
+
+def test_simulate_survives_a_rotated_failure(tmp_path, monkeypatch, capsys):
+    # every step is applied and written; Jtildestar is NaN from the failed
+    # state on, and the chart leaves the NaN points out
+    def forced(sol):
+        raise InfeasibleError("forced")
+
+    _patch_second_rotated(monkeypatch, forced)
+    assert _simulate_reference(tmp_path, svg=True) == 2
+    assert "rotated value at step 1: forced" in capsys.readouterr().err
+    rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().split("\n")[1:-1]]
+    assert len(rows) == 8
+    assert rows[0][6] != "nan" and all(row[6] == "nan" for row in rows[1:])
+    svg = (tmp_path / "chart.svg").read_text()
+    assert "nan" not in svg
+    ns = "{http://www.w3.org/2000/svg}"
+    points = {el.get("data-series"): el.get("points")
+              for el in ET.fromstring(svg).iter(f"{ns}polyline")}
+    assert len(points["Jtildestar"].split()) == 1 and len(points["Jstar"].split()) == 8
 
 
 def test_simulate_infeasible_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,17 +8,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tacempc import closedloop
+from tacempc import closedloop, ocp
 from tacempc.closedloop import performance_residual, simulate, step, window_sums
 from tacempc.errors import DomainError, InfeasibleError
-from tacempc.history import HistoryState, deviation_norm_replacement, steady_history
+from tacempc.history import (
+    HistoryState,
+    deviation_norm_replacement,
+    shift_update,
+    steady_history,
+)
 from tacempc.model import (
     DissipativityCertificate,
     SystemModel,
     eval_rotated_stage_cost,
     solve_steady_state,
 )
-from tacempc.ocp import SolverOptions
+from tacempc.ocp import ORIGINAL, ROTATED, OcpSpec, SolverOptions
 
 
 def test_reference_trace_completes(closed_loop_trace):
@@ -126,11 +132,11 @@ def test_replay_is_deterministic(builtin, fig_history):
 
 def test_step_matches_simulate(builtin, fig_history):
     model, cert, ss = builtin
-    u, (x1, H1), pair = step(model, cert, ss, 12, ([2.0], fig_history))
+    u, (x1, H1), sol = step(model, cert, ss, 12, ([2.0], fig_history))
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 1)
     np.testing.assert_array_equal(trace.u[0], u)
     np.testing.assert_array_equal(trace.x[1], x1)
-    assert trace.Jstar[0] == pair[0].J
+    assert trace.Jstar[0] == sol.J
 
 
 def _raising(*args):
@@ -147,17 +153,126 @@ def test_step_reads_the_rollout(builtin, fig_history):
     for name in ("f", "h", "ell"):
         object.__setattr__(stubbed, name, _raising)
     results = [step(m, cert, ss, 12, ([2.0], fig_history)) for m in (model, stubbed)]
-    (u, (x1, H1), pair), (u_s, (x1_s, H1_s), pair_s) = results
+    (u, (x1, H1), sol), (u_s, (x1_s, H1_s), sol_s) = results
     assert u.tobytes() == u_s.tobytes() and x1.tobytes() == x1_s.tobytes()
     assert H1.columns.tobytes() == H1_s.columns.tobytes()
-    assert x1.tobytes() == pair[0].x_pred[1].tobytes()
-    assert H1.columns[:, -1].tobytes() == pair[0].h_pred[0].tobytes()
-    for sol, sol_s in zip(pair, pair_s):
-        for name in ("u", "x_pred", "h_pred", "ell_pred", "J"):
-            assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(
-                getattr(sol_s, name)).tobytes(), name
+    assert x1.tobytes() == sol.x_pred[1].tobytes()
+    assert H1.columns[:, -1].tobytes() == sol.h_pred[0].tobytes()
+    for name in ("u", "x_pred", "h_pred", "ell_pred", "J"):
+        assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(
+            getattr(sol_s, name)).tobytes(), name
     # ell_pred is the accepted iterate's: the original objective sums it
-    assert pair[0].J == float(np.add.reduce(pair[0].ell_pred))
+    assert sol.J == float(np.add.reduce(sol.ell_pred))
+
+
+@pytest.fixture(scope="module")
+def three_steps(builtin, fig_history):
+    """An unpatched K = 3 run, the reference for the patched ones."""
+    model, cert, ss = builtin
+    return simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+
+
+def _recording(monkeypatch, replace=lambda spec, count, sol: sol):
+    """Route closedloop.solve through a recorder of the specs it is given.
+
+    ``replace(spec, count, sol)`` returns what the solve returns, or raises;
+    count is the number of specs with spec's objective so far, this one
+    included."""
+    solve, specs = closedloop.solve, []
+
+    def recording(spec):
+        specs.append(spec)
+        count = sum(s.objective == spec.objective for s in specs)
+        return replace(spec, count, solve(spec))
+
+    monkeypatch.setattr(closedloop, "solve", recording)
+    return specs
+
+
+def test_step_solves_the_original_problem_once(builtin, fig_history, monkeypatch):
+    model, cert, ss = builtin
+    specs = _recording(monkeypatch)
+    step(model, cert, ss, 12, ([2.0], fig_history))
+    assert [spec.objective for spec in specs] == [ORIGINAL]
+
+
+def test_simulate_solves_rotated_after_the_loop(builtin, fig_history, monkeypatch):
+    # K original steps and the terminal original solve, then the rotated
+    # chain over the same K + 1 states: 2K + 2 solves
+    model, cert, ss = builtin
+    specs = _recording(monkeypatch)
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    assert trace.completed
+    assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 4
+    for k in range(4):
+        assert specs[k].x0.tobytes() == specs[4 + k].x0.tobytes() == trace.x[k].tobytes()
+        assert specs[k].H0 is specs[4 + k].H0 is trace.histories[k]
+    assert trace.converged.shape == (4, 2) and trace.converged.dtype == bool
+
+
+def test_rotated_values_match_the_interleaved_loop(builtin, fig_history):
+    # the oracle: both solves at each state, original first, each chain
+    # warm-started from its own previous solution shifted by one
+    model, cert, ss = builtin
+    K = 4
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, K)
+    x, H = np.array([2.0]), fig_history
+    warm = {ORIGINAL: None, ROTATED: None}
+    Jstar, Jtildestar = [], []
+    for k in range(K + 1):
+        sols = {}
+        for objective in (ORIGINAL, ROTATED):
+            sols[objective] = ocp.solve(OcpSpec(
+                model=model, cert=cert, ss=ss, N=12, T=H.T, x0=x, H0=H,
+                objective=objective, warm_start=warm[objective]))
+            warm[objective] = np.vstack([sols[objective].u[1:], ss.u_s[None]])
+        Jstar.append(sols[ORIGINAL].J)
+        Jtildestar.append(sols[ROTATED].J)
+        orig = sols[ORIGINAL]
+        x, H = orig.x_pred[1].copy(), shift_update(H, orig.h_pred[0])
+    assert trace.Jstar.tobytes() == np.array(Jstar).tobytes()
+    assert trace.Jtildestar.tobytes() == np.array(Jtildestar).tobytes()
+
+
+def _forced(objective, at):
+    """Raise InfeasibleError("forced") on the at-th solve of objective."""
+    def replace(spec, count, sol):
+        if spec.objective == objective and count == at:
+            raise InfeasibleError("forced")
+        return sol
+    return replace
+
+
+def test_rotated_failure_does_not_halt_the_controller(builtin, fig_history, three_steps, monkeypatch):
+    model, cert, ss = builtin
+    full = three_steps
+    specs = _recording(monkeypatch, _forced(ROTATED, 2))
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 2
+    assert not trace.completed and trace.failure == "rotated value at step 1: forced"
+    assert trace.K == 3 and len(trace.histories) == 4
+    for name in ("x", "u", "h", "ell", "Jstar", "Hnorm"):
+        assert getattr(trace, name).tobytes() == getattr(full, name).tobytes(), name
+    assert trace.Jtildestar[:1].tobytes() == full.Jtildestar[:1].tobytes()
+    assert trace.Jtildestar.shape == (4,) and np.all(np.isnan(trace.Jtildestar[1:]))
+    assert trace.converged.tolist() == [[True, True]] + [[True, False]] * 3
+
+
+def _unconverged_second_rotated(spec, count, sol):
+    if spec.objective == ROTATED and count == 2:
+        return dataclasses.replace(sol, converged=False)
+    return sol
+
+
+def test_trace_records_convergence(builtin, fig_history, three_steps, monkeypatch):
+    model, cert, ss = builtin
+    full = three_steps
+    assert full.converged.all()
+    _recording(monkeypatch, _unconverged_second_rotated)
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    assert trace.completed
+    assert trace.converged.tolist() == [[True, True], [True, False], [True, True], [True, True]]
+    assert trace.Jtildestar.tobytes() == full.Jtildestar.tobytes()
 
 
 def test_steady_state_is_invariant(builtin):
@@ -198,6 +313,7 @@ def _assert_halted(trace, K, prefix):
     for name, shape in shapes.items():
         series = getattr(trace, name)
         assert (series.shape, series.dtype) == (shape, np.float64), name
+    assert (trace.converged.shape, trace.converged.dtype) == ((K, 2), np.bool_)
 
 
 def test_infeasible_start_returns_partial_trace(builtin):
@@ -207,22 +323,14 @@ def test_infeasible_start_returns_partial_trace(builtin):
     _assert_halted(trace, 0, "step 0: ")
 
 
-def test_terminal_evaluation_failure_keeps_the_steps(builtin, fig_history, monkeypatch):
-    # K = 3 steps make 2K solves; the terminal pair's first one, call 2K + 1, raises
+def test_terminal_evaluation_failure_keeps_the_steps(builtin, fig_history, three_steps, monkeypatch):
+    # K = 3 steps make 3 original solves; the terminal one, the 4th, raises,
+    # and the rotated chain still runs over the 3 applied states
     model, cert, ss = builtin
-    full = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
-    calls = []
-
-    def failing(spec):
-        calls.append(spec)
-        if len(calls) == 7:
-            raise InfeasibleError("forced")
-        return solve(spec)
-
-    solve = closedloop.solve
-    monkeypatch.setattr(closedloop, "solve", failing)
+    full = three_steps
+    specs = _recording(monkeypatch, _forced(ORIGINAL, 4))
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
-    assert len(calls) == 7
+    assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 3
     _assert_halted(trace, 3, "terminal evaluation: forced")
     for name in ("x", "u", "h", "ell", "Hnorm"):
         assert getattr(trace, name).tobytes() == getattr(full, name).tobytes(), name
