@@ -16,7 +16,6 @@ from .errors import (
 from .exprlang import EvalError, ExprSyntaxError
 from .history import (
     HistoryState,
-    deviation_norm_replacement,
     iss_function,
     norm_replacement,
     shift_update,
@@ -49,7 +48,6 @@ __all__ = [
     "InfeasibleError",
     "TacempcError",
     "HistoryState",
-    "deviation_norm_replacement",
     "iss_function",
     "norm_replacement",
     "shift_update",

@@ -181,7 +181,9 @@ def cmd_simulate(args) -> int:
     if unconverged:
         print(f"note: {unconverged} solves returned converged=False", file=sys.stderr)
     if trace.failure is not None:
-        print(f"simulation halted early: {trace.failure}", file=sys.stderr)
+        # the loop halted, or it applied every step and a later solve failed
+        status = "halted early" if trace.K < cfg.K else "incomplete"
+        print(f"simulation {status}: {trace.failure}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

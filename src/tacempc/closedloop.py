@@ -1,65 +1,54 @@
 """Receding-horizon loop: solve, apply the first input, shift the history.
 
-Each step solves the economic (original) problem once at the extended
-state (x, H) and reads the applied step from its rollout: the next state,
-output and stage cost are ``x_pred[1]``, ``h_pred[0]`` and
-``ell_pred[0]``, so the loop calls no model callback.  After the loop the
-original problem is solved at the terminal state, and the rotated one,
-which feeds only the Lyapunov diagnostics, along the recorded states.
-Each chain of solves is warm-started from its previous solution shifted
-by one with u_s appended.
+The controller's state between steps is the ``OcpSpec`` of the next
+solve: every datum but the extended state (x, H) and the warm start is
+shared by all the solves of a run.  ``step`` solves one spec and reads
+the next from its rollout: the next state and the output shifted into H
+are ``x_pred[1]`` and ``h_pred[0]``, so the loop calls no model
+callback.  After the loop the original problem is solved at the terminal
+spec, and the rotated one, which feeds only the Lyapunov diagnostics,
+along the recorded specs.  Each chain of solves is warm-started from its
+previous solution shifted by one with u_s appended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .history import HistoryState, deviation_norm_replacement, shift_update, window_rows
+from .history import HistoryState, norm_replacement, shift_update, window_rows
 from .model import DissipativityCertificate, SteadyState, SystemModel
-from .ocp import ORIGINAL, ROTATED, OcpSpec, SolverOptions, solve
+from .ocp import ROTATED, OcpSolution, OcpSpec, SolverOptions, solve
 
 
-def _solve_at(objective, model, cert, ss, N, state, options, warm_start):
-    x, H = state
-    return solve(OcpSpec(model=model, cert=cert, ss=ss, N=N, T=H.T, x0=x, H0=H,
-                         objective=objective, options=options, warm_start=warm_start))
+def _shifted(sol: OcpSolution) -> np.ndarray:
+    return np.vstack([sol.u[1:], sol.spec.ss.u_s[None]])
 
 
-def _shifted(sol, ss):
-    return np.vstack([sol.u[1:], ss.u_s[None]])
+def step(spec: OcpSpec) -> Tuple[OcpSolution, OcpSpec]:
+    """One solve of spec.  Returns (solution, next_spec): next_spec is spec
+    at the applied step's state and history, read from the rollout, and
+    warm-started from the solution shifted by one.  Raises
+    InfeasibleError when no admissible input is found."""
+    sol = solve(spec)
+    return sol, replace(spec, x0=sol.x_pred[1], H0=shift_update(spec.H0, sol.h_pred[0]),
+                        warm_start=_shifted(sol))
 
 
-def step(
-    model: SystemModel,
-    cert: DissipativityCertificate,
-    ss: SteadyState,
-    N: int,
-    state: Tuple[np.ndarray, HistoryState],
-    options: SolverOptions = SolverOptions(),
-    warm_start=None,
-):
-    """One original solve at (x, H).  Returns (u_applied, (x_next, H_next),
-    solution) with x_next and the output shifted into H_next read from its
-    rollout.  Raises InfeasibleError when no admissible input is found."""
-    sol = _solve_at(ORIGINAL, model, cert, ss, N, state, options, warm_start)
-    return sol.u[0].copy(), (sol.x_pred[1].copy(), shift_update(state[1], sol.h_pred[0])), sol
-
-
-def _rotated_values(model, cert, ss, N, states, options):
-    """(values, converged, failure) of the rotated solves along the states;
-    one infeasible at state j leaves values[j:] NaN and converged[j:] False."""
-    values, converged = np.full(len(states), np.nan), np.zeros(len(states), dtype=bool)
+def _rotated_values(specs):
+    """(values, converged, failure) of the rotated solves at the specs'
+    states; one infeasible at j leaves values[j:] NaN and converged[j:] False."""
+    values, converged = np.full(len(specs), np.nan), np.zeros(len(specs), dtype=bool)
     warm = None
-    for j, state in enumerate(states):
+    for j, spec in enumerate(specs):
         try:
-            sol = _solve_at(ROTATED, model, cert, ss, N, state, options, warm)
+            sol = solve(replace(spec, objective=ROTATED, warm_start=warm))
         except InfeasibleError as exc:
             return values, converged, f"rotated value at step {j}: {exc}"
-        values[j], converged[j], warm = sol.J, sol.converged, _shifted(sol, ss)
+        values[j], converged[j], warm = sol.J, sol.converged, _shifted(sol)
     return values, converged, None
 
 
@@ -109,47 +98,47 @@ def simulate(
     options: SolverOptions = SolverOptions(),
 ) -> ClosedLoopTrace:
     """Run K receding-horizon steps from (x0, H0), then the terminal
-    original solve and the rotated solves along the recorded states.
+    original solve and the rotated solves along the recorded specs.
 
-    An infeasible solve does not raise: the trace is returned with
-    ``failure`` naming it, the loop's halt before a rotated failure.
+    The first spec is built, and so validated, before any solve; each
+    ``step`` maps it to the next.  An infeasible solve does not raise:
+    the trace is returned with ``failure`` naming it, the loop's halt
+    before a rotated failure.
     """
     if K < 1:
         raise DomainError("K must be >= 1")
-    xs, histories, sols = [np.array(x0, dtype=float, ndmin=1)], [H0], []
-    warm = failure = None
+    specs = [OcpSpec(model=model, cert=cert, ss=ss, N=N, T=H0.T, x0=x0, H0=H0, options=options)]
+    sols, failure = [], None
     for k in range(K):
         try:
-            _, (x, H), sol = step(model, cert, ss, N, (xs[-1], histories[-1]), options, warm)
+            sol, spec = step(specs[-1])
         except InfeasibleError as exc:
             failure = f"step {k}: {exc}"
             break
-        xs.append(x)
-        histories.append(H)
         sols.append(sol)
-        warm = _shifted(sol, ss)
+        specs.append(spec)
 
     done = len(sols)
     if failure is None:
         # the value function at the terminal state, for the residual r(K)
         try:
-            sols.append(_solve_at(ORIGINAL, model, cert, ss, N, (xs[-1], histories[-1]), options, warm))
+            sols.append(solve(specs[-1]))
         except InfeasibleError as exc:
             failure = f"terminal evaluation: {exc}"
-    Jtildestar, rotated_converged, rotated_failure = _rotated_values(
-        model, cert, ss, N, list(zip(xs, histories))[: len(sols)], options)
+    Jtildestar, rotated_converged, rotated_failure = _rotated_values(specs[: len(sols)])
+    histories = tuple(spec.H0 for spec in specs)
 
     return ClosedLoopTrace(
         model=model, cert=cert, ss=ss, N=N, T=H0.T, K=done,
-        x=np.array(xs),
+        x=np.array([spec.x0 for spec in specs]),
         u=np.array([sol.u[0] for sol in sols[:done]]).reshape(done, model.m),
         h=np.array([sol.h_pred[0] for sol in sols[:done]]).reshape(done, model.p),
         ell=np.array([sol.ell_pred[0] for sol in sols[:done]]),
         Jstar=np.array([sol.J for sol in sols]),
         Jtildestar=Jtildestar,
         converged=np.column_stack([np.array([sol.converged for sol in sols], bool), rotated_converged]),
-        Hnorm=np.array([deviation_norm_replacement(H, ss.h_s) for H in histories[:done]]),
-        histories=tuple(histories),
+        Hnorm=np.array([norm_replacement(H, ss.h_s) for H in histories[:done]]),
+        histories=histories,
         failure=failure or rotated_failure,
     )
 

@@ -78,26 +78,16 @@ def shift_update(H: HistoryState, h_new) -> HistoryState:
     return HistoryState(columns=columns, T=H.T)
 
 
-def positive_part_measure(columns: np.ndarray) -> float:
-    """Max over columns of the per-column sum of positive parts.
+def norm_replacement(H: HistoryState, h_s) -> float:
+    """Sign-aware substitute for a norm of H - H^s, H^s the steady history
+    of h_s: the maximum over columns of the summed positive parts.
 
-    Zero iff every entry is <= 0; zero for an empty matrix (T = 1).
+    Zero iff every entry of H - H^s is <= 0; zero when T = 1.
     """
-    columns = np.atleast_2d(np.asarray(columns, dtype=float))
-    if columns.shape[1] == 0:
+    if H.T == 1:
         return 0.0
-    return float(np.max(np.sum(np.maximum(columns, 0.0), axis=0)))
-
-
-def norm_replacement(H: HistoryState) -> float:
-    """Sign-aware substitute for a norm of the stored history."""
-    return positive_part_measure(H.columns)
-
-
-def deviation_norm_replacement(H: HistoryState, h_s) -> float:
-    """Norm-replacement of H - H^s for the steady output h_s."""
     h_s = np.atleast_1d(np.asarray(h_s, dtype=float))
-    return positive_part_measure(H.columns - h_s.reshape(-1, 1))
+    return float(np.max(np.sum(np.maximum(H.columns - h_s.reshape(-1, 1), 0.0), axis=0)))
 
 
 def matrix_one_norm(columns: np.ndarray) -> float:

@@ -3,23 +3,25 @@
 ``lbfgsb`` repeats the driver loop of scipy 1.17.1's ``_minimize_lbfgsb``
 step for step: the same ``setulb`` calls on the same arrays, so the
 iterates, ``nit``, ``nfev`` and ``status`` are scipy's bit for bit.  The
-objective is called directly, without ``ScalarFunction``, ``MemoizeJac``
-or a per-iteration ``OptimizeResult``.  ``ocp.solve`` passes it to
-``scipy.optimize.minimize`` as a callable ``method`` (so the ``minimize``
-boundary stays); ``model.min_weighted_output`` calls it directly.
+objective, which returns its value and gradient, is called directly,
+without ``ScalarFunction`` or a per-iteration ``OptimizeResult``.
+``ocp.solve`` passes it to ``scipy.optimize.minimize`` as a callable
+``method`` without ``jac``, so ``minimize`` hands the objective over
+unwrapped (the ``minimize`` boundary stays); ``model._box_min`` calls it
+directly.
 
 ``scipy.optimize._lbfgsb`` is a private scipy module.  Its 17-argument
 ``setulb`` is the C translation of L-BFGS-B that came with scipy 1.15.
 ``tests/test_lbfgsb.py`` compares this driver with
 ``minimize(method="L-BFGS-B")`` bit for bit and so pins the kernel's
-calling convention.
+calling convention.  It is the only private scipy module the package
+imports (``tests/test_api.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import OptimizeResult, _lbfgsb
-from scipy.optimize._optimize import MemoizeJac
 
 _NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
 _NBD = np.array([[0, 3], [1, 2]], dtype=np.int32)  # scipy's nbd by [finite lower, finite upper]
@@ -31,18 +33,15 @@ def lbfgsb(fun, x0, args=(), jac=None, bounds=None, maxcor=10,
     """Minimize ``fun`` over a box by L-BFGS-B; scipy's options and counters.
 
     fun(x, *args) returns the value (a float) and the gradient (a float
-    array) and must not modify x.  Called directly, pass ``jac=True``;
-    as ``minimize(fun, x0, jac=True, method=lbfgsb, ...)`` the
-    ``MemoizeJac`` wrapper minimize puts around fun is bypassed.  bounds
-    is one (low, high) pair per variable, +-inf for none.  The result
-    has scipy's x, fun, jac, nit, nfev, status and success.
+    array) and must not modify x, so there is no separate ``jac``: as
+    ``minimize(fun, x0, method=lbfgsb, ...)``, leave minimize's ``jac``
+    unset.  bounds is one (low, high) pair per variable, +-inf for none.
+    The result has scipy's x, fun, jac, nit, nfev, status and success.
     """
+    if jac is not None:
+        raise ValueError("lbfgsb takes no jac: fun returns its value and gradient")
     if hess is not None or hessp is not None or callback is not None or len(constraints):
         raise ValueError("lbfgsb takes no Hessian, constraints or callback")
-    if isinstance(fun, MemoizeJac):
-        fun = fun.fun
-    elif jac is not True:
-        raise ValueError("lbfgsb needs jac=True: fun returns its value and gradient")
     lower, upper = np.array(bounds, dtype=float).T
     x = np.clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
     n = x.size

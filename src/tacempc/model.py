@@ -477,7 +477,7 @@ def _box_min(values, fun, lower, upper) -> float:
         i = int(np.argmin(block))
         if z0 is None or block[i] < grid_min:
             grid_min, z0 = float(block[i]), pts[:, i]
-    res = lbfgsb(fun, z0, jac=True, bounds=list(zip(lower, upper)), maxiter=200)
+    res = lbfgsb(fun, z0, bounds=list(zip(lower, upper)), maxiter=200)
     return min(fun(res.x)[0], grid_min)
 
 

@@ -351,7 +351,6 @@ def solve(spec: OcpSpec) -> OcpSolution:
             al_fun,
             u_flat,
             args=(mult, mu, mult @ mult),
-            jac=True,
             method=lbfgsb,
             bounds=bounds,
             options={

@@ -158,13 +158,13 @@ def check_norm_replacement():
         T = int(rng.integers(2, 7))
         cols = rng.uniform(-2, 2, size=(p, T - 1))
         H = HistoryState(columns=cols, T=T)
-        val = norm_replacement(H)
+        val = norm_replacement(H, 0.0)
         if val < 0:
             return False, f"negative value {val} at sample {i}"
         if (val == 0.0) != bool(np.all(cols <= 0)):
             return False, f"zero characterization failed at sample {i}"
         bigger = HistoryState(columns=cols + rng.uniform(0, 1, size=cols.shape), T=T)
-        if norm_replacement(bigger) < val - 1e-12:
+        if norm_replacement(bigger, 0.0) < val - 1e-12:
             return False, f"monotonicity failed at sample {i}"
     return True, "1000 samples: nonnegativity, zero iff nonpositive, monotone"
 

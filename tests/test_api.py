@@ -54,3 +54,34 @@ def test_every_definition_is_read_by_program_code():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not read_outside(node, path)
     }
     assert unread == _UNREAD
+
+
+def _private_scipy_modules(tree):
+    """Every module path imported from scipy with a component starting
+    with ``_``: ``from scipy.optimize import _lbfgsb`` counts as
+    ``scipy.optimize._lbfgsb``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            paths = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            if parts[0] == "scipy" and any(part.startswith("_") for part in parts):
+                # the private prefix: scipy.optimize._optimize.MemoizeJac is
+                # an import of scipy.optimize._optimize
+                end = next(i for i, part in enumerate(parts) if part.startswith("_"))
+                yield ".".join(parts[: end + 1])
+
+
+def test_only_the_pinned_private_scipy_module_is_imported():
+    # tests/test_lbfgsb.py pins the calling convention of scipy's private
+    # _lbfgsb kernel; any other private scipy module would go unpinned
+    found = {
+        module
+        for path in (_ROOT / "src" / "tacempc").glob("*.py")
+        for module in _private_scipy_modules(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"scipy.optimize._lbfgsb"}

@@ -422,7 +422,9 @@ def test_simulate_survives_a_rotated_failure(tmp_path, monkeypatch, capsys):
 
     _patch_second_rotated(monkeypatch, forced)
     assert _simulate_reference(tmp_path, svg=True) == 2
-    assert "rotated value at step 1: forced" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "simulation incomplete: rotated value at step 1: forced" in err
+    assert "halted" not in err  # the loop applied all K steps
     rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().split("\n")[1:-1]]
     assert len(rows) == 8
     assert rows[0][6] != "nan" and all(row[6] == "nan" for row in rows[1:])

@@ -13,7 +13,7 @@ from tacempc.closedloop import performance_residual, simulate, step, window_sums
 from tacempc.errors import DomainError, InfeasibleError
 from tacempc.history import (
     HistoryState,
-    deviation_norm_replacement,
+    norm_replacement,
     shift_update,
     steady_history,
 )
@@ -110,7 +110,7 @@ def test_rotated_closed_loop_identity(closed_loop_trace):
 def test_history_norm_series(closed_loop_trace):
     trace = closed_loop_trace
     expect = [
-        deviation_norm_replacement(H, trace.ss.h_s)
+        norm_replacement(H, trace.ss.h_s)
         for H in trace.histories[: trace.K]
     ]
     np.testing.assert_allclose(trace.Hnorm, expect, atol=1e-12)
@@ -130,12 +130,18 @@ def test_replay_is_deterministic(builtin, fig_history):
     np.testing.assert_array_equal(a.Jstar, b.Jstar)
 
 
+def _first_spec(builtin, fig_history):
+    """The spec of the first solve of simulate(..., 12, [2.0], fig_history, K)."""
+    model, cert, ss = builtin
+    return OcpSpec(model=model, cert=cert, ss=ss, N=12, T=fig_history.T, x0=[2.0], H0=fig_history)
+
+
 def test_step_matches_simulate(builtin, fig_history):
     model, cert, ss = builtin
-    u, (x1, H1), sol = step(model, cert, ss, 12, ([2.0], fig_history))
+    sol, spec = step(_first_spec(builtin, fig_history))
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 1)
-    np.testing.assert_array_equal(trace.u[0], u)
-    np.testing.assert_array_equal(trace.x[1], x1)
+    np.testing.assert_array_equal(trace.u[0], sol.u[0])
+    np.testing.assert_array_equal(trace.x[1], spec.x0)
     assert trace.Jstar[0] == sol.J
 
 
@@ -148,16 +154,17 @@ def test_step_reads_the_rollout(builtin, fig_history):
     # compiled stage pass, and the step returns the same bytes: the applied
     # state, output and cost are the rollout's x_pred[1], h_pred[0] and
     # ell_pred[0]
-    model, cert, ss = builtin
+    model = builtin[0]
     stubbed = copy.copy(model)  # a copy keeps the compiled stage pass
     for name in ("f", "h", "ell"):
         object.__setattr__(stubbed, name, _raising)
-    results = [step(m, cert, ss, 12, ([2.0], fig_history)) for m in (model, stubbed)]
-    (u, (x1, H1), sol), (u_s, (x1_s, H1_s), sol_s) = results
-    assert u.tobytes() == u_s.tobytes() and x1.tobytes() == x1_s.tobytes()
-    assert H1.columns.tobytes() == H1_s.columns.tobytes()
-    assert x1.tobytes() == sol.x_pred[1].tobytes()
-    assert H1.columns[:, -1].tobytes() == sol.h_pred[0].tobytes()
+    first = _first_spec(builtin, fig_history)
+    results = [step(dataclasses.replace(first, model=m)) for m in (model, stubbed)]
+    (sol, spec), (sol_s, spec_s) = results
+    assert sol.u[0].tobytes() == sol_s.u[0].tobytes() and spec.x0.tobytes() == spec_s.x0.tobytes()
+    assert spec.H0.columns.tobytes() == spec_s.H0.columns.tobytes()
+    assert spec.x0.tobytes() == sol.x_pred[1].tobytes()
+    assert spec.H0.columns[:, -1].tobytes() == sol.h_pred[0].tobytes()
     for name in ("u", "x_pred", "h_pred", "ell_pred", "J"):
         assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(
             getattr(sol_s, name)).tobytes(), name
@@ -190,10 +197,41 @@ def _recording(monkeypatch, replace=lambda spec, count, sol: sol):
 
 
 def test_step_solves_the_original_problem_once(builtin, fig_history, monkeypatch):
+    first = _first_spec(builtin, fig_history)
+    specs = _recording(monkeypatch)
+    step(first)
+    assert [spec.objective for spec in specs] == [ORIGINAL]
+    assert specs[0] is first
+
+
+def test_a_hand_loop_of_steps_reproduces_simulate(builtin, fig_history, three_steps):
+    # the controller's state is the next spec: K = 3 steps from the run's
+    # first spec, then the terminal solve, give simulate's bytes
+    full = three_steps
+    specs, sols = [_first_spec(builtin, fig_history)], []
+    for _ in range(3):
+        sol, spec = step(specs[-1])
+        sols.append(sol)
+        specs.append(spec)
+    sols.append(ocp.solve(specs[-1]))
+    assert np.array([spec.x0 for spec in specs]).tobytes() == full.x.tobytes()
+    assert np.array([sol.u[0] for sol in sols[:3]]).tobytes() == full.u.tobytes()
+    assert np.array([sol.J for sol in sols]).tobytes() == full.Jstar.tobytes()
+    assert len(full.histories) == len(specs)
+    for spec, H in zip(specs, full.histories):
+        assert spec.H0.columns.tobytes() == H.columns.tobytes()
+
+
+def test_every_solve_of_a_run_shares_the_first_specs_data(builtin, fig_history, monkeypatch):
+    # only the extended state, the objective and the warm start change
     model, cert, ss = builtin
     specs = _recording(monkeypatch)
-    step(model, cert, ss, 12, ([2.0], fig_history))
-    assert [spec.objective for spec in specs] == [ORIGINAL]
+    simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    first = specs[0]
+    assert len(specs) == 8 and first.model is model and first.cert is cert and first.ss is ss
+    for spec in specs:
+        assert spec.model is first.model and spec.cert is first.cert and spec.ss is first.ss
+        assert spec.options is first.options and spec.N == first.N == 12
 
 
 def test_simulate_solves_rotated_after_the_loop(builtin, fig_history, monkeypatch):

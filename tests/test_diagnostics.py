@@ -13,7 +13,7 @@ from tacempc.diagnostics import (
     turnpike_report,
 )
 from tacempc.errors import DomainError
-from tacempc.history import positive_part_measure, steady_history
+from tacempc.history import HistoryState, norm_replacement, steady_history
 from tacempc.model import DissipativityCertificate
 from tacempc.ocp import ORIGINAL, OcpSolution, OcpSpec, solve
 
@@ -143,7 +143,7 @@ def test_post_turnpike_history_bound(builtin):
             ],
             axis=1,
         )
-        dev = positive_part_measure(cols - ss.h_s.reshape(-1, 1))
+        dev = norm_replacement(HistoryState(cols, T=3), ss.h_s)
         assert dev <= np.sqrt(model.p) * cert.L_h * eps + 1e-9
 
 

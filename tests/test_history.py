@@ -7,12 +7,10 @@ from hypothesis.extra import numpy as hnp
 from tacempc.errors import DomainError
 from tacempc.history import (
     HistoryState,
-    deviation_norm_replacement,
     eq6_rhs,
     iss_function,
     matrix_one_norm,
     norm_replacement,
-    positive_part_measure,
     shift_update,
     steady_history,
     window_deficit,
@@ -41,7 +39,7 @@ def test_history_t1_is_empty():
         assert H.columns.shape == (len(h_s), 0)
         assert eq6_rhs(H, 3).shape == (len(h_s),)
         assert shift_update(H, [3.0] * len(h_s)) is H
-        assert norm_replacement(H) == 0.0
+        assert norm_replacement(H, 0.0) == 0.0
 
 
 def test_shift_update_drops_oldest():
@@ -51,10 +49,15 @@ def test_shift_update_drops_oldest():
     assert H2.T == 4
 
 
-def test_positive_part_measure_examples():
-    assert positive_part_measure(np.array([[-2.0, -1.0]])) == 0.0
-    assert positive_part_measure(np.array([[1.0, -3.0]])) == 1.0
-    assert positive_part_measure(np.array([[1.0, -3.0], [2.0, 1.0]])) == 3.0
+def _measure(columns):
+    """The norm-replacement of the history with these columns, h_s = 0."""
+    return norm_replacement(HistoryState(columns, T=columns.shape[1] + 1), 0.0)
+
+
+def test_norm_replacement_examples():
+    assert _measure(np.array([[-2.0, -1.0]])) == 0.0
+    assert _measure(np.array([[1.0, -3.0]])) == 1.0
+    assert _measure(np.array([[1.0, -3.0], [2.0, 1.0]])) == 3.0
 
 
 @st.composite
@@ -73,20 +76,20 @@ def _nonneg_growths(draw):
 def test_norm_replacement_axioms_random(case):
     cols, growth = case
     T = cols.shape[1] + 1
-    val = norm_replacement(HistoryState(cols, T=T))
+    val = norm_replacement(HistoryState(cols, T=T), 0.0)
     assert val >= 0.0
     assert (val == 0.0) == bool(np.all(cols <= 0.0))
     # entrywise increase cannot decrease the measure: rounding is monotone
-    assert norm_replacement(HistoryState(cols + growth, T=T)) >= val
+    assert norm_replacement(HistoryState(cols + growth, T=T), 0.0) >= val
     # scaling a nonnegative matrix scales the measure
     pos = HistoryState(np.abs(cols), T=T)
-    assert positive_part_measure(2.0 * np.abs(cols)) == 2.0 * norm_replacement(pos)
+    assert _measure(2.0 * np.abs(cols)) == 2.0 * norm_replacement(pos, 0.0)
 
 
-def test_deviation_norm_replacement():
+def test_norm_replacement_of_the_deviation():
     H = HistoryState(np.array([[-2.0, 1.0]]), T=3)
-    assert deviation_norm_replacement(H, [0.0]) == 1.0
-    assert deviation_norm_replacement(H, [1.0]) == 0.0
+    assert norm_replacement(H, [0.0]) == 1.0
+    assert norm_replacement(H, [1.0]) == 0.0
 
 
 def test_matrix_one_norm_is_max_column_abs_sum():
