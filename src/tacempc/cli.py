@@ -149,9 +149,10 @@ def cmd_steady_state(args) -> int:
 
 
 def _experiment_overrides(args) -> dict:
+    """The experiment keys given as flags; a subcommand has only the flags it reads."""
     over = {}
     for key in EXPERIMENT_KEYS:
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             over[key] = getattr(args, key)
     return over
 
@@ -221,6 +222,16 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_EXPERIMENT_FLAGS = {
+    "N": {"help": "prediction horizon"},
+    "T": {"type": int, "help": "constraint window length"},
+    "K": {"type": int, "help": "closed-loop steps"},
+    "x0": {"help": "initial state (comma separated)"},
+    "history": {"help": 'initial history: "steady", "constant:x,u" or explicit columns'},
+    "eps": {"type": float, "help": "proximity radius"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tacempc",
@@ -228,32 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, experiment=True):
+    def common(p, *experiment):
+        """--config, --model and the experiment flags the subcommand reads."""
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--model", help="builtin model name (e.g. mueller-koehler)")
-        if experiment:
-            p.add_argument("--N", help="prediction horizon")
-            p.add_argument("--T", type=int, help="constraint window length")
-            p.add_argument("--K", type=int, help="closed-loop steps")
-            p.add_argument("--x0", help="initial state (comma separated)")
-            p.add_argument(
-                "--history",
-                help='initial history: "steady", "constant:x,u" or explicit columns',
-            )
-            p.add_argument("--eps", type=float, help="proximity radius")
+        for key in experiment:
+            p.add_argument(f"--{key}", **_EXPERIMENT_FLAGS[key])
 
     p_ss = sub.add_parser("steady-state", help="compute the optimal steady state")
-    common(p_ss, experiment=False)
+    common(p_ss)
     p_ss.set_defaults(func=cmd_steady_state)
 
     p_sim = sub.add_parser("simulate", help="run the closed loop and write CSV")
-    common(p_sim)
+    common(p_sim, "N", "T", "K", "x0", "history")
     p_sim.add_argument("--out", help="output directory (default: current)")
     p_sim.add_argument("--svg", action="store_true", help="also write chart.svg")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tp = sub.add_parser("turnpike", help="open-loop steady-state proximity reports")
-    common(p_tp)
+    common(p_tp, "N", "T", "x0", "history", "eps")
     p_tp.set_defaults(func=cmd_turnpike)
 
     p_chk = sub.add_parser("check", help="run the built-in validation suite")

@@ -31,7 +31,7 @@ _CERT_TOL = 1e-8  # bound on |lam(x_s)| and |lambda_bar . h_s| of a certificate
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _CERT_GRID = 101  # points per axis of the certificate grids: residual, theta_low, sup |lam|
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
-_GRID_BLOCK = 2**16  # grid columns evaluated at once
+_GRID_BLOCK = 2**12  # grid columns evaluated at once
 
 
 def _fd_jacobian(fn, x, u, out_dim):

@@ -3,14 +3,18 @@
 Direct single shooting: the decision variables are the N inputs, states
 are recovered by forward simulation.  The admissible set combines three
 constraint families (pointwise box, partial windows anchored in the
-stored history, full windows inside the horizon).  The solver is an
-augmented Lagrangian over the inequality residuals with a projected
-quasi-Newton inner loop: L-BFGS-B on the input box, run by the driver
+stored history, full windows inside the horizon).  The objective picks
+the solver.  A rotated spec is one SLSQP run (``scipy.optimize.minimize``
+with the input box as bounds and g <= 0 as one inequality).  An original
+spec is an augmented Lagrangian over the inequality residuals with a
+projected quasi-Newton inner loop: L-BFGS-B on the input box, run by
 ``lbfgsb.lbfgsb`` as the ``method`` of ``scipy.optimize.minimize``, so
-the objective is one Python frame below scipy's kernel.  One problem
-object per spec (``_Problem``) evaluates the objective, the constraints
-and their derivatives from one rollout with sensitivities (``_Forward``);
-it serves the solver and the evaluation helper ``rotated_identity_check``.
+the objective is one Python frame below scipy's kernel; it stays
+because the stored benchmark reference pins where it stops.  Both accept
+a point by one test (``_assess``).  One problem object per spec
+(``_Problem``) evaluates the objective, the constraints and their
+derivatives from one rollout with sensitivities (``_Forward``); it
+serves both solvers and the evaluation helper ``rotated_identity_check``.
 The rollout calls no model callback: one call of the model's
 ``stage_pass`` writes the states, stage values and stage Jacobians of
 every step into one step record (one row per step, of which x, ell, h
@@ -50,13 +54,14 @@ ROTATED = "rotated"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Acceptance tolerances of the augmented-Lagrangian solve, each in (0, inf).
+    """Acceptance tolerances of a solve, either solver, each in (0, inf).
 
     feas_tol bounds the largest solver constraint residual.  stat_tol
     bounds the scale-relative KKT residual
     ||u - P(u - grad L)||_inf / (1 + |J| + ||grad J||_inf) with P the
-    input-box projection and L the Lagrangian at the updated multiplier
-    estimate.
+    input-box projection and L the Lagrangian at the solver's multipliers
+    of the g rows: the augmented Lagrangian's updated estimate, or
+    SLSQP's ``multipliers``.
     """
 
     feas_tol: float = 1e-8
@@ -130,8 +135,8 @@ class OcpSolution:
     J: float
     max_violation: float
     stationarity: float
-    iterations: int  # L-BFGS-B iterations, summed over the AL runs
-    nfev: int  # L-BFGS-B objective evaluations, summed over the AL runs
+    iterations: int  # SLSQP's nit, or L-BFGS-B iterations summed over the AL runs
+    nfev: int  # SLSQP's nfev, or L-BFGS-B objective evaluations summed over the AL runs
     converged: bool
 
 
@@ -203,7 +208,8 @@ class _Problem:
     of h and Dh (``history.Windows``, whose head rows hold the history's
     negated tail sums), N * ell_s and lam(x0) for the rotated cost, and a
     memo on the last point's bytes, so a repeat of that point (after each
-    AL run and at the start of the next) costs no rollout.  Each new
+    AL run and at the start of the next, or SLSQP's calls of g and Dg
+    after its objective) costs no rollout.  Each new
     point overwrites fwd, g and Dg.  ``objective`` and ``constraints`` read
     any rollout with the attributes of ``_Forward``.
     """
@@ -296,7 +302,7 @@ def rotated_identity_check(spec: OcpSpec, u) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Augmented Lagrangian solver
+# Solvers: SLSQP for rotated specs, an augmented Lagrangian for original ones
 
 _PENALTY_INIT = 10.0
 _PENALTY_GROWTH = 10.0
@@ -305,33 +311,71 @@ _MAX_OUTER = 20  # multiplier updates
 _MAX_INNER = 500  # L-BFGS-B iterations per multiplier update
 
 
-def solve(spec: OcpSpec) -> OcpSolution:
-    """Solve the horizon problem by one augmented-Lagrangian run.
+def _assess(problem, uf, mult, lb, ub):
+    """(J, violation, stationarity, finite, converged) of the inputs uf.
 
-    The run starts from ``spec.warm_start``, or else from the steady-state
-    input held constant, so it is deterministic given the spec.  It
-    returns the converged iterate, or else the least-violating accepted
-    iterate with ``converged=False``; InfeasibleError is raised when that
-    iterate violates ``feas_tol``.  An iterate whose objective, violation
-    or stationarity is not finite is never accepted, and InfeasibleError
-    is raised when no iterate is left.
+    mult holds the multipliers of the g rows; the stationarity is the
+    projected-KKT residual of ``SolverOptions``.  The point is finite when
+    all three numbers are, and converged when it is finite, its violation
+    is within feas_tol and its stationarity within stat_tol.  Both solvers
+    accept a point by this test alone.
     """
-    opts = spec.options
-    model = spec.model
-    N, m = spec.N, model.m
-    lb = np.tile(model.u_lower, N)
-    ub = np.tile(model.u_upper, N)
-    bounds = list(zip(lb, ub))
-    u0 = spec.warm_start if spec.warm_start is not None else np.tile(spec.ss.u_s, (N, 1))
-    u_flat = np.clip(u0.ravel(), lb, ub)
+    opts = problem.spec.options
+    J, DJ, g, Dg = problem(uf)
+    viol = max(float(np.max(g)), 0.0)
+    grad_lag = DJ + mult @ Dg
+    proj_res = np.max(np.abs(uf - np.clip(uf - grad_lag, lb, ub)))
+    stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
+    finite = np.isfinite(J) and np.isfinite(viol) and np.isfinite(stat)
+    converged = bool(finite and viol <= opts.feas_tol and stat <= opts.stat_tol)
+    return J, viol, stat, finite, converged
 
-    problem = _Problem(spec)
+
+def _kept(problem, uf, J, viol, stat):
+    """The iterate uf with copies of its rollout, which the next point overwrites."""
+    fwd = problem.fwd
+    return viol, uf, fwd.x.copy(), fwd.h.copy(), fwd.ell.copy(), J, stat
+
+
+def _sqp(problem, u_flat, lb, ub):
+    """One SLSQP run from u_flat: (iterate, converged, nit, nfev).
+
+    The input box goes in as bounds and g <= 0 as one inequality, and one
+    rollout per point serves the objective, g and their Jacobians (the
+    memo of ``_Problem``).  SLSQP's exit status is not read: status 8
+    comes back on points that are feasible and stationary.
+    """
+    res = optimize.minimize(
+        lambda uf: problem(uf)[:2],
+        u_flat,
+        jac=True,
+        method="SLSQP",
+        bounds=list(zip(lb, ub)),
+        constraints={
+            "type": "ineq",
+            "fun": lambda uf: -problem(uf)[2],
+            "jac": lambda uf: -problem(uf)[3],
+        },
+        options={"ftol": 1e-16, "maxiter": 1000},
+    )
+    u_flat = np.clip(res.x, lb, ub)
+    J, viol, stat, finite, converged = _assess(problem, u_flat, res.multipliers, lb, ub)
+    best = _kept(problem, u_flat, J, viol, stat) if finite else None
+    return best, converged, res.nit, res.nfev
+
+
+def _augmented_lagrangian(problem, u_flat, lb, ub):
+    """Up to _MAX_OUTER L-BFGS-B runs from u_flat: (iterate, converged, nit, nfev).
+
+    The iterate is the converged one, or else the least-violating finite
+    one (None if there is none); nit and nfev are summed over the runs.
+    """
+    opts = problem.spec.options
+    bounds = list(zip(lb, ub))
     # state-box rows for x_1..x_{N-1}, then one window row per step
     mult = np.zeros(problem.g.size)
     mu = _PENALTY_INIT
     total_iters = total_nfev = 0
-    # (viol, u_flat, x, h, ell, J, stat): the converged iterate, or else
-    # the least-violating finite one
     best = None
 
     active = np.empty(problem.g.size)
@@ -363,19 +407,11 @@ def solve(spec: OcpSpec) -> OcpSolution:
         total_iters += res.nit
         total_nfev += res.nfev
         u_flat = np.clip(res.x, lb, ub)
-        J, DJ, g, Dg = problem(u_flat)
-        viol = max(float(np.max(g)), 0.0)
-        mult = np.maximum(0.0, mult + mu * g)
-        grad_lag = DJ + mult @ Dg
-        proj_res = np.max(np.abs(u_flat - np.clip(u_flat - grad_lag, lb, ub)))
-        stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
-
-        finite = np.isfinite(J) and np.isfinite(viol) and np.isfinite(stat)
+        mult = np.maximum(0.0, mult + mu * problem(u_flat)[2])
+        J, viol, stat, finite, converged = _assess(problem, u_flat, mult, lb, ub)
         # a converged iterate is returned even when an earlier one violated less
-        converged = bool(finite and viol <= opts.feas_tol and stat <= opts.stat_tol)
         if converged or (finite and (best is None or viol <= best[0] + 1e-15)):
-            fwd = problem.fwd
-            best = (viol, u_flat, fwd.x.copy(), fwd.h.copy(), fwd.ell.copy(), J, stat)
+            best = _kept(problem, u_flat, J, viol, stat)
         if converged:
             break
         if viol > opts.feas_tol:
@@ -385,6 +421,30 @@ def solve(spec: OcpSpec) -> OcpSolution:
             # feasible but not yet stationary: a large penalty limits the
             # attainable gradient accuracy, so back it off for a polish pass
             mu = max(mu / _PENALTY_GROWTH, _PENALTY_INIT)
+    return best, converged, total_iters, total_nfev
+
+
+def solve(spec: OcpSpec) -> OcpSolution:
+    """Solve the horizon problem: SLSQP for a rotated spec, else the AL.
+
+    A rotated spec gets one SLSQP run (``_sqp``), an original one one
+    augmented-Lagrangian run (``_augmented_lagrangian``).  Either starts
+    from ``spec.warm_start``, or else from the steady-state input held
+    constant, so it is deterministic given the spec.  It returns the
+    converged iterate, or else its best finite iterate with
+    ``converged=False``; InfeasibleError is raised when that iterate
+    violates ``feas_tol``.  An iterate whose objective, violation or
+    stationarity is not finite is never accepted, and InfeasibleError is
+    raised when no iterate is left.
+    """
+    opts = spec.options
+    model = spec.model
+    N, m = spec.N, model.m
+    lb = np.tile(model.u_lower, N)
+    ub = np.tile(model.u_upper, N)
+    u0 = spec.warm_start if spec.warm_start is not None else np.tile(spec.ss.u_s, (N, 1))
+    run = _sqp if spec.objective == ROTATED else _augmented_lagrangian
+    best, converged, iterations, nfev = run(_Problem(spec), np.clip(u0.ravel(), lb, ub), lb, ub)
 
     if best is None:
         raise InfeasibleError("no iterate with a finite objective, violation and stationarity")
@@ -403,7 +463,7 @@ def solve(spec: OcpSpec) -> OcpSolution:
         J=J,
         max_violation=viol,
         stationarity=stat,
-        iterations=total_iters,
-        nfev=total_nfev,
+        iterations=iterations,
+        nfev=nfev,
         converged=converged,
     )

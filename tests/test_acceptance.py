@@ -11,6 +11,7 @@ no consistent alternative weighting reproduces the reference; the check
 is kept honest rather than loosened.
 """
 
+import dataclasses
 import json
 import re
 import time
@@ -44,7 +45,7 @@ from tacempc.validation import (
 def sweep():
     """The open-loop solves of checks 6-8 and the seconds they took."""
     start = time.perf_counter()
-    sols = _sweep_solutions()
+    sols, _ = _sweep_solutions()
     return sols, time.perf_counter() - start
 
 
@@ -102,6 +103,26 @@ def test_criterion_08_turnpike_growth(sweep):
     r = check_turnpike_growth(sols)
     assert r.passed, r.detail
     assert sweep_runtime + r.runtime < 3.0
+
+
+def test_sweep_rows_say_what_they_read_and_dropped(monkeypatch):
+    # an unconverged sweep solve is dropped from rows 6-8, each row says
+    # so, and no status changes
+    solve = validation.solve
+
+    def stalled_at_n6_t2(spec):
+        sol = solve(spec)
+        return dataclasses.replace(sol, converged=False) if (spec.N, spec.T) == (6, 2) else sol
+
+    monkeypatch.setattr(validation, "solve", stalled_at_n6_t2)
+    sols, dropped = _sweep_solutions()
+    assert (len(sols), dropped) == (8, 1)
+    eq6, lemma1, growth = (check(sols, dropped) for check in (
+        check_eq6_bound, check_lemma1, check_turnpike_growth))
+    assert (eq6.status, lemma1.status, growth.status) == ("PASS", "SKIP", "PASS")
+    assert eq6.detail.endswith(" over 8 solves (read 8 of 9 solves, dropped 1 unconverged)")
+    assert lemma1.detail.endswith("(8 solves x 4 radii; read 8 of 9 solves, dropped 1 unconverged)")
+    assert growth.detail.endswith(" (read 2 of 9 solves, dropped 1 unconverged)")
 
 
 def test_criterion_09_consecutive_turnpike():

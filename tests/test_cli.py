@@ -123,9 +123,21 @@ def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, argv, messag
 def test_non_finite_initial_state_exits_with_config_error(tmp_path, capsys, command):
     # a NaN x0 used to reach the solver: a 0-step trace and exit 2 from
     # simulate, the solver's "no iterate with a finite objective" from turnpike
-    out = ["--out", str(tmp_path)] if command == "simulate" else []
-    assert main([command, "--model", "mueller-koehler", "--K", "3", "--x0", "nan", *out]) == 1
+    extra = ["--K", "3", "--out", str(tmp_path)] if command == "simulate" else []
+    assert main([command, "--model", "mueller-koehler", "--x0", "nan", *extra]) == 1
     assert capsys.readouterr().err.startswith("error: initial state must be finite")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--eps", "0.2"], ["turnpike", "--K", "3"]])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    # simulate has no proximity radius and turnpike no closed loop: both
+    # flags used to parse and be ignored
+    out = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", "mueller-koehler", "--N", "6", "--T", "3", *out])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -13,6 +13,7 @@ from tacempc import ocp
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.exprlang import EvalError
 from tacempc.history import HistoryState, eq6_rhs, steady_history
+from tacempc.lbfgsb import lbfgsb
 from tacempc.model import (
     DissipativityCertificate,
     SteadyState,
@@ -185,17 +186,19 @@ def test_rotated_counter_guard(builtin, fig_history):
     From x0 = 2 that solve starts at its optimum (J = 0 after one
     evaluation), so x0 = 2.5 is used: the rotated objective's storage
     and multiplier terms then enter every evaluation, and any moved
-    rounding in them changes the L-BFGS-B path.
+    rounding in them changes the SLSQP path.  The value agrees with the
+    augmented Lagrangian's, which rotated solves used before SLSQP.
     """
     sol = solve(_spec(builtin, N=12, T=6, x0=2.5, H0=fig_history, objective=ROTATED))
     assert sol.converged
-    assert (sol.iterations, sol.nfev) == (157, 322)
-    assert sol.J.hex() == "0x1.f1a63b8e2752ap-2"
+    assert (sol.iterations, sol.nfev) == (27, 42)
+    assert sol.J.hex() == "0x1.f1a63b91ec3f8p-2"
+    assert sol.J == pytest.approx(float.fromhex("0x1.f1a63b8e2752ap-2"), rel=1e-9)
 
 
 @pytest.mark.parametrize("objective, counters, J_hex", [
     (ORIGINAL, (270, 340), "0x1.e09f7b0da563ap+4"),
-    (ROTATED, (34, 46), "0x1.36c8e1c2c2e98p-4"),
+    (ROTATED, (28, 69), "0x1.36c8e1c2c2cb0p-4"),
 ])
 def test_vector_model_counter_guard(pair, objective, counters, J_hex):
     """Pins an N = 8, T = 4 solve of two decoupled copies of the builtin
@@ -212,6 +215,54 @@ def test_vector_model_counter_guard(pair, objective, counters, J_hex):
     assert sol.converged
     assert (sol.iterations, sol.nfev) == counters
     assert sol.J.hex() == J_hex
+    if objective == ROTATED:  # the augmented Lagrangian's value before SLSQP
+        assert sol.J == pytest.approx(float.fromhex("0x1.36c8e1c2c2e98p-4"), rel=1e-9)
+
+
+@pytest.mark.parametrize("objective", [ORIGINAL, ROTATED])
+def test_objective_chooses_the_solver(builtin, fig_history, monkeypatch, objective):
+    # a rotated spec is one SLSQP call, an original one L-BFGS-B runs
+    methods = []
+    minimize = ocp.optimize.minimize
+
+    def recording(fun, x0, **kw):
+        methods.append(kw["method"])
+        return minimize(fun, x0, **kw)
+
+    monkeypatch.setattr(ocp.optimize, "minimize", recording)
+    sol = solve(_spec(builtin, N=12, T=6, x0=2.5, H0=fig_history, objective=objective))
+    assert sol.converged
+    if objective == ROTATED:
+        assert methods == ["SLSQP"]
+    else:
+        assert len(methods) > 1 and all(method is lbfgsb for method in methods)
+
+
+_HEX = np.vectorize(float.fromhex)
+
+
+def test_rotated_solve_converges_where_the_al_stalled(builtin):
+    """A rotated spec of the closed loop from perfbench's mk-closed-loop
+    inputs of seed 1, pass 0, warm-started as that loop's rotated chain
+    did.  The augmented Lagrangian stopped there feasible but at
+    stationarity 2.6e-6 > stat_tol and returned converged=False."""
+    model, cert, ss = builtin
+    H0 = HistoryState(_HEX([[
+        "0x1.076d3bfc88540p-3", "-0x1.f44880001fe00p-7", "-0x1.1481e49a5e200p-4",
+        "-0x1.02e72a359abc0p-4", "-0x1.37cfc5bb83080p-5"]]), T=6)
+    warm = _HEX([
+        "0x1.00cb02c2b8889p+0", "0x1.003dbdbe835e5p+0", "0x1.0012be3abde6ep+0",
+        "0x1.0005afd890b88p+0", "0x1.0001b9aeb5268p+0", "0x1.000085f3c7593p+0",
+        "0x1.0000289bdcf5ap+0", "0x1.00000c3942736p+0", "0x1.00000370fb0fep+0",
+        "0x1.0000002d5c328p+0", "0x1.fffffa330aa8ap-1", "0x1.0000000000000p+0"])
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=12, T=6,
+                   x0=_HEX(["0x1.0141085452d63p+1"]), H0=H0, objective=ROTATED,
+                   warm_start=warm)
+    sol = solve(spec)
+    assert sol.converged
+    assert sol.max_violation <= spec.options.feas_tol
+    assert sol.stationarity <= spec.options.stat_tol
+    assert sol.J == pytest.approx(2.0406666e-4, rel=1e-7)
 
 
 def test_repeated_point_is_not_rolled_out_again(builtin, fig_history, monkeypatch):
@@ -236,6 +287,20 @@ def test_repeated_point_is_not_rolled_out_again(builtin, fig_history, monkeypatc
     assert all(a != b for a, b in zip(rolled, rolled[1:]))
     # one rollout per objective call plus one per run, less the repeats
     assert len(rolled) < sum(calls) + len(calls)
+
+
+def test_rotated_solve_rolls_out_once_per_evaluation(builtin, fig_history, monkeypatch):
+    # SLSQP's g and Dg calls at a point its objective saw hit the memo
+    rolled = []
+    rollout = _Forward.__call__
+
+    def counting_rollout(self, u):
+        rolled.append(u.tobytes())
+        return rollout(self, u)
+
+    monkeypatch.setattr(_Forward, "__call__", counting_rollout)
+    sol = solve(_spec(builtin, N=12, T=6, x0=2.5, H0=fig_history, objective=ROTATED))
+    assert len(rolled) == len(set(rolled)) == sol.nfev
 
 
 def _active_bound_spec(**kw):
@@ -267,7 +332,7 @@ def test_solution_prediction_is_rollout_of_its_inputs(builtin, fig_history, obje
     # the solver's workspace is overwritten by every evaluation, so what a
     # solution keeps must be its own copy
     converged = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history, objective=objective))
-    # stat_tol out of reach: 20 multiplier updates, then the best iterate
+    # stat_tol out of reach: the best of 20 multiplier updates, or SLSQP's point
     best = solve(_active_bound_spec(objective=objective,
                                     options=SolverOptions(stat_tol=1e-300)))
     assert converged.converged and not best.converged
@@ -309,13 +374,14 @@ def test_solution_within_reported_tolerances(builtin):
 
 def test_infeasible_history_raises(builtin):
     # the partial-window constraint demands h(0) <= -40, below the
-    # attainable minimum of the constraint output on the box
+    # attainable minimum of the constraint output on the box; both solvers
     model, cert, ss = builtin
-    spec = OcpSpec(model=model, cert=cert, ss=ss, N=2, T=2,
-                   x0=np.array([2.0]), H0=HistoryState(np.array([[40.0]]), T=2))
-    with pytest.raises(InfeasibleError) as err:
-        solve(spec)
-    assert err.value.best_residual > 1.0
+    for objective in (ORIGINAL, ROTATED):
+        spec = OcpSpec(model=model, cert=cert, ss=ss, N=2, T=2, x0=np.array([2.0]),
+                       H0=HistoryState(np.array([[40.0]]), T=2), objective=objective)
+        with pytest.raises(InfeasibleError) as err:
+            solve(spec)
+        assert err.value.best_residual > 1.0
 
 
 @pytest.mark.parametrize("name, factor", [
@@ -326,13 +392,15 @@ def test_infeasible_history_raises(builtin):
     ("f", np.nan),  # states NaN: the replacement is stepped, not compiled
 ])
 def test_non_finite_solve_raises(builtin, name, factor):
-    # no iterate with a non-finite value may come back as a solution
+    # no iterate with a non-finite value may come back as a solution, from
+    # either solver
     model, cert, ss = builtin
     H0 = steady_history(np.atleast_1d(model.h(np.ones(1), np.ones(1))), 3)
     callback = getattr(model, name)
     broken = dataclasses.replace(model, **{name: lambda x, u: callback(x, u) * factor})
-    with pytest.raises(InfeasibleError, match="finite"):
-        solve(_spec((broken, cert, ss), N=6, T=3, x0=1.0, H0=H0))
+    for objective in (ORIGINAL, ROTATED):
+        with pytest.raises(InfeasibleError, match="finite"):
+            solve(_spec((broken, cert, ss), N=6, T=3, x0=1.0, H0=H0, objective=objective))
 
 
 # ---------------------------------------------------------------------------
