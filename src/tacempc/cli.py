@@ -164,10 +164,13 @@ def cmd_simulate(args) -> int:
         options=cfg.options,
     )
     lt = None
-    if trace.T >= 2 and trace.K >= trace.T:
-        lt = lyapunov_trace(trace, cfg.cert, cfg.ss)
-    elif trace.T < 2:
+    if trace.T < 2:
         print("note: Lyapunov diagnostics skipped (requires T >= 2)")
+    elif trace.K < trace.T:
+        print(f"note: Lyapunov diagnostics skipped (requires at least T = {trace.T} "
+              f"applied steps, got {trace.K})")
+    else:
+        lt = lyapunov_trace(trace, cfg.cert, cfg.ss)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trace.csv")
@@ -190,7 +193,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_turnpike(args) -> int:
-    horizons = [as_number(v, int, "turnpike N") for v in str(args.N or "10,12").split(",")]
+    text = "10,12" if args.N is None else args.N  # an empty --N is an error, not the default
+    horizons = [as_number(v, int, "turnpike N") for v in text.split(",")]
     cfg = load_config(args.config, args.model, {
         k: v for k, v in _experiment_overrides(args).items() if k != "N"
     } | {"N": max(horizons)})
@@ -257,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tp = sub.add_parser("turnpike", help="open-loop steady-state proximity reports")
-    common(p_tp, "N", "T", "x0", "history", "eps")
+    common(p_tp, "T", "x0", "history", "eps")
+    p_tp.add_argument("--N", help="horizons, comma separated (default 10,12)")
     p_tp.set_defaults(func=cmd_turnpike)
 
     p_chk = sub.add_parser("check", help="run the built-in validation suite")

@@ -55,7 +55,7 @@ def _storage_sup(cert: DissipativityCertificate, model) -> float:
 
     def fun(x):
         lam = float(cert.lam(x))
-        return -abs(lam), -np.sign(lam) * cert.grad_lam(x)
+        return -abs(lam), -np.sign(lam) * np.asarray(cert.lam_grad(x))  # lam_grad may give a list
 
     return -_box_min(lambda pts: -np.abs(np.asarray(cert.lam(pts))), fun,
                      model.x_lower, model.x_upper)

@@ -16,7 +16,7 @@ callables, so they compare and hash by identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -35,7 +35,8 @@ _GRID_BLOCK = 2**12  # grid columns evaluated at once
 
 
 def _fd_jacobian(fn, x, u, out_dim):
-    """Central-difference Jacobian of fn(x, u) w.r.t. (x, u).
+    """Central-difference Jacobian of fn(x, u) w.r.t. (x, u): the reference
+    check 13 holds the compiled gradients to, and no solve path reads it.
 
     The step is _FD_STEP * max(1, |z_j|), so it is not lost to rounding
     at large coordinates.  x (n[, K]) and u (m[, K]) may carry a trailing
@@ -56,6 +57,14 @@ def _fd_jacobian(fn, x, u, out_dim):
     return jac
 
 
+def _require_callables(obj, names):
+    """ConfigError naming the first of obj's fields ``names`` that is not
+    callable, such as a Jacobian replaced by None."""
+    for name in names:
+        if not callable(getattr(obj, name)):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be callable")
+
+
 def step_record_widths(n: int, m: int, p: int):
     """Column widths of the step record: x, ell, h, f_z, ell_z and h_z."""
     return (n, 1, p, n * (n + m), n + m, p * (n + m))
@@ -69,8 +78,8 @@ class SystemModel:
     also broadcast over a trailing batch axis: with x (n, K) and u (m, K),
     f returns (n, K), ell (K,), h (p, K), f_jac (n, n+m, K), ell_grad
     (n+m, K) and h_jac (p, n+m, K).  The grid routines and the rollout
-    call them once per batch.  Jacobian callables are optional; central
-    finite differences of f, ell and h, also batched, are used when absent.
+    call them once per batch.  All six are required: every derivative the
+    solver and the box searches read is the model's own exact one.
     The box Z must be finite (it is compact).  ``stage_pass(x0, us, record)``
     is the model's one rollout into the step record (``exprlang.stage_pass``):
     compiled by ``from_expressions``, else (``dataclasses.replace`` too) the
@@ -88,12 +97,13 @@ class SystemModel:
     h: Callable
     z_lower: np.ndarray  # (n + m,)
     z_upper: np.ndarray
-    f_jac: Optional[Callable] = None  # (x, u) -> (n, n+m[, K])
-    ell_grad: Optional[Callable] = None  # (x, u) -> (n+m[, K])
-    h_jac: Optional[Callable] = None  # (x, u) -> (p, n+m[, K])
+    f_jac: Callable  # (x, u) -> (n, n+m[, K])
+    ell_grad: Callable  # (x, u) -> (n+m[, K])
+    h_jac: Callable  # (x, u) -> (p, n+m[, K])
     stage_pass: Callable = field(init=False, repr=False)  # (x0, us, record) -> None
 
     def __post_init__(self):
+        _require_callables(self, ("f", "ell", "h", "f_jac", "ell_grad", "h_jac"))
         if min(self.n, self.m, self.p) < 1:
             raise ConfigError("dimensions n, m, p must be positive")
         lower = np.asarray(self.z_lower, dtype=float)
@@ -110,22 +120,21 @@ class SystemModel:
 
     def _callback_pass(self):
         """The stage pass of this model's callbacks.  Unlike the compiled
-        one it writes x0 too, and it keeps the views of its last record."""
-        n, last = self.n, (None,)
+        one it writes x0 too; it keeps no state between calls, so
+        workspaces in several threads may share it."""
+        n = self.n
 
         def stage_pass(x0, us, record):
-            nonlocal last
-            N, us_T, views = len(us), us.T, last  # one read: another thread may swap last
-            if views[0] is not record:
-                views = last = record, list(record[:, :n]), record[:N, :n].T, record[:N, n:].T
-            _, rows, xs, stages = views  # xs (n, N), stages (R - n, N)
-            x = rows[0][...] = x0
-            for row, uk in zip(rows[1:], us):
-                x = row[...] = self.f(x, uk)
-            # the stage columns are the batch results stacked, each flattened to (rows, N)
+            N, us_T = len(us), us.T
+            xs, stages = record[:N, :n].T, record[:N, n:].T  # (n, N), (R - n, N)
+            x = record[0, :n] = x0
+            for k, uk in enumerate(us, 1):
+                x = record[k, :n] = self.f(x, uk)
+            # the stage columns are the batch results stacked, each flattened
+            # to (rows, N); np.reshape takes a Jacobian given as nested lists
             np.concatenate((self.ell(xs, us_T)[None], np.atleast_2d(self.h(xs, us_T)),
-                            self.jac_f(xs, us_T).reshape(-1, N), self.grad_ell(xs, us_T),
-                            self.jac_h(xs, us_T).reshape(-1, N)), out=stages)
+                            np.reshape(self.f_jac(xs, us_T), (-1, N)), self.ell_grad(xs, us_T),
+                            np.reshape(self.h_jac(xs, us_T), (-1, N))), out=stages)
 
         return stage_pass
 
@@ -151,21 +160,6 @@ class SystemModel:
         return bool(
             np.all(z >= self.z_lower - tol) and np.all(z <= self.z_upper + tol)
         )
-
-    def jac_f(self, x, u):
-        if self.f_jac is not None:
-            return np.asarray(self.f_jac(x, u), dtype=float)
-        return _fd_jacobian(self.f, x, u, self.n)
-
-    def grad_ell(self, x, u):
-        if self.ell_grad is not None:
-            return np.asarray(self.ell_grad(x, u), dtype=float)
-        return _fd_jacobian(lambda a, b: [self.ell(a, b)], x, u, 1)[0]
-
-    def jac_h(self, x, u):
-        if self.h_jac is not None:
-            return np.asarray(self.h_jac(x, u), dtype=float)
-        return _fd_jacobian(self.h, x, u, self.p)
 
     @classmethod
     def from_expressions(
@@ -232,7 +226,8 @@ class DissipativityCertificate:
     """Storage function, multiplier and polynomial dissipation margin.
 
     The margin rho(r) >= a * r^omega lower-bounds the dissipation rate;
-    L_h is a Lipschitz constant of the auxiliary output on Z.
+    L_h is a Lipschitz constant of the auxiliary output on Z.  The storage
+    gradient lam_grad is required, like the model's Jacobians.
     """
 
     lam: Callable  # x -> scalar, lam(x_s) = 0; broadcasts over batch axis
@@ -240,9 +235,10 @@ class DissipativityCertificate:
     a: float
     omega: float
     L_h: float
-    lam_grad: Optional[Callable] = None  # x -> (n,)
+    lam_grad: Callable  # x -> (n,)
 
     def __post_init__(self):
+        _require_callables(self, ("lam", "lam_grad"))
         lb = np.atleast_1d(np.asarray(self.lambda_bar, dtype=float))
         if not np.all(np.isfinite(lb)):
             raise ConfigError("multiplier lambda_bar must be finite")
@@ -254,11 +250,6 @@ class DissipativityCertificate:
 
     def rho(self, r):
         return self.a * np.asarray(r) ** self.omega
-
-    def grad_lam(self, x):
-        if self.lam_grad is not None:
-            return np.asarray(self.lam_grad(x), dtype=float)
-        return _fd_jacobian(lambda xs, _: [self.lam(xs)], x, np.zeros(0), 1)[0]
 
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
@@ -494,7 +485,7 @@ def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> f
 
     def fun(z):
         weighted = float(cert.lambda_bar @ np.atleast_1d(model.h(z[:n], z[n:])))
-        return weighted, cert.lambda_bar @ model.jac_h(z[:n], z[n:])
+        return weighted, cert.lambda_bar @ model.h_jac(z[:n], z[n:])
 
     return _box_min(values, fun, model.z_lower, model.z_upper)
 

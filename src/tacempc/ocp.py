@@ -259,7 +259,7 @@ class _Problem:
             )
             DJ = (
                 DJ
-                - cert.grad_lam(fwd.x[-1]) @ fwd.Sx[-1]
+                - cert.lam_grad(fwd.x[-1]) @ fwd.Sx[-1]
                 + np.einsum("i,kij->j", cert.lambda_bar, fwd.Dh)
             )
         return J, DJ

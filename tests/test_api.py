@@ -56,6 +56,19 @@ def test_every_definition_is_read_by_program_code():
     assert unread == _UNREAD
 
 
+def test_finite_differences_serve_only_the_gradient_check():
+    # model._fd_jacobian is check 13's reference for the compiled gradients;
+    # no rollout, box search or solve differentiates numerically, so program
+    # code reads it nowhere else, its own module included
+    paths = [*(_ROOT / "src" / "tacempc").glob("*.py"), *(_ROOT / "perfbench").rglob("*.py")]
+    readers = set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(name == "_fd_jacobian" for name, _ in _reads(node)):
+                readers.add((path.name, getattr(node, "name", None)))
+    assert readers == {("validation.py", "check_gradients")}
+
+
 def _private_scipy_modules(tree):
     """Every module path imported from scipy with a component starting
     with ``_``: ``from scipy.optimize import _lbfgsb`` counts as

@@ -112,6 +112,9 @@ def test_config_errors(tmp_path):
     (["simulate", "--history=-2,-2,-2,-2;a"], "history columns must be numbers"),
     (["simulate", "--x0", "two"], "experiment x0 must be numbers"),
     (["turnpike", "--N", "10,abc"], "turnpike N must be an integer, got 'abc'"),
+    # an empty --N used to run the default horizons 10 and 12
+    (["turnpike", "--N", ""], "turnpike N must be an integer, got ''"),
+    (["turnpike", "--N", " "], "turnpike N must be an integer, got ' '"),
 ])
 def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, argv, message):
     out = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
@@ -127,6 +130,13 @@ def test_non_finite_initial_state_exits_with_config_error(tmp_path, capsys, comm
     assert main([command, "--model", "mueller-koehler", "--x0", "nan", *extra]) == 1
     assert capsys.readouterr().err.startswith("error: initial state must be finite")
     assert not any(tmp_path.iterdir())
+
+
+def test_turnpike_help_describes_its_horizon_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["turnpike", "--help"])
+    assert exc.value.code == 0
+    assert "horizons, comma separated (default 10,12)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--eps", "0.2"], ["turnpike", "--K", "3"]])
@@ -346,6 +356,18 @@ def test_simulate_single_step_from_steady(tmp_path, capsys):
     assert float(row[1]) == pytest.approx(2.0)  # starts at x_s
     assert float(row[4]) == pytest.approx(2.0, abs=1e-3)  # ell near ell_s
     assert row[-1] == ""  # W undefined for a 1-step run
+
+
+def test_simulate_notes_a_run_too_short_for_lyapunov_diagnostics(tmp_path, capsys):
+    # K = 2 < T = 6 applied steps: the What and W columns stay empty, and
+    # stdout says why, as it does for T < 2
+    argv = ["simulate", "--model", "mueller-koehler", "--K", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("note: Lyapunov diagnostics skipped "
+                          "(requires at least T = 6 applied steps, got 2)\n")
+    rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().split("\n")[1:-1]]
+    assert len(rows) == 2 and all(row[-2:] == ["", ""] for row in rows)
 
 
 def _simulate_reference(tmp_path, K=8, svg=False):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tacempc import model as model_mod
-from tacempc.diagnostics import turnpike_report
+from tacempc.diagnostics import _storage_sup, turnpike_report
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.history import steady_history
 from tacempc.model import (
@@ -143,7 +143,7 @@ def test_validate_certificate_rejects_unnormalized(builtin):
     validate_certificate(cert, ss)  # the builtin pair is consistent
     shifted = DissipativityCertificate(
         lam=lambda x: cert.lam(x) + 1.0, lambda_bar=cert.lambda_bar,
-        a=cert.a, omega=cert.omega, L_h=cert.L_h,
+        a=cert.a, omega=cert.omega, L_h=cert.L_h, lam_grad=cert.lam_grad,
     )
     with pytest.raises(ConfigError):
         validate_certificate(shifted, ss)
@@ -367,12 +367,13 @@ def test_min_weighted_output_refines_off_grid():
 
 
 def test_certificate_parameter_validation():
+    kw = dict(lam=lambda x: 0.0, lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0,
+              lam_grad=lambda x: np.zeros(1))
     with pytest.raises(ConfigError):
-        DissipativityCertificate(lam=lambda x: 0.0, lambda_bar=[-1.0], a=1.0, omega=2.0, L_h=1.0)
+        DissipativityCertificate(**{**kw, "lambda_bar": [-1.0]})
     with pytest.raises(ConfigError):
-        DissipativityCertificate(lam=lambda x: 0.0, lambda_bar=[1.0], a=-1.0, omega=2.0, L_h=1.0)
+        DissipativityCertificate(**{**kw, "a": -1.0})
     # NaN compares false with 0, so "a <= 0" let it through
-    kw = dict(lam=lambda x: 0.0, lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0)
     for name in ("a", "omega", "L_h"):
         for value in (np.nan, np.inf, 0.0):
             with pytest.raises(ConfigError, match="a, omega and L_h must be positive and finite"):
@@ -402,32 +403,75 @@ def test_steady_history_shape():
 
 
 def test_finite_difference_jacobians(builtin):
+    # the builtin's compiled Jacobians hold the closed-form derivatives
     model, _, _ = builtin
     x, u = np.array([1.7]), np.array([0.4])
-    np.testing.assert_allclose(model.jac_f(x, u), [[0.4, 1.7]], atol=1e-6)
-    np.testing.assert_allclose(model.grad_ell(x, u), [2 * (1.7 - 3.0), 0.8], atol=1e-6)
-    np.testing.assert_allclose(model.jac_h(x, u), [[2.0, 1.0]], atol=1e-6)
-    # without Jacobian callables the model falls back to central differences
-    fd_model = SystemModel(
-        n=2, m=1, p=2,
+    np.testing.assert_allclose(model.f_jac(x, u), [[0.4, 1.7]], atol=1e-6)
+    np.testing.assert_allclose(model.ell_grad(x, u), [2 * (1.7 - 3.0), 0.8], atol=1e-6)
+    np.testing.assert_allclose(model.h_jac(x, u), [[2.0, 1.0]], atol=1e-6)
+
+
+def _python_model(drop=()):
+    """A two-state model built in Python, its Jacobians given as nested
+    lists, without the callables named in drop."""
+    def zero(x):  # 0 in x's batch shape
+        return 0 * x[0]
+
+    callables = dict(
         f=lambda x, u: np.array([x[0] * u[0], x[1] + x[0] ** 2]),
         ell=lambda x, u: (x[0] - 3.0) ** 2 + x[1] * u[0],
         h=lambda x, u: np.array([2 * x[0] + u[0] - 5.0, x[0] * x[1]]),
-        z_lower=[-10.0, -10.0, -10.0], z_upper=[10.0, 10.0, 10.0],
+        f_jac=lambda x, u: [[u[0], zero(x), x[0]], [2 * x[0], 1 + zero(x), zero(x)]],
+        ell_grad=lambda x, u: [2 * (x[0] - 3.0), u[0], x[1]],
+        h_jac=lambda x, u: [[2 + zero(x), zero(x), 1 + zero(x)], [x[1], x[0], zero(x)]],
     )
-    x, u = np.array([1.7, -0.3]), np.array([0.4])
-    np.testing.assert_allclose(
-        fd_model.jac_f(x, u), [[0.4, 0.0, 1.7], [3.4, 1.0, 0.0]], atol=1e-6
-    )
-    np.testing.assert_allclose(fd_model.grad_ell(x, u), [-2.6, 0.4, -0.3], atol=1e-6)
-    np.testing.assert_allclose(
-        fd_model.jac_h(x, u), [[2.0, 0.0, 1.0], [-0.3, 1.7, 0.0]], atol=1e-6
-    )
-    cert = DissipativityCertificate(
-        lam=lambda z: 1.5 * (z[0] - 2.0) + z[0] * z[1],
-        lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0,
-    )
-    np.testing.assert_allclose(cert.grad_lam([1.0, 3.0]), [4.5, 1.0], atol=1e-6)
+    return SystemModel(n=2, m=1, p=2, z_lower=[-10.0] * 3, z_upper=[10.0] * 3,
+                       **{k: v for k, v in callables.items() if k not in drop})
+
+
+@pytest.mark.parametrize("name", ["f_jac", "ell_grad", "h_jac"])
+def test_model_requires_its_jacobians(name):
+    # no Jacobian falls back to differences: leaving one out is a TypeError,
+    # and None, built directly or through dataclasses.replace, a ConfigError
+    with pytest.raises(TypeError, match=name):
+        _python_model(drop=(name,))
+    model = _python_model()
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+    message = f"SystemModel.{name} must be callable"
+    with pytest.raises(ConfigError, match=message):
+        SystemModel(**{**fields, name: None})
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(model, **{name: None})
+
+
+def test_certificate_requires_its_gradient():
+    kw = dict(lam=lambda x: 1.5 * (x[0] - 2.0), lambda_bar=[1.0], a=1.0, omega=2.0, L_h=1.0)
+    message = "DissipativityCertificate.lam_grad must be callable"
+    with pytest.raises(TypeError, match="lam_grad"):
+        DissipativityCertificate(**kw)
+    with pytest.raises(ConfigError, match=message):
+        DissipativityCertificate(**kw, lam_grad=None)
+    cert = DissipativityCertificate(**kw, lam_grad=lambda x: [1.5])
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(cert, lam_grad=None)
+
+
+def test_list_valued_derivatives_of_a_python_model():
+    # nested-list Jacobians reach the record through np.reshape, bit for
+    # bit like arrays, and a list storage gradient reaches sup |lam|
+    lists = _python_model()
+    arrays = dataclasses.replace(lists, **{
+        name: (lambda fn: lambda x, u: np.array(fn(x, u), dtype=float))(getattr(lists, name))
+        for name in ("f_jac", "ell_grad", "h_jac")})
+    us = np.array([[0.4], [-0.3], [0.9]])
+    records = [np.zeros((4, sum(model_mod.step_record_widths(2, 1, 2)))) for _ in range(2)]
+    for model, record in zip((lists, arrays), records):
+        model.stage_pass(np.array([1.7, -0.3]), us, record)
+    assert records[0].tobytes() == records[1].tobytes()
+    np.testing.assert_allclose(records[0][0, 3:5], [2 * 1.7 + 0.4 - 5.0, 1.7 * -0.3])
+    cert = DissipativityCertificate(lam=lambda x: 1.5 * (x[0] - 2.0), lambda_bar=[1.0, 0.0],
+                                    a=1.0, omega=2.0, L_h=1.0, lam_grad=lambda x: [1.5, 0.0])
+    assert _storage_sup(cert, lists) == pytest.approx(1.5 * 12.0)
 
 
 def test_batched_jacobians_match_pointwise():
@@ -442,20 +486,20 @@ def test_batched_jacobians_match_pointwise():
     z = np.column_stack([rng.uniform(-10.0, 10.0, (4, 5)), [3e12, -2.0, 0.5, 1e9]])
     x, u = z[:2], z[2:]
     batched = {
-        "jac_f": model.jac_f(x, u),
-        "grad_ell": model.grad_ell(x, u),
-        "jac_h": model.jac_h(x, u),
+        "f_jac": model.f_jac(x, u),
+        "ell_grad": model.ell_grad(x, u),
+        "h_jac": model.h_jac(x, u),
         "fd_f": _fd_jacobian(model.f, x, u, 2),
         "fd_ell": _fd_jacobian(lambda a, b: [model.ell(a, b)], x, u, 1),
         "fd_h": _fd_jacobian(model.h, x, u, 2),
     }
-    assert batched["jac_f"].shape == (2, 4, 6) and batched["grad_ell"].shape == (4, 6)
+    assert batched["f_jac"].shape == (2, 4, 6) and batched["ell_grad"].shape == (4, 6)
     for k in range(z.shape[1]):
         xk, uk = x[:, k], u[:, k]
         pointwise = {
-            "jac_f": model.jac_f(xk, uk),
-            "grad_ell": model.grad_ell(xk, uk),
-            "jac_h": model.jac_h(xk, uk),
+            "f_jac": model.f_jac(xk, uk),
+            "ell_grad": model.ell_grad(xk, uk),
+            "h_jac": model.h_jac(xk, uk),
             "fd_f": _fd_jacobian(model.f, xk, uk, 2),
             "fd_ell": _fd_jacobian(lambda a, b: [model.ell(a, b)], xk, uk, 1),
             "fd_h": _fd_jacobian(model.h, xk, uk, 2),
@@ -463,7 +507,7 @@ def test_batched_jacobians_match_pointwise():
         for name, want in pointwise.items():
             got = batched[name][..., k]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-        fd, exact = pointwise["fd_f"], pointwise["jac_f"]
+        fd, exact = pointwise["fd_f"], pointwise["f_jac"]
         if k == z.shape[1] - 1:  # a fixed 1e-7 step would round away next to 3e12
             fd, exact = fd[:, 0], exact[:, 0]
         np.testing.assert_allclose(fd, exact, rtol=1e-6, atol=1e-6)

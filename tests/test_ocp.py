@@ -563,9 +563,9 @@ def _loop_forward(spec, u):
         x[k + 1] = model.f(xk, uk)
         S = Sx[k]
         cols = slice(k * m, (k + 1) * m)
-        fj = model.jac_f(xk, uk)
-        lg = model.grad_ell(xk, uk)
-        hj = model.jac_h(xk, uk)
+        fj = model.f_jac(xk, uk)
+        lg = model.ell_grad(xk, uk)
+        hj = model.h_jac(xk, uk)
         Dell[k] = lg[:n] @ S
         Dell[k, cols] += lg[n:]
         Dh[k] = hj[:, :n] @ S
@@ -581,7 +581,7 @@ _OUTPUTS = ("2 * x{a} + u{b} - 5", "x{a} * u{b}^2 - x{c}", "x{c}^3 / (1 + x{a}^2
 
 
 @st.composite
-def _rollout_cases(draw, finite_differences=st.booleans()):
+def _rollout_cases(draw):
     n, m, p = (draw(st.sampled_from([1, 2])) for _ in range(3))
     T = draw(st.integers(1, 4))
     N = draw(st.integers(T, 2 * T + 2))
@@ -596,8 +596,6 @@ def _rollout_cases(draw, finite_differences=st.booleans()):
         f"(x1 - 3)^2 + u{m}^2 + 0.5 * x{n} * u1",
         [source(_OUTPUTS) for _ in range(p)], [-10.0] * (n + m), [10.0] * (n + m),
     )
-    if draw(finite_differences):  # central differences instead of compiled Jacobians
-        model = dataclasses.replace(model, f_jac=None, ell_grad=None, h_jac=None)
     ss = SteadyState(np.zeros(n), np.zeros(m), 0.0, np.zeros(p))
     cert = DissipativityCertificate.from_expression(
         n, f"x1^2 - 0.5 * x{n}", [0.5, 1.5][:p], 1.0, 2.0, 1.0)
@@ -653,9 +651,9 @@ def _matmul_sensitivities(spec, x, u):
     model, N = spec.model, spec.N
     n, nu = model.n, N * model.m
     xs, us = x[:N].T, u.T
-    fz = np.ascontiguousarray(model.jac_f(xs, us).transpose(2, 0, 1))
-    lz = np.ascontiguousarray(model.grad_ell(xs, us).T)
-    hz = np.ascontiguousarray(model.jac_h(xs, us).transpose(2, 0, 1))
+    fz = np.ascontiguousarray(model.f_jac(xs, us).transpose(2, 0, 1))
+    lz = np.ascontiguousarray(model.ell_grad(xs, us).T)
+    hz = np.ascontiguousarray(model.h_jac(xs, us).transpose(2, 0, 1))
     Dz = np.zeros((N + 1, n + model.m, nu))
     Dz[:N, n:] = np.eye(nu).reshape(N, model.m, nu)
     for k in range(N):
@@ -722,7 +720,7 @@ def _runs_callback_pass(model):
 
 
 @settings(max_examples=100)
-@given(_rollout_cases(finite_differences=st.just(False)))
+@given(_rollout_cases())
 @example(_OVERFLOW_CASE)
 @example(_DIVISION_CASE)
 @example(_SIGNED_ZERO_CASE)
@@ -791,8 +789,9 @@ def test_replaced_model_drops_its_stage_pass(builtin, fig_history):
 
 
 def test_callback_pass_serves_every_workspace_across_threads(builtin, fig_history):
-    # the callback pass keeps the views of its last record: workspaces of one
-    # model, used in turn or from two threads at once, each get their own rollout
+    # the callback pass builds its record views on each call: workspaces of
+    # one model, used in turn or from two threads at once, each get their own
+    # rollout
     spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
     plain = dataclasses.replace(spec, model=dataclasses.replace(builtin[0]))
     inputs = np.random.default_rng(7).uniform(0.5, 1.5, (2, 12, 1))
@@ -819,32 +818,6 @@ def test_callback_pass_serves_every_workspace_across_threads(builtin, fig_histor
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not mismatches
-
-
-@pytest.mark.parametrize("name, buffer", [("f_jac", "Sx"), ("ell_grad", "Dell"), ("h_jac", "Dh")])
-def test_dropped_jacobian_takes_finite_differences(builtin, fig_history, name, buffer):
-    # without the Jacobian callable the rollout differentiates numerically,
-    # so its sensitivities differ from the stage pass's exact ones
-    model = builtin[0]
-    spec = _spec(builtin, N=12, T=6, x0=2.0, H0=fig_history)
-    fd_spec = dataclasses.replace(spec, model=dataclasses.replace(model, **{name: None}))
-    u = np.random.default_rng(5).uniform(0.5, 1.5, (12, 1))
-    exact, fd = _Forward(spec)(u), _Forward(fd_spec)(u)
-    assert getattr(fd, buffer).tobytes() != getattr(exact, buffer).tobytes()
-    np.testing.assert_allclose(getattr(fd, buffer), getattr(exact, buffer), rtol=1e-6, atol=1e-9)
-    for attr in ("x", "h", "ell"):
-        assert getattr(fd, attr).tobytes() == getattr(exact, attr).tobytes(), attr
-
-
-def test_finite_difference_model_solves_like_exact(builtin, fig_history):
-    # the same problem without Jacobian callables runs on central differences
-    model, cert, ss = builtin
-    fd_model = dataclasses.replace(model, f_jac=None, ell_grad=None, h_jac=None)
-    exact = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history))
-    fd = solve(_spec((fd_model, cert, ss), N=12, T=6, x0=2.0, H0=fig_history))
-    assert fd.converged and fd.max_violation <= fd.spec.options.feas_tol
-    assert fd.J == pytest.approx(exact.J, rel=1e-8)
-    np.testing.assert_allclose(fd.u, exact.u, atol=1e-4)
 
 
 @settings(max_examples=100)
