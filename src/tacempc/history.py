@@ -90,14 +90,6 @@ def norm_replacement(H: HistoryState, h_s) -> float:
     return float(np.max(np.sum(np.maximum(H.columns - h_s.reshape(-1, 1), 0.0), axis=0)))
 
 
-def matrix_one_norm(columns: np.ndarray) -> float:
-    """Induced 1-norm: maximum column absolute sum (0 for empty)."""
-    columns = np.atleast_2d(np.asarray(columns, dtype=float))
-    if columns.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(columns), axis=0)))
-
-
 def iss_function(H: HistoryState, h_s, kappa: float) -> float:
     """Weighted history deviation sum_{i=1}^{T-1} i * ||H_i - h_s||_1^kappa.
 

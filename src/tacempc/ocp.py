@@ -11,8 +11,9 @@ projected quasi-Newton inner loop: L-BFGS-B on the input box, run by
 ``lbfgsb.lbfgsb`` as the ``method`` of ``scipy.optimize.minimize``, so
 the objective is one Python frame below scipy's kernel; it stays
 because the stored benchmark reference pins where it stops.  Both accept
-a point by one test (``_assess``).  One problem object per spec
-(``_Problem``) evaluates the objective, the constraints and their
+a point by one test, ``_assess``, which also builds the ``OcpSolution``
+they return; ``solve`` adds only the run's counters.  One problem object
+per spec (``_Problem``) evaluates the objective, the constraints and their
 derivatives from one rollout with sensitivities (``_Forward``); it
 serves both solvers and the evaluation helper ``rotated_identity_check``.
 The rollout calls no model callback: one call of the model's
@@ -23,10 +24,9 @@ through ``ndarray.dot``.
 The window rows of g and Dg are two operations each: a cumulative sum
 into a padded buffer whose head rows hold the negated history tail sums,
 and one subtraction of two of its row blocks (``history.Windows``).
-A solution keeps copies of the accepted iterate's rollout, its states,
-outputs and stage costs (``x_pred``, ``h_pred``, ``ell_pred``); the
-closed loop and the turnpike report read them instead of calling the
-model again.
+A solution keeps copies of its iterate's rollout, its states, outputs
+and stage costs (``x_pred``, ``h_pred``, ``ell_pred``); the closed loop
+and the turnpike report read them instead of calling the model again.
 """
 
 from __future__ import annotations
@@ -312,33 +312,36 @@ _MAX_INNER = 500  # L-BFGS-B iterations per multiplier update
 
 
 def _assess(problem, uf, mult, lb, ub):
-    """(J, violation, stationarity, finite, converged) of the inputs uf.
+    """(solution, violation) at the inputs uf, mult the multipliers of the g rows.
 
-    mult holds the multipliers of the g rows; the stationarity is the
-    projected-KKT residual of ``SolverOptions``.  The point is finite when
-    all three numbers are, and converged when it is finite, its violation
-    is within feas_tol and its stationarity within stat_tol.  Both solvers
-    accept a point by this test alone.
+    The solution is the ``OcpSolution`` at uf with copies of its rollout,
+    which the next point overwrites, and zero counters; it is None when
+    J, the violation or the stationarity (the projected-KKT residual of
+    ``SolverOptions``) is not finite.  It is converged when its violation
+    is within feas_tol and its stationarity within stat_tol.  Both
+    solvers accept a point by this test alone.  The violation is returned
+    beside it because the AL's penalty update reads it at any point.
     """
-    opts = problem.spec.options
+    spec, fwd = problem.spec, problem.fwd
+    opts = spec.options
     J, DJ, g, Dg = problem(uf)
     viol = max(float(np.max(g)), 0.0)
     grad_lag = DJ + mult @ Dg
     proj_res = np.max(np.abs(uf - np.clip(uf - grad_lag, lb, ub)))
     stat = float(proj_res / (1.0 + abs(J) + np.max(np.abs(DJ))))
-    finite = np.isfinite(J) and np.isfinite(viol) and np.isfinite(stat)
-    converged = bool(finite and viol <= opts.feas_tol and stat <= opts.stat_tol)
-    return J, viol, stat, finite, converged
-
-
-def _kept(problem, uf, J, viol, stat):
-    """The iterate uf with copies of its rollout, which the next point overwrites."""
-    fwd = problem.fwd
-    return viol, uf, fwd.x.copy(), fwd.h.copy(), fwd.ell.copy(), J, stat
+    if not (np.isfinite(J) and np.isfinite(viol) and np.isfinite(stat)):
+        return None, viol
+    solution = OcpSolution(
+        spec=spec, u=uf.reshape(spec.N, spec.model.m),
+        x_pred=fwd.x.copy(), h_pred=fwd.h.copy(), ell_pred=fwd.ell.copy(),
+        J=J, max_violation=viol, stationarity=stat, iterations=0, nfev=0,
+        converged=bool(viol <= opts.feas_tol and stat <= opts.stat_tol),
+    )
+    return solution, viol
 
 
 def _sqp(problem, u_flat, lb, ub):
-    """One SLSQP run from u_flat: (iterate, converged, nit, nfev).
+    """One SLSQP run from u_flat: (solution or None, nit, nfev).
 
     The input box goes in as bounds and g <= 0 as one inequality, and one
     rollout per point serves the objective, g and their Jacobians (the
@@ -358,17 +361,16 @@ def _sqp(problem, u_flat, lb, ub):
         },
         options={"ftol": 1e-16, "maxiter": 1000},
     )
-    u_flat = np.clip(res.x, lb, ub)
-    J, viol, stat, finite, converged = _assess(problem, u_flat, res.multipliers, lb, ub)
-    best = _kept(problem, u_flat, J, viol, stat) if finite else None
-    return best, converged, res.nit, res.nfev
+    solution, _ = _assess(problem, np.clip(res.x, lb, ub), res.multipliers, lb, ub)
+    return solution, res.nit, res.nfev
 
 
 def _augmented_lagrangian(problem, u_flat, lb, ub):
-    """Up to _MAX_OUTER L-BFGS-B runs from u_flat: (iterate, converged, nit, nfev).
+    """Up to _MAX_OUTER L-BFGS-B runs from u_flat: (solution or None, nit, nfev).
 
-    The iterate is the converged one, or else the least-violating finite
-    one (None if there is none); nit and nfev are summed over the runs.
+    The solution is the first converged iterate, or else the
+    least-violating finite one (None if there is none); nit and nfev are
+    summed over the runs.
     """
     opts = problem.spec.options
     bounds = list(zip(lb, ub))
@@ -389,7 +391,6 @@ def _augmented_lagrangian(problem, u_flat, lb, ub):
         value = J + float(active.dot(active) - mult_sq) / (2.0 * mu_)
         return value, DJ + active @ Dg
 
-    converged = False
     for _ in range(_MAX_OUTER):
         res = optimize.minimize(
             al_fun,
@@ -408,12 +409,13 @@ def _augmented_lagrangian(problem, u_flat, lb, ub):
         total_nfev += res.nfev
         u_flat = np.clip(res.x, lb, ub)
         mult = np.maximum(0.0, mult + mu * problem(u_flat)[2])
-        J, viol, stat, finite, converged = _assess(problem, u_flat, mult, lb, ub)
-        # a converged iterate is returned even when an earlier one violated less
-        if converged or (finite and (best is None or viol <= best[0] + 1e-15)):
-            best = _kept(problem, u_flat, J, viol, stat)
-        if converged:
-            break
+        sol, viol = _assess(problem, u_flat, mult, lb, ub)
+        # a converged iterate is kept even when an earlier one violated less
+        if sol is not None and (sol.converged or best is None
+                                or viol <= best.max_violation + 1e-15):
+            best = sol
+            if sol.converged:
+                break
         if viol > opts.feas_tol:
             if mu < _PENALTY_MAX:
                 mu *= _PENALTY_GROWTH
@@ -421,7 +423,7 @@ def _augmented_lagrangian(problem, u_flat, lb, ub):
             # feasible but not yet stationary: a large penalty limits the
             # attainable gradient accuracy, so back it off for a polish pass
             mu = max(mu / _PENALTY_GROWTH, _PENALTY_INIT)
-    return best, converged, total_iters, total_nfev
+    return best, total_iters, total_nfev
 
 
 def solve(spec: OcpSpec) -> OcpSolution:
@@ -431,39 +433,26 @@ def solve(spec: OcpSpec) -> OcpSolution:
     augmented-Lagrangian run (``_augmented_lagrangian``).  Either starts
     from ``spec.warm_start``, or else from the steady-state input held
     constant, so it is deterministic given the spec.  It returns the
-    converged iterate, or else its best finite iterate with
-    ``converged=False``; InfeasibleError is raised when that iterate
-    violates ``feas_tol``.  An iterate whose objective, violation or
-    stationarity is not finite is never accepted, and InfeasibleError is
-    raised when no iterate is left.
+    run's solution (built by ``_assess``: the converged iterate, or else
+    the best finite one with ``converged=False``) with the run's total
+    iterations and evaluations; InfeasibleError is raised when that
+    solution violates ``feas_tol``, or when the run kept none because no
+    iterate had a finite objective, violation and stationarity.
     """
-    opts = spec.options
     model = spec.model
-    N, m = spec.N, model.m
+    N = spec.N
     lb = np.tile(model.u_lower, N)
     ub = np.tile(model.u_upper, N)
     u0 = spec.warm_start if spec.warm_start is not None else np.tile(spec.ss.u_s, (N, 1))
     run = _sqp if spec.objective == ROTATED else _augmented_lagrangian
-    best, converged, iterations, nfev = run(_Problem(spec), np.clip(u0.ravel(), lb, ub), lb, ub)
+    solution, iterations, nfev = run(_Problem(spec), np.clip(u0.ravel(), lb, ub), lb, ub)
 
-    if best is None:
+    if solution is None:
         raise InfeasibleError("no iterate with a finite objective, violation and stationarity")
-    viol, u_flat, x_pred, h_pred, ell_pred, J, stat = best
-    if viol > opts.feas_tol:
+    viol = solution.max_violation
+    if viol > spec.options.feas_tol:
         raise InfeasibleError(
             f"no feasible point found (best residual {viol:g})",
             best_residual=viol,
         )
-    return OcpSolution(
-        spec=spec,
-        u=u_flat.reshape(N, m),
-        x_pred=x_pred,
-        h_pred=h_pred,
-        ell_pred=ell_pred,
-        J=J,
-        max_violation=viol,
-        stationarity=stat,
-        iterations=iterations,
-        nfev=nfev,
-        converged=converged,
-    )
+    return replace(solution, iterations=iterations, nfev=nfev)

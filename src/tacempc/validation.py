@@ -26,8 +26,7 @@ from .config import load_config
 from .diagnostics import decrease_check, lyapunov_trace, turnpike_report
 from .errors import InfeasibleError
 from .history import (
-    HistoryState, eq6_rhs, iss_function, matrix_one_norm, norm_replacement,
-    shift_update, steady_history,
+    HistoryState, eq6_rhs, iss_function, norm_replacement, shift_update, steady_history,
 )
 from .model import _fd_jacobian, check_dissipativity_grid, solve_steady_state
 from .ocp import ORIGINAL, OcpSpec, rotated_identity_check, solve
@@ -149,7 +148,7 @@ def check_iss_function():
                     h_s = rng.uniform(-1, 1, size=p)
                     H = HistoryState(columns=cols, T=T)
                     V = iss_function(H, h_s, kappa)
-                    dev = matrix_one_norm(cols - h_s.reshape(-1, 1))
+                    dev = float(np.linalg.norm(cols - h_s.reshape(-1, 1), 1))
                     lo, hi = dev**kappa, (T - 1) ** 2 * dev**kappa
                     worst = max(worst, lo - V, V - hi)
                     V_next = iss_function(shift_update(H, h_new), h_s, kappa)

@@ -69,6 +69,22 @@ def test_finite_differences_serve_only_the_gradient_check():
     assert readers == {("validation.py", "check_gradients")}
 
 
+def test_only_assess_builds_a_solution():
+    # ocp._assess builds the OcpSolution both solvers return and solve
+    # only replaces its counters, so a new solver or retry cannot grow a
+    # second way to assemble a solution
+    paths = [*(_ROOT / "src" / "tacempc").glob("*.py"), *(_ROOT / "perfbench").rglob("*.py")]
+    builders = set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "OcpSolution" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
+                ):
+                    builders.add((path.name, getattr(node, "name", None)))
+    assert builders == {("ocp.py", "_assess")}
+
+
 def _private_scipy_modules(tree):
     """Every module path imported from scipy with a component starting
     with ``_``: ``from scipy.optimize import _lbfgsb`` counts as

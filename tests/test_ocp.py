@@ -337,6 +337,9 @@ def test_solution_prediction_is_rollout_of_its_inputs(builtin, fig_history, obje
                                     options=SolverOptions(stat_tol=1e-300)))
     assert converged.converged and not best.converged
     for sol in (converged, best):
+        opts = sol.spec.options
+        assert sol.converged == (sol.max_violation <= opts.feas_tol
+                                 and sol.stationarity <= opts.stat_tol)
         fresh = _Forward(sol.spec)(sol.u.copy())
         assert sol.x_pred.tobytes() == fresh.x.tobytes()
         assert sol.h_pred.tobytes() == fresh.h.tobytes()
@@ -839,8 +842,12 @@ def test_workspace_reuse_matches_fresh_rollout(case, data):
 
 def test_solution_counts_solver_evaluations(builtin, fig_history, monkeypatch):
     # nfev and iterations sum L-BFGS-B's objective calls and iterations
-    # over the augmented-Lagrangian runs
-    evaluations, nit = [0], [0]
+    # over the augmented-Lagrangian runs, not only the kept run's: the
+    # unconverged solve (stat_tol out of reach) makes all _MAX_OUTER runs
+    cases = [
+        (_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history), True),
+        (_active_bound_spec(options=SolverOptions(stat_tol=1e-300)), False),
+    ]  # built first: the steady-state search calls scipy's minimize too
     minimize = ocp.optimize.minimize
 
     def counting(fun, x0, **kw):
@@ -849,9 +856,14 @@ def test_solution_counts_solver_evaluations(builtin, fig_history, monkeypatch):
             return fun(*args)
 
         res = minimize(counted, x0, **kw)
+        runs[0] += 1
         nit[0] += res.nit
         return res
 
     monkeypatch.setattr(ocp.optimize, "minimize", counting)
-    sol = solve(_spec(builtin, N=12, T=6, x0=2.0, H0=fig_history))
-    assert sol.nfev == evaluations[0] > sol.iterations == nit[0] > 0
+    for spec, converged in cases:
+        evaluations, nit, runs = [0], [0], [0]
+        sol = solve(spec)
+        assert sol.converged == converged
+        assert sol.nfev == evaluations[0] > sol.iterations == nit[0] > 0
+    assert runs[0] == ocp._MAX_OUTER
