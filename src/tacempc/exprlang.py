@@ -30,9 +30,9 @@ bit.
 outputs h) into one Python-float loop over an input sequence: at each step
 it computes the next state, ell and h by the value code of ``kernel`` and
 the Jacobians f_z, ell_z and h_z by the same live dual code as the
-gradient kernels, appends them as one tuple to one list (the lines that
-read only constants run once, before the loop), and at the end stores the
-list with one write into the rollout's step record, one row per step.
+gradient kernels, appends them as one tuple to one list, and at the end
+stores the list with one write into the rollout's step record, one row
+per step.
 ``SystemModel.from_expressions`` makes it the model's ``stage_pass``; in a
 rollout it takes the place of N steps of the f kernel on numpy scalars
 and five batched kernel calls.  Each ``^`` is Python's ``**``, which calls
@@ -443,28 +443,6 @@ def kernel(exprs, n: int, m: int, gradient: bool = False):
     return gen.build("out")
 
 
-_LOOP_VAR = re.compile(r"\b[xu]_\d+\b")
-
-
-def _hoisted(lines):
-    """Split the lines of a stage loop into (before, inside) the loop.
-
-    A line whose operands are all constants or hoisted temporaries gives
-    the same value at every step, so it runs once before the loop; the
-    others keep their order inside it.
-    """
-    variant, before, inside = set(), [], []
-    for line in lines:
-        target, assign, rhs = line.partition(" = ")
-        reads = rhs if assign else line
-        if _LOOP_VAR.search(reads) or variant.intersection(_TEMP.findall(reads)):
-            variant.add(target)
-            inside.append(line)
-        else:
-            before.append(line)
-    return before, inside
-
-
 def stage_pass(f, ell, h, n: int, m: int):
     """Compiled stage pass ``(x0, us, record)`` of a model.
 
@@ -472,9 +450,9 @@ def stage_pass(f, ell, h, n: int, m: int):
     u1..um.  The pass runs over the inputs us (N, m), N >= 1, once, from
     the state x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k),
     ell_k and h_k by the value code of ``kernel`` and the Jacobians f_z,
-    ell_z and h_z by its live dual code; lines that read only constants
-    run once, before the loop.  The results go into the step record, a
-    C-contiguous (N + 1, R) array with R = n + 1 + p + (n + p + 1)(n + m):
+    ell_z and h_z by its live dual code, in the order it was emitted.  The
+    results go into the step record, a C-contiguous (N + 1, R) array with
+    R = n + 1 + p + (n + p + 1)(n + m):
     row k holds x_k, ell_k, h_k, then f_z, ell_z and h_z at z_k = (x_k,
     u_k), each flattened row-major like the batched kernels transposed to
     (N, rows[, n + m]); row N holds x_N.  The pass appends one tuple per
@@ -497,10 +475,7 @@ def stage_pass(f, ell, h, n: int, m: int):
     grads = [[g for e in rows for g in _dual_code(e, gen, n, n + m)[1]] for rows in models]
     # the record row of step k after x_k: ell, h, f_z, ell_z, h_z, then x_{k+1}
     row = values[1] + values[2] + grads[0] + grads[1] + grads[2] + values[0]
-    before, inside = _hoisted(_live_lines(gen.lines, row))
-    gen.lines = before
-    once = gen.body("    ")
-    gen.lines = inside
+    gen.lines = _live_lines(gen.lines, row)
     state = "".join(f"x_{i}, " for i in range(n))
     inputs = "".join(f"u_{j}, " for j in range(m))
     # the bindings become default arguments: locals read faster than globals
@@ -510,7 +485,6 @@ def stage_pass(f, ell, h, n: int, m: int):
         f"    {state}= x0.tolist()\n"
         "    rows = []\n"
         "    extend = rows.extend\n"
-        + once
         + f"    for {inputs}in us.tolist():\n"
         + gen.body("        ")
         + f"        extend(({', '.join(row)},))\n"

@@ -113,6 +113,8 @@ class OcpSpec:
             raise ConfigError(
                 f"history has {self.H0.p} output rows, the model has p = {self.model.p}"
             )
+        if not np.all(np.isfinite(self.H0.columns)):  # -inf would void the window rows
+            raise ConfigError(f"history must be finite, got {self.H0.columns.tolist()}")
         object.__setattr__(self, "x0", x0)
         if self.warm_start is not None:
             ws = np.asarray(self.warm_start, dtype=float)

@@ -33,25 +33,40 @@ def _reads(tree):
             yield node.value, node.lineno
 
 
+def _defined(node):
+    """The names a module-level statement defines: a function, a class, or
+    each plain name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store):
+                    yield leaf.id
+
+
 def test_every_definition_is_read_by_program_code():
-    # no helper that only its own test reads: each module-level function and
-    # class of the library is read in the library or the benchmark, outside
-    # its own body; tests do not count
+    # no helper or constant that only its own test reads: each module-level
+    # function, class and assigned name of the library (dunders aside) is
+    # read in the library or the benchmark, outside its own statement; tests
+    # do not count
     paths = [*(_ROOT / "src" / "tacempc").glob("*.py"), *(_ROOT / "perfbench").rglob("*.py")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in paths if not path.name.startswith("test_")}
     reads = [(name, path, line) for path, tree in trees.items() for name, line in _reads(tree)]
 
-    def read_outside(node, path):
-        return any(name == node.name
+    def read_outside(defined, node, path):
+        return any(name == defined
                    and not (where == path and node.lineno <= line <= node.end_lineno)
                    for name, where, line in reads)
 
     unread = {
-        node.name
+        name
         for path, tree in trees.items() if path.parent.name == "tacempc"
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not read_outside(node, path)
+        for name in _defined(node)
+        if not (name.startswith("__") and name.endswith("__"))
+        and not read_outside(name, node, path)
     }
     assert unread == _UNREAD
 

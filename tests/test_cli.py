@@ -124,12 +124,16 @@ def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, argv, messag
 
 @pytest.mark.parametrize("command", ["simulate", "turnpike"])
 def test_non_finite_initial_state_exits_with_config_error(tmp_path, capsys, command):
-    # a NaN x0 used to reach the solver: a 0-step trace and exit 2 from
-    # simulate, the solver's "no iterate with a finite objective" from turnpike
+    # a NaN x0 or history used to reach the solver: a 0-step trace and exit 2
+    # from simulate, the solver's "no iterate with a finite objective" from
+    # turnpike; a -inf history voided its window rows and exited 0
     extra = ["--K", "3", "--out", str(tmp_path)] if command == "simulate" else []
-    assert main([command, "--model", "mueller-koehler", "--x0", "nan", *extra]) == 1
-    assert capsys.readouterr().err.startswith("error: initial state must be finite")
-    assert not any(tmp_path.iterdir())
+    for flags, message in [(["--x0", "nan"], "initial state must be finite"),
+                           (["--T", "3", "--history=nan,-2"], "history must be finite"),
+                           (["--T", "3", "--history=-inf,-inf"], "history must be finite")]:
+        assert main([command, "--model", "mueller-koehler", *flags, *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not any(tmp_path.iterdir())
 
 
 def test_turnpike_help_describes_its_horizon_list(capsys):

@@ -515,8 +515,8 @@ def _model_case(f, ell, h, x0, u):
 @example(_model_case(["x2", "x1 * u1"], "2", ["x1", "x2 - u1"], [0.5, 1.5], [[1.0], [3.0]]))
 # x1^4 overflows a Python float at 1e100, but the gradient reads only 4 * x1^3
 @example(_model_case(["x1"], "x1^4", ["x1^4"], [1e100], [[0.0]]))
-# a divisor that reads only constants is checked once, before the loop:
-# EvalError, the record untouched
+# a divisor that reads only constants is checked at step 0, before the
+# one store: EvalError, the record untouched
 @example(_model_case(["x1 / (1 - 1)"], "x1", ["u1"], [1.0], [[2.0], [3.0]]))
 def test_stage_pass_matches_stepped_and_batched_kernels(case):
     f, ell, h, x0, u = case

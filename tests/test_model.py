@@ -358,12 +358,16 @@ def test_min_weighted_output_affine(builtin):
 
 
 def test_min_weighted_output_refines_off_grid():
-    # the minimizer x = 0.123 lies between the grid's x points (step 0.2)
-    model = SystemModel.from_expressions(
-        1, 1, ["x1"], "x1^2", ["(x1 - 0.123)^2 + u1 - 5"], [-10.0, -10.0], [10.0, 10.0]
-    )
-    cert = DissipativityCertificate.from_expression(1, "x1", [2.0], 1.0, 2.0, 1.0)
-    assert min_weighted_output(model, cert) == pytest.approx(-30.0, abs=1e-9)
+    # the minimizer's x = 0.123 lies between the grid's x points (step 0.2);
+    # in the second case (-0.456 for u too) the minimum is interior, not on a
+    # face of the box, and the grid's best point reads -9.98187
+    for h, want in [("(x1 - 0.123)^2 + u1 - 5", -30.0),
+                    ("(x1 - 0.123)^2 + (u1 + 0.456)^2 - 5", -10.0)]:
+        model = SystemModel.from_expressions(
+            1, 1, ["x1"], "x1^2", [h], [-10.0, -10.0], [10.0, 10.0]
+        )
+        cert = DissipativityCertificate.from_expression(1, "x1", [2.0], 1.0, 2.0, 1.0)
+        assert min_weighted_output(model, cert) == pytest.approx(want, abs=1e-9)
 
 
 def test_certificate_parameter_validation():

@@ -57,6 +57,9 @@ def test_spec_validation(builtin):
             _spec(builtin, N=6, T=3, x0=x0, H0=H)
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=2, x0=1.0, H0=H)  # history period mismatch
+    for value in (np.nan, np.inf, -np.inf):  # -inf tail sums void the window rows
+        with pytest.raises(ConfigError, match="history must be finite"):
+            _spec(builtin, N=6, T=3, x0=1.0, H0=HistoryState(np.array([[-2.0, value]]), 3))
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=3, x0=1.0, H0=H, objective="economic")
 
@@ -317,14 +320,16 @@ def _active_bound_spec(**kw):
 
 
 def test_rotated_identity_check_on_active_state_bound():
+    # x+ = u, so these inputs put x_1..x_6 outside the state box by more than
+    # 1e-9 but within feas_tol, where a converged solve may stop
     spec = _active_bound_spec()
-    sol = solve(spec)
-    assert sol.converged
-    assert 1.0 + 1e-9 < np.max(sol.x_pred) <= 1.0 + spec.options.feas_tol
-    assert rotated_identity_check(spec, sol.u) <= 1e-10
+    u = np.full((6, 1), 1.0 + 5e-9)
+    x = _Forward(spec)(u).x
+    assert 1.0 + 1e-9 < np.max(x) <= 1.0 + spec.options.feas_tol
+    assert rotated_identity_check(spec, u) <= 1e-10
     # the stage cost's own default tolerance (check 2's grid) stays 1e-9
     with pytest.raises(DomainError):
-        eval_rotated_stage_cost(spec.model, spec.cert, spec.ss, sol.x_pred[:6].T, sol.u.T)
+        eval_rotated_stage_cost(spec.model, spec.cert, spec.ss, x[:6].T, u.T)
 
 
 @pytest.mark.parametrize("objective", [ORIGINAL, ROTATED])
