@@ -7,8 +7,8 @@ the next from its rollout: the next state and the output shifted into H
 are ``x_pred[1]`` and ``h_pred[0]``, so the loop calls no model
 callback.  After the loop the original problem is solved at the terminal
 spec, and the rotated one, which feeds only the Lyapunov diagnostics,
-along the recorded specs.  Each chain of solves is warm-started from its
-previous solution shifted by one with u_s appended.
+once at each recorded spec from ``solve``'s own start: each rotated
+value is a function of its extended state alone.
 """
 
 from __future__ import annotations
@@ -24,32 +24,30 @@ from .model import DissipativityCertificate, SteadyState, SystemModel
 from .ocp import ROTATED, OcpSolution, OcpSpec, SolverOptions, solve
 
 
-def _shifted(sol: OcpSolution) -> np.ndarray:
-    return np.vstack([sol.u[1:], sol.spec.ss.u_s[None]])
-
-
 def step(spec: OcpSpec) -> Tuple[OcpSolution, OcpSpec]:
     """One solve of spec.  Returns (solution, next_spec): next_spec is spec
     at the applied step's state and history, read from the rollout, and
-    warm-started from the solution shifted by one.  Raises
-    InfeasibleError when no admissible input is found."""
+    warm-started from the solution shifted by one with u_s appended.
+    Raises InfeasibleError when no admissible input is found."""
     sol = solve(spec)
     return sol, replace(spec, x0=sol.x_pred[1], H0=shift_update(spec.H0, sol.h_pred[0]),
-                        warm_start=_shifted(sol))
+                        warm_start=np.vstack([sol.u[1:], spec.ss.u_s[None]]))
 
 
 def _rotated_values(specs):
-    """(values, converged, failure) of the rotated solves at the specs'
-    states; one infeasible at j leaves values[j:] NaN and converged[j:] False."""
+    """(values, converged, failure) of one cold rotated solve per spec; an
+    infeasible one at j leaves values[j] NaN and converged[j] False, and
+    failure names the first."""
     values, converged = np.full(len(specs), np.nan), np.zeros(len(specs), dtype=bool)
-    warm = None
+    failure = None
     for j, spec in enumerate(specs):
         try:
-            sol = solve(replace(spec, objective=ROTATED, warm_start=warm))
+            sol = solve(replace(spec, objective=ROTATED, warm_start=None))
         except InfeasibleError as exc:
-            return values, converged, f"rotated value at step {j}: {exc}"
-        values[j], converged[j], warm = sol.J, sol.converged, _shifted(sol)
-    return values, converged, None
+            failure = failure or f"rotated value at step {j}: {exc}"
+        else:
+            values[j], converged[j] = sol.J, sol.converged
+    return values, converged, failure
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,9 @@ class ClosedLoopTrace:
     extra entry for the terminal extended state; the value arrays Jstar
     and Jtildestar also cover the terminal state unless the loop halted
     (a final original solve evaluates it), so their length is K + 1, or K
-    after a halt.  Jtildestar comes from rotated solves run
-    after the loop; one infeasible at state j leaves Jtildestar[j:] NaN
-    and sets ``failure``, while the applied series cover the whole run.
+    after a halt.  Jtildestar comes from one rotated solve per state,
+    run after the loop; one infeasible at state j leaves Jtildestar[j]
+    NaN and sets ``failure``.
     """
 
     model: SystemModel

@@ -75,8 +75,8 @@ def turnpike_report(
     economic cost over N * ell_s for this solution, the sum of the stage
     costs its rollout evaluated (``ell_pred``).
     """
-    if not epsilon > 0:  # NaN too
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < np.inf:  # also rejects NaN
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
     spec = solution.spec
     model, N, T = spec.model, spec.N, spec.T
     dev = np.hstack([solution.x_pred[:N] - ss.x_s, solution.u - ss.u_s])

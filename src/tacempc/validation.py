@@ -188,12 +188,11 @@ def check_eq6_bound(sols, dropped=0):
 
 @_check("7", "turnpike count lower bound (realized excess)")
 def check_lemma1(sols, dropped=0):
-    _, cert, ss = _context()
     radii = (0.05, 0.1, 0.5, 1.0)
     checked = 0
     for sol in sols:
         for eps in radii:
-            rep = turnpike_report(sol, ss, cert, eps)
+            rep = turnpike_report(sol, sol.spec.ss, sol.spec.cert, eps)
             if rep.lemma1_rhs > 0:
                 checked += 1
                 if rep.Q < rep.lemma1_rhs:
@@ -213,17 +212,19 @@ def check_lemma1(sols, dropped=0):
 
 @_check("8", "turnpike count grows with the horizon")
 def check_turnpike_growth(sols, dropped=0):
-    _, cert, ss = _context()
-    Q = {sol.spec.N: turnpike_report(sol, ss, cert, 0.1).Q
+    Q = {sol.spec.N: turnpike_report(sol, sol.spec.ss, sol.spec.cert, 0.1).Q
          for sol in sols if sol.spec.T == 3 and sol.spec.N in (10, 12)}
     note = _sweep_note(len(Q), sols, dropped)
+    missing = sorted({10, 12} - Q.keys())
+    if missing:
+        return False, f"no converged solve at N={','.join(map(str, missing))}, T=3 ({note})"
     return Q[12] >= Q[10], f"Q(N=12)={Q[12]}, Q(N=10)={Q[10]} ({note})"
 
 
 @_check("9", "consecutive steady-state window exists (N=30)")
 def check_consecutive_turnpike():
-    _, cert, ss = _context()
-    rep = turnpike_report(solve(_open_loop_problem(30, 3)), ss, cert, 0.05)
+    sol = solve(_open_loop_problem(30, 3))
+    rep = turnpike_report(sol, sol.spec.ss, sol.spec.cert, 0.05)
     ends = list(rep.consecutive_set)
     return len(ends) > 0, f"consecutive proximate windows end at {ends[:6]}... (Q={rep.Q})"
 

@@ -22,7 +22,9 @@ import pytest
 from tacempc import closedloop, validation
 from tacempc.cli import main
 from tacempc.errors import InfeasibleError
-from tacempc.ocp import ORIGINAL
+from tacempc.history import steady_history
+from tacempc.model import DissipativityCertificate, SystemModel, solve_steady_state
+from tacempc.ocp import ORIGINAL, OcpSpec, solve
 from tacempc.validation import (
     _sweep_solutions,
     check_closed_loop,
@@ -105,24 +107,66 @@ def test_criterion_08_turnpike_growth(sweep):
     assert sweep_runtime + r.runtime < 3.0
 
 
+def _stalled_sweep_rows(monkeypatch, stalled):
+    """Rows 6-8 on the sweep with the (N, T) = stalled solve unconverged."""
+    solve = validation.solve
+
+    def stalled_one(spec):
+        sol = solve(spec)
+        return dataclasses.replace(sol, converged=False) if (spec.N, spec.T) == stalled else sol
+
+    monkeypatch.setattr(validation, "solve", stalled_one)
+    sols, dropped = _sweep_solutions()
+    assert (len(sols), dropped) == (8, 1)
+    return [check(sols, dropped) for check in (check_eq6_bound, check_lemma1, check_turnpike_growth)]
+
+
 def test_sweep_rows_say_what_they_read_and_dropped(monkeypatch):
     # an unconverged sweep solve is dropped from rows 6-8, each row says
     # so, and no status changes
-    solve = validation.solve
-
-    def stalled_at_n6_t2(spec):
-        sol = solve(spec)
-        return dataclasses.replace(sol, converged=False) if (spec.N, spec.T) == (6, 2) else sol
-
-    monkeypatch.setattr(validation, "solve", stalled_at_n6_t2)
-    sols, dropped = _sweep_solutions()
-    assert (len(sols), dropped) == (8, 1)
-    eq6, lemma1, growth = (check(sols, dropped) for check in (
-        check_eq6_bound, check_lemma1, check_turnpike_growth))
+    eq6, lemma1, growth = _stalled_sweep_rows(monkeypatch, (6, 2))
     assert (eq6.status, lemma1.status, growth.status) == ("PASS", "SKIP", "PASS")
     assert eq6.detail.endswith(" over 8 solves (read 8 of 9 solves, dropped 1 unconverged)")
     assert lemma1.detail.endswith("(8 solves x 4 radii; read 8 of 9 solves, dropped 1 unconverged)")
     assert growth.detail.endswith(" (read 2 of 9 solves, dropped 1 unconverged)")
+
+
+def test_turnpike_growth_fails_without_one_of_its_inputs(monkeypatch):
+    # row 8 compares N = 10 and 12 at T = 3; with one of them dropped it
+    # fails and names the missing horizon
+    growth = _stalled_sweep_rows(monkeypatch, (10, 3))[2]
+    assert (growth.status, growth.detail) == (
+        "FAIL", "no converged solve at N=10, T=3 (read 1 of 9 solves, dropped 1 unconverged)")
+
+
+@pytest.fixture(scope="module")
+def informative_solves():
+    """Open-loop solves on a model where Lemma 1's bound is informative:
+    f = 0.5 x + u, ell = (x - 3)^2 + u^2, h = x - 1 on [0, 2] x [0, 1],
+    lam = x - 1, steady state (1, 0.5); T = 3 from x0 = 0.5 with the
+    history held at h_s, N = 12 and 24."""
+    model = SystemModel.from_expressions(
+        1, 1, ["0.5*x1 + u1"], "(x1 - 3)^2 + u1^2", ["x1 - 1"], [0.0, 0.0], [2.0, 1.0])
+    cert = DissipativityCertificate.from_expression(1, "x1 - 1", [3.5], 1.0, 2.0, 1.0)
+    ss = solve_steady_state(model)
+    return [solve(OcpSpec(model=model, cert=cert, ss=ss, N=N, T=3, x0=np.array([0.5]),
+                          H0=steady_history(ss.h_s, 3))) for N in (12, 24)]
+
+
+def test_check_07_reads_each_solutions_own_certificate(informative_solves):
+    # with the builtin model's certificate the bound is vacuous here
+    r = check_lemma1(informative_solves)
+    assert r.status == "PASS", r.detail
+    assert r.detail == ("bound held in all 3 informative cases "
+                        "(read 2 of 2 solves, dropped 0 unconverged)")
+
+
+def test_check_07_fails_below_an_informative_bound(informative_solves, monkeypatch):
+    report = validation.turnpike_report
+    monkeypatch.setattr(validation, "turnpike_report",
+                        lambda *args: dataclasses.replace(report(*args), Q=0))
+    r = check_lemma1(informative_solves)
+    assert (r.status, r.detail) == ("FAIL", "Q=0 < bound 7.86 at N=12, T=3, eps=1.0")
 
 
 def test_criterion_09_consecutive_turnpike():

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pathlib
+import shlex
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -453,8 +455,9 @@ def test_simulate_reports_unconverged_solves(tmp_path, monkeypatch, capsys):
 
 
 def test_simulate_survives_a_rotated_failure(tmp_path, monkeypatch, capsys):
-    # every step is applied and written; Jtildestar is NaN from the failed
-    # state on, and the chart leaves the NaN points out
+    # every step is applied and written; Jtildestar is NaN at the failed
+    # state alone, What there and W over the windows through it, and the
+    # chart leaves the NaN points out
     def forced(sol):
         raise InfeasibleError("forced")
 
@@ -465,13 +468,15 @@ def test_simulate_survives_a_rotated_failure(tmp_path, monkeypatch, capsys):
     assert "halted" not in err  # the loop applied all K steps
     rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().split("\n")[1:-1]]
     assert len(rows) == 8
-    assert rows[0][6] != "nan" and all(row[6] == "nan" for row in rows[1:])
+    nan_rows = {col: [k for k, row in enumerate(rows) if row[col] == "nan"] for col in (6, 8, 9)}
+    assert nan_rows == {6: [1], 8: [1], 9: [0, 1, 2]}
+    assert all("nan" not in row[:6] + row[7:8] for row in rows)
     svg = (tmp_path / "chart.svg").read_text()
     assert "nan" not in svg
     ns = "{http://www.w3.org/2000/svg}"
     points = {el.get("data-series"): el.get("points")
               for el in ET.fromstring(svg).iter(f"{ns}polyline")}
-    assert len(points["Jtildestar"].split()) == 1 and len(points["Jstar"].split()) == 8
+    assert len(points["Jtildestar"].split()) == 7 and len(points["Jstar"].split()) == 8
 
 
 def test_simulate_infeasible_exit_code(tmp_path, capsys):
@@ -499,3 +504,25 @@ def test_turnpike_command(capsys):
     qs = [int(line.split("Q=")[1].split(",")[0]) for line in lines]
     assert qs[1] >= qs[0]
     assert all("holds=True" in line for line in lines)
+
+
+def _readme_cli_examples():
+    """The ``tacempc`` command lines of the sh block under README's
+    ``## CLI``, backslash continuations joined, each split into argv."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("tacempc ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # the documented commands parse; the quick ones also run to exit 0
+    examples = _readme_cli_examples()
+    assert [argv[0] for argv in examples] == ["steady-state", "simulate", "turnpike", "check"]
+    for argv in examples:
+        cli.build_parser().parse_args(argv)
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        if argv[0] in ("steady-state", "turnpike"):
+            assert main(argv) == 0, argv

@@ -235,8 +235,8 @@ def test_every_solve_of_a_run_shares_the_first_specs_data(builtin, fig_history, 
 
 
 def test_simulate_solves_rotated_after_the_loop(builtin, fig_history, monkeypatch):
-    # K original steps and the terminal original solve, then the rotated
-    # chain over the same K + 1 states: 2K + 2 solves
+    # K original steps and the terminal original solve, then one rotated
+    # solve at each of the same K + 1 states: 2K + 2 solves
     model, cert, ss = builtin
     specs = _recording(monkeypatch)
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
@@ -249,27 +249,50 @@ def test_simulate_solves_rotated_after_the_loop(builtin, fig_history, monkeypatc
 
 
 def test_rotated_values_match_the_interleaved_loop(builtin, fig_history):
-    # the oracle: both solves at each state, original first, each chain
-    # warm-started from its own previous solution shifted by one
+    # the oracle: both solves at each state, original first; the original
+    # chain is warm-started from its previous solution shifted by one, and
+    # each rotated solve is a cold solve of its state alone
     model, cert, ss = builtin
     K = 4
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, K)
-    x, H = np.array([2.0]), fig_history
-    warm = {ORIGINAL: None, ROTATED: None}
+    x, H, warm = np.array([2.0]), fig_history, None
     Jstar, Jtildestar = [], []
     for k in range(K + 1):
-        sols = {}
-        for objective in (ORIGINAL, ROTATED):
-            sols[objective] = ocp.solve(OcpSpec(
-                model=model, cert=cert, ss=ss, N=12, T=H.T, x0=x, H0=H,
-                objective=objective, warm_start=warm[objective]))
-            warm[objective] = np.vstack([sols[objective].u[1:], ss.u_s[None]])
-        Jstar.append(sols[ORIGINAL].J)
-        Jtildestar.append(sols[ROTATED].J)
-        orig = sols[ORIGINAL]
+        spec = OcpSpec(model=model, cert=cert, ss=ss, N=12, T=H.T, x0=x, H0=H)
+        orig = ocp.solve(dataclasses.replace(spec, warm_start=warm))
+        Jstar.append(orig.J)
+        Jtildestar.append(ocp.solve(dataclasses.replace(spec, objective=ROTATED)).J)
+        warm = np.vstack([orig.u[1:], ss.u_s[None]])
         x, H = orig.x_pred[1].copy(), shift_update(H, orig.h_pred[0])
     assert trace.Jstar.tobytes() == np.array(Jstar).tobytes()
     assert trace.Jtildestar.tobytes() == np.array(Jtildestar).tobytes()
+
+
+def test_each_rotated_value_is_a_lone_solve_of_its_spec(builtin, fig_history, monkeypatch):
+    # no rotated solve reads another solve: each starts from u_s, and its
+    # value is that of the spec's rotated problem solved on its own
+    model, cert, ss = builtin
+    specs = _recording(monkeypatch)
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    originals, rotated = specs[:4], specs[4:]
+    assert [spec.objective for spec in rotated] == [ROTATED] * 4
+    assert all(spec.warm_start is None for spec in rotated)
+    assert any(spec.warm_start is not None for spec in originals)
+    for j, spec in enumerate(originals):
+        lone = ocp.solve(dataclasses.replace(spec, objective=ROTATED, warm_start=None))
+        assert trace.Jtildestar[j : j + 1].tobytes() == np.array([lone.J]).tobytes(), j
+
+
+def test_rotated_values_carry_no_local_optimum_forward(builtin):
+    # from x0 = 3 with the history held at h(1, 1), a rotated solve
+    # warm-started from the previous state's rotated solution converged to
+    # 24.85 and 11.45 at states 4 and 5; the cold solves there reach 4.33
+    # and 0.12
+    model, cert, ss = builtin
+    H0 = steady_history(model.h(np.array([1.0]), np.array([1.0])), 6)
+    trace = simulate(model, cert, ss, 12, [3.0], H0, 5)
+    assert trace.completed and trace.converged.all()
+    assert trace.Jtildestar[4] < 5 and trace.Jtildestar[5] < 1
 
 
 def _forced(objective, at):
@@ -282,18 +305,35 @@ def _forced(objective, at):
 
 
 def test_rotated_failure_does_not_halt_the_controller(builtin, fig_history, three_steps, monkeypatch):
+    # the rotated solve at state 1 raises: only its value is lost, and
+    # every other state is still solved
     model, cert, ss = builtin
     full = three_steps
     specs = _recording(monkeypatch, _forced(ROTATED, 2))
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
-    assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 2
+    assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 4
     assert not trace.completed and trace.failure == "rotated value at step 1: forced"
     assert trace.K == 3 and len(trace.histories) == 4
     for name in ("x", "u", "h", "ell", "Jstar", "Hnorm"):
         assert getattr(trace, name).tobytes() == getattr(full, name).tobytes(), name
-    assert trace.Jtildestar[:1].tobytes() == full.Jtildestar[:1].tobytes()
-    assert trace.Jtildestar.shape == (4,) and np.all(np.isnan(trace.Jtildestar[1:]))
-    assert trace.converged.tolist() == [[True, True]] + [[True, False]] * 3
+    kept = [0, 2, 3]
+    assert trace.Jtildestar.shape == (4,) and np.isnan(trace.Jtildestar[1])
+    assert trace.Jtildestar[kept].tobytes() == full.Jtildestar[kept].tobytes()
+    assert trace.converged.tolist() == [[True, True], [True, False], [True, True], [True, True]]
+
+
+def test_a_rotated_failure_names_the_first_failed_state(builtin, fig_history, monkeypatch):
+    def forced_after_state_0(spec, count, sol):
+        if spec.objective == ROTATED and count > 1:
+            raise InfeasibleError(f"forced {count - 1}")
+        return sol
+
+    model, cert, ss = builtin
+    _recording(monkeypatch, forced_after_state_0)
+    trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
+    assert trace.failure == "rotated value at step 1: forced 1"
+    assert np.isfinite(trace.Jtildestar[0]) and np.all(np.isnan(trace.Jtildestar[1:]))
+    assert trace.converged[:, 1].tolist() == [True, False, False, False]
 
 
 def _unconverged_second_rotated(spec, count, sol):
@@ -363,7 +403,7 @@ def test_infeasible_start_returns_partial_trace(builtin):
 
 def test_terminal_evaluation_failure_keeps_the_steps(builtin, fig_history, three_steps, monkeypatch):
     # K = 3 steps make 3 original solves; the terminal one, the 4th, raises,
-    # and the rotated chain still runs over the 3 applied states
+    # and the rotated values are still solved at the 3 applied states
     model, cert, ss = builtin
     full = three_steps
     specs = _recording(monkeypatch, _forced(ORIGINAL, 4))

@@ -246,8 +246,8 @@ _HEX = np.vectorize(float.fromhex)
 
 def test_rotated_solve_converges_where_the_al_stalled(builtin):
     """A rotated spec of the closed loop from perfbench's mk-closed-loop
-    inputs of seed 1, pass 0, warm-started as that loop's rotated chain
-    did.  The augmented Lagrangian stopped there feasible but at
+    inputs of seed 1, pass 0, warm-started from the rotated solution at
+    the previous state.  The augmented Lagrangian stopped there feasible but at
     stationarity 2.6e-6 > stat_tol and returned converged=False."""
     model, cert, ss = builtin
     H0 = HistoryState(_HEX([[
