@@ -10,29 +10,30 @@ Grammar (standard precedence, ``^`` binds tighter than unary minus)::
 
 ``+ - * /`` are left associative, ``^`` is right associative and its
 exponent must be a nonnegative integer literal (chains like ``x^2^3``
-collapse to ``x^8``).  Identifiers are ``x1..xn`` and ``u1..um``.
+collapse to ``x^8``) of at most 65536, the chain's value included.
+Identifiers are ``x1..xn`` and ``u1..um``.
 
 ``kernel`` compiles a sequence of expressions into one straight-line
-Python function that computes their values, or their gradients by
-forward-mode dual numbers (exact for the polynomial/rational
-expressions the grammar admits), and stores them in one array; every
-model callback is one such kernel.  A kernel works on a point (scalars)
-or on numpy arrays (componentwise broadcast over a trailing batch axis),
+Python function that computes their values, or their gradients, and
+stores them in one array; every model callback is one such kernel.
+Gradients are exact (the grammar admits only polynomial and rational
+expressions): ``_derivatives`` builds them as expressions by the
+forward-mode rules, with structural zeros and ones folded away, and
+they are compiled like values.  A kernel works on a point (scalars) or
+on numpy arrays (componentwise broadcast over a trailing batch axis),
 and its result always has the batch shape: a constant expression over K
-columns gives K values.  The generated code performs the operations of
-a recursive tree walk one for one, in the same order and without
-constant folding, so results are bit-identical to interpreting the tree
-at a point; integer powers of arrays call libm ``pow`` like scalar
-``**`` does, so a batch evaluation equals the pointwise ones bit for
-bit.
+columns gives K values.  The value code performs the operations of a
+recursive tree walk one for one, in the same order and without constant
+folding, so values are bit-identical to interpreting the tree at a
+point; integer powers of arrays call libm ``pow`` like scalar ``**``
+does, so a batch evaluation equals the pointwise ones bit for bit.
 
 ``stage_pass`` compiles a whole model (dynamics f, stage cost ell and
 outputs h) into one Python-float loop over an input sequence: at each step
-it computes the next state, ell and h by the value code of ``kernel`` and
-the Jacobians f_z, ell_z and h_z by the same live dual code as the
-gradient kernels, appends them as one tuple to one list, and at the end
-stores the list with one write into the rollout's step record, one row
-per step.
+it computes the next state, ell and h, then the Jacobians f_z, ell_z and
+h_z, which read the values' temporaries, appends them as one tuple to one
+list, and at the end stores the list with one write into the rollout's
+step record, one row per step.
 ``SystemModel.from_expressions`` makes it the model's ``stage_pass``; in a
 rollout it takes the place of N steps of the f kernel on numpy scalars
 and five batched kernel calls.  Each ``^`` is Python's ``**``, which calls
@@ -98,6 +99,9 @@ class BinOp(Expr):
     right: Expr
 
 
+_BINARY_OPS = ("+", "-", "*", "/")  # the operators a BinOp may carry
+
+
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
@@ -114,6 +118,7 @@ _TOKEN_RE = re.compile(
 )
 
 _IDENT_RE = re.compile(r"^([xu])([1-9]\d*)$")
+_MAX_EXPONENT = 2**16  # largest exponent, chains like x^2^2^2^2 included
 
 
 class _Tokens:
@@ -192,10 +197,19 @@ def _parse_exponent(toks):
     kind, text, pos = toks.next()
     if kind != "num" or not re.fullmatch(r"\d+", text):
         raise ExprSyntaxError("exponent must be a nonnegative integer literal", pos)
+    too_large = f"exponent exceeds {_MAX_EXPONENT}"
+    # checked before int() and ** run: either is slow, or fails, on huge numbers
+    if len(text.lstrip("0")) > len(str(_MAX_EXPONENT)):
+        raise ExprSyntaxError(too_large, pos)
     value = int(text)
     if toks.peek()[1] == "^":  # right associative: x^2^3 == x^(2^3)
         toks.next()
-        value = value ** _parse_exponent(toks)
+        power = _parse_exponent(toks)
+        if value > 1 and power >= _MAX_EXPONENT.bit_length():  # 2**power > bound
+            raise ExprSyntaxError(too_large, pos)
+        value **= power
+    if value > _MAX_EXPONENT:
+        raise ExprSyntaxError(too_large, pos)
     return value
 
 
@@ -224,17 +238,91 @@ def _parse_atom(toks, n, m):
 
 
 # ---------------------------------------------------------------------------
+# Derivatives
+#
+# The source transformation of forward mode (Griewank & Walther,
+# "Evaluating Derivatives"): the dual-number rules, applied term for term
+# and in the same order, build the value and gradient of an expression as
+# expressions.  The smart constructors fold the structural zeros and ones
+# _ZERO and _ONE, compared by identity since Num(0.0) == Num(-0.0), so no
+# node built here multiplies by 0 or 1, or adds or subtracts 0.  On
+# finite values folding changes a result only in the sign of a zero, and
+# where dual arithmetic met inf * 0 the folded entry may be a number.
+
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _neg(a):
+    return _ZERO if a is _ZERO else Neg(a)
+
+
+def _add(a, b):
+    return b if a is _ZERO else a if b is _ZERO else BinOp("+", a, b)
+
+
+def _sub(a, b):
+    return _neg(b) if a is _ZERO else a if b is _ZERO else BinOp("-", a, b)
+
+
+def _mul(a, b):
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    return b if a is _ONE else a if b is _ONE else BinOp("*", a, b)
+
+
+_FOLDED = {"+": _add, "-": _sub, "*": _mul}
+
+
+def _derivatives(e: Expr, n: int, dim: int):
+    """(value, gradient w.r.t. (x1..xn, u1..)) of e as Exprs, dim entries.
+
+    The value is e itself wherever its operands' values are, so compiled
+    code shares it with the value code; a quotient's value is a * (1 / b)
+    as in dual arithmetic, and a zero power's is _ONE.
+    """
+    if isinstance(e, Num):
+        return e, [_ZERO] * dim
+    if isinstance(e, Var):
+        grad = [_ZERO] * dim
+        grad[e.index if e.kind == "x" else n + e.index] = _ONE
+        return e, grad
+    if isinstance(e, Neg):
+        v, g = _derivatives(e.arg, n, dim)
+        return (e if v is e.arg else Neg(v)), [_neg(gi) for gi in g]
+    if isinstance(e, Pow):
+        v, g = _derivatives(e.base, n, dim)
+        k = operator.index(e.exponent)
+        if k == 0:
+            return _ONE, [_ZERO] * dim
+        # k * v^(k-1), with v^1 = v bit for bit (libm pow)
+        scale = _ONE if k == 1 else _mul(Num(float(k)), v if k == 2 else Pow(v, k - 1))
+        return (e if v is e.base else Pow(v, k)), [_mul(scale, gi) for gi in g]
+    if isinstance(e, BinOp) and e.op in _BINARY_OPS:
+        va, ga = _derivatives(e.left, n, dim)
+        vb, gb = _derivatives(e.right, n, dim)
+        if e.op == "/":
+            inv = BinOp("/", _ONE, vb)
+            value = _mul(va, inv)
+            return value, [_mul(_sub(a, _mul(value, b)), inv) for a, b in zip(ga, gb)]
+        value = e if va is e.left and vb is e.right else _FOLDED[e.op](va, vb)
+        if e.op == "*":
+            return value, [_add(_mul(vb, a), _mul(va, b)) for a, b in zip(ga, gb)]
+        return value, [_FOLDED[e.op](a, b) for a, b in zip(ga, gb)]
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+# ---------------------------------------------------------------------------
 # Compilation
 #
-# An expression is translated once into straight-line Python source that
+# Expressions are translated once into straight-line Python source that
 # performs exactly the floating-point operations of a recursive walk of the
-# tree, in the same order: every interior node becomes one temporary,
-# variables are read as x[i] / u[i] where they occur, float constants are
-# bound by name (never printed into the source) and nothing is folded or
-# simplified.  Results are therefore bit-identical to tree interpretation.
-
-
-_BINARY_OPS = ("+", "-", "*", "/")  # the operators a BinOp may carry
+# trees, in the same order: every interior node becomes one temporary, once
+# (a node reached again reads its temporary), variables are read as x[i] /
+# u[i] where they occur and float constants are bound by name (never
+# printed into the source).  The value code folds and simplifies nothing,
+# so values are bit-identical to tree interpretation; gradients are the
+# value code of the folded trees of _derivatives.
 
 
 def _check_nonzero(b):
@@ -270,19 +358,15 @@ def _batch_shape(x):
         return np.shape(x)[1:]
 
 
-def _dual_var(v):
-    """A variable read by the dual code: Python float at a point, else as is."""
-    return v if isinstance(v, np.ndarray) else float(v)
-
-
 class _Codegen:
     """Accumulates the lines and the name bindings of one generated function.
 
     A kernel's code reads variables as ``x[i]``/``u[i]`` and writes ``^`` as
     ``_pow``.  A stage pass's code (``floats``) runs on Python floats: it
-    reads each variable from a local ``x_i``/``u_i``, which the dual code
-    uses as is (``_dual_var`` is the identity there), checks divisions with
-    ``_scalar_nonzero`` and writes ``^`` as Python's ``**``.
+    reads each variable from a local ``x_i``/``u_i``, checks divisions with
+    ``_scalar_nonzero`` and writes ``^`` as Python's ``**``.  ``codes`` maps
+    the id of each emitted node to the node and the name holding its value,
+    and ``checked`` holds the names already checked for zero.
     """
 
     def __init__(self, floats=False):
@@ -290,12 +374,11 @@ class _Codegen:
         self.names = {
             "_check_nonzero": _scalar_nonzero if floats else _check_nonzero,
             "_pow": _pow,
-            "_dual_var": _dual_var,
             "_empty": np.empty,
             "_batch_shape": _batch_shape,
-            "_zero": 0.0,
-            "_one": 1.0,
         }
+        self.codes = {}
+        self.checked = set()
         self.temps = 0
         self.floats = floats
 
@@ -309,6 +392,12 @@ class _Codegen:
         self.temps += 1
         self.lines.append(f"{name} = {rhs}")
         return name
+
+    def check(self, name):
+        """Emit the zero check of a divisor, once per name."""
+        if name not in self.checked:
+            self.checked.add(name)
+            self.lines.append(f"_check_nonzero({name})")
 
     def var(self, kind, index):
         """The code that reads the variable x_index or u_index."""
@@ -333,104 +422,67 @@ class _Codegen:
 
 
 def _value_code(e: Expr, gen: _Codegen) -> str:
-    """Emit the value computation of e; returns the name or leaf holding it."""
+    """Emit the value computation of e, once per node; returns the name or
+    leaf holding it."""
+    known = gen.codes.get(id(e))
+    if known is not None:
+        return known[1]
     if isinstance(e, Num):
-        return gen.const(e.value)
-    if isinstance(e, Var):
-        return gen.var(e.kind, e.index)
-    if isinstance(e, Neg):
-        return gen.emit(f"-{_value_code(e.arg, gen)}")
-    if isinstance(e, Pow):
-        return gen.emit(gen.power(_value_code(e.base, gen), e.exponent))
-    if isinstance(e, BinOp) and e.op in _BINARY_OPS:
+        code = gen.const(e.value)
+    elif isinstance(e, Var):
+        code = gen.var(e.kind, e.index)
+    elif isinstance(e, Neg):
+        code = gen.emit(f"-{_value_code(e.arg, gen)}")
+    elif isinstance(e, Pow):
+        code = gen.emit(gen.power(_value_code(e.base, gen), e.exponent))
+    elif isinstance(e, BinOp) and e.op in _BINARY_OPS:
         a = _value_code(e.left, gen)
         b = _value_code(e.right, gen)
         if e.op == "/":
-            gen.lines.append(f"_check_nonzero({b})")
-        return gen.emit(f"{a} {e.op} {b}")
-    raise TypeError(f"not an Expr: {e!r}")
+            gen.check(b)
+        code = gen.emit(f"{a} {e.op} {b}")
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    gen.codes[id(e)] = e, code  # the node is kept, so its id stays unique
+    return code
 
 
-def _dual_code(e: Expr, gen: _Codegen, n: int, dim: int):
-    """Emit forward-mode dual arithmetic for e; returns (value, gradient names)."""
-    if isinstance(e, Num):
-        return gen.const(e.value), ["_zero"] * dim
-    if isinstance(e, Var):
-        slot = e.index if e.kind == "x" else n + e.index
-        grad = ["_zero"] * dim
-        grad[slot] = "_one"
-        read = gen.var(e.kind, e.index)
-        return (read if gen.floats else gen.emit(f"_dual_var({read})")), grad
+def _check_divisors(e: Expr, gen: _Codegen):
+    """Emit the zero check of every divisor in e, in the value code's order."""
     if isinstance(e, Neg):
-        v, g = _dual_code(e.arg, gen, n, dim)
-        return gen.emit(f"-{v}"), [gen.emit(f"-{gi}") for gi in g]
-    if isinstance(e, Pow):
-        v, g = _dual_code(e.base, gen, n, dim)  # emitted even for k = 0: it may raise
-        k = operator.index(e.exponent)
-        if k == 0:
-            return "_one", ["_zero"] * dim
-        scale = gen.emit(f"{k} * {gen.power(v, k - 1)}")
-        return gen.emit(gen.power(v, k)), [gen.emit(f"{scale} * {gi}") for gi in g]
-    if isinstance(e, BinOp) and e.op in _BINARY_OPS:
-        va, ga = _dual_code(e.left, gen, n, dim)
-        vb, gb = _dual_code(e.right, gen, n, dim)
-        if e.op in ("+", "-"):
-            value = gen.emit(f"{va} {e.op} {vb}")
-            return value, [gen.emit(f"{a} {e.op} {b}") for a, b in zip(ga, gb)]
-        if e.op == "*":
-            value = gen.emit(f"{va} * {vb}")
-            return value, [gen.emit(f"{vb} * {a} + {va} * {b}") for a, b in zip(ga, gb)]
-        gen.lines.append(f"_check_nonzero({vb})")
-        inv = gen.emit(f"_one / {vb}")
-        value = gen.emit(f"{va} * {inv}")
-        return value, [
-            gen.emit(f"({a} - {va} * {inv} * {b}) * {inv}") for a, b in zip(ga, gb)
-        ]
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-_TEMP = re.compile(r"\bt\d+\b")
-
-
-def _live_lines(lines, results):
-    """The lines that the names in ``results``, or a division check, read.
-
-    Walks backwards: an assignment is kept when a later kept line or a
-    result reads its target; every ``_check_nonzero`` line is kept, so the
-    same inputs raise EvalError.
-    """
-    live = set(results)
-    kept = []
-    for line in reversed(lines):
-        target, assign, rhs = line.partition(" = ")
-        if assign and target not in live:
-            continue
-        live.update(_TEMP.findall(rhs if assign else line))
-        kept.append(line)
-    return kept[::-1]
+        _check_divisors(e.arg, gen)
+    elif isinstance(e, Pow):
+        _check_divisors(e.base, gen)
+    elif isinstance(e, BinOp):
+        _check_divisors(e.left, gen)
+        _check_divisors(e.right, gen)
+        if e.op == "/":
+            gen.check(_value_code(e.right, gen))
 
 
 def kernel(exprs, n: int, m: int, gradient: bool = False):
     """One compiled ``(x, u) -> ndarray`` for a sequence of expressions.
 
-    The body is the value code (or the dual-number code) of each
-    expression in turn, so every stored number is bit for bit what
-    interpreting its tree gives at that point.  The gradient is taken
-    w.r.t. (x1..xn, u1..um).  The result is one ``np.empty`` array of
-    shape (len(exprs)[, K]) for values and (len(exprs), n + m[, K]) for
+    The body is the value code of each expression in turn, so every stored
+    value is bit for bit what interpreting its tree gives at that point;
+    for gradients, the zero checks of the expressions' divisors and then
+    the value code of each gradient entry of ``_derivatives``, w.r.t.
+    (x1..xn, u1..um).  The result is one ``np.empty`` array of shape
+    (len(exprs)[, K]) for values and (len(exprs), n + m[, K]) for
     gradients, with K the batch shape of x, whatever the expressions read;
     a single expression, not in a sequence, drops the leading row axis, so
-    it gives a 0-d array at a point.  Gradient kernels keep only the
-    lines a gradient entry or a division check reads: values no entry
-    needs are not computed, so a dead power that would overflow a Python
-    float does not raise OverflowError here.
+    it gives a 0-d array at a point.  A gradient kernel raises EvalError
+    wherever the value kernel does, and computes only what an entry or a
+    check reads: a dead power that would overflow a Python float does not
+    raise OverflowError here.
     """
     single = isinstance(exprs, Expr)
     rows = [exprs] if single else list(exprs)
     gen = _Codegen()
     if gradient:
-        grads = [_dual_code(e, gen, n, n + m)[1] for e in rows]
-        gen.lines = _live_lines(gen.lines, [g for grad in grads for g in grad])
+        for e in rows:
+            _check_divisors(e, gen)
+        grads = [[_value_code(g, gen) for g in _derivatives(e, n, n + m)[1]] for e in rows]
         shape = (len(rows), n + m)
         stores = [((i, j), g) for i, grad in enumerate(grads) for j, g in enumerate(grad)]
     else:
@@ -449,10 +501,10 @@ def stage_pass(f, ell, h, n: int, m: int):
     f (n expressions), ell (one) and h (p expressions) are over x1..xn and
     u1..um.  The pass runs over the inputs us (N, m), N >= 1, once, from
     the state x0 (n,), and at each step k computes x_{k+1} = f(x_k, u_k),
-    ell_k and h_k by the value code of ``kernel`` and the Jacobians f_z,
-    ell_z and h_z by its live dual code, in the order it was emitted.  The
-    results go into the step record, a C-contiguous (N + 1, R) array with
-    R = n + 1 + p + (n + p + 1)(n + m):
+    ell_k and h_k by the value code of ``kernel``, then the Jacobians f_z,
+    ell_z and h_z by the value code of the gradient entries, which reads
+    the values' temporaries.  The results go into the step record, a
+    C-contiguous (N + 1, R) array with R = n + 1 + p + (n + p + 1)(n + m):
     row k holds x_k, ell_k, h_k, then f_z, ell_z and h_z at z_k = (x_k,
     u_k), each flattened row-major like the batched kernels transposed to
     (N, rows[, n + m]); row N holds x_N.  The pass appends one tuple per
@@ -472,10 +524,12 @@ def stage_pass(f, ell, h, n: int, m: int):
     gen.names["_pack_into"] = struct.pack_into
     models = (f, [ell], h)
     values = [[_value_code(e, gen) for e in rows] for rows in models]
-    grads = [[g for e in rows for g in _dual_code(e, gen, n, n + m)[1]] for rows in models]
+    grads = [
+        [_value_code(g, gen) for e in rows for g in _derivatives(e, n, n + m)[1]]
+        for rows in models
+    ]
     # the record row of step k after x_k: ell, h, f_z, ell_z, h_z, then x_{k+1}
     row = values[1] + values[2] + grads[0] + grads[1] + grads[2] + values[0]
-    gen.lines = _live_lines(gen.lines, row)
     state = "".join(f"x_{i}, " for i in range(n))
     inputs = "".join(f"u_{j}, " for j in range(m))
     # the bindings become default arguments: locals read faster than globals

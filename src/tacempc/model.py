@@ -65,6 +65,17 @@ def _require_callables(obj, names):
             raise ConfigError(f"{type(obj).__name__}.{name} must be callable")
 
 
+def _parse(source, n, m, key):
+    """The model expression under ``key``; a syntax error in it is a
+    configuration error that names the key."""
+    if not isinstance(source, str):
+        raise ConfigError(f"model {key} must be an expression string, got {source!r}")
+    try:
+        return exprlang.parse(source, n, m)
+    except exprlang.ExprSyntaxError as exc:
+        raise ConfigError(f"model {key}: {exc}") from None
+
+
 def step_record_widths(n: int, m: int, p: int):
     """Column widths of the step record: x, ell, h, f_z, ell_z and h_z."""
     return (n, 1, p, n * (n + m), n + m, p * (n + m))
@@ -186,9 +197,9 @@ class SystemModel:
         """
         if len(f_sources) != n:
             raise ConfigError(f"expected {n} dynamics expressions, got {len(f_sources)}")
-        f_exprs = [exprlang.parse(s, n, m) for s in f_sources]
-        ell_expr = exprlang.parse(ell_source, n, m)
-        h_exprs = [exprlang.parse(s, n, m) for s in h_sources]
+        f_exprs = [_parse(s, n, m, f"f[{i}]") for i, s in enumerate(f_sources)]
+        ell_expr = _parse(ell_source, n, m, "ell")
+        h_exprs = [_parse(s, n, m, f"h[{i}]") for i, s in enumerate(h_sources)]
         ell_value = exprlang.kernel(ell_expr, n, m)
 
         def ell(x, u):
@@ -253,7 +264,7 @@ class DissipativityCertificate:
 
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
-        lam_expr = exprlang.parse(lam_source, n, 0)
+        lam_expr = _parse(lam_source, n, 0, "lam")
         lam_value = exprlang.kernel(lam_expr, n, 0)
         lam_kernel = exprlang.kernel(lam_expr, n, 0, gradient=True)
 

@@ -308,13 +308,14 @@ def _random_expr(rng, n, m, depth):
         return exprlang.Neg(_random_expr(rng, n, m, depth - 1))
     if choice < 0.45:
         return exprlang.Pow(_random_expr(rng, n, m, depth - 1), int(rng.integers(0, 4)))
-    op = ("+", "-", "*")[int(rng.integers(3))]
-    return exprlang.BinOp(
-        op, _random_expr(rng, n, m, depth - 1), _random_expr(rng, n, m, depth - 1)
-    )
+    op = ("+", "-", "*", "/")[int(rng.integers(4))]
+    left, right = _random_expr(rng, n, m, depth - 1), _random_expr(rng, n, m, depth - 1)
+    if op == "/":  # a divisor 1 + s^2 >= 1: the quotient rule away from poles
+        right = exprlang.BinOp("+", exprlang.Num(1.0), exprlang.Pow(right, 2))
+    return exprlang.BinOp(op, left, right)
 
 
-@_check("13", "forward-mode gradients match finite differences")
+@_check("13", "compiled gradients match finite differences")
 def check_gradients():
     rng = np.random.default_rng(17)
     worst = 0.0

@@ -206,6 +206,21 @@ def test_boolean_numbers_exit_with_config_error(tmp_path, capsys, section, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("f", ["x1 * u1 ?"], "model f[0]: unexpected character '?'"),
+    ("ell", "(x1 - 3)^2 + u1^2 +", "model ell: expected a number, identifier or '(', got ''"),
+    ("h", ["2*x1 + u2 - 5"], "model h[0]: identifier 'u2' exceeds declared dimension 1"),
+    ("lam", "1.5 * (x1 - 2))", "model lam: unexpected token ')'"),
+    ("ell", 3, "model ell must be an expression string, got 3"),  # was a TypeError traceback
+])
+def test_malformed_model_expression_exits_with_config_error(tmp_path, capsys, key, value, message):
+    # an ExprSyntaxError was a solver error: exit 2 and no key named
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", key: value}}))
+    assert main(["steady-state", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 _NO_STORAGE = {"lam": "0 * x1", "lambda_bar": [0.0]}  # any steady state passes the certificate
 
 

@@ -44,6 +44,19 @@ def test_power_right_associative_integer_chain():
     assert e.exponent == 8
 
 
+@pytest.mark.parametrize("source, position", [
+    ("x1^2^2^2^2^2", 3),  # 2^65536: int-to-str failed in the code generator
+    ("x1^9^9^9", 5),  # 9^9^9: computing 9**387420489 did not finish
+    ("x1^65537", 3),
+    ("x1^" + "9" * 5000, 3),  # past the int() digit limit
+], ids=["chain-of-2s", "chain-of-9s", "literal-65537", "literal-5000-digits"])
+def test_exponent_chains_are_bounded_at_parse_time(source, position):
+    with pytest.raises(ExprSyntaxError, match="exponent exceeds 65536") as err:
+        parse(source, 1, 1)
+    assert err.value.position == position
+    assert parse("x1^2^2^2^2", 1, 1).exponent == 65536
+
+
 def test_power_requires_integer_literal():
     with pytest.raises(ExprSyntaxError):
         parse("x1^1.5", 1, 1)
@@ -200,6 +213,19 @@ def _bits_equal(a, b):
     return a[keep].tobytes() == b[keep].tobytes()
 
 
+def _equal_by_value(got, want):
+    """Equal by value wherever want is not NaN, so zeros of either sign match.
+
+    A gradient kernel folds structural zeros and ones that dual arithmetic
+    multiplies and adds: that changes a finite or infinite result only in
+    the sign of a zero, and where dual arithmetic made a NaN (inf * 0) the
+    folded entry may be a number.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    keep = ~np.isnan(want)
+    return got.shape == want.shape and bool(np.all(got[keep] == want[keep]))
+
+
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0])
 # quotients like 7/3 are not dyadic, so every operation rounds
 _ROUNDED = st.builds(lambda a, b: a / b, st.integers(-999, 999), st.integers(1, 97))
@@ -262,6 +288,9 @@ def _pinned(batch):
         (["2", "u1"], [0.5], [1.0], [(1.0, 2.0, 3.0)]),
         # numpy's array ** rounds x^3 here one ulp away from libm pow
         (["x1^3"], [0.1899176304301875], [0.0], [(0.0, 0.0, 0.0)]),
+        # the value divides by 0 / 5e-324 = 0, the dual arithmetic by
+        # 0 * (1 / 5e-324) = nan: the gradient raises where the value does
+        (["x1 / (x1 / 5e-324)"], [0.0], [0.0], [(1.0, 1.0, 1.0)]),
     ]
 
     def decorate(test):
@@ -274,6 +303,13 @@ def _pinned(batch):
 
 
 def _gradient_oracle(e, x, u):
+    """The dual oracle's gradient, raising EvalError wherever the value
+    does: a gradient kernel checks the value's divisors, and a dual divisor
+    a * (1 / b) can differ from a / b (0 * (1 / 5e-324) is nan)."""
+    try:
+        _oracle_eval(e, x, u)
+    except OverflowError:
+        pass  # the dual oracle below meets the same power
     return _oracle_dual(e, x, u, len(x), len(x) + len(u))[1]
 
 
@@ -290,9 +326,11 @@ def _kernels(rows, n, m, gradient):
 
 
 def _check_points(case, gradient):
-    """Kernels against the oracle at numpy scalars and at Python floats."""
+    """Kernels against the oracle at numpy scalars and at Python floats:
+    values bit for bit, gradients by value where the oracle's are not NaN."""
     rows, x, u = case
     oracle = _gradient_oracle if gradient else _oracle_eval
+    equal = _equal_by_value if gradient else _bits_equal
     for kernel, exprs, single in _kernels(rows, len(x), len(u), gradient):
         for args in ((x, u), (list(x), list(u))):
             want = _outcome(_interpreted, oracle, exprs, *args)
@@ -308,7 +346,7 @@ def _check_points(case, gradient):
                 continue
             expected = want[1][0] if single else want[1]
             assert got[1].shape == expected.shape
-            assert _bits_equal(got[1], expected)
+            assert equal(got[1], expected)
 
 
 def _batch(x, u, extra):
@@ -320,11 +358,13 @@ def _batch(x, u, extra):
 
 
 def _check_batch(case, extra, gradient):
-    """Kernels over a batch of columns against the oracle at each column."""
+    """Kernels over a batch of columns against the oracle at each column,
+    compared like ``_check_points`` does."""
     rows, x, u = case
     n, m = len(x), len(u)
     z = _batch(x, u, extra)
     oracle = _gradient_oracle if gradient else _oracle_eval
+    equal = _equal_by_value if gradient else _bits_equal
     for kernel, exprs, single in _kernels(rows, n, m, gradient):
         got = _outcome(kernel, z[:n], z[n:])
         points = [_outcome(_interpreted, oracle, exprs, col[:n], col[n:]) for col in z.T]
@@ -341,7 +381,7 @@ def _check_batch(case, extra, gradient):
         assert got[1].shape == rows_axis + ((n + m,) if gradient else ()) + (z.shape[1],)
         for k, point in enumerate(points):
             if point[0] == "ok":
-                assert _bits_equal(got[1][..., k], point[1][0] if single else point[1])
+                assert equal(got[1][..., k], point[1][0] if single else point[1])
 
 
 @settings(max_examples=400)
@@ -374,11 +414,16 @@ def test_batch_gradient_matches_pointwise(case, extra):
 
 # ---------------------------------------------------------------------------
 # Gradient kernels against central differences of the value kernel: the
-# invariant validation check 13 samples, over its expressions (+ - * and
-# ^0..3, depth <= 4) and points in [-2, 2].  Constants lie in [-1, 1], not
-# check 13's [-3, 3]: a constant subtree such as ((3^3)^3)^3 = 3^27 added to
-# x1 hides x1's step below the rounding of the sum, so the difference
-# quotient, not the kernel, is wrong (relative error 1.0 at x1 = 0.5).
+# invariant validation check 13 samples, over its expressions (+ - * /,
+# each divisor 1 + s^2, and ^0..3, depth <= 4, constants in [-1, 1]) and
+# points in [-2, 2].  Constants stay in [-1, 1]: with [-3, 3] a constant
+# subtree such as ((3^3)^3)^3 = 3^27 added to x1 hides x1's step below the
+# rounding of the sum, so the difference quotient, not the kernel, is wrong
+# (relative error 1.0 at x1 = 0.5).
+
+
+def _over_one_plus_square(a, b):
+    return exprlang.BinOp("/", a, exprlang.BinOp("+", exprlang.Num(1.0), exprlang.Pow(b, 2)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,6 +441,7 @@ def _smooth_exprs(n, m, depth=4):
         sub.map(exprlang.Neg),
         st.builds(exprlang.Pow, sub, st.integers(0, 3)),
         st.builds(exprlang.BinOp, st.sampled_from("+-*"), sub, sub),
+        st.builds(_over_one_plus_square, sub, sub),
     )
 
 
@@ -417,6 +463,7 @@ def _smooth_case(source, x, u):
 @example(_smooth_case("0.75", [1.5], [-2.0]))
 @example(_smooth_case("x1^0", [-1.25], [0.5]))
 @example(_smooth_case("(x1*u1)^3", [1.75], [-1.5]))
+@example(_smooth_case("x1 / (1 + (u1 - x1)^2)", [0.5], [1.25]))
 def test_gradient_matches_finite_differences(case):
     e, x, u = case
     n, m = len(x), len(u)
@@ -444,10 +491,46 @@ def test_kernels_keep_the_sign_of_zero_constants():
 
 def test_generated_source_binds_constants_by_name():
     gen = exprlang._Codegen()
-    exprlang._dual_code(parse("1.5 * x1 / (u1 - 0.25)^2", 1, 1), gen, 1, 2)
+    _, grad = exprlang._derivatives(parse("1.5 * x1 / (u1 - 0.25)^2", 1, 1), 1, 2)
+    for g in grad:
+        exprlang._value_code(g, gen)
     source = "\n".join(gen.lines)
     assert "1.5" not in source and "0.25" not in source
-    assert {gen.names[k] for k in gen.names if k.startswith("c")} == {1.5, 0.25}
+    # 1.0 is the quotient's 1 / b, 2.0 the power rule's factor
+    assert {gen.names[k] for k in gen.names if k.startswith("c")} == {1.5, 0.25, 1.0, 2.0}
+
+
+def _built_nodes(e):
+    """Every node of the tree e, depth first."""
+    yield e
+    for child in (getattr(e, name, None) for name in ("arg", "base", "left", "right")):
+        if child is not None:
+            yield from _built_nodes(child)
+
+
+def _folded_away(node):
+    """Whether node multiplies by _ZERO or _ONE, adds or subtracts _ZERO,
+    or negates _ZERO: what the smart constructors of _derivatives fold."""
+    zero, one = exprlang._ZERO, exprlang._ONE
+    if isinstance(node, exprlang.Neg):
+        return node.arg is zero
+    if not isinstance(node, exprlang.BinOp):
+        return False
+    operands = (node.left, node.right)
+    if node.op == "*":
+        return any(o is zero or o is one for o in operands)
+    return node.op in "+-" and any(o is zero for o in operands)
+
+
+@settings(max_examples=300)
+@given(case=st.one_of(_cases(), _cases(quotient=True)))
+@example(case=(parse("x1^0 * u1 + (1 - x1) / (x1 * u1)^1", 1, 1), [0.0], [0.0]))
+def test_derivatives_fold_structural_zeros_and_ones(case):
+    e, x, u = case
+    value, grad = exprlang._derivatives(e, len(x), len(x) + len(u))
+    assert len(grad) == len(x) + len(u)
+    for root in (value, *grad):
+        assert not any(_folded_away(node) for node in _built_nodes(root))
 
 
 # ---------------------------------------------------------------------------
