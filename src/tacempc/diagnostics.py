@@ -83,13 +83,9 @@ def turnpike_report(
     dist = np.linalg.norm(dev, axis=1)
     proximate = dist <= epsilon
     proximity_set = tuple(int(k) for k in np.nonzero(proximate)[0])
-
-    consecutive = []
-    run = 0
-    for k in range(N):
-        run = run + 1 if proximate[k] else 0
-        if run >= T:
-            consecutive.append(k)
+    # k ends T consecutive proximate instants iff the window ending at k
+    # counts T of them (sums of 0s and 1s are exact)
+    consecutive_set = tuple(int(k) for k in np.nonzero(window_rows(proximate, T) == T)[0])
 
     delta = float(np.sum(solution.ell_pred)) - N * ss.ell_s
     C = 2.0 * _storage_sup(cert, model)
@@ -100,7 +96,7 @@ def turnpike_report(
         epsilon=float(epsilon),
         proximity_set=proximity_set,
         Q=len(proximity_set),
-        consecutive_set=tuple(consecutive),
+        consecutive_set=consecutive_set,
         lemma1_rhs=rhs,
         C=C,
         C_prime=C_prime,

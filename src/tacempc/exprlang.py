@@ -11,11 +11,14 @@ Grammar (standard precedence, ``^`` binds tighter than unary minus)::
 ``+ - * /`` are left associative, ``^`` is right associative and its
 exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``) of at most 65536, the chain's value included.
-Identifiers are ``x1..xn`` and ``u1..um``.
+Identifiers are ``x1..xn`` and ``u1..um``, and number literals must be
+finite as doubles.  Parentheses nest at most 100 deep, and operations at
+most 350 (a sum of k terms nests k - 1 additions).
 
 ``kernel`` compiles a sequence of expressions into one straight-line
 Python function that computes their values, or their gradients, and
-stores them in one array; every model callback is one such kernel.
+stores them in one array, or returns one value at a point as a Python
+float; every model and certificate callback is one such kernel.
 Gradients are exact (the grammar admits only polynomial and rational
 expressions): ``_derivatives`` builds them as expressions by the
 forward-mode rules, with structural zeros and ones folded away, and
@@ -46,6 +49,7 @@ untouched, and ``from_expressions`` runs the kernels' pass instead.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import struct
@@ -142,6 +146,7 @@ class _Tokens:
             pos = match.end()
         self.tokens.append(("eof", "", len(source)))
         self.i = 0
+        self.nesting = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.i]
@@ -155,85 +160,120 @@ class _Tokens:
 def parse(source: str, n: int, m: int) -> Expr:
     """Parse ``source`` into an Expr over x1..xn and u1..um."""
     toks = _Tokens(source)
-    expr = _parse_expr(toks, n, m)
+    expr, _ = _parse_expr(toks, n, m)
     kind, text, pos = toks.peek()
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
     return expr
 
 
+# Each parse function returns a node and its height, the number of
+# operations on the longest path down its tree.  Parentheses nest at most
+# _MAX_NESTING deep (the parser recurses once per level) and trees are at
+# most _MAX_DEPTH high (the compiler recurses once per level, up to three
+# times for derivative trees); both keep the recursion well below Python's
+# default limit of 1000 frames.
+_MAX_NESTING = 100
+_MAX_DEPTH = 350
+
+
+def _above(height, pos):
+    """The height of a node over operands at most ``height`` high."""
+    if height >= _MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests more than {_MAX_DEPTH} operations", pos)
+    return height + 1
+
+
 def _parse_expr(toks, n, m):
-    node = _parse_term(toks, n, m)
+    node, height = _parse_term(toks, n, m)
     while toks.peek()[1] in ("+", "-"):
-        op = toks.next()[1]
-        node = BinOp(op, node, _parse_term(toks, n, m))
-    return node
+        _, op, pos = toks.next()
+        right, right_height = _parse_term(toks, n, m)
+        node, height = BinOp(op, node, right), _above(max(height, right_height), pos)
+    return node, height
 
 
 def _parse_term(toks, n, m):
-    node = _parse_unary(toks, n, m)
+    node, height = _parse_unary(toks, n, m)
     while toks.peek()[1] in ("*", "/"):
-        op = toks.next()[1]
-        node = BinOp(op, node, _parse_unary(toks, n, m))
-    return node
+        _, op, pos = toks.next()
+        right, right_height = _parse_unary(toks, n, m)
+        node, height = BinOp(op, node, right), _above(max(height, right_height), pos)
+    return node, height
 
 
 def _parse_unary(toks, n, m):
-    if toks.peek()[1] == "-":
-        toks.next()
-        return Neg(_parse_unary(toks, n, m))
-    return _parse_power(toks, n, m)
+    signs = []
+    while toks.peek()[1] == "-":
+        signs.append(toks.next()[2])
+    node, height = _parse_power(toks, n, m)
+    for pos in reversed(signs):
+        node, height = Neg(node), _above(height, pos)
+    return node, height
 
 
 def _parse_power(toks, n, m):
-    base = _parse_atom(toks, n, m)
+    base, height = _parse_atom(toks, n, m)
     if toks.peek()[1] == "^":
-        toks.next()
-        return Pow(base, _parse_exponent(toks))
-    return base
+        pos = toks.next()[2]
+        return Pow(base, _parse_exponent(toks)), _above(height, pos)
+    return base, height
 
 
 def _parse_exponent(toks):
-    kind, text, pos = toks.next()
-    if kind != "num" or not re.fullmatch(r"\d+", text):
-        raise ExprSyntaxError("exponent must be a nonnegative integer literal", pos)
+    """The value of an exponent chain, right associative: x^2^3 == x^(2^3)."""
     too_large = f"exponent exceeds {_MAX_EXPONENT}"
-    # checked before int() and ** run: either is slow, or fails, on huge numbers
-    if len(text.lstrip("0")) > len(str(_MAX_EXPONENT)):
-        raise ExprSyntaxError(too_large, pos)
-    value = int(text)
-    if toks.peek()[1] == "^":  # right associative: x^2^3 == x^(2^3)
+    chain = []
+    while True:
+        kind, text, pos = toks.next()
+        if kind != "num" or not re.fullmatch(r"\d+", text):
+            raise ExprSyntaxError("exponent must be a nonnegative integer literal", pos)
+        # checked before int() and ** run: either is slow, or fails, on huge numbers
+        if len(text.lstrip("0")) > len(str(_MAX_EXPONENT)):
+            raise ExprSyntaxError(too_large, pos)
+        chain.append((int(text), pos))
+        if toks.peek()[1] != "^":
+            break
         toks.next()
-        power = _parse_exponent(toks)
+    power = 1
+    for value, pos in reversed(chain):
         if value > 1 and power >= _MAX_EXPONENT.bit_length():  # 2**power > bound
             raise ExprSyntaxError(too_large, pos)
-        value **= power
-    if value > _MAX_EXPONENT:
-        raise ExprSyntaxError(too_large, pos)
-    return value
+        power = value**power
+        if power > _MAX_EXPONENT:
+            raise ExprSyntaxError(too_large, pos)
+    return power
 
 
 def _parse_atom(toks, n, m):
     kind, text, pos = toks.next()
     if kind == "num":
-        return Num(float(text))
+        value = float(text)
+        if not math.isfinite(value):
+            raise ExprSyntaxError("number literal overflows a double", pos)
+        return Num(value), 0
     if kind == "ident":
         match = _IDENT_RE.match(text)
         if match is None:
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
-        var_kind, one_based = match.group(1), int(match.group(2))
+        var_kind, digits = match.groups()
         limit = n if var_kind == "x" else m
-        if one_based > limit:
+        # digits first: int() fails on more than 4,300 of them
+        if len(digits) > len(str(limit)) or int(digits) > limit:
             raise ExprSyntaxError(
                 f"identifier {text!r} exceeds declared dimension {limit}", pos
             )
-        return Var(var_kind, one_based - 1)
+        return Var(var_kind, int(digits) - 1), 0
     if text == "(":
-        node = _parse_expr(toks, n, m)
+        if toks.nesting == _MAX_NESTING:
+            raise ExprSyntaxError(f"parentheses nest more than {_MAX_NESTING} deep", pos)
+        toks.nesting += 1
+        parsed = _parse_expr(toks, n, m)
+        toks.nesting -= 1
         kind, text, pos = toks.next()
         if text != ")":
             raise ExprSyntaxError("expected ')'", pos)
-        return node
+        return parsed
     raise ExprSyntaxError(f"expected a number, identifier or '(', got {text!r}", pos)
 
 
@@ -417,9 +457,6 @@ class _Codegen:
         exec(compile(source, "<exprlang>", "exec"), namespace)  # noqa: S102
         return namespace["compiled"]
 
-    def build(self, result):
-        return self.define(f"def compiled(x, u):\n{self.body('    ')}    return {result}\n")
-
 
 def _value_code(e: Expr, gen: _Codegen) -> str:
     """Emit the value computation of e, once per node; returns the name or
@@ -471,10 +508,11 @@ def kernel(exprs, n: int, m: int, gradient: bool = False):
     (len(exprs)[, K]) for values and (len(exprs), n + m[, K]) for
     gradients, with K the batch shape of x, whatever the expressions read;
     a single expression, not in a sequence, drops the leading row axis, so
-    it gives a 0-d array at a point.  A gradient kernel raises EvalError
-    wherever the value kernel does, and computes only what an entry or a
-    check reads: a dead power that would overflow a Python float does not
-    raise OverflowError here.
+    its value kernel gives a Python float at a point.  A kernel over x
+    alone (m = 0) may be called with x alone.  A gradient kernel raises
+    EvalError wherever the value kernel does, and computes only what an
+    entry or a check reads: a dead power that would overflow a Python
+    float does not raise OverflowError here.
     """
     single = isinstance(exprs, Expr)
     rows = [exprs] if single else list(exprs)
@@ -492,7 +530,9 @@ def kernel(exprs, n: int, m: int, gradient: bool = False):
         shape, stores = shape[1:], [(index[1:], name) for index, name in stores]
     gen.lines.append(f"out = _empty({shape} + _batch_shape(x))")
     gen.lines += [f"out[{index}] = {name}" for index, name in stores]
-    return gen.build("out")
+    result = "out" if shape else "out if out.ndim else float(out)"
+    params = "x, u=()" if m == 0 else "x, u"
+    return gen.define(f"def compiled({params}):\n{gen.body('    ')}    return {result}\n")
 
 
 def stage_pass(f, ell, h, n: int, m: int):

@@ -9,10 +9,11 @@ stored history imposes on the next N predicted outputs.
 It also holds the one implementation of the transient-average windows
 (``Windows``, and ``window_rows`` for one call), shared by the solver's
 constraint assembly (``ocp``), the closed-loop record
-(``closedloop.window_sums``) and the Lyapunov windows (``diagnostics``),
-and of the steady history H^s (``steady_history``).  A window sum is one
-subtraction of two row blocks of a padded cumulative sum whose head rows
-hold the negated history tail sums.
+(``closedloop.window_sums``), the Lyapunov windows and the turnpike
+report's runs of proximate instants (``diagnostics``), and of the steady
+history H^s (``steady_history``).  A window sum is one subtraction of two
+row blocks of a padded cumulative sum whose head rows hold the negated
+history tail sums.
 """
 
 from __future__ import annotations

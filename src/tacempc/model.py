@@ -90,7 +90,8 @@ class SystemModel:
     f returns (n, K), ell (K,), h (p, K), f_jac (n, n+m, K), ell_grad
     (n+m, K) and h_jac (p, n+m, K).  The grid routines and the rollout
     call them once per batch.  All six are required: every derivative the
-    solver and the box searches read is the model's own exact one.
+    solver, the steady-state search and the box searches read is the
+    model's own exact one.
     The box Z must be finite (it is compact).  ``stage_pass(x0, us, record)``
     is the model's one rollout into the step record (``exprlang.stage_pass``):
     compiled by ``from_expressions``, else (``dataclasses.replace`` too) the
@@ -186,10 +187,10 @@ class SystemModel:
         """Build a model from expression strings over x1..xn, u1..um.
 
         Every callback is compiled here, once, into one kernel (see
-        ``exprlang.kernel``); ``ell`` wraps its kernel to return a float at
-        a point.  The callables broadcast over a batch axis bit for bit like
-        pointwise calls, and a batch result has one column per point even
-        for a constant expression.  So is the ``stage_pass``, one
+        ``exprlang.kernel``), and the kernel is the callback: ``ell`` gives
+        a float at a point.  The callables broadcast over a batch axis bit
+        for bit like pointwise calls, and a batch result has one column per
+        point even for a constant expression.  So is the ``stage_pass``, one
         Python-float loop (``exprlang.stage_pass``) bit for bit the
         callbacks' pass.  Where a power overflows, that loop raises
         OverflowError and numpy gives inf, so the model's ``stage_pass``
@@ -200,18 +201,12 @@ class SystemModel:
         f_exprs = [_parse(s, n, m, f"f[{i}]") for i, s in enumerate(f_sources)]
         ell_expr = _parse(ell_source, n, m, "ell")
         h_exprs = [_parse(s, n, m, f"h[{i}]") for i, s in enumerate(h_sources)]
-        ell_value = exprlang.kernel(ell_expr, n, m)
-
-        def ell(x, u):
-            value = ell_value(x, u)
-            return value if value.ndim else float(value)
-
         model = cls(
             n=n,
             m=m,
             p=len(h_exprs),
             f=exprlang.kernel(f_exprs, n, m),
-            ell=ell,
+            ell=exprlang.kernel(ell_expr, n, m),
             h=exprlang.kernel(h_exprs, n, m),
             z_lower=np.asarray(z_lower, dtype=float),
             z_upper=np.asarray(z_upper, dtype=float),
@@ -264,24 +259,16 @@ class DissipativityCertificate:
 
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
+        """The certificate whose storage lam and its gradient lam_grad are
+        the kernels (``exprlang.kernel``, m = 0) of an expression over x1..xn."""
         lam_expr = _parse(lam_source, n, 0, "lam")
-        lam_value = exprlang.kernel(lam_expr, n, 0)
-        lam_kernel = exprlang.kernel(lam_expr, n, 0, gradient=True)
-
-        def lam(x):
-            value = lam_value(x, ())
-            return value if value.ndim else float(value)
-
-        def lam_grad(x):
-            return lam_kernel(x, ())
-
         return cls(
-            lam=lam,
+            lam=exprlang.kernel(lam_expr, n, 0),
             lambda_bar=np.atleast_1d(np.asarray(lambda_bar, dtype=float)),
             a=float(a),
             omega=float(omega),
             L_h=float(L_h),
-            lam_grad=lam_grad,
+            lam_grad=exprlang.kernel(lam_expr, n, 0, gradient=True),
         )
 
 
@@ -380,7 +367,8 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
     """Global steady-state search: dense grid over Z plus local refinement.
 
     Deterministic: grid candidates are ranked by cost with ties broken by
-    lexicographic flat grid index, each refined with SLSQP.
+    lexicographic flat grid index, each refined with SLSQP on the model's
+    exact derivatives (ell_grad, f_jac and h_jac), so no finite differences.
     """
     n = model.n
     density = _grid_density(grid_density, n + model.m)
@@ -407,26 +395,28 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
 
     bounds = list(zip(model.z_lower, model.z_upper))
 
+    def at(fn):  # fn(x, u) as a function of z = (x, u)
+        return lambda z: np.asarray(fn(z[:n], z[n:]), dtype=float)
+
+    ell, f, f_jac, h, h_jac = map(at, (model.ell, model.f, model.f_jac, model.h, model.h_jac))
+    shift = np.eye(n, len(bounds))  # the z-Jacobian [I 0] of x
+    constraints = [  # SLSQP convention: an inequality is feasible when >= 0
+        {"type": "eq", "fun": lambda z: f(z) - z[:n], "jac": lambda z: f_jac(z) - shift},
+        {"type": "ineq", "fun": lambda z: -np.atleast_1d(h(z)), "jac": lambda z: -h_jac(z)},
+    ]
+
     def objective(z):
-        return float(model.ell(z[:n], z[n:]))
-
-    def eq_con(z):
-        return np.asarray(model.f(z[:n], z[n:]), dtype=float) - z[:n]
-
-    def ineq_con(z):  # SLSQP convention: >= 0 feasible
-        return -np.atleast_1d(np.asarray(model.h(z[:n], z[n:]), dtype=float))
+        return float(ell(z))
 
     best = None
     for z0 in candidates.T:
         res = optimize.minimize(
             objective,
             z0,
+            jac=at(model.ell_grad),
             method="SLSQP",
             bounds=bounds,
-            constraints=[
-                {"type": "eq", "fun": eq_con},
-                {"type": "ineq", "fun": ineq_con},
-            ],
+            constraints=constraints,
             options={"maxiter": 200, "ftol": 1e-14},
         )
         for z in (res.x, z0):  # fall back to the raw grid point

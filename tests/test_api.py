@@ -1,7 +1,13 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+from scipy.optimize import _differentiable_functions, _slsqp_py
+
 import tacempc
+from tacempc.history import steady_history
+from tacempc.model import min_weighted_output, solve_steady_state
+from tacempc.ocp import ORIGINAL, ROTATED, OcpSpec, solve
 
 
 def test_public_names_resolve():
@@ -82,6 +88,27 @@ def test_finite_differences_serve_only_the_gradient_check():
             if any(name == "_fd_jacobian" for name, _ in _reads(node)):
                 readers.add((path.name, getattr(node, "name", None)))
     assert readers == {("validation.py", "check_gradients")}
+
+
+def test_no_solve_reaches_numerical_differentiation(monkeypatch, builtin, pair):
+    # scipy's minimize differentiates numerically, through approx_derivative,
+    # every function it is given no Jacobian for; the steady-state search,
+    # the box search and both solvers pass the model's exact ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy differentiated numerically")
+
+    for module in (_slsqp_py, _differentiable_functions):
+        monkeypatch.setattr(module, "approx_derivative", refuse)
+    for (model, cert, ss), density in ((builtin, 201), (pair, 21)):
+        found = solve_steady_state(model, grid_density=density)
+        assert found.x_s.tolist() == ss.x_s.tolist() and found.u_s.tolist() == ss.u_s.tolist()
+        min_weighted_output(model, cert)
+    model, cert, ss = builtin
+    H0 = steady_history(model.h(np.ones(1), np.ones(1)), 3)
+    for objective in (ORIGINAL, ROTATED):
+        spec = OcpSpec(model=model, cert=cert, ss=ss, N=10, T=3, x0=np.ones(1), H0=H0,
+                       objective=objective)
+        assert solve(spec).converged
 
 
 def test_only_assess_builds_a_solution():

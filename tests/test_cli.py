@@ -212,6 +212,22 @@ def test_boolean_numbers_exit_with_config_error(tmp_path, capsys, section, key, 
     ("h", ["2*x1 + u2 - 5"], "model h[0]: identifier 'u2' exceeds declared dimension 1"),
     ("lam", "1.5 * (x1 - 2))", "model lam: unexpected token ')'"),
     ("ell", 3, "model ell must be an expression string, got 3"),  # was a TypeError traceback
+    # a ValueError traceback: int() of the 5,000-digit index
+    pytest.param("ell", "x" + "1" * 5000, "model ell: identifier 'x1111", id="index-5000-digits"),
+    # parsed to inf: exit 0 with ell_s = inf
+    pytest.param("ell", "(x1 - 3)^2 + " + "9" * 5000,
+                 "model ell: number literal overflows a double (at position 13)",
+                 id="literal-5000-digits"),
+    # failed later, with a complementarity message
+    pytest.param("h", ["x1 - 1e400"], "model h[0]: number literal overflows a double (at position 5)",
+                 id="literal-1e400"),
+    # each a RecursionError traceback
+    pytest.param("ell", " + ".join(["x1"] * 1000),
+                 "model ell: expression nests more than 350 operations", id="1000-terms"),
+    pytest.param("ell", "(" * 400 + "x1" + ")" * 400,
+                 "model ell: parentheses nest more than 100 deep", id="400-parentheses"),
+    pytest.param("ell", "-" * 2000 + "x1",
+                 "model ell: expression nests more than 350 operations", id="2000-minus-signs"),
 ])
 def test_malformed_model_expression_exits_with_config_error(tmp_path, capsys, key, value, message):
     # an ExprSyntaxError was a solver error: exit 2 and no key named

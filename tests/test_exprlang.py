@@ -57,6 +57,80 @@ def test_exponent_chains_are_bounded_at_parse_time(source, position):
     assert parse("x1^2^2^2^2", 1, 1).exponent == 65536
 
 
+def test_identifier_index_is_compared_before_conversion():
+    # int() of more than 4,300 digits raised a bare ValueError
+    with pytest.raises(ExprSyntaxError, match="exceeds declared dimension 1") as err:
+        parse("2 * x" + "1" * 5000, 1, 1)
+    assert err.value.position == 4
+    with pytest.raises(ExprSyntaxError, match="unknown identifier"):
+        parse("x" + "0" * 5000 + "1", 1, 1)  # no index has a leading zero
+    assert parse("x12", 12, 1) == exprlang.Var("x", 11)
+
+
+@pytest.mark.parametrize("source, position", [
+    ("x1 + " + "9" * 5000, 5),  # parsed to inf
+    ("x1 - 1e400", 5),
+    ("-1.5e309 * u1", 1),
+], ids=["5000-digits", "1e400", "negated"])
+def test_non_finite_number_literals_are_syntax_errors(source, position):
+    with pytest.raises(ExprSyntaxError, match="number literal overflows a double") as err:
+        parse(source, 1, 1)
+    assert err.value.position == position
+    assert parse("1e308 + 1e-400", 1, 1).right == exprlang.Num(0.0)  # underflow is finite
+
+
+@pytest.mark.parametrize("source, message", [
+    (" + ".join(["x1"] * 1000), "expression nests more than 350 operations"),
+    ("(" * 400 + "x1" + ")" * 400, "parentheses nest more than 100 deep"),
+    ("-" * 2000 + "x1", "expression nests more than 350 operations"),
+    ("x1" + "^1" * 2000, None),  # an exponent chain is parsed without recursion
+], ids=["1000-terms", "400-parentheses", "2000-minus-signs", "2000-exponents"])
+def test_deep_expressions_are_bounded_at_parse_time(source, message):
+    # each raised RecursionError
+    if message is None:
+        assert parse(source, 1, 1) == exprlang.Pow(exprlang.Var("x", 0), 1)
+        return
+    with pytest.raises(ExprSyntaxError, match=message):
+        parse(source, 1, 1)
+
+
+def test_expressions_within_the_depth_bounds_compile():
+    sources = [
+        " + ".join(["x1^2"] * 300),  # 300 terms nest 299 additions and a power
+        " * ".join(["x1"] * 351),  # 350 multiplications: a derivative tree twice as deep
+        "x1 / (" * 100 + " * ".join(["u1"] * 250) + ")" * 100,
+        "-" * 350 + "u1",
+    ]
+    for source in sources:
+        e = parse(source, 1, 1)
+        exprlang.kernel(e, 1, 1, gradient=True)
+        exprlang.stage_pass([e], e, [e], 1, 1)
+    with pytest.raises(ExprSyntaxError, match="more than 350 operations"):
+        parse(" * ".join(["x1"] * 352), 1, 1)
+    with pytest.raises(ExprSyntaxError, match="more than 100 deep"):
+        parse("(" * 101 + "x1" + ")" * 101, 1, 1)
+
+
+def test_single_value_kernel_gives_a_float_at_a_point():
+    e = parse("x1 * u1 + 2", 1, 1)
+    for args in (([1.5], [2.0]), (np.array([1.5]), np.array([2.0]))):
+        value = exprlang.kernel(e, 1, 1)(*args)
+        assert type(value) is float and value == 5.0
+    assert type(exprlang.kernel(parse("3", 1, 1), 1, 1)([0.0], [0.0])) is float
+    assert exprlang.kernel([e], 1, 1)([1.5], [2.0]).shape == (1,)  # a sequence keeps its axis
+    batch = exprlang.kernel(e, 1, 1)(np.array([[1.0, 2.0]]), np.array([[1.0, 1.0]]))
+    assert batch.tolist() == [3.0, 4.0]
+
+
+def test_x_only_kernel_takes_x_alone():
+    e = parse("x1 * x2 - 1", 2, 0)
+    value, grad = exprlang.kernel(e, 2, 0), exprlang.kernel(e, 2, 0, gradient=True)
+    assert value([2.0, 3.0]) == value([2.0, 3.0], ()) == 5.0
+    assert grad([2.0, 3.0]).tolist() == grad([2.0, 3.0], ()).tolist() == [3.0, 2.0]
+    with pytest.raises(TypeError):
+        exprlang.kernel(parse("x1 + u1", 1, 1), 1, 1)([1.0])  # u is required when m > 0
+
+
 def test_power_requires_integer_literal():
     with pytest.raises(ExprSyntaxError):
         parse("x1^1.5", 1, 1)
@@ -345,7 +419,7 @@ def _check_points(case, gradient):
                 assert got[1] is want[1]
                 continue
             expected = want[1][0] if single else want[1]
-            assert got[1].shape == expected.shape
+            assert np.shape(got[1]) == expected.shape
             assert equal(got[1], expected)
 
 

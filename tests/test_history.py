@@ -191,3 +191,15 @@ def test_shift_updates_compose(p, T, data):
         expected = y + H.columns.sum(axis=1)
         scale = np.abs(y) + np.abs(H.columns).sum(axis=1)
         assert np.all(np.abs(window - expected) <= 1e-12 * scale)
+
+
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=40), T=st.integers(1, 8))
+def test_window_rows_count_runs_of_flags(flags, T):
+    # turnpike_report's consecutive set: k ends T consecutive flagged
+    # instants iff the length-T window ending at k counts T flags
+    ends, run = [], 0
+    for k, flag in enumerate(flags):
+        run = run + 1 if flag else 0
+        if run >= T:
+            ends.append(k)
+    assert np.nonzero(window_rows(np.array(flags), T) == T)[0].tolist() == ends
