@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, quoted
 from .history import HistoryState, steady_history
 from .model import (
     DissipativityCertificate,
@@ -72,9 +72,14 @@ class RunConfig:
 def _holds_bool(value) -> bool:
     """Whether value is, or a nested list holds, a boolean: JSON true and
     false, which int(), float() and numpy would read as 1 and 0."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(item) for item in value)
-    return isinstance(value, (bool, np.bool_))
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, (bool, np.bool_)):
+            return True
+    return False
 
 
 def as_number(value, kind, name: str):
@@ -89,7 +94,7 @@ def as_number(value, kind, name: str):
         return number
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
+        raise ConfigError(f"{name} must be {noun}, got {quoted(value)}") from None
 
 
 def _reject_unknown(keys, known, what: str):
@@ -100,7 +105,7 @@ def _reject_unknown(keys, known, what: str):
 
 def _as_section(section, name: str) -> dict:
     if not isinstance(section, dict):
-        raise ConfigError(f"{name} section must be a JSON object, got {section!r}")
+        raise ConfigError(f"{name} section must be a JSON object, got {quoted(section)}")
     return section
 
 
@@ -114,7 +119,7 @@ def _as_floats(values, name: str) -> np.ndarray:
             raise TypeError(values)
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be numbers, got {values!r}") from None
+        raise ConfigError(f"{name} must be numbers, got {quoted(values)}") from None
 
 
 def builtin_model_data(name: str) -> dict:
@@ -167,7 +172,7 @@ def _resolve_steady_state(model, data: dict) -> SteadyState:
         return solve_steady_state(model)
     if not isinstance(given, dict) or set(given) != {"x", "u"}:
         raise ConfigError(
-            f'model steady_state must be a JSON object with keys "x" and "u", got {given!r}'
+            f'model steady_state must be a JSON object with keys "x" and "u", got {quoted(given)}'
         )
     x_s = np.atleast_1d(_as_floats(given["x"], "model steady_state x"))
     u_s = np.atleast_1d(_as_floats(given["u"], "model steady_state u"))
@@ -236,7 +241,7 @@ def load_config(
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep to decode
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("top-level configuration must be a JSON object")

@@ -22,3 +22,12 @@ class InfeasibleError(TacempcError, RuntimeError):
     def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
+
+
+def quoted(value, limit: int = 40) -> str:
+    """repr(value) for an error message: past ``limit`` characters, its
+    first ``limit`` and its full length."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"

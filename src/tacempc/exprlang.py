@@ -12,8 +12,8 @@ Grammar (standard precedence, ``^`` binds tighter than unary minus)::
 exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``) of at most 65536, the chain's value included.
 Identifiers are ``x1..xn`` and ``u1..um``, and number literals must be
-finite as doubles.  Parentheses nest at most 100 deep, and operations at
-most 350 (a sum of k terms nests k - 1 additions).
+finite as doubles.  Parsing and compiling use explicit stacks, not
+recursion, so neither nesting nor the caller's stack depth is bounded.
 
 ``kernel`` compiles a sequence of expressions into one straight-line
 Python function that computes their values, or their gradients, and
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TacempcError
+from .errors import TacempcError, quoted
 
 
 class ExprSyntaxError(TacempcError, ValueError):
@@ -127,7 +127,6 @@ _MAX_EXPONENT = 2**16  # largest exponent, chains like x^2^2^2^2 included
 
 class _Tokens:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = []  # (kind, text, pos)
         pos = 0
         while pos < len(source):
@@ -146,7 +145,6 @@ class _Tokens:
             pos = match.end()
         self.tokens.append(("eof", "", len(source)))
         self.i = 0
-        self.nesting = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.i]
@@ -158,66 +156,44 @@ class _Tokens:
 
 
 def parse(source: str, n: int, m: int) -> Expr:
-    """Parse ``source`` into an Expr over x1..xn and u1..um."""
+    """Parse ``source`` into an Expr over x1..xn and u1..um.
+
+    Operator precedence parsing: operands wait on one stack, and operators,
+    unary minus signs ("neg") and open parentheses on another, so nesting
+    costs no Python frame.
+    """
+    # how tightly each entry of the operator stack binds; a token that ends
+    # an operand group (')', the end or any other) binds 1, so it applies
+    # every operator down to the innermost '(', which binds 0
+    precedence = {"(": 0, "+": 2, "-": 2, "*": 3, "/": 3, "neg": 4}
     toks = _Tokens(source)
-    expr, _ = _parse_expr(toks, n, m)
-    kind, text, pos = toks.peek()
-    if kind != "eof":
-        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
-    return expr
-
-
-# Each parse function returns a node and its height, the number of
-# operations on the longest path down its tree.  Parentheses nest at most
-# _MAX_NESTING deep (the parser recurses once per level) and trees are at
-# most _MAX_DEPTH high (the compiler recurses once per level, up to three
-# times for derivative trees); both keep the recursion well below Python's
-# default limit of 1000 frames.
-_MAX_NESTING = 100
-_MAX_DEPTH = 350
-
-
-def _above(height, pos):
-    """The height of a node over operands at most ``height`` high."""
-    if height >= _MAX_DEPTH:
-        raise ExprSyntaxError(f"expression nests more than {_MAX_DEPTH} operations", pos)
-    return height + 1
-
-
-def _parse_expr(toks, n, m):
-    node, height = _parse_term(toks, n, m)
-    while toks.peek()[1] in ("+", "-"):
-        _, op, pos = toks.next()
-        right, right_height = _parse_term(toks, n, m)
-        node, height = BinOp(op, node, right), _above(max(height, right_height), pos)
-    return node, height
-
-
-def _parse_term(toks, n, m):
-    node, height = _parse_unary(toks, n, m)
-    while toks.peek()[1] in ("*", "/"):
-        _, op, pos = toks.next()
-        right, right_height = _parse_unary(toks, n, m)
-        node, height = BinOp(op, node, right), _above(max(height, right_height), pos)
-    return node, height
-
-
-def _parse_unary(toks, n, m):
-    signs = []
-    while toks.peek()[1] == "-":
-        signs.append(toks.next()[2])
-    node, height = _parse_power(toks, n, m)
-    for pos in reversed(signs):
-        node, height = Neg(node), _above(height, pos)
-    return node, height
-
-
-def _parse_power(toks, n, m):
-    base, height = _parse_atom(toks, n, m)
-    if toks.peek()[1] == "^":
-        pos = toks.next()[2]
-        return Pow(base, _parse_exponent(toks)), _above(height, pos)
-    return base, height
+    operands, ops = [], []
+    while True:
+        kind, text, pos = toks.next()
+        if text in ("-", "("):  # a prefix of the next operand
+            ops.append("neg" if text == "-" else text)
+            continue
+        operands.append(_parse_atom(kind, text, pos, n, m))
+        while True:  # the operand's power, then each group it closes
+            if toks.peek()[1] == "^":
+                toks.next()
+                operands.append(Pow(operands.pop(), _parse_exponent(toks)))
+            kind, text, pos = toks.next()
+            binding = precedence[text] if text in _BINARY_OPS else 1
+            while ops and precedence[ops[-1]] >= binding:
+                op, right = ops.pop(), operands.pop()
+                operands.append(Neg(right) if op == "neg" else BinOp(op, operands.pop(), right))
+            if text != ")" or not ops:
+                break
+            ops.pop()  # its '('
+        if text in _BINARY_OPS:
+            ops.append(text)
+        elif ops:
+            raise ExprSyntaxError("expected ')'", pos)
+        elif kind != "eof":
+            raise ExprSyntaxError(f"unexpected token {quoted(text)}", pos)
+        else:
+            return operands.pop()
 
 
 def _parse_exponent(toks):
@@ -245,36 +221,26 @@ def _parse_exponent(toks):
     return power
 
 
-def _parse_atom(toks, n, m):
-    kind, text, pos = toks.next()
+def _parse_atom(kind, text, pos, n, m):
+    """The leaf a number or identifier token stands for."""
     if kind == "num":
         value = float(text)
         if not math.isfinite(value):
             raise ExprSyntaxError("number literal overflows a double", pos)
-        return Num(value), 0
+        return Num(value)
     if kind == "ident":
         match = _IDENT_RE.match(text)
         if match is None:
-            raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
+            raise ExprSyntaxError(f"unknown identifier {quoted(text)}", pos)
         var_kind, digits = match.groups()
         limit = n if var_kind == "x" else m
         # digits first: int() fails on more than 4,300 of them
         if len(digits) > len(str(limit)) or int(digits) > limit:
             raise ExprSyntaxError(
-                f"identifier {text!r} exceeds declared dimension {limit}", pos
+                f"identifier {quoted(text)} exceeds declared dimension {limit}", pos
             )
-        return Var(var_kind, int(digits) - 1), 0
-    if text == "(":
-        if toks.nesting == _MAX_NESTING:
-            raise ExprSyntaxError(f"parentheses nest more than {_MAX_NESTING} deep", pos)
-        toks.nesting += 1
-        parsed = _parse_expr(toks, n, m)
-        toks.nesting -= 1
-        kind, text, pos = toks.next()
-        if text != ")":
-            raise ExprSyntaxError("expected ')'", pos)
-        return parsed
-    raise ExprSyntaxError(f"expected a number, identifier or '(', got {text!r}", pos)
+        return Var(var_kind, int(digits) - 1)
+    raise ExprSyntaxError(f"expected a number, identifier or '(', got {quoted(text)}", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -314,42 +280,71 @@ def _mul(a, b):
 _FOLDED = {"+": _add, "-": _sub, "*": _mul}
 
 
-def _derivatives(e: Expr, n: int, dim: int):
-    """(value, gradient w.r.t. (x1..xn, u1..)) of e as Exprs, dim entries.
+def _postorder(root: Expr, done):
+    """The nodes of root's tree whose ids are not in ``done``, children
+    first and left to right, in the order of a recursive walk.  The caller
+    puts each node's id in ``done`` as it gets it, so a node shared in the
+    tree comes once, and nothing under a node already done is visited."""
+    stack = [(root, False)]
+    while stack:
+        e, ready = stack.pop()
+        if ready:
+            yield e
+        elif id(e) not in done:
+            stack.append((e, True))
+            stack += [(c, False) for c in reversed(_children(e))]
 
-    The value is e itself wherever its operands' values are, so compiled
-    code shares it with the value code; a quotient's value is a * (1 / b)
-    as in dual arithmetic, and a zero power's is _ONE.
-    """
-    if isinstance(e, Num):
-        return e, [_ZERO] * dim
-    if isinstance(e, Var):
-        grad = [_ZERO] * dim
-        grad[e.index if e.kind == "x" else n + e.index] = _ONE
-        return e, grad
+
+def _children(e: Expr):
+    if isinstance(e, BinOp):
+        return e.left, e.right
     if isinstance(e, Neg):
-        v, g = _derivatives(e.arg, n, dim)
-        return (e if v is e.arg else Neg(v)), [_neg(gi) for gi in g]
+        return (e.arg,)
     if isinstance(e, Pow):
-        v, g = _derivatives(e.base, n, dim)
-        k = operator.index(e.exponent)
-        if k == 0:
-            return _ONE, [_ZERO] * dim
-        # k * v^(k-1), with v^1 = v bit for bit (libm pow)
-        scale = _ONE if k == 1 else _mul(Num(float(k)), v if k == 2 else Pow(v, k - 1))
-        return (e if v is e.base else Pow(v, k)), [_mul(scale, gi) for gi in g]
-    if isinstance(e, BinOp) and e.op in _BINARY_OPS:
-        va, ga = _derivatives(e.left, n, dim)
-        vb, gb = _derivatives(e.right, n, dim)
-        if e.op == "/":
+        return (e.base,)
+    return ()
+
+
+def _derivatives(root: Expr, n: int, dim: int):
+    """(value, gradient w.r.t. (x1..xn, u1..)) of root as Exprs, dim entries.
+
+    The value is the node itself wherever its operands' values are, so
+    compiled code shares it with the value code; a quotient's value is
+    a * (1 / b) as in dual arithmetic, and a zero power's is _ONE.
+    """
+    done = {}  # node id -> (value, gradient)
+    for e in _postorder(root, done):
+        if isinstance(e, (Num, Var)):
+            value, grad = e, [_ZERO] * dim
+            if isinstance(e, Var):
+                grad[e.index if e.kind == "x" else n + e.index] = _ONE
+        elif isinstance(e, Neg):
+            v, g = done[id(e.arg)]
+            value, grad = (e if v is e.arg else Neg(v)), [_neg(gi) for gi in g]
+        elif isinstance(e, Pow) and operator.index(e.exponent) == 0:
+            value, grad = _ONE, [_ZERO] * dim
+        elif isinstance(e, Pow):
+            v, g = done[id(e.base)]
+            k = operator.index(e.exponent)
+            # k * v^(k-1), with v^1 = v bit for bit (libm pow)
+            scale = _ONE if k == 1 else _mul(Num(float(k)), v if k == 2 else Pow(v, k - 1))
+            value, grad = (e if v is e.base else Pow(v, k)), [_mul(scale, gi) for gi in g]
+        elif isinstance(e, BinOp) and e.op == "/":
+            (va, ga), (vb, gb) = done[id(e.left)], done[id(e.right)]
             inv = BinOp("/", _ONE, vb)
             value = _mul(va, inv)
-            return value, [_mul(_sub(a, _mul(value, b)), inv) for a, b in zip(ga, gb)]
-        value = e if va is e.left and vb is e.right else _FOLDED[e.op](va, vb)
-        if e.op == "*":
-            return value, [_add(_mul(vb, a), _mul(va, b)) for a, b in zip(ga, gb)]
-        return value, [_FOLDED[e.op](a, b) for a, b in zip(ga, gb)]
-    raise TypeError(f"not an Expr: {e!r}")
+            grad = [_mul(_sub(a, _mul(value, b)), inv) for a, b in zip(ga, gb)]
+        elif isinstance(e, BinOp) and e.op in _FOLDED:
+            (va, ga), (vb, gb) = done[id(e.left)], done[id(e.right)]
+            value = e if va is e.left and vb is e.right else _FOLDED[e.op](va, vb)
+            if e.op == "*":
+                grad = [_add(_mul(vb, a), _mul(va, b)) for a, b in zip(ga, gb)]
+            else:
+                grad = [_FOLDED[e.op](a, b) for a, b in zip(ga, gb)]
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        done[id(e)] = value, grad
+    return done[id(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,42 +453,36 @@ class _Codegen:
         return namespace["compiled"]
 
 
-def _value_code(e: Expr, gen: _Codegen) -> str:
-    """Emit the value computation of e, once per node; returns the name or
-    leaf holding it."""
-    known = gen.codes.get(id(e))
-    if known is not None:
-        return known[1]
-    if isinstance(e, Num):
-        code = gen.const(e.value)
-    elif isinstance(e, Var):
-        code = gen.var(e.kind, e.index)
-    elif isinstance(e, Neg):
-        code = gen.emit(f"-{_value_code(e.arg, gen)}")
-    elif isinstance(e, Pow):
-        code = gen.emit(gen.power(_value_code(e.base, gen), e.exponent))
-    elif isinstance(e, BinOp) and e.op in _BINARY_OPS:
-        a = _value_code(e.left, gen)
-        b = _value_code(e.right, gen)
-        if e.op == "/":
-            gen.check(b)
-        code = gen.emit(f"{a} {e.op} {b}")
-    else:
-        raise TypeError(f"not an Expr: {e!r}")
-    gen.codes[id(e)] = e, code  # the node is kept, so its id stays unique
-    return code
+def _value_code(root: Expr, gen: _Codegen) -> str:
+    """Emit the value computation of root, once per node; returns the name
+    or leaf holding it."""
+    for e in _postorder(root, gen.codes):
+        if isinstance(e, Num):
+            code = gen.const(e.value)
+        elif isinstance(e, Var):
+            code = gen.var(e.kind, e.index)
+        else:
+            args = [gen.codes[id(c)][1] for c in _children(e)]
+            if isinstance(e, Neg):
+                code = gen.emit(f"-{args[0]}")
+            elif isinstance(e, Pow):
+                code = gen.emit(gen.power(args[0], e.exponent))
+            elif isinstance(e, BinOp) and e.op in _BINARY_OPS:
+                if e.op == "/":
+                    gen.check(args[1])
+                code = gen.emit(f"{args[0]} {e.op} {args[1]}")
+            else:
+                raise TypeError(f"not an Expr: {e!r}")
+        gen.codes[id(e)] = e, code  # the node is kept, so its id stays unique
+    return gen.codes[id(root)][1]
 
 
-def _check_divisors(e: Expr, gen: _Codegen):
-    """Emit the zero check of every divisor in e, in the value code's order."""
-    if isinstance(e, Neg):
-        _check_divisors(e.arg, gen)
-    elif isinstance(e, Pow):
-        _check_divisors(e.base, gen)
-    elif isinstance(e, BinOp):
-        _check_divisors(e.left, gen)
-        _check_divisors(e.right, gen)
-        if e.op == "/":
+def _check_divisors(root: Expr, gen: _Codegen):
+    """Emit the zero check of every divisor in root, in the value code's order."""
+    done = set()
+    for e in _postorder(root, done):
+        done.add(id(e))
+        if isinstance(e, BinOp) and e.op == "/":
             gen.check(_value_code(e.right, gen))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from . import exprlang
-from .errors import ConfigError, DomainError, InfeasibleError
+from .errors import ConfigError, DomainError, InfeasibleError, quoted
 from .lbfgsb import lbfgsb
 
 _FD_STEP = 1e-7
@@ -69,7 +69,7 @@ def _parse(source, n, m, key):
     """The model expression under ``key``; a syntax error in it is a
     configuration error that names the key."""
     if not isinstance(source, str):
-        raise ConfigError(f"model {key} must be an expression string, got {source!r}")
+        raise ConfigError(f"model {key} must be an expression string, got {quoted(source)}")
     try:
         return exprlang.parse(source, n, m)
     except exprlang.ExprSyntaxError as exc:

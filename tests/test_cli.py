@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import operator
 import pathlib
 import shlex
 import xml.etree.ElementTree as ET
@@ -221,13 +223,6 @@ def test_boolean_numbers_exit_with_config_error(tmp_path, capsys, section, key, 
     # failed later, with a complementarity message
     pytest.param("h", ["x1 - 1e400"], "model h[0]: number literal overflows a double (at position 5)",
                  id="literal-1e400"),
-    # each a RecursionError traceback
-    pytest.param("ell", " + ".join(["x1"] * 1000),
-                 "model ell: expression nests more than 350 operations", id="1000-terms"),
-    pytest.param("ell", "(" * 400 + "x1" + ")" * 400,
-                 "model ell: parentheses nest more than 100 deep", id="400-parentheses"),
-    pytest.param("ell", "-" * 2000 + "x1",
-                 "model ell: expression nests more than 350 operations", id="2000-minus-signs"),
 ])
 def test_malformed_model_expression_exits_with_config_error(tmp_path, capsys, key, value, message):
     # an ExprSyntaxError was a solver error: exit 2 and no key named
@@ -235,6 +230,58 @@ def test_malformed_model_expression_exits_with_config_error(tmp_path, capsys, ke
     path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", key: value}}))
     assert main(["steady-state", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("ell, times", [
+    pytest.param(" + ".join(["x1"] * 1000), 1000, id="1000-terms"),
+    pytest.param("(" * 400 + "x1" + ")" * 400, 1, id="400-parentheses"),
+    pytest.param("-" * 2000 + "x1", 1, id="2000-minus-signs"),
+])
+def test_deep_model_expression_runs(tmp_path, capsys, ell, times):
+    # each a RecursionError traceback, then a ConfigError at the depth bounds;
+    # ell is x1 added ``times`` times, so the solved x_s is the box's -10
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", "ell": ell}}))
+    assert main(["steady-state", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x_s = -10"
+    assert lines[2] == f"ell_s = {cli._fmt(functools.reduce(operator.add, [-10.0] * times))}"
+
+
+def _nested_list(depth):
+    return "[" * depth + "0" + "]" * depth
+
+
+@pytest.mark.parametrize("x0, message", [
+    # a RecursionError traceback from config._holds_bool
+    pytest.param(_nested_list(950), "experiment x0 must be numbers, got [[[[", id="950-deep"),
+    # a RecursionError traceback from json.load
+    pytest.param(_nested_list(5000), "invalid JSON in ", id="5000-deep"),
+])
+def test_deeply_nested_config_exits_with_config_error(tmp_path, capsys, x0, message):
+    path = tmp_path / "run.json"
+    path.write_text('{"experiment": {"x0": ' + x0 + "}}")
+    assert main(["steady-state", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err) < 200
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"ell": "x" + "1" * 5000}, "model ell: identifier 'x1111"),
+    ({"ell": "y" * 5000}, "model ell: unknown identifier 'yyyy"),
+    ({"h": ["x1 " + "u" * 5000]}, "model h[0]: unexpected token 'uuuu"),
+    ({"lam": ["x1"] * 5000}, "model lam must be an expression string, got ['x1', "),
+    ({"lambda_bar": "1," * 5000}, "model lambda_bar must be numbers, got ['1', '1', "),
+    ({"a": "q" * 5000}, "model a must be a number, got 'qqqq"),
+], ids=["dimension", "identifier", "token", "expression", "numbers", "number"])
+def test_long_inputs_are_quoted_in_part(tmp_path, capsys, model, message):
+    # each message quoted the whole input: 5,050 characters for the identifier
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"builtin": "mueller-koehler", **model}}))
+    assert main(["steady-state", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err) < 200
+    assert " characters)" in err
 
 
 _NO_STORAGE = {"lam": "0 * x1", "lambda_bar": [0.0]}  # any steady state passes the certificate

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse
-from tacempc.model import _fd_jacobian, step_record_widths
+from tacempc.model import SystemModel, _fd_jacobian, step_record_widths
 
 
 def _value(source, x, u):
@@ -42,6 +43,7 @@ def test_power_right_associative_integer_chain():
     e = parse("x1^2^3", 1, 1)
     assert isinstance(e, exprlang.Pow)
     assert e.exponent == 8
+    assert parse("x1" + "^1" * 2000, 1, 1) == exprlang.Pow(exprlang.Var("x", 0), 1)
 
 
 @pytest.mark.parametrize("source, position", [
@@ -79,36 +81,92 @@ def test_non_finite_number_literals_are_syntax_errors(source, position):
     assert parse("1e308 + 1e-400", 1, 1).right == exprlang.Num(0.0)  # underflow is finite
 
 
-@pytest.mark.parametrize("source, message", [
-    (" + ".join(["x1"] * 1000), "expression nests more than 350 operations"),
-    ("(" * 400 + "x1" + ")" * 400, "parentheses nest more than 100 deep"),
-    ("-" * 2000 + "x1", "expression nests more than 350 operations"),
-    ("x1" + "^1" * 2000, None),  # an exponent chain is parsed without recursion
-], ids=["1000-terms", "400-parentheses", "2000-minus-signs", "2000-exponents"])
-def test_deep_expressions_are_bounded_at_parse_time(source, message):
-    # each raised RecursionError
-    if message is None:
-        assert parse(source, 1, 1) == exprlang.Pow(exprlang.Var("x", 0), 1)
-        return
-    with pytest.raises(ExprSyntaxError, match=message):
-        parse(source, 1, 1)
+def _negated(value, times):
+    for _ in range(times):
+        value = -value
+    return value
 
 
-def test_expressions_within_the_depth_bounds_compile():
-    sources = [
-        " + ".join(["x1^2"] * 300),  # 300 terms nest 299 additions and a power
-        " * ".join(["x1"] * 351),  # 350 multiplications: a derivative tree twice as deep
-        "x1 / (" * 100 + " * ".join(["u1"] * 250) + ")" * 100,
-        "-" * 350 + "u1",
+def _nested_quotients(x, u):
+    """x / (x / ... (x / u^250)), 100 quotients, innermost first."""
+    value = functools.reduce(operator.mul, [u] * 250)
+    for _ in range(100):
+        value = x / value
+    return value
+
+
+def _product_slope(x, factors):
+    """d/dx of x * x * ... by the product rule, folded from the left."""
+    product, slope = x, 1.0
+    for _ in range(factors - 1):
+        product, slope = product * x, x * slope + product
+    return slope
+
+
+# (source, value, d/dx or None) at (x, u); value and slope are left folds of
+# the operations the compiled code performs, since a recursive oracle would
+# need a frame per nesting level
+_DEEP = [
+    pytest.param(" + ".join(["x1"] * 1000), lambda x, u: functools.reduce(
+        operator.add, [x] * 1000), lambda x: 1000.0, id="1000-terms"),
+    pytest.param("(" * 400 + "x1" + ")" * 400, lambda x, u: x, lambda x: 1.0,
+                 id="400-parentheses"),
+    pytest.param("-" * 2000 + "x1", lambda x, u: _negated(x, 2000), lambda x: 1.0,
+                 id="2000-minus-signs"),
+    pytest.param("x1" + "^1" * 2000, lambda x, u: x**1, lambda x: 1.0, id="2000-exponents"),
+    # the deepest inputs the former bounds admitted
+    pytest.param(" + ".join(["x1^2"] * 300), lambda x, u: functools.reduce(
+        operator.add, [x**2] * 300), lambda x: functools.reduce(
+        operator.add, [2.0 * x] * 300), id="300-squares"),
+    pytest.param(" * ".join(["x1"] * 351), lambda x, u: functools.reduce(
+        operator.mul, [x] * 351), lambda x: _product_slope(x, 351), id="351-factors"),
+    pytest.param("x1 / (" * 100 + " * ".join(["u1"] * 250) + ")" * 100,
+                 _nested_quotients, None, id="100-quotients"),
+    pytest.param("-" * 350 + "u1", lambda x, u: _negated(u, 350), lambda x: 0.0,
+                 id="350-minus-signs"),
+]
+
+
+@pytest.mark.parametrize("source, value, slope", _DEEP)
+def test_deep_expressions_compile_and_evaluate(source, value, slope):
+    # the first three raised RecursionError, and later hit depth bounds of
+    # 350 operations and 100 parentheses
+    x, u = 1.001, 0.999
+    e = parse(source, 1, 1)
+    got = exprlang.kernel(e, 1, 1)([x], [u])
+    assert _bits_equal(got, value(x, u))
+    grad = exprlang.kernel(e, 1, 1, gradient=True)([x], [u])
+    if slope is not None:
+        assert grad[0] == slope(x)
+    record = np.zeros((2, sum(step_record_widths(1, 1, 1))))
+    exprlang.stage_pass([e], e, [e], 1, 1)(np.array([x]), np.array([[u]]), record)
+    assert record[0, 1] == record[0, 2] == record[1, 0] == got
+    assert record[0, 3:5].tolist() == record[0, 5:7].tolist() == grad.tolist()
+
+
+def _at_depth(frames, call):
+    """call() under ``frames`` more frames of the caller's stack."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+def test_deep_expressions_compile_under_a_deep_caller():
+    # two raised ConfigError at the depth bounds, two RecursionError
+    x, u = 0.5, 0.25
+    quotient = u + 2
+    for _ in range(300):
+        quotient = x / quotient
+    cases = [
+        (" + ".join(["x1"] * 2000), functools.reduce(operator.add, [x] * 2000)),
+        ("(" * 1000 + "x1" + ")" * 1000, x),
+        ("-" * 2000 + "x1", x),
+        ("x1 / (" * 300 + "u1 + 2" + ")" * 300, quotient),
     ]
-    for source in sources:
-        e = parse(source, 1, 1)
-        exprlang.kernel(e, 1, 1, gradient=True)
-        exprlang.stage_pass([e], e, [e], 1, 1)
-    with pytest.raises(ExprSyntaxError, match="more than 350 operations"):
-        parse(" * ".join(["x1"] * 352), 1, 1)
-    with pytest.raises(ExprSyntaxError, match="more than 100 deep"):
-        parse("(" * 101 + "x1" + ")" * 101, 1, 1)
+    for source, value in cases:
+        built = _at_depth(800, lambda: SystemModel.from_expressions(
+            n=1, m=1, f_sources=[source], ell_source=source, h_sources=[source],
+            z_lower=[-10.0, -10.0], z_upper=[10.0, 10.0],
+        ))
+        assert built.ell([x], [u]) == built.f([x], [u])[0] == value
 
 
 def test_single_value_kernel_gives_a_float_at_a_point():
