@@ -24,10 +24,10 @@ class InfeasibleError(TacempcError, RuntimeError):
         self.best_residual = best_residual
 
 
-def quoted(value, limit: int = 40) -> str:
-    """repr(value) for an error message: past ``limit`` characters, its
-    first ``limit`` and its full length."""
+def quoted(value) -> str:
+    """repr(value) for an error message: past 40 characters, its first 40
+    and its full length."""
     text = repr(value)
-    if len(text) <= limit:
+    if len(text) <= 40:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:40]}... ({len(text)} characters)"

@@ -12,8 +12,9 @@ Grammar (standard precedence, ``^`` binds tighter than unary minus)::
 exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``) of at most 65536, the chain's value included.
 Identifiers are ``x1..xn`` and ``u1..um``, and number literals must be
-finite as doubles.  Parsing and compiling use explicit stacks, not
-recursion, so neither nesting nor the caller's stack depth is bounded.
+finite as doubles.  Parsing and compiling use explicit stacks, so
+neither nesting nor the caller's stack depth is bounded; only the
+nodes' generated ``repr``, ``==`` and ``hash`` recurse once per level.
 
 ``kernel`` compiles a sequence of expressions into one straight-line
 Python function that computes their values, or their gradients, and
@@ -342,7 +343,7 @@ def _derivatives(root: Expr, n: int, dim: int):
             else:
                 grad = [_FOLDED[e.op](a, b) for a, b in zip(ga, gb)]
         else:
-            raise TypeError(f"not an Expr: {e!r}")
+            raise TypeError(f"not an Expr: {type(e).__name__}")
         done[id(e)] = value, grad
     return done[id(root)]
 
@@ -472,7 +473,7 @@ def _value_code(root: Expr, gen: _Codegen) -> str:
                     gen.check(args[1])
                 code = gen.emit(f"{args[0]} {e.op} {args[1]}")
             else:
-                raise TypeError(f"not an Expr: {e!r}")
+                raise TypeError(f"not an Expr: {type(e).__name__}")
         gen.codes[id(e)] = e, code  # the node is kept, so its id stays unique
     return gen.codes[id(root)][1]
 

@@ -254,7 +254,7 @@ def _nested_list(depth):
 
 @pytest.mark.parametrize("x0, message", [
     # a RecursionError traceback from config._holds_bool
-    pytest.param(_nested_list(950), "experiment x0 must be numbers, got [[[[", id="950-deep"),
+    pytest.param(_nested_list(600), "experiment x0 must be numbers, got [[[[", id="600-deep"),
     # a RecursionError traceback from json.load
     pytest.param(_nested_list(5000), "invalid JSON in ", id="5000-deep"),
 ])
