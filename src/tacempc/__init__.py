@@ -5,6 +5,10 @@ subject to moving-window (transient average) constraints on auxiliary
 outputs, without terminal constraints.  Includes the optimal control
 problem solver, closed-loop simulation, turnpike and Lyapunov
 diagnostics, and a command line interface.
+
+Expression nodes and the records that hold arrays or callables compare
+and hash by identity; the records of plain values (``SolverOptions``,
+``TurnpikeReport``, ``CheckResult``) compare by value.
 """
 
 from .errors import (

@@ -50,7 +50,7 @@ def _rotated_values(specs):
     return values, converged, failure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoopTrace:
     """Record of a closed-loop run of K applied steps.
 

@@ -51,7 +51,7 @@ MODEL_KEYS = ("builtin", *_MUELLER_KOEHLER)
 EXPERIMENT_KEYS = ("N", "T", "K", "x0", "history", "eps")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
     """Fully resolved configuration ready to execute; ``load_config`` makes
     it, with x0 = x_s and the steady history where the experiment gives none."""
@@ -111,13 +111,11 @@ def _as_section(section, name: str) -> dict:
 
 def _as_floats(values, name: str) -> np.ndarray:
     """Float array of values (a string splits at commas); ConfigError if
-    malformed or boolean."""
-    if isinstance(values, str):
-        values = values.split(",")
+    malformed or boolean, quoting values as given."""
     try:
         if _holds_bool(values):
             raise TypeError(values)
-        return np.asarray(values, dtype=float)
+        return np.asarray(values.split(",") if isinstance(values, str) else values, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be numbers, got {quoted(values)}") from None
 

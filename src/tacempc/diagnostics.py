@@ -105,7 +105,7 @@ def turnpike_report(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LyapunovTrace:
     """Per-step Lyapunov quantities along a closed-loop trace.
 

@@ -13,8 +13,7 @@ exponent must be a nonnegative integer literal (chains like ``x^2^3``
 collapse to ``x^8``) of at most 65536, the chain's value included.
 Identifiers are ``x1..xn`` and ``u1..um``, and number literals must be
 finite as doubles.  Parsing and compiling use explicit stacks, so
-neither nesting nor the caller's stack depth is bounded; only the
-nodes' generated ``repr``, ``==`` and ``hash`` recurse once per level.
+neither nesting nor the caller's stack depth is bounded.
 
 ``kernel`` compiles a sequence of expressions into one straight-line
 Python function that computes their values, or their gradients, and
@@ -81,23 +80,23 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     kind: str  # 'x' or 'u'
     index: int  # zero-based
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str  # '+', '-', '*', '/'
     left: Expr
@@ -107,7 +106,7 @@ class BinOp(Expr):
 _BINARY_OPS = ("+", "-", "*", "/")  # the operators a BinOp may carry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int  # >= 0
@@ -251,8 +250,8 @@ def _parse_atom(kind, text, pos, n, m):
 # "Evaluating Derivatives"): the dual-number rules, applied term for term
 # and in the same order, build the value and gradient of an expression as
 # expressions.  The smart constructors fold the structural zeros and ones
-# _ZERO and _ONE, compared by identity since Num(0.0) == Num(-0.0), so no
-# node built here multiplies by 0 or 1, or adds or subtracts 0.  On
+# _ZERO and _ONE (nodes compare by identity, so a parsed 0 is not one), so
+# no node built here multiplies by 0 or 1, or adds or subtracts 0.  On
 # finite values folding changes a result only in the sign of a zero, and
 # where dual arithmetic met inf * 0 the folded entry may be a number.
 
@@ -282,16 +281,16 @@ _FOLDED = {"+": _add, "-": _sub, "*": _mul}
 
 
 def _postorder(root: Expr, done):
-    """The nodes of root's tree whose ids are not in ``done``, children
-    first and left to right, in the order of a recursive walk.  The caller
-    puts each node's id in ``done`` as it gets it, so a node shared in the
-    tree comes once, and nothing under a node already done is visited."""
+    """The nodes of root's tree that are not in ``done``, children first
+    and left to right, in the order of a recursive walk.  The caller puts
+    each node in ``done`` as it gets it, so a node shared in the tree
+    comes once, and nothing under a node already done is visited."""
     stack = [(root, False)]
     while stack:
         e, ready = stack.pop()
         if ready:
             yield e
-        elif id(e) not in done:
+        elif e not in done:
             stack.append((e, True))
             stack += [(c, False) for c in reversed(_children(e))]
 
@@ -313,30 +312,30 @@ def _derivatives(root: Expr, n: int, dim: int):
     compiled code shares it with the value code; a quotient's value is
     a * (1 / b) as in dual arithmetic, and a zero power's is _ONE.
     """
-    done = {}  # node id -> (value, gradient)
+    done = {}  # node -> (value, gradient)
     for e in _postorder(root, done):
         if isinstance(e, (Num, Var)):
             value, grad = e, [_ZERO] * dim
             if isinstance(e, Var):
                 grad[e.index if e.kind == "x" else n + e.index] = _ONE
         elif isinstance(e, Neg):
-            v, g = done[id(e.arg)]
+            v, g = done[e.arg]
             value, grad = (e if v is e.arg else Neg(v)), [_neg(gi) for gi in g]
         elif isinstance(e, Pow) and operator.index(e.exponent) == 0:
             value, grad = _ONE, [_ZERO] * dim
         elif isinstance(e, Pow):
-            v, g = done[id(e.base)]
+            v, g = done[e.base]
             k = operator.index(e.exponent)
             # k * v^(k-1), with v^1 = v bit for bit (libm pow)
             scale = _ONE if k == 1 else _mul(Num(float(k)), v if k == 2 else Pow(v, k - 1))
             value, grad = (e if v is e.base else Pow(v, k)), [_mul(scale, gi) for gi in g]
         elif isinstance(e, BinOp) and e.op == "/":
-            (va, ga), (vb, gb) = done[id(e.left)], done[id(e.right)]
+            (va, ga), (vb, gb) = done[e.left], done[e.right]
             inv = BinOp("/", _ONE, vb)
             value = _mul(va, inv)
             grad = [_mul(_sub(a, _mul(value, b)), inv) for a, b in zip(ga, gb)]
         elif isinstance(e, BinOp) and e.op in _FOLDED:
-            (va, ga), (vb, gb) = done[id(e.left)], done[id(e.right)]
+            (va, ga), (vb, gb) = done[e.left], done[e.right]
             value = e if va is e.left and vb is e.right else _FOLDED[e.op](va, vb)
             if e.op == "*":
                 grad = [_add(_mul(vb, a), _mul(va, b)) for a, b in zip(ga, gb)]
@@ -344,8 +343,8 @@ def _derivatives(root: Expr, n: int, dim: int):
                 grad = [_FOLDED[e.op](a, b) for a, b in zip(ga, gb)]
         else:
             raise TypeError(f"not an Expr: {type(e).__name__}")
-        done[id(e)] = value, grad
-    return done[id(root)]
+        done[e] = value, grad
+    return done[root]
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +400,8 @@ class _Codegen:
     ``_pow``.  A stage pass's code (``floats``) runs on Python floats: it
     reads each variable from a local ``x_i``/``u_i``, checks divisions with
     ``_scalar_nonzero`` and writes ``^`` as Python's ``**``.  ``codes`` maps
-    the id of each emitted node to the node and the name holding its value,
-    and ``checked`` holds the names already checked for zero.
+    each emitted node to the name holding its value, and ``checked`` holds
+    the names already checked for zero.
     """
 
     def __init__(self, floats=False):
@@ -463,7 +462,7 @@ def _value_code(root: Expr, gen: _Codegen) -> str:
         elif isinstance(e, Var):
             code = gen.var(e.kind, e.index)
         else:
-            args = [gen.codes[id(c)][1] for c in _children(e)]
+            args = [gen.codes[c] for c in _children(e)]
             if isinstance(e, Neg):
                 code = gen.emit(f"-{args[0]}")
             elif isinstance(e, Pow):
@@ -474,15 +473,15 @@ def _value_code(root: Expr, gen: _Codegen) -> str:
                 code = gen.emit(f"{args[0]} {e.op} {args[1]}")
             else:
                 raise TypeError(f"not an Expr: {type(e).__name__}")
-        gen.codes[id(e)] = e, code  # the node is kept, so its id stays unique
-    return gen.codes[id(root)][1]
+        gen.codes[e] = code
+    return gen.codes[root]
 
 
 def _check_divisors(root: Expr, gen: _Codegen):
     """Emit the zero check of every divisor in root, in the value code's order."""
     done = set()
     for e in _postorder(root, done):
-        done.add(id(e))
+        done.add(e)
         if isinstance(e, BinOp) and e.op == "/":
             gen.check(_value_code(e.right, gen))
 

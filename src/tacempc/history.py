@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryState:
     """Immutable p x (T-1) history matrix, oldest column first.
 

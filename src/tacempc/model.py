@@ -8,9 +8,7 @@ on a grid, never synthesized.  The rotated stage cost has one evaluation,
 ``eval_rotated_stage_cost``, pointwise or over a batch of columns; the grid
 check and the rotated-cost identity both use it.  Grids over Z hold at most
 ``_GRID_MAX_POINTS`` points, and every grid user evaluates them in blocks
-of ``_GRID_BLOCK`` columns from ``_grid_blocks``.  ``SystemModel``,
-``DissipativityCertificate`` and ``SteadyState`` hold arrays and
-callables, so they compare and hash by identity.
+of ``_GRID_BLOCK`` columns from ``_grid_blocks``.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ class SolverOptions:
                 raise ConfigError(f"solver {name} must be positive and finite, got {tol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcpSpec:
     model: SystemModel
     cert: DissipativityCertificate
@@ -127,7 +127,7 @@ class OcpSpec:
             object.__setattr__(self, "warm_start", ws.reshape(self.N, self.model.m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcpSolution:
     spec: OcpSpec
     u: np.ndarray  # (N, m)

@@ -1,7 +1,11 @@
 """The modules that walk nested input, expressions and JSON configs, do it
 with explicit stacks: no function in them reaches itself through calls,
 directly or through other functions, so no input depth or caller depth
-can exhaust Python's recursion limit."""
+can exhaust Python's recursion limit.  Methods that dataclasses generate
+are not in the source, so they are read off the classes: an expression
+node has no ``==``, ``hash`` or ``repr`` of its own, which would recurse
+once per level, and a record that holds arrays no ``==`` or ``hash``,
+which would raise."""
 
 import ast
 import inspect
@@ -9,6 +13,10 @@ import inspect
 import pytest
 
 from tacempc import config, exprlang
+from tacempc.closedloop import ClosedLoopTrace
+from tacempc.diagnostics import LyapunovTrace
+from tacempc.history import HistoryState
+from tacempc.ocp import OcpSolution, OcpSpec
 
 
 def _call_graph(source):
@@ -74,3 +82,14 @@ def leaf(toks):
     return term(toks) + walk(toks)
 """
     assert _recursive(_call_graph(source)) == {"walk", "expr", "term", "atom"}
+
+
+_NODES = tuple(exprlang.Expr.__subclasses__())
+_ARRAY_RECORDS = (HistoryState, OcpSpec, OcpSolution, ClosedLoopTrace, LyapunovTrace,
+                  config.RunConfig)
+
+
+@pytest.mark.parametrize("cls", _NODES + _ARRAY_RECORDS, ids=lambda cls: cls.__name__)
+def test_nodes_and_array_records_compare_by_identity(cls):
+    own = ("__eq__", "__hash__", "__repr__") if cls in _NODES else ("__eq__", "__hash__")
+    assert [name for name in own if getattr(cls, name) is not getattr(object, name)] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -22,12 +23,31 @@ def _gradient(source, x, u):
     return exprlang.kernel(parse(source, len(x), len(u)), len(x), len(u), gradient=True)(x, u)
 
 
+def _same_tree(a, b):
+    """Whether the trees a and b match node for node, with equal fields,
+    walked with an explicit stack: nodes themselves compare by identity."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        for field in dataclasses.fields(a):
+            left, right = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(left, exprlang.Expr):
+                stack.append((left, right))
+            elif left != right:
+                return False
+    return True
+
+
 def test_parse_number_and_variable():
     e = parse("x1 + 2.5", 2, 1)
     assert isinstance(e, exprlang.BinOp)
     assert e.op == "+"
-    assert e.left == exprlang.Var("x", 0)
-    assert e.right == exprlang.Num(2.5)
+    assert _same_tree(e.left, exprlang.Var("x", 0))
+    assert _same_tree(e.right, exprlang.Num(2.5))
+    assert not _same_tree(e, parse("x1 + 2.25", 2, 1))
+    assert not _same_tree(e, parse("x1 - 2.5", 2, 1))
 
 
 def test_precedence_and_associativity():
@@ -43,7 +63,7 @@ def test_power_right_associative_integer_chain():
     e = parse("x1^2^3", 1, 1)
     assert isinstance(e, exprlang.Pow)
     assert e.exponent == 8
-    assert parse("x1" + "^1" * 2000, 1, 1) == exprlang.Pow(exprlang.Var("x", 0), 1)
+    assert _same_tree(parse("x1" + "^1" * 2000, 1, 1), exprlang.Pow(exprlang.Var("x", 0), 1))
 
 
 @pytest.mark.parametrize("source, position", [
@@ -66,7 +86,7 @@ def test_identifier_index_is_compared_before_conversion():
     assert err.value.position == 4
     with pytest.raises(ExprSyntaxError, match="unknown identifier"):
         parse("x" + "0" * 5000 + "1", 1, 1)  # no index has a leading zero
-    assert parse("x12", 12, 1) == exprlang.Var("x", 11)
+    assert _same_tree(parse("x12", 12, 1), exprlang.Var("x", 11))
 
 
 @pytest.mark.parametrize("source, position", [
@@ -78,7 +98,7 @@ def test_non_finite_number_literals_are_syntax_errors(source, position):
     with pytest.raises(ExprSyntaxError, match="number literal overflows a double") as err:
         parse(source, 1, 1)
     assert err.value.position == position
-    assert parse("1e308 + 1e-400", 1, 1).right == exprlang.Num(0.0)  # underflow is finite
+    assert _same_tree(parse("1e308 + 1e-400", 1, 1).right, exprlang.Num(0.0))  # underflow is finite
 
 
 def _negated(value, times):
@@ -167,6 +187,18 @@ def test_deep_expressions_compile_under_a_deep_caller():
             z_lower=[-10.0, -10.0], z_upper=[10.0, 10.0],
         ))
         assert built.ell([x], [u]) == built.f([x], [u])[0] == value
+
+
+@pytest.mark.parametrize("source", [
+    "-" * 2000 + "x1",
+    "x1 * (" * 1000 + "u1" + ")" * 1000,
+], ids=["2000-minus-signs", "1000-parentheses"])
+def test_deep_trees_print_compare_and_hash_under_a_deep_caller(source):
+    # the generated repr, == and hash of the nodes recursed once per level
+    e, other = parse(source, 1, 1), parse(source, 1, 1)
+    assert _at_depth(800, lambda: repr(e)).startswith("<tacempc.exprlang.")
+    assert _at_depth(800, lambda: (e == e, e == other, hash(e) == hash(e))) == (True, False, True)
+    assert _same_tree(e, other)
 
 
 def test_single_value_kernel_gives_a_float_at_a_point():
@@ -615,7 +647,7 @@ def test_gradient_kernel_skips_dead_powers():
 def test_kernels_keep_the_sign_of_zero_constants():
     # Num(0.0) == Num(-0.0) as trees, yet each keeps its sign
     positive, negative = exprlang.Num(0.0), exprlang.Num(-0.0)
-    assert positive == negative
+    assert _same_tree(positive, negative)
     values = exprlang.kernel([positive, negative], 0, 0)([], [])
     assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
     assert math.copysign(1.0, exprlang.kernel(negative, 0, 0)([], [])) == -1.0
