@@ -23,7 +23,7 @@ import numpy as np
 from .closedloop import ClosedLoopTrace, simulate
 from .config import EXPERIMENT_KEYS, as_number, load_config
 from .diagnostics import lyapunov_trace, turnpike_report
-from .errors import ConfigError, InfeasibleError, TacempcError
+from .errors import ConfigError, DomainError, InfeasibleError, TacempcError
 from .model import solve_steady_state
 from .ocp import ORIGINAL, OcpSpec, solve
 from .validation import run_all
@@ -53,7 +53,7 @@ def csv_header(n: int, m: int, p: int) -> str:
 def write_trace_csv(trace: ClosedLoopTrace, lt, path: str):
     """Emit the closed-loop trace; the W column is empty for the last
     T-1 rows (the forward sum needs steps beyond the trace)."""
-    model = trace.model
+    model = trace.specs[0].model
     lines = [csv_header(model.n, model.m, model.p)]
     for k in range(trace.K):
         row = [str(k)]
@@ -163,14 +163,12 @@ def cmd_simulate(args) -> int:
         cfg.model, cfg.cert, cfg.ss, cfg.N, cfg.x0, cfg.H0, cfg.K,
         options=cfg.options,
     )
-    lt = None
-    if trace.T < 2:
-        print("note: Lyapunov diagnostics skipped (requires T >= 2)")
-    elif trace.K < trace.T:
-        print(f"note: Lyapunov diagnostics skipped (requires at least T = {trace.T} "
-              f"applied steps, got {trace.K})")
-    else:
-        lt = lyapunov_trace(trace, cfg.cert, cfg.ss)
+    spec = trace.specs[0]
+    try:
+        lt = lyapunov_trace(trace, spec.cert, spec.ss)
+    except DomainError as exc:  # T < 2, or fewer than T steps applied
+        lt = None
+        print(f"note: {exc}; skipped")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trace.csv")
@@ -205,7 +203,7 @@ def cmd_turnpike(args) -> int:
             x0=cfg.x0, H0=cfg.H0, objective=ORIGINAL,
             options=cfg.options,
         )
-        rep = turnpike_report(solve(spec), cfg.ss, cfg.cert, eps)
+        rep = turnpike_report(solve(spec), spec.ss, spec.cert, eps)
         print(f"N={N} eps={_fmt(eps)}: Q={rep.Q}, "
               f"bound={_fmt(rep.lemma1_rhs)}, holds={rep.lemma1_holds}, "
               f"consecutive={list(rep.consecutive_set)}")

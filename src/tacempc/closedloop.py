@@ -8,7 +8,8 @@ are ``x_pred[1]`` and ``h_pred[0]``, so the loop calls no model
 callback.  After the loop the original problem is solved at the terminal
 spec, and the rotated one, which feeds only the Lyapunov diagnostics,
 once at each recorded spec from ``solve``'s own start: each rotated
-value is a function of its extended state alone.
+value is a function of its extended state alone.  The trace keeps every
+spec, so any solve of a recorded run can be re-run from it.
 """
 
 from __future__ import annotations
@@ -54,20 +55,18 @@ def _rotated_values(specs):
 class ClosedLoopTrace:
     """Record of a closed-loop run of K applied steps.
 
-    Arrays are indexed by the step k.  States and histories have one
-    extra entry for the terminal extended state; the value arrays Jstar
-    and Jtildestar also cover the terminal state unless the loop halted
-    (a final original solve evaluates it), so their length is K + 1, or K
-    after a halt.  Jtildestar comes from one rotated solve per state,
-    run after the loop; one infeasible at state j leaves Jtildestar[j]
-    NaN and sets ``failure``.
+    Arrays are indexed by the step k.  ``specs[k]`` is the spec solved at
+    state k, so ``solve(specs[k])`` gives Jstar[k] and u[k] again, and
+    ``solve(replace(specs[k], objective=ROTATED, warm_start=None))``
+    Jtildestar[k].  Specs and states have one extra entry for the
+    terminal extended state; the value arrays Jstar and Jtildestar also
+    cover it unless the loop halted (a final original solve evaluates
+    it), so their length is K + 1, or K after a halt.  Jtildestar comes
+    from one rotated solve per state, run after the loop; one infeasible
+    at state j leaves Jtildestar[j] NaN and sets ``failure``.
     """
 
-    model: SystemModel
-    cert: DissipativityCertificate
-    ss: SteadyState
-    N: int
-    T: int
+    specs: Tuple[OcpSpec, ...]  # length K + 1: state k is (specs[k].x0, specs[k].H0)
     K: int  # completed steps
     x: np.ndarray  # (K + 1, n)
     u: np.ndarray  # (K, m)
@@ -77,7 +76,6 @@ class ClosedLoopTrace:
     Jtildestar: np.ndarray  # same length as Jstar
     converged: np.ndarray  # (len(Jstar), 2) bool: original, rotated solve
     Hnorm: np.ndarray  # (K,), norm-replacement of H(k) - H^s
-    histories: Tuple[HistoryState, ...]  # length K + 1
     failure: Optional[str] = None  # set when the loop halted or a rotated solve failed
 
     @property
@@ -124,10 +122,9 @@ def simulate(
         except InfeasibleError as exc:
             failure = f"terminal evaluation: {exc}"
     Jtildestar, rotated_converged, rotated_failure = _rotated_values(specs[: len(sols)])
-    histories = tuple(spec.H0 for spec in specs)
 
     return ClosedLoopTrace(
-        model=model, cert=cert, ss=ss, N=N, T=H0.T, K=done,
+        specs=tuple(specs), K=done,
         x=np.array([spec.x0 for spec in specs]),
         u=np.array([sol.u[0] for sol in sols[:done]]).reshape(done, model.m),
         h=np.array([sol.h_pred[0] for sol in sols[:done]]).reshape(done, model.p),
@@ -135,8 +132,7 @@ def simulate(
         Jstar=np.array([sol.J for sol in sols]),
         Jtildestar=Jtildestar,
         converged=np.column_stack([np.array([sol.converged for sol in sols], bool), rotated_converged]),
-        Hnorm=np.array([norm_replacement(H, ss.h_s) for H in histories[:done]]),
-        histories=histories,
+        Hnorm=np.array([norm_replacement(spec.H0, ss.h_s) for spec in specs[:done]]),
         failure=failure or rotated_failure,
     )
 
@@ -148,7 +144,7 @@ def window_sums(trace: ClosedLoopTrace) -> np.ndarray:
     H0, so row i is the sum over steps i - (T-1) .. i with negative
     indices read from the history.  Shape (K, p).
     """
-    return window_rows(trace.h, trace.T, trace.histories[0].tail_sums)
+    return window_rows(trace.h, trace.specs[0].T, trace.specs[0].H0.tail_sums)
 
 
 def performance_residual(trace: ClosedLoopTrace) -> np.ndarray:
@@ -162,4 +158,4 @@ def performance_residual(trace: ClosedLoopTrace) -> np.ndarray:
     ks = np.arange(1, len(trace.Jstar))  # len(Jstar) is K + 1 on success
     Jcl = np.cumsum(trace.ell)
     # Jstar[:1], not Jstar[0]: a run halted at step 0 has no J*(chi(0))
-    return Jcl[ks - 1] - (trace.Jstar[:1] - trace.Jstar[ks]) - ks * trace.ss.ell_s
+    return Jcl[ks - 1] - (trace.Jstar[:1] - trace.Jstar[ks]) - ks * trace.specs[0].ss.ell_s

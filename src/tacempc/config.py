@@ -229,8 +229,8 @@ def load_config(
 ) -> RunConfig:
     """Assemble a RunConfig from a JSON file and/or a builtin model name.
 
-    overrides maps experiment/solver field names to values (CLI flags);
-    None values are ignored.
+    overrides maps experiment keys to values (CLI flags); they replace
+    the file's.
     """
     raw: dict = {}
     if path is not None:
@@ -245,14 +245,9 @@ def load_config(
             raise ConfigError("top-level configuration must be a JSON object")
         _reject_unknown(raw, ("model", "experiment", "solver"), "configuration sections")
 
-    exp = dict(_as_section(raw.get("experiment", {}), "experiment"))
-    solver = dict(_as_section(raw.get("solver", {}), "solver"))
-    known = {f.name for f in fields(SolverOptions)}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            (solver if key in known else exp)[key] = value
-
-    _reject_unknown(solver, known, "solver options")
+    exp = {**_as_section(raw.get("experiment", {}), "experiment"), **(overrides or {})}
+    solver = _as_section(raw.get("solver", {}), "solver")
+    _reject_unknown(solver, [f.name for f in fields(SolverOptions)], "solver options")
     _reject_unknown(exp, EXPERIMENT_KEYS, "experiment keys")
     tols = {k: as_number(v, float, f"solver {k}") for k, v in solver.items()}
     options = SolverOptions(**tols)
@@ -286,6 +281,11 @@ def load_config(
     epsilon = as_number(exp.get("eps", 0.1), float, "experiment eps")
     if not 0 < epsilon < np.inf:  # also rejects NaN
         raise ConfigError(f"experiment eps must be positive and finite, got {epsilon!r}")
+    with np.errstate(over="ignore"):  # an overflow to inf is positive
+        rho = cert.rho(epsilon)
+    if not rho > 0:  # a * eps^omega underflows for a tiny eps
+        raise ConfigError(f"experiment eps {epsilon!r} gives rho(eps) = 0; the turnpike "
+                          "bound divides by it")
     return RunConfig(
         model=model,
         cert=cert,

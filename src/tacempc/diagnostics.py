@@ -77,6 +77,9 @@ def turnpike_report(
     """
     if not 0 < epsilon < np.inf:  # also rejects NaN
         raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    rho = float(cert.rho(epsilon))
+    if not rho > 0:  # a * eps^omega underflows for a tiny eps
+        raise DomainError(f"rho(epsilon) must be positive, got {rho!r} at epsilon {epsilon!r}")
     spec = solution.spec
     model, N, T = spec.model, spec.N, spec.T
     dev = np.hstack([solution.x_pred[:N] - ss.x_s, solution.u - ss.u_s])
@@ -91,7 +94,7 @@ def turnpike_report(
     C = 2.0 * _storage_sup(cert, model)
     theta_low = min_weighted_output(model, cert)
     C_prime = delta + C - window_deficit(N, T) * theta_low
-    rhs = N - C_prime / float(cert.rho(epsilon))
+    rhs = N - C_prime / rho
     return TurnpikeReport(
         epsilon=float(epsilon),
         proximity_set=proximity_set,
@@ -126,15 +129,14 @@ def lyapunov_trace(
     ss: SteadyState,
 ) -> LyapunovTrace:
     """Build What and its T-step forward sum W from a recorded run."""
-    T = trace.T
+    spec, K = trace.specs[0], trace.K
+    T, n, m = spec.T, spec.model.n, spec.model.m
     if T < 2:
         raise DomainError("Lyapunov diagnostics require T >= 2")
-    K = trace.K
     if K < T:
-        raise DomainError(f"trace too short for W: need at least {T} evaluated steps, got {K}")
-    n, m = trace.model.n, trace.model.m
+        raise DomainError(f"Lyapunov diagnostics require at least T = {T} applied steps, got {K}")
     c = cert.a * (n + m) ** (-0.5 * cert.omega) / (2.0 * cert.L_h * (T - 1))
-    V = np.array([iss_function(H, ss.h_s, cert.omega) for H in trace.histories[:K]])
+    V = np.array([iss_function(s.H0, ss.h_s, cert.omega) for s in trace.specs[:K]])
     What = trace.Jtildestar[:K] + c * V
     W = window_rows(What, T)[T - 1 :]  # the full windows
     return LyapunovTrace(c=c, V=V, What=What, W=W)

@@ -122,6 +122,9 @@ class SystemModel:
             raise ConfigError("box bounds must have length n + m")
         if not np.all(np.isfinite(lower) & np.isfinite(upper)):
             raise ConfigError("box bounds must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):  # the grid searches would fill with NaN
+                raise ConfigError("box widths must be finite")
         if np.any(lower > upper):
             raise ConfigError("box lower bounds exceed upper bounds")
         object.__setattr__(self, "z_lower", lower)

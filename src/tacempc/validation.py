@@ -8,7 +8,8 @@ bounds, turnpike statistics, the closed-loop run with its Lyapunov
 diagnostics, and the expression-language gradients.  Every row comes
 from one runner, ``_check``; a raise, or a halted closed-loop run, is a
 FAIL row naming it.  ``run_all`` solves each problem once: the open-loop
-sweep serves checks 6-8 and the reference run checks 10a-12.
+sweep serves checks 6-8 and the reference run checks 10a-12, and each of
+these rows says how many of the solves it read returned converged=False.
 """
 
 from __future__ import annotations
@@ -245,53 +246,62 @@ def _completed(trace: ClosedLoopTrace) -> ClosedLoopTrace:
     return trace
 
 
+def _run_note(trace: ClosedLoopTrace) -> str:
+    """How many of the run's solves returned converged=False."""
+    return f"{trace.converged.size} solves, {np.count_nonzero(~trace.converged)} unconverged"
+
+
 @_check("10a", "first closed-loop Lyapunov value")
 def _first_lyapunov_value(lt, tr):
     # W(0) = sum Jtilde*(0..T-1) + c * sum V(0..T-1), each part printed
     rel = abs(lt.W[0] - FIG_W0) / FIG_W0
-    last = tr.T - 1
-    parts = (f"sum Jtilde*(0..{last}) {np.sum(tr.Jtildestar[: tr.T]):.4f} + "
-             f"c 1/{1 / lt.c:.6g} * sum V(0..{last}) {np.sum(lt.V[: tr.T]):.2f}")
+    T = tr.specs[0].T
+    parts = (f"sum Jtilde*(0..{T - 1}) {np.sum(tr.Jtildestar[:T]):.4f} + "
+             f"c 1/{1 / lt.c:.6g} * sum V(0..{T - 1}) {np.sum(lt.V[:T]):.2f}")
     return rel <= 0.05, (f"W(0) = {lt.W[0]:.6f} = {parts}, reference {FIG_W0:.6f}, "
-                         f"relative error {rel:.3f}")
+                         f"relative error {rel:.3f} ({_run_note(tr)})")
 
 
 @_check("10b", "rotated value after one step")
 def _rotated_value_after_one_step(tr):
     rel = abs(tr.Jtildestar[1] - FIG_JTILDE1) / FIG_JTILDE1
-    return rel <= 0.25, f"Jtilde*(1) = {tr.Jtildestar[1]:.8f}, reference {FIG_JTILDE1:.8f}, relative error {rel:.2e}"
+    return rel <= 0.25, (f"Jtilde*(1) = {tr.Jtildestar[1]:.8f}, reference {FIG_JTILDE1:.8f}, "
+                         f"relative error {rel:.2e} ({_run_note(tr)})")
 
 
 @_check("10c", "Lyapunov function practically decreasing")
-def _lyapunov_decreasing(lt):
+def _lyapunov_decreasing(lt, tr):
     max_inc, ok = decrease_check(lt.W)
-    return ok, f"max W increase {max_inc:.2e} (tol 1e-3)"
+    return ok, f"max W increase {max_inc:.2e} (tol 1e-3; {_run_note(tr)})"
 
 
 @_check("10d", "rotated value function not monotone")
 def _rotated_value_not_monotone(tr):
     max_inc, mono = decrease_check(tr.Jtildestar[: tr.K])
-    return not mono, f"max Jtilde* increase {max_inc:.4f} (> 1e-3 expected)"
+    return not mono, f"max Jtilde* increase {max_inc:.4f} (> 1e-3 expected; {_run_note(tr)})"
 
 
 def check_closed_loop(trace: ClosedLoopTrace) -> List[CheckResult]:
     """Criteria 10a-10d on the reference closed-loop run."""
     tr = _shared(_completed, trace)
-    lt = _shared(lambda run: lyapunov_trace(run, run.cert, run.ss), tr)
+    lt = _shared(lambda run: lyapunov_trace(run, run.specs[0].cert, run.specs[0].ss), tr)
     return [_first_lyapunov_value(lt, tr), _rotated_value_after_one_step(tr),
-            _lyapunov_decreasing(lt), _rotated_value_not_monotone(tr)]
+            _lyapunov_decreasing(lt, tr), _rotated_value_not_monotone(tr)]
 
 
 @_check("11", "closed-loop window constraints")
 def check_window_constraints(trace: ClosedLoopTrace):
-    worst = float(np.max(window_sums(_completed(trace))))
-    return worst <= 1e-6, f"max closed-loop window sum {worst:.2e}"
+    tr = _completed(trace)
+    worst = float(np.max(window_sums(tr)))
+    return worst <= 1e-6, f"max closed-loop window sum {worst:.2e} ({_run_note(tr)})"
 
 
 @_check("12", "closed loop settles near the steady state")
 def check_practical_convergence(trace: ClosedLoopTrace):
-    dev = float(np.max(np.abs(_completed(trace).x[20:, 0] - 2.0)))
-    return dev <= 0.05, f"max |x(k) - 2| for k >= 20 is {dev:.2e}"
+    tr = _completed(trace)
+    x_s = tr.specs[0].ss.x_s[0]
+    dev = float(np.max(np.abs(tr.x[20:, 0] - x_s)))
+    return dev <= 0.05, f"max |x(k) - {x_s:g}| for k >= 20 is {dev:.2e} ({_run_note(tr)})"
 
 
 def _random_expr(rng, n, m, depth):

@@ -221,6 +221,24 @@ def test_criterion_12_practical_convergence(closed_loop_trace):
     assert r.passed, r.detail
 
 
+def test_closed_loop_rows_say_how_many_solves_did_not_converge(closed_loop_trace):
+    # rows 10a-12 read the reference run's 62 solves; an unconverged one
+    # (here the rotated solve at state 3) is counted in each row's detail,
+    # and no status changes
+    converged = closed_loop_trace.converged.copy()
+    assert converged.shape == (31, 2) and converged.all()
+    converged[3, 1] = False
+    stalled = dataclasses.replace(closed_loop_trace, converged=converged)
+    results = [*check_closed_loop(closed_loop_trace), check_window_constraints(closed_loop_trace),
+               check_practical_convergence(closed_loop_trace)]
+    stalled_results = [*check_closed_loop(stalled), check_window_constraints(stalled),
+                       check_practical_convergence(stalled)]
+    for r, s in zip(results, stalled_results):
+        assert r.detail.endswith("62 solves, 0 unconverged)"), (r.ident, r.detail)
+        assert s.detail == r.detail.replace("62 solves, 0 unconverged", "62 solves, 1 unconverged")
+        assert s.status == r.status
+
+
 def test_criterion_13_expression_gradients():
     r = check_gradients()
     assert r.passed, r.detail

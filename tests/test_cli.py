@@ -82,10 +82,15 @@ def test_config_file_sections(tmp_path):
 
 
 def test_config_overrides_route_to_sections(tmp_path):
-    cfg = load_config(model_name="mueller-koehler",
-                      overrides={"N": "10", "T": 3, "stat_tol": 1e-7, "K": None})
-    assert cfg.N == 10 and cfg.T == 3 and cfg.K == 30
+    # overrides are experiment keys and replace the file's; solver options
+    # come from the file alone
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"experiment": {"N": 14, "K": 4}, "solver": {"stat_tol": 1e-7}}))
+    cfg = load_config(str(path), overrides={"N": "10", "T": 3})
+    assert cfg.N == 10 and cfg.T == 3 and cfg.K == 4
     assert cfg.options.stat_tol == 1e-7
+    with pytest.raises(ConfigError, match=r"unknown experiment keys: \['stat_tol'\]"):
+        load_config(model_name="mueller-koehler", overrides={"stat_tol": 1e-7})
 
 
 def test_config_errors(tmp_path):
@@ -323,6 +328,25 @@ def test_proximity_radius_must_be_positive_and_finite(capsys, eps):
         load_config(model_name="mueller-koehler", overrides={"eps": float(eps)})
 
 
+def test_a_proximity_radius_whose_margin_underflows_exits_with_config_error(capsys):
+    # rho(1e-170) = 0.25 * 1e-340 underflows to 0.0: the report divided by it
+    # and ended in a ZeroDivisionError traceback
+    assert main(["turnpike", "--model", "mueller-koehler", "--N", "6", "--T", "3",
+                 "--eps=1e-170"]) == 1
+    assert capsys.readouterr().err == (
+        "error: experiment eps 1e-170 gives rho(eps) = 0; the turnpike bound divides by it\n")
+
+
+def test_a_box_wider_than_a_double_exits_with_config_error(tmp_path, capsys):
+    # each bound is finite but the width is not: the grid searches filled
+    # with NaN and turnpike printed bound=nan, holds=False and exited 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"builtin": "mueller-koehler",
+                                          "z_lower": [-1e308, -10], "z_upper": [1e308, 10]}}))
+    assert main(["turnpike", "--config", str(path), "--N", "12"]) == 1
+    assert capsys.readouterr().err == "error: box widths must be finite\n"
+
+
 @pytest.mark.parametrize("key", [
     "seed", "penalty_init", "penalty_growth", "penalty_max", "max_outer", "max_inner",
 ])
@@ -339,8 +363,9 @@ def test_solver_tolerances_must_be_positive_and_finite(tmp_path, value):
     cfg_file.write_text(json.dumps({"solver": {"feas_tol": value}}))
     with pytest.raises(ConfigError, match="solver feas_tol must be positive and finite"):
         load_config(str(cfg_file))
+    cfg_file.write_text(json.dumps({"solver": {"stat_tol": float(value)}}))
     with pytest.raises(ConfigError, match="solver stat_tol must be positive and finite"):
-        load_config(model_name="mueller-koehler", overrides={"stat_tol": float(value)})
+        load_config(str(cfg_file))
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -449,8 +474,18 @@ def test_simulate_notes_a_run_too_short_for_lyapunov_diagnostics(tmp_path, capsy
     argv = ["simulate", "--model", "mueller-koehler", "--K", "2", "--out", str(tmp_path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert out.startswith("note: Lyapunov diagnostics skipped "
-                          "(requires at least T = 6 applied steps, got 2)\n")
+    assert out.startswith("note: Lyapunov diagnostics require at least T = 6 applied steps, "
+                          "got 2; skipped\n")
+    rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().split("\n")[1:-1]]
+    assert len(rows) == 2 and all(row[-2:] == ["", ""] for row in rows)
+
+
+def test_simulate_notes_a_period_too_short_for_lyapunov_diagnostics(tmp_path, capsys):
+    argv = ["simulate", "--model", "mueller-koehler", "--T", "1", "--K", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(
+        "note: Lyapunov diagnostics require T >= 2; skipped\n")
     rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().split("\n")[1:-1]]
     assert len(rows) == 2 and all(row[-2:] == ["", ""] for row in rows)
 

@@ -33,7 +33,7 @@ def test_reference_trace_completes(closed_loop_trace):
     assert trace.x.shape == (31, 1)
     assert trace.u.shape == (30, 1)
     assert len(trace.Jstar) == 31  # includes the terminal evaluation
-    assert len(trace.histories) == 31
+    assert len(trace.specs) == 31
 
 
 def test_reference_value_function_entry(closed_loop_trace):
@@ -41,6 +41,20 @@ def test_reference_value_function_entry(closed_loop_trace):
     assert closed_loop_trace.Jtildestar[1] == pytest.approx(
         0.0166221538547582, rel=1e-3
     )
+
+
+def test_recorded_specs_replay_bit_for_bit(closed_loop_trace):
+    # specs[k] is the spec solved at state k, warm start included: solving
+    # it again gives the recorded bits, and so does its rotated problem
+    trace = closed_loop_trace
+    assert len(trace.specs) == trace.K + 1
+    for k, spec in enumerate(trace.specs):
+        sol = ocp.solve(spec)
+        assert sol.J.hex() == trace.Jstar[k].hex(), k
+        if k < trace.K:
+            assert sol.u[0].tobytes() == trace.u[k].tobytes(), k
+        rotated = ocp.solve(dataclasses.replace(spec, objective=ROTATED, warm_start=None))
+        assert rotated.J.hex() == trace.Jtildestar[k].hex(), k
 
 
 def test_window_sums_nonpositive(closed_loop_trace):
@@ -51,10 +65,10 @@ def test_window_sums_nonpositive(closed_loop_trace):
 
 def _loop_window_sums(trace):
     """Reference: each window summed over the history-extended outputs."""
-    H0 = trace.histories[0].columns  # (p, T - 1)
+    H0 = trace.specs[0].H0.columns  # (p, T - 1)
     extended = np.vstack([H0.T, trace.h]) if H0.size else trace.h
-    T = trace.T
-    out = np.empty((trace.K, trace.model.p))
+    T = trace.specs[0].T
+    out = np.empty((trace.K, trace.h.shape[1]))
     for k in range(trace.K):
         # step k sits at extended row k + (T - 1); its window covers the
         # T rows ending there
@@ -70,13 +84,13 @@ def _window_traces(draw):
     values = st.floats(-10.0, 10.0)
     h = draw(hnp.arrays(float, (K, p), elements=values))
     H0 = HistoryState(draw(hnp.arrays(float, (p, T - 1), elements=values)), T=T)
-    return SimpleNamespace(T=T, K=K, h=h, histories=(H0,), model=SimpleNamespace(p=p))
+    return SimpleNamespace(K=K, h=h, specs=(SimpleNamespace(T=T, H0=H0),))
 
 
 @given(_window_traces())
 def test_window_sums_match_loop(trace):
     sums = window_sums(trace)
-    assert sums.shape == (trace.K, trace.model.p)
+    assert sums.shape == trace.h.shape
     np.testing.assert_allclose(sums, _loop_window_sums(trace), rtol=0, atol=1e-12)
 
 
@@ -86,16 +100,16 @@ def test_window_sums_match_histories(closed_loop_trace):
     # the next output reproduces the corresponding window sum
     sums = window_sums(trace)
     for k in range(trace.K):
-        H = trace.histories[k]
+        H = trace.specs[k].H0
         expect = np.sum(H.columns, axis=1) + trace.h[k]
         np.testing.assert_allclose(sums[k], expect, atol=1e-12)
 
 
 def test_rotated_closed_loop_identity(closed_loop_trace):
     trace = closed_loop_trace
-    cert, ss = trace.cert, trace.ss
-    K = trace.K
-    stages = eval_rotated_stage_cost(trace.model, cert, ss, trace.x[:K].T, trace.u.T)
+    spec, K = trace.specs[0], trace.K
+    cert, ss = spec.cert, spec.ss
+    stages = eval_rotated_stage_cost(spec.model, cert, ss, trace.x[:K].T, trace.u.T)
     lhs = float(np.sum(stages))
     rhs = (
         np.cumsum(trace.ell)[-1]
@@ -110,8 +124,8 @@ def test_rotated_closed_loop_identity(closed_loop_trace):
 def test_history_norm_series(closed_loop_trace):
     trace = closed_loop_trace
     expect = [
-        norm_replacement(H, trace.ss.h_s)
-        for H in trace.histories[: trace.K]
+        norm_replacement(spec.H0, spec.ss.h_s)
+        for spec in trace.specs[: trace.K]
     ]
     np.testing.assert_allclose(trace.Hnorm, expect, atol=1e-12)
     assert trace.Hnorm[0] == pytest.approx(0.0)  # initial history nonpositive
@@ -217,9 +231,9 @@ def test_a_hand_loop_of_steps_reproduces_simulate(builtin, fig_history, three_st
     assert np.array([spec.x0 for spec in specs]).tobytes() == full.x.tobytes()
     assert np.array([sol.u[0] for sol in sols[:3]]).tobytes() == full.u.tobytes()
     assert np.array([sol.J for sol in sols]).tobytes() == full.Jstar.tobytes()
-    assert len(full.histories) == len(specs)
-    for spec, H in zip(specs, full.histories):
-        assert spec.H0.columns.tobytes() == H.columns.tobytes()
+    assert len(full.specs) == len(specs)
+    for spec, recorded in zip(specs, full.specs):
+        assert spec.H0.columns.tobytes() == recorded.H0.columns.tobytes()
 
 
 def test_every_solve_of_a_run_shares_the_first_specs_data(builtin, fig_history, monkeypatch):
@@ -244,7 +258,8 @@ def test_simulate_solves_rotated_after_the_loop(builtin, fig_history, monkeypatc
     assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 4
     for k in range(4):
         assert specs[k].x0.tobytes() == specs[4 + k].x0.tobytes() == trace.x[k].tobytes()
-        assert specs[k].H0 is specs[4 + k].H0 is trace.histories[k]
+        assert specs[k] is trace.specs[k]
+        assert specs[k].H0 is specs[4 + k].H0 is trace.specs[k].H0
     assert trace.converged.shape == (4, 2) and trace.converged.dtype == bool
 
 
@@ -313,7 +328,7 @@ def test_rotated_failure_does_not_halt_the_controller(builtin, fig_history, thre
     trace = simulate(model, cert, ss, 12, [2.0], fig_history, 3)
     assert [spec.objective for spec in specs] == [ORIGINAL] * 4 + [ROTATED] * 4
     assert not trace.completed and trace.failure == "rotated value at step 1: forced"
-    assert trace.K == 3 and len(trace.histories) == 4
+    assert trace.K == 3 and len(trace.specs) == 4
     for name in ("x", "u", "h", "ell", "Jstar", "Hnorm"):
         assert getattr(trace, name).tobytes() == getattr(full, name).tobytes(), name
     kept = [0, 2, 3]
@@ -382,10 +397,11 @@ def test_performance_residual_of_a_run_halted_at_step_0(builtin):
 
 def _assert_halted(trace, K, prefix):
     """A trace halted after K steps: every series has K rows (x and the
-    histories one more), is float64, and the failure names the halt."""
-    n, m, p = trace.model.n, trace.model.m, trace.model.p
+    specs one more), is float64, and the failure names the halt."""
+    model = trace.specs[0].model
+    n, m, p = model.n, model.m, model.p
     assert not trace.completed and trace.failure.startswith(prefix)
-    assert trace.K == K and len(trace.histories) == K + 1
+    assert trace.K == K and len(trace.specs) == K + 1
     shapes = {"x": (K + 1, n), "u": (K, m), "h": (K, p), "ell": (K,),
               "Jstar": (K,), "Jtildestar": (K,), "Hnorm": (K,)}
     for name, shape in shapes.items():

@@ -32,6 +32,9 @@ def test_turnpike_requires_positive_epsilon(builtin):
     for epsilon in (0.0, -1.0, np.nan, np.inf):  # NaN compares false with 0
         with pytest.raises(DomainError):
             turnpike_report(sol, builtin[2], builtin[1], epsilon)
+    # rho(1e-170) = 0.25 * 1e-340 underflows to 0.0, and C'/rho(eps) divided by it
+    with pytest.raises(DomainError, match=r"rho\(epsilon\) must be positive, got 0.0"):
+        turnpike_report(sol, builtin[2], builtin[1], 1e-170)
 
 
 def test_turnpike_report_consistency(builtin):
@@ -149,7 +152,7 @@ def test_post_turnpike_history_bound(builtin):
 
 def test_lyapunov_constant_and_decrease(closed_loop_trace):
     trace = closed_loop_trace
-    lt = lyapunov_trace(trace, trace.cert, trace.ss)
+    lt = lyapunov_trace(trace, trace.specs[0].cert, trace.specs[0].ss)
     assert lt.c == pytest.approx(1.0 / 240.0, rel=1e-12)
     assert len(lt.What) == 30
     assert len(lt.W) == 25  # defined for k = 0 .. K - T
@@ -186,7 +189,7 @@ def test_lyapunov_zero_on_steady_run(builtin):
 
 def test_lyapunov_domain_errors(builtin, closed_loop_trace):
     model, cert, ss = builtin
-    short = simulate(model, cert, ss, 12, [2.0], closed_loop_trace.histories[0], 3)
+    short = simulate(model, cert, ss, 12, [2.0], closed_loop_trace.specs[0].H0, 3)
     with pytest.raises(DomainError):
         lyapunov_trace(short, cert, ss)  # 3 steps < T = 6
 
