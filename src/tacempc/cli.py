@@ -25,7 +25,7 @@ from .config import EXPERIMENT_KEYS, as_number, load_config
 from .diagnostics import lyapunov_trace, turnpike_report
 from .errors import ConfigError, DomainError, InfeasibleError, TacempcError
 from .model import solve_steady_state
-from .ocp import ORIGINAL, OcpSpec, solve
+from .ocp import OcpSpec, solve
 from .validation import run_all
 
 EXIT_OK = 0
@@ -159,6 +159,11 @@ def _experiment_overrides(args) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.model, _experiment_overrides(args))
+    out_dir = args.out or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # such as a regular file at out_dir
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     trace = simulate(
         cfg.model, cfg.cert, cfg.ss, cfg.N, cfg.x0, cfg.H0, cfg.K,
         options=cfg.options,
@@ -169,8 +174,6 @@ def cmd_simulate(args) -> int:
     except DomainError as exc:  # T < 2, or fewer than T steps applied
         lt = None
         print(f"note: {exc}; skipped")
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, lt, csv_path)
     print(f"wrote {csv_path} ({trace.K} steps)")
@@ -197,14 +200,15 @@ def cmd_turnpike(args) -> int:
         k: v for k, v in _experiment_overrides(args).items() if k != "N"
     } | {"N": max(horizons)})
     eps = cfg.epsilon
-    for N in horizons:
-        spec = OcpSpec(
-            model=cfg.model, cert=cfg.cert, ss=cfg.ss, N=N, T=cfg.T,
-            x0=cfg.x0, H0=cfg.H0, objective=ORIGINAL,
-            options=cfg.options,
-        )
-        rep = turnpike_report(solve(spec), spec.ss, spec.cert, eps)
-        print(f"N={N} eps={_fmt(eps)}: Q={rep.Q}, "
+    # every horizon's spec is built, and so checked, before the first solve
+    specs = [OcpSpec(model=cfg.model, cert=cfg.cert, ss=cfg.ss, N=N, T=cfg.T, x0=cfg.x0,
+                     H0=cfg.H0, options=cfg.options) for N in horizons]
+    for spec in specs:
+        sol = solve(spec)
+        if not sol.converged:
+            print(f"note: N={spec.N}: solve returned converged=False", file=sys.stderr)
+        rep = turnpike_report(sol, spec.ss, spec.cert, eps)
+        print(f"N={spec.N} eps={_fmt(eps)}: Q={rep.Q}, "
               f"bound={_fmt(rep.lemma1_rhs)}, holds={rep.lemma1_holds}, "
               f"consecutive={list(rep.consecutive_set)}")
     return EXIT_OK

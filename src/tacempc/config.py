@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, quoted
+from .errors import ConfigError, DomainError, quoted
 from .history import HistoryState, steady_history
 from .model import (
     DissipativityCertificate,
@@ -28,7 +28,7 @@ from .model import (
     solve_steady_state,
     validate_certificate,
 )
-from .ocp import SolverOptions
+from .ocp import OcpSpec, SolverOptions
 
 BUILTIN_MODELS = ("mueller-koehler",)
 
@@ -268,24 +268,19 @@ def load_config(
     N = as_number(exp.get("N", 12), int, "experiment N")
     T = as_number(exp.get("T", 6), int, "experiment T")
     K = as_number(exp.get("K", 30), int, "experiment K")
-    if T < 1 or N < T:
-        raise ConfigError(f"need N >= T >= 1, got N={N}, T={T}")
-    if K < 1:
+    if T < 1:  # the history has T - 1 columns
+        raise ConfigError(f"T must be >= 1, got T={T}")
+    if K < 1:  # simulate's own K test raises a DomainError, not a ConfigError
         raise ConfigError(f"K must be >= 1, got K={K}")
-    if exp.get("x0") is None:
-        x0 = ss.x_s.copy()
-    else:
-        x0 = np.atleast_1d(_as_floats(exp["x0"], "experiment x0"))
-        if x0.shape != (model.n,):
-            raise ConfigError(f"x0 must have {model.n} entries")
     epsilon = as_number(exp.get("eps", 0.1), float, "experiment eps")
-    if not 0 < epsilon < np.inf:  # also rejects NaN
-        raise ConfigError(f"experiment eps must be positive and finite, got {epsilon!r}")
-    with np.errstate(over="ignore"):  # an overflow to inf is positive
-        rho = cert.rho(epsilon)
-    if not rho > 0:  # a * eps^omega underflows for a tiny eps
-        raise ConfigError(f"experiment eps {epsilon!r} gives rho(eps) = 0; the turnpike "
-                          "bound divides by it")
+    try:
+        cert.margin(epsilon)
+    except DomainError as exc:
+        raise ConfigError(f"experiment {exc}") from None
+    x0 = ss.x_s.copy() if exp.get("x0") is None else _as_floats(exp["x0"], "experiment x0")
+    spec = OcpSpec(model=model, cert=cert, ss=ss, N=N, T=T, x0=x0,  # checks N >= T, x0 and H0
+                   H0=parse_history(exp.get("history", "steady"), model, ss, T),
+                   options=options)
     return RunConfig(
         model=model,
         cert=cert,
@@ -293,8 +288,8 @@ def load_config(
         N=N,
         T=T,
         K=K,
-        x0=x0,
-        H0=parse_history(exp.get("history", "steady"), model, ss, T),
+        x0=spec.x0,
+        H0=spec.H0,
         options=options,
         epsilon=epsilon,
         ss_solved=data.get("steady_state") is None,

@@ -7,9 +7,10 @@ combine the rotated value function with the weighted history deviation
 into the per-step function What and its T-step forward sum W, which is
 practically decreasing along the closed loop even when the rotated
 value function alone is not; ``decrease_check`` is the one test of that
-property, for W and for any other series.  The extremes over the box,
-theta_low (``model.min_weighted_output``) and sup |lam|, come from one
-grid search with refinement, ``model._box_min``.
+property, for W and for any other series.  The box constants of the
+bound, theta_low and sup |lam|, are ``model.min_weighted_output`` and
+``model.storage_sup``; its divisor rho(epsilon) is
+``DissipativityCertificate.margin``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .closedloop import ClosedLoopTrace
 from .errors import DomainError
 from .history import iss_function, window_deficit, window_rows
-from .model import DissipativityCertificate, SteadyState, _box_min, min_weighted_output
+from .model import DissipativityCertificate, SteadyState, min_weighted_output, storage_sup
 from .ocp import OcpSolution
 
 _DECREASE_TOL = 1e-3  # largest one-step increase of a practically decreasing series
@@ -49,18 +50,6 @@ class TurnpikeReport:
         return self.lemma1_rhs <= 0 or self.Q >= self.lemma1_rhs
 
 
-def _storage_sup(cert: DissipativityCertificate, model) -> float:
-    """sup over the state box of |lam|: minus the ``_box_min`` of -|lam|,
-    refined like theta_low, so a supremum between grid points is found."""
-
-    def fun(x):
-        lam = float(cert.lam(x))
-        return -abs(lam), -np.sign(lam) * np.asarray(cert.lam_grad(x))  # lam_grad may give a list
-
-    return -_box_min(lambda pts: -np.abs(np.asarray(cert.lam(pts))), fun,
-                     model.x_lower, model.x_upper)
-
-
 def turnpike_report(
     solution: OcpSolution,
     ss: SteadyState,
@@ -75,11 +64,7 @@ def turnpike_report(
     economic cost over N * ell_s for this solution, the sum of the stage
     costs its rollout evaluated (``ell_pred``).
     """
-    if not 0 < epsilon < np.inf:  # also rejects NaN
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
-    rho = float(cert.rho(epsilon))
-    if not rho > 0:  # a * eps^omega underflows for a tiny eps
-        raise DomainError(f"rho(epsilon) must be positive, got {rho!r} at epsilon {epsilon!r}")
+    rho = cert.margin(epsilon)
     spec = solution.spec
     model, N, T = spec.model, spec.N, spec.T
     dev = np.hstack([solution.x_pred[:N] - ss.x_s, solution.u - ss.u_s])
@@ -91,7 +76,7 @@ def turnpike_report(
     consecutive_set = tuple(int(k) for k in np.nonzero(window_rows(proximate, T) == T)[0])
 
     delta = float(np.sum(solution.ell_pred)) - N * ss.ell_s
-    C = 2.0 * _storage_sup(cert, model)
+    C = 2.0 * storage_sup(model, cert)
     theta_low = min_weighted_output(model, cert)
     C_prime = delta + C - window_deficit(N, T) * theta_low
     rhs = N - C_prime / rho

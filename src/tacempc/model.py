@@ -23,36 +23,12 @@ from . import exprlang
 from .errors import ConfigError, DomainError, InfeasibleError, quoted
 from .lbfgsb import lbfgsb
 
-_FD_STEP = 1e-7
 _STEADY_FEAS_TOL = 1e-8  # steady-state equality and output residual bound
 _CERT_TOL = 1e-8  # bound on |lam(x_s)| and |lambda_bar . h_s| of a certificate
 _STEADY_CANDIDATES = 10  # cheapest grid points refined by SLSQP
 _CERT_GRID = 101  # points per axis of the certificate grids: residual, theta_low, sup |lam|
 _GRID_MAX_POINTS = 10**7  # grids coarsen per axis to stay within this many points
 _GRID_BLOCK = 2**12  # grid columns evaluated at once
-
-
-def _fd_jacobian(fn, x, u, out_dim):
-    """Central-difference Jacobian of fn(x, u) w.r.t. (x, u): the reference
-    check 13 holds the compiled gradients to, and no solve path reads it.
-
-    The step is _FD_STEP * max(1, |z_j|), so it is not lost to rounding
-    at large coordinates.  x (n[, K]) and u (m[, K]) may carry a trailing
-    batch axis, which fn must broadcast over; the result is
-    (out_dim, n + m[, K]).
-    """
-    z = np.concatenate([x, u])
-    n = len(x)
-    jac = np.empty((out_dim,) + z.shape)
-    for j in range(len(z)):
-        step = _FD_STEP * np.maximum(1.0, np.abs(z[j]))
-        zp, zm = z.copy(), z.copy()
-        zp[j] += step
-        zm[j] -= step
-        fp = np.asarray(fn(zp[:n], zp[n:]), dtype=float)
-        fm = np.asarray(fn(zm[:n], zm[n:]), dtype=float)
-        jac[:, j] = (fp - fm) / (2 * step)
-    return jac
 
 
 def _require_callables(obj, names):
@@ -257,6 +233,17 @@ class DissipativityCertificate:
 
     def rho(self, r):
         return self.a * np.asarray(r) ** self.omega
+
+    def margin(self, epsilon) -> float:
+        """rho(epsilon) if it and epsilon are positive and finite, else DomainError."""
+        if not 0 < epsilon < np.inf:  # also rejects NaN
+            raise DomainError(f"eps must be positive and finite, got {epsilon!r}")
+        with np.errstate(over="ignore", under="ignore"):  # a * eps^omega may under- or overflow
+            rho = float(self.rho(epsilon))
+        if not 0 < rho < np.inf:
+            raise DomainError(f"eps {epsilon!r} gives rho(eps) = {rho:g}; "
+                              "the turnpike bound divides by it")
+        return rho
 
     @classmethod
     def from_expression(cls, n, lam_source, lambda_bar, a, omega, L_h):
@@ -491,3 +478,14 @@ def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> f
 
     return _box_min(values, fun, model.z_lower, model.z_upper)
 
+
+def storage_sup(model: SystemModel, cert: DissipativityCertificate) -> float:
+    """sup over the state box of |lam|: minus the ``_box_min`` of -|lam|,
+    refined like theta_low, so a supremum between grid points is found."""
+
+    def fun(x):
+        lam = float(cert.lam(x))
+        return -abs(lam), -np.sign(lam) * np.asarray(cert.lam_grad(x))  # lam_grad may give a list
+
+    return -_box_min(lambda pts: -np.abs(np.asarray(cert.lam(pts))), fun,
+                     model.x_lower, model.x_upper)

@@ -77,8 +77,21 @@ def test_every_definition_is_read_by_program_code():
     assert unread == _UNREAD
 
 
+def test_no_module_imports_another_modules_private_names():
+    # an underscore name belongs to its module: a second reader moves it,
+    # or makes it public, so each helper has one home
+    imported = [
+        (path.name, alias.name)
+        for path in sorted((_ROOT / "src" / "tacempc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert imported == []
+
+
 def test_finite_differences_serve_only_the_gradient_check():
-    # model._fd_jacobian is check 13's reference for the compiled gradients;
+    # validation._fd_jacobian is check 13's reference for the compiled gradients;
     # no rollout, box search or solve differentiates numerically, so program
     # code reads it nowhere else, its own module included
     paths = [*(_ROOT / "src" / "tacempc").glob("*.py"), *(_ROOT / "perfbench").rglob("*.py")]

@@ -337,6 +337,56 @@ def test_a_proximity_radius_whose_margin_underflows_exits_with_config_error(caps
         "error: experiment eps 1e-170 gives rho(eps) = 0; the turnpike bound divides by it\n")
 
 
+@pytest.mark.parametrize("argv", [
+    # turnpike printed the N=12 report before rejecting N=3
+    ["turnpike", "--N", "12,3", "--T", "6"],
+    ["turnpike", "--N", "6", "--T", "3", "--eps", "1e-200"],
+    # rho(1e300) overflows to inf: an overflow warning, then bound=6 and exit 0
+    ["turnpike", "--N", "6", "--T", "3", "--eps", "1e300"],
+    ["turnpike", "--N", "6", "--T", "3", "--eps", "nan"],
+    ["turnpike", "--N", "6", "--T", "3", "--eps", "0"],
+    ["turnpike", "--x0", "1,2"],
+    ["turnpike", "--x0", "11"],
+    ["simulate", "--x0", "1,2"],
+    ["simulate", "--x0", "11"],
+    ["simulate", "--K", "0"],
+    # a regular file at --out: a FileExistsError traceback after the whole loop
+    ["simulate", "--out", "FILE"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_inputs_exit_before_any_solve(tmp_path, monkeypatch, capsys, argv):
+    def refuse(spec):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "solve", refuse)
+    monkeypatch.setattr(closedloop, "solve", refuse)
+    regular = tmp_path / "file"
+    regular.write_text("")
+    out = tmp_path / "out"
+    if argv[0] == "simulate" and "--out" not in argv:
+        argv = [*argv, "--out", str(out)]
+    argv = [str(regular) if arg == "FILE" else arg for arg in argv]
+    assert main([*argv, "--model", "mueller-koehler"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists() and regular.read_text() == ""
+
+
+def test_turnpike_notes_unconverged_solves(monkeypatch, capsys):
+    # stderr names the horizon whose solve did not converge; stdout is unchanged
+    argv = ["turnpike", "--model", "mueller-koehler", "--T", "3", "--x0", "1",
+            "--history=constant:1,1", "--N", "10,12"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda spec: dataclasses.replace(
+        solve(spec), converged=spec.N != 12))
+    assert main(argv) == 0
+    patched = capsys.readouterr()
+    assert plain.err == "" and patched.err == "note: N=12: solve returned converged=False\n"
+    assert patched.out == plain.out
+
+
 def test_a_box_wider_than_a_double_exits_with_config_error(tmp_path, capsys):
     # each bound is finite but the width is not: the grid searches filled
     # with NaN and turnpike printed bound=nan, holds=False and exited 0

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse
-from tacempc.model import SystemModel, _fd_jacobian, step_record_widths
+from tacempc.model import SystemModel, step_record_widths
+from tacempc.validation import _fd_jacobian
 
 
 def _value(source, x, u):

@@ -1,31 +1,34 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tacempc import model as model_mod
-from tacempc.diagnostics import _storage_sup, turnpike_report
+from tacempc.config import load_config
+from tacempc.diagnostics import turnpike_report
 from tacempc.errors import ConfigError, DomainError, InfeasibleError
 from tacempc.history import steady_history
 from tacempc.model import (
     DissipativityCertificate,
     SteadyState,
     SystemModel,
-    _fd_jacobian,
     _grid_blocks,
     _grid_density,
     check_dissipativity_grid,
     eval_rotated_stage_cost,
     min_weighted_output,
     solve_steady_state,
+    storage_sup,
     validate_certificate,
 )
 from tacempc.ocp import (
     ORIGINAL, ROTATED, OcpSpec, _Forward, _Problem, rotated_identity_check, solve,
 )
+from tacempc.validation import _fd_jacobian
 
 
 def test_builtin_steady_state(builtin):
@@ -387,6 +390,37 @@ def test_certificate_parameter_validation():
             DissipativityCertificate(**{**kw, "lambda_bar": [1.0, value]})
 
 
+@given(st.floats())
+@example(5e-324)
+@example(1e-170)  # rho = 0.25 * 1e-340 underflows to 0
+@example(1e154)
+@example(1e155)  # rho = 0.25 * 1e310 overflows to inf
+@example(1e300)
+@example(np.inf)
+@example(np.nan)
+@example(-0.0)
+def test_margin_is_the_one_proximity_radius_test(builtin, eps):
+    # the report divides by the margin: it is rho(eps) where both are
+    # positive and finite, and a DomainError, never a warning, elsewhere;
+    # load_config refuses exactly the radii it refuses
+    cert = builtin[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            margin = cert.margin(eps)
+        except DomainError:
+            margin = None
+        try:
+            load_config(model_name="mueller-koehler", overrides={"eps": eps})
+            loaded = True
+        except ConfigError:
+            loaded = False
+    assert loaded == (margin is not None)
+    if margin is not None:
+        # == is bit equality for positive finite doubles
+        assert 0 < margin < np.inf and margin == float(cert.rho(eps))
+
+
 @pytest.mark.parametrize("side", ["z_lower", "z_upper"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_box_bounds_finite(side, value):
@@ -475,7 +509,7 @@ def test_list_valued_derivatives_of_a_python_model():
     np.testing.assert_allclose(records[0][0, 3:5], [2 * 1.7 + 0.4 - 5.0, 1.7 * -0.3])
     cert = DissipativityCertificate(lam=lambda x: 1.5 * (x[0] - 2.0), lambda_bar=[1.0, 0.0],
                                     a=1.0, omega=2.0, L_h=1.0, lam_grad=lambda x: [1.5, 0.0])
-    assert _storage_sup(cert, lists) == pytest.approx(1.5 * 12.0)
+    assert storage_sup(lists, cert) == pytest.approx(1.5 * 12.0)
 
 
 def test_batched_jacobians_match_pointwise():
