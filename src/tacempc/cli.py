@@ -160,10 +160,13 @@ def _experiment_overrides(args) -> dict:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.model, _experiment_overrides(args))
     out_dir = args.out or "."
-    try:
+    csv_path, svg_path = os.path.join(out_dir, "trace.csv"), os.path.join(out_dir, "chart.svg")
+    try:  # every output is opened before the first solve
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:  # such as a regular file at out_dir
-        raise ConfigError(f"cannot create output directory: {exc}") from None
+        for path in (csv_path, svg_path)[: 1 + args.svg]:
+            open(path, "a").close()  # appending keeps a file's content until the run writes it
+    except OSError as exc:  # such as a regular file at out_dir, or a directory at a path
+        raise ConfigError(f"cannot write output: {exc}") from None
     trace = simulate(
         cfg.model, cfg.cert, cfg.ss, cfg.N, cfg.x0, cfg.H0, cfg.K,
         options=cfg.options,
@@ -174,11 +177,9 @@ def cmd_simulate(args) -> int:
     except DomainError as exc:  # T < 2, or fewer than T steps applied
         lt = None
         print(f"note: {exc}; skipped")
-    csv_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, lt, csv_path)
     print(f"wrote {csv_path} ({trace.K} steps)")
     if args.svg:
-        svg_path = os.path.join(out_dir, "chart.svg")
         write_trace_svg(trace, lt, svg_path)
         print(f"wrote {svg_path}")
     values = np.column_stack([trace.Jstar, trace.Jtildestar])

@@ -129,36 +129,30 @@ def builtin_model_data(name: str) -> dict:
 
 
 def _build_model(data: dict):
-    try:
-        n = as_number(data["n"], int, "model n")
-        m = as_number(data["m"], int, "model m")
-        f_sources = list(data["f"])
-        ell_source = data["ell"]
-        h_sources = list(data["h"])
-        z_lower = _as_floats(data["z_lower"], "model z_lower")
-        z_upper = _as_floats(data["z_upper"], "model z_upper")
-    except KeyError as exc:
-        raise ConfigError(f"model definition missing key {exc.args[0]!r}") from None
+    """The model and certificate of a model section, every required key
+    (all of ``MODEL_KEYS`` but builtin and steady_state) checked first."""
+    missing = [key for key in MODEL_KEYS
+               if key not in data and key not in ("builtin", "steady_state")]
+    if missing:
+        raise ConfigError(f"model definition missing keys {missing}")
+    n = as_number(data["n"], int, "model n")
     model = SystemModel.from_expressions(
         n=n,
-        m=m,
-        f_sources=f_sources,
-        ell_source=ell_source,
-        h_sources=h_sources,
-        z_lower=z_lower,
-        z_upper=z_upper,
+        m=as_number(data["m"], int, "model m"),
+        f_sources=list(data["f"]),
+        ell_source=data["ell"],
+        h_sources=list(data["h"]),
+        z_lower=_as_floats(data["z_lower"], "model z_lower"),
+        z_upper=_as_floats(data["z_upper"], "model z_upper"),
     )
-    try:
-        cert = DissipativityCertificate.from_expression(
-            n=n,
-            lam_source=data["lam"],
-            lambda_bar=_as_floats(data["lambda_bar"], "model lambda_bar"),
-            a=as_number(data["a"], float, "model a"),
-            omega=as_number(data["omega"], float, "model omega"),
-            L_h=as_number(data["L_h"], float, "model L_h"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"certificate missing key {exc.args[0]!r}") from None
+    cert = DissipativityCertificate.from_expression(
+        n=n,
+        lam_source=data["lam"],
+        lambda_bar=_as_floats(data["lambda_bar"], "model lambda_bar"),
+        a=as_number(data["a"], float, "model a"),
+        omega=as_number(data["omega"], float, "model omega"),
+        L_h=as_number(data["L_h"], float, "model L_h"),
+    )
     return model, cert
 
 

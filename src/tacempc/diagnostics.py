@@ -9,13 +9,14 @@ practically decreasing along the closed loop even when the rotated
 value function alone is not; ``decrease_check`` is the one test of that
 property, for W and for any other series.  The box constants of the
 bound, theta_low and sup |lam|, are ``model.min_weighted_output`` and
-``model.storage_sup``; its divisor rho(epsilon) is
-``DissipativityCertificate.margin``.
+``model.storage_sup``, searched once per (model, certificate) pair; its
+divisor rho(epsilon) is ``DissipativityCertificate.margin``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -50,6 +51,13 @@ class TurnpikeReport:
         return self.lemma1_rhs <= 0 or self.Q >= self.lemma1_rhs
 
 
+@lru_cache(maxsize=8)
+def _box_constants(model, cert) -> Tuple[float, float]:
+    """C = 2 sup |lam| and theta_low of a model and certificate, which
+    hash by identity: two box searches, made on a pair's first report."""
+    return 2.0 * storage_sup(model, cert), min_weighted_output(model, cert)
+
+
 def turnpike_report(
     solution: OcpSolution,
     ss: SteadyState,
@@ -76,8 +84,7 @@ def turnpike_report(
     consecutive_set = tuple(int(k) for k in np.nonzero(window_rows(proximate, T) == T)[0])
 
     delta = float(np.sum(solution.ell_pred)) - N * ss.ell_s
-    C = 2.0 * storage_sup(model, cert)
-    theta_low = min_weighted_output(model, cert)
+    C, theta_low = _box_constants(model, cert)
     C_prime = delta + C - window_deficit(N, T) * theta_low
     rhs = N - C_prime / rho
     return TurnpikeReport(

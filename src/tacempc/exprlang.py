@@ -361,11 +361,8 @@ def _derivatives(root: Expr, n: int, dim: int):
 
 
 def _check_nonzero(b):
-    try:
-        zero = bool((b == 0).any())  # array operand
-    except AttributeError:
-        zero = b == 0
-    if zero:
+    """EvalError if the divisor b, or any entry of an array b, is zero."""
+    if (b == 0).any() if isinstance(b, np.ndarray) else b == 0:
         raise EvalError("division by zero")
 
 
@@ -378,11 +375,6 @@ def _pow(a, k):
     if isinstance(a, np.ndarray):
         return np.float_power(a, k)
     return a**k
-
-
-def _scalar_nonzero(b):
-    if b == 0:
-        raise EvalError("division by zero")
 
 
 def _batch_shape(x):
@@ -398,16 +390,16 @@ class _Codegen:
 
     A kernel's code reads variables as ``x[i]``/``u[i]`` and writes ``^`` as
     ``_pow``.  A stage pass's code (``floats``) runs on Python floats: it
-    reads each variable from a local ``x_i``/``u_i``, checks divisions with
-    ``_scalar_nonzero`` and writes ``^`` as Python's ``**``.  ``codes`` maps
-    each emitted node to the name holding its value, and ``checked`` holds
-    the names already checked for zero.
+    reads each variable from a local ``x_i``/``u_i`` and writes ``^`` as
+    Python's ``**``.  Both check divisions with ``_check_nonzero``.
+    ``codes`` maps each emitted node to the name holding its value, and
+    ``checked`` holds the names already checked for zero.
     """
 
     def __init__(self, floats=False):
         self.lines = []
         self.names = {
-            "_check_nonzero": _scalar_nonzero if floats else _check_nonzero,
+            "_check_nonzero": _check_nonzero,
             "_pow": _pow,
             "_empty": np.empty,
             "_batch_shape": _batch_shape,

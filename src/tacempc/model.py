@@ -278,15 +278,22 @@ class SteadyState:
         return cls(x_s=x_s, u_s=u_s, ell_s=float(model.ell(x_s, u_s)), h_s=h_s)
 
 
+def _steady_residual(model: SystemModel, x, u) -> np.ndarray:
+    """max(|f(x, u) - x|, h(x, u)) over the rows, one value per column of a
+    batch x (n, K), u (m, K), and shape (1,) at a point: (x, u) is a steady
+    state with h <= 0 to a tolerance iff its residual is within it (NaN is
+    not).  h may give a flat (K,) batch when p = 1."""
+    gap = np.abs(np.reshape(model.f(x, u), (model.n, -1)) - np.reshape(x, (model.n, -1)))
+    h = np.reshape(model.h(x, u), (model.p, -1))
+    return np.maximum(np.max(gap, axis=0), np.max(h, axis=0))
+
+
 def is_steady_state(model: SystemModel, x, u) -> bool:
     """Whether (x, u) is an admissible steady state of model: in the box,
     f(x, u) = x and h(x, u) <= 0, each to ``_STEADY_FEAS_TOL``.  The test
     every candidate of ``solve_steady_state`` passes, and a pinned one too."""
-    return bool(
-        model.in_box(x, u, tol=_STEADY_FEAS_TOL)
-        and np.max(np.abs(np.asarray(model.f(x, u), dtype=float) - x)) <= _STEADY_FEAS_TOL
-        and np.max(np.atleast_1d(model.h(x, u))) <= _STEADY_FEAS_TOL
-    )
+    return bool(model.in_box(x, u, tol=_STEADY_FEAS_TOL)
+                and np.all(_steady_residual(model, x, u) <= _STEADY_FEAS_TOL))
 
 
 def validate_certificate(cert: DissipativityCertificate, ss: SteadyState):
@@ -317,17 +324,21 @@ def eval_rotated_stage_cost(model, cert, ss, x, u, tol=1e-9):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not model.in_box(x, u, tol):
         raise DomainError(f"point (x, u) = ({x}, {u}) outside the constraint box")
-    h = np.atleast_1d(np.asarray(model.h(x, u), dtype=float))
     value = (
         model.ell(x, u)
         - ss.ell_s
         + cert.lam(x)
         - cert.lam(np.asarray(model.f(x, u), dtype=float))
-        # elementwise, not lambda_bar @ h: a BLAS matrix-vector product
-        # rounds differently from the per-point dot product
-        + np.sum(cert.lambda_bar * h.T, axis=-1)
+        + _weighted_output(cert, np.atleast_1d(np.asarray(model.h(x, u), dtype=float)))
     )
     return value if np.ndim(value) else float(value)
+
+
+def _weighted_output(cert, h):
+    """lambda_bar . h for an output h (p,), or per column of a batch (p, K).
+    Elementwise, not lambda_bar @ h: a BLAS product rounds a column
+    differently from the per-point dot product, depending on its batch."""
+    return np.sum(cert.lambda_bar * h.T, axis=-1)
 
 
 def _grid_density(density, dim):
@@ -367,15 +378,9 @@ def solve_steady_state(model: SystemModel, grid_density: int = 201) -> SteadySta
     # by a block's candidates (in grid order) keeps ties in flat index order
     candidates, costs = np.empty((n + model.m, 0)), np.empty(0)
     for pts in _grid_blocks(model.z_lower, model.z_upper, density):
-        x_pts, u_pts = pts[:n], pts[n:]
-        f_vals = np.asarray(model.f(x_pts, u_pts))
-        h_vals = np.atleast_2d(np.asarray(model.h(x_pts, u_pts)))
-        ell_vals = np.asarray(model.ell(x_pts, u_pts))
-        eq_res = np.max(np.abs(f_vals - x_pts), axis=0)
-        ineq_res = np.max(h_vals, axis=0)
-        mask = (eq_res <= grid_tol) & (ineq_res <= grid_tol)
+        mask = _steady_residual(model, pts[:n], pts[n:]) <= grid_tol
         candidates = np.hstack([candidates, pts[:, mask]])
-        costs = np.concatenate([costs, ell_vals[mask]])
+        costs = np.concatenate([costs, np.asarray(model.ell(pts[:n], pts[n:]))[mask]])
         order = np.argsort(costs, kind="stable")[:_STEADY_CANDIDATES]
         candidates, costs = candidates[:, order], costs[order]
     if not costs.size:
@@ -467,10 +472,7 @@ def min_weighted_output(model: SystemModel, cert: DissipativityCertificate) -> f
     n = model.n
 
     def values(pts):
-        h = np.atleast_2d(np.asarray(model.h(pts[:n], pts[n:])))
-        # elementwise, not lambda_bar @ h: a BLAS product's rounding of a
-        # column depends on the block it sits in
-        return np.sum(cert.lambda_bar * h.T, axis=-1)
+        return _weighted_output(cert, np.atleast_2d(np.asarray(model.h(pts[:n], pts[n:]))))
 
     def fun(z):
         weighted = float(cert.lambda_bar @ np.atleast_1d(model.h(z[:n], z[n:])))

@@ -88,8 +88,6 @@ class OcpSpec:
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ConfigError("period T must be >= 1")
         if self.N < self.T:
             raise ConfigError(
                 f"horizon N = {self.N} shorter than period T = {self.T}: "
@@ -107,7 +105,7 @@ class OcpSpec:
         tol = self.options.feas_tol
         if np.any(x0 < self.model.x_lower - tol) or np.any(x0 > self.model.x_upper + tol):
             raise ConfigError("initial state outside the state box")
-        if self.H0.T != self.T:
+        if self.H0.T != self.T:  # a HistoryState has T >= 1, so T < 1 fails here
             raise ConfigError("history period does not match T")
         if self.H0.p != self.model.p:
             raise ConfigError(

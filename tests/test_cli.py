@@ -115,6 +115,21 @@ def test_config_errors(tmp_path):
         load_config(str(cfg_file))
 
 
+@pytest.mark.parametrize("key", [key for key in config.MODEL_KEYS
+                                 if key not in ("builtin", "steady_state")])
+def test_a_missing_model_key_is_named_before_anything_compiles(tmp_path, monkeypatch, key):
+    # a missing certificate key was reported only after the model compiled
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model compiled")
+
+    monkeypatch.setattr(config.SystemModel, "from_expressions", refuse)
+    section = {k: v for k, v in config.builtin_model_data("mueller-koehler").items() if k != key}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": section}))
+    with pytest.raises(ConfigError, match=rf"^model definition missing keys \['{key}'\]$"):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--N", "abc"], "experiment N must be an integer, got 'abc'"),
     (["simulate", "--history=constant:a,1"], "constant history must be numbers"),
@@ -352,6 +367,10 @@ def test_a_proximity_radius_whose_margin_underflows_exits_with_config_error(caps
     ["simulate", "--K", "0"],
     # a regular file at --out: a FileExistsError traceback after the whole loop
     ["simulate", "--out", "FILE"],
+    # a directory at trace.csv, or at chart.svg under --svg: an
+    # IsADirectoryError traceback after the whole loop
+    ["simulate", "--out", "BLOCKED"],
+    ["simulate", "--svg", "--out", "BLOCKED_SVG"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_inputs_exit_before_any_solve(tmp_path, monkeypatch, capsys, argv):
     def refuse(spec):
@@ -364,12 +383,21 @@ def test_bad_inputs_exit_before_any_solve(tmp_path, monkeypatch, capsys, argv):
     out = tmp_path / "out"
     if argv[0] == "simulate" and "--out" not in argv:
         argv = [*argv, "--out", str(out)]
-    argv = [str(regular) if arg == "FILE" else arg for arg in argv]
+    # BLOCKED has a directory at trace.csv; BLOCKED_SVG a trace.csv that the
+    # run would overwrite and a directory at chart.svg
+    (tmp_path / "blocked" / "trace.csv").mkdir(parents=True)
+    (tmp_path / "blocked_svg" / "chart.svg").mkdir(parents=True)
+    (tmp_path / "blocked_svg" / "trace.csv").write_text("old")
+    places = {"FILE": regular, "BLOCKED": tmp_path / "blocked",
+              "BLOCKED_SVG": tmp_path / "blocked_svg"}
+    argv = [str(places.get(arg, arg)) for arg in argv]
     assert main([*argv, "--model", "mueller-koehler"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists() and regular.read_text() == ""
+    assert [p.name for p in (tmp_path / "blocked").iterdir()] == ["trace.csv"]
+    assert (tmp_path / "blocked_svg" / "trace.csv").read_text() == "old"
 
 
 def test_turnpike_notes_unconverged_solves(monkeypatch, capsys):

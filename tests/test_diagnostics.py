@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tacempc import diagnostics
 from tacempc import model as model_mod
 from tacempc.closedloop import simulate
 from tacempc.diagnostics import decrease_check, lyapunov_trace, turnpike_report
@@ -78,6 +79,25 @@ def test_turnpike_constants(builtin):
     assert rep.delta == pytest.approx(delta, abs=1e-9)
     # k_{T,N} = 2 leftover steps for N = 10, T = 3
     assert rep.C_prime == pytest.approx(delta + 36.0 + 2 * 35.0, abs=1e-6)
+
+
+def test_a_second_report_searches_no_box(builtin, monkeypatch):
+    # the box constants C and theta_low are searched once per (model,
+    # certificate) pair, not on every report
+    diagnostics._box_constants.cache_clear()
+    _, cert, ss = builtin
+    sol = _solve_original(builtin, N=10, T=3)
+    searches = []
+    box_min = model_mod._box_min
+    monkeypatch.setattr(model_mod, "_box_min",
+                        lambda *args, **kw: searches.append(args) or box_min(*args, **kw))
+    first = turnpike_report(sol, ss, cert, 0.1)
+    assert len(searches) == 2
+    assert turnpike_report(sol, ss, cert, 0.1) == first
+    assert len(searches) == 2
+    # an equal certificate is another pair
+    turnpike_report(sol, ss, dataclasses.replace(cert), 0.1)
+    assert len(searches) == 4
 
 
 def test_storage_sup_reads_every_block(builtin, monkeypatch):

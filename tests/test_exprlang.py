@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tacempc import exprlang
 from tacempc.exprlang import EvalError, ExprSyntaxError, parse
@@ -261,6 +262,26 @@ def test_division_by_zero_raises():
         _value("x1 / u1", [1.0], [0.0])
     with pytest.raises(EvalError):
         _gradient("x1 / u1", [1.0], [0.0])
+
+
+@given(st.one_of(st.floats(), st.floats().map(np.float64),
+                 hnp.arrays(float, st.integers(0, 4), elements=st.floats())))
+@example(0.0)
+@example(-0.0)
+@example(float("nan"))
+@example(float("inf"))
+@example(5e-324)
+@example(np.array([1.0, -0.0]))
+def test_zero_check_raises_exactly_at_a_zero_divisor(b):
+    # one check serves the kernels (arrays, numpy scalars) and the stage
+    # pass (Python floats)
+    zero = 0.0 in np.ravel(b).tolist()  # -0.0 == 0.0, nan == 0.0 is False
+    try:
+        exprlang._check_nonzero(b)
+    except EvalError:
+        assert zero
+    else:
+        assert not zero
 
 
 def test_gradient_simple_cases():

@@ -20,6 +20,7 @@ from tacempc.model import (
     _grid_density,
     check_dissipativity_grid,
     eval_rotated_stage_cost,
+    is_steady_state,
     min_weighted_output,
     solve_steady_state,
     storage_sup,
@@ -38,6 +39,24 @@ def test_builtin_steady_state(builtin):
     assert ss.u_s[0] == pytest.approx(1.0, abs=1e-6)
     assert ss.ell_s == pytest.approx(2.0, abs=1e-6)
     assert ss.h_s[0] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_steady_state_test_matches_its_two_residuals(builtin, pair):
+    # the former test, f(x, u) = x and h(x, u) <= 0 as two residuals, at a
+    # coarse grid and at the grid shifted by 5e-9, half the tolerance:
+    # x = 0 is steady for any u, and a shift leaves |f - x| = 5e-9 |u - 1|
+    tol = model_mod._STEADY_FEAS_TOL
+    found = set()
+    for (model, _, _), density in ((builtin, 21), (pair, 7)):
+        pts = np.hstack(list(_grid_blocks(model.z_lower, model.z_upper, density)))
+        for z in np.hstack([pts, pts + 5e-9]).T:
+            x, u = z[: model.n], z[model.n :]
+            want = bool(model.in_box(x, u, tol=tol)
+                        and np.max(np.abs(np.asarray(model.f(x, u), dtype=float) - x)) <= tol
+                        and np.max(np.atleast_1d(model.h(x, u))) <= tol)
+            assert is_steady_state(model, x, u) == want
+            found.add(want)
+    assert found == {False, True}
 
 
 def test_steady_state_without_output_constraint():

@@ -57,6 +57,8 @@ def test_spec_validation(builtin):
             _spec(builtin, N=6, T=3, x0=x0, H0=H)
     with pytest.raises(ConfigError):
         _spec(builtin, N=6, T=2, x0=1.0, H0=H)  # history period mismatch
+    with pytest.raises(ConfigError):
+        _spec(builtin, N=6, T=0, x0=1.0, H0=H)  # T < 1: no history has that period
     for value in (np.nan, np.inf, -np.inf):  # -inf tail sums void the window rows
         with pytest.raises(ConfigError, match="history must be finite"):
             _spec(builtin, N=6, T=3, x0=1.0, H0=HistoryState(np.array([[-2.0, value]]), 3))
